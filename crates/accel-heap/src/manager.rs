@@ -5,9 +5,13 @@ use crate::freelist::HwFreeList;
 use crate::prefetch::{sw_class_for, PrefetchConfig, Prefetcher};
 use crate::size_class::{SizeClassTable, HW_CLASS_COUNT};
 use php_runtime::alloc::SlabAllocator;
-use php_runtime::profile::{Category, OpCost};
+use php_runtime::profile::{Category, Leaf, OpCost};
 use php_runtime::Profiler;
 use std::collections::HashSet;
+
+static HM_EAGER_MEMORY_UPDATE: Leaf = Leaf::new("hm_eager_memory_update", Category::Heap);
+static HM_OVERFLOW_SPILL: Leaf = Leaf::new("hm_overflow_spill", Category::Heap);
+static HMFLUSH: Leaf = Leaf::new("hmflush", Category::Heap);
 
 /// Memory-update policy (design consideration vs. Mallacc \[48\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -198,8 +202,7 @@ impl HwHeapManager {
     fn charge_eager_update(&self, prof: &Profiler) {
         if self.cfg.update_policy == UpdatePolicy::Eager {
             prof.record(
-                "hm_eager_memory_update",
-                Category::Heap,
+                &HM_EAGER_MEMORY_UPDATE,
                 OpCost {
                     uops: EAGER_UPDATE_UOPS,
                     branches: 1,
@@ -322,8 +325,7 @@ impl HwHeapManager {
             // free list with a single store.
             self.stats.free_spills += 1;
             prof.record(
-                "hm_overflow_spill",
-                Category::Heap,
+                &HM_OVERFLOW_SPILL,
                 OpCost {
                     uops: OVERFLOW_STORE_UOPS,
                     branches: 1,
@@ -354,11 +356,7 @@ impl HwHeapManager {
             }
         }
         self.stats.flushed_blocks += flushed as u64;
-        prof.record(
-            "hmflush",
-            Category::Heap,
-            OpCost::mixed(10 + 3 * flushed as u64),
-        );
+        prof.record(&HMFLUSH, OpCost::mixed(10 + 3 * flushed as u64));
         flushed
     }
 

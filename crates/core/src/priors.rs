@@ -124,20 +124,20 @@ pub fn apply(profiler: &Profiler, cfg: &PriorsConfig) -> PriorsOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use php_runtime::profile::OpCost;
+    use php_runtime::profile::{Leaf, OpCost};
 
     fn sample_profiler() -> Profiler {
         let p = Profiler::new();
-        p.record("zend_hash_find", Category::HashMap, OpCost::mixed(10_000));
-        p.record("zval_type_check", Category::TypeCheck, OpCost::mixed(5_000));
-        p.record(
-            "zval_refcount_inc",
-            Category::RefCount,
-            OpCost::mixed(4_000),
-        );
-        p.record("kernel_mmap_alloc", Category::Heap, OpCost::mixed(2_000));
-        p.record("slab_malloc", Category::Heap, OpCost::mixed(6_000));
-        p.record("php_trim", Category::String, OpCost::mixed(3_000));
+        for (name, category, uops) in [
+            ("zend_hash_find", Category::HashMap, 10_000),
+            ("zval_type_check", Category::TypeCheck, 5_000),
+            ("zval_refcount_inc", Category::RefCount, 4_000),
+            ("kernel_mmap_alloc", Category::Heap, 2_000),
+            ("slab_malloc", Category::Heap, 6_000),
+            ("php_trim", Category::String, 3_000),
+        ] {
+            p.record(Leaf::intern(name, category), OpCost::mixed(uops));
+        }
         p
     }
 

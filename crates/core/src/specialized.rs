@@ -15,12 +15,34 @@ use accel_regex::{
 };
 use accel_string::StringAccel;
 use php_runtime::array::{hash_bytes, ArrayKey, PhpArray};
-use php_runtime::profile::{Category, OpCost};
+use php_runtime::context::{ZEND_HASH_DESTROY, ZEND_HASH_UPDATE};
+use php_runtime::profile::{Category, Leaf, OpCost};
 use php_runtime::strfuncs::StrLib;
 use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
 use php_runtime::{AccessStatic, RuntimeContext};
 use regex_engine::Regex;
+
+static HASHTABLE_FOREACH: Leaf = Leaf::new("hashtable_foreach", Category::HashMap);
+static HASHTABLE_FREE: Leaf = Leaf::new("hashtable_free", Category::HashMap);
+static HASHTABLEGET: Leaf = Leaf::new("hashtableget", Category::HashMap);
+static HASHTABLESET: Leaf = Leaf::new("hashtableset", Category::HashMap);
+static HMFREE: Leaf = Leaf::new("hmfree", Category::Heap);
+static HMMALLOC: Leaf = Leaf::new("hmmalloc", Category::Heap);
+static HT_DIRTY_WRITEBACK: Leaf = Leaf::new("ht_dirty_writeback", Category::HashMap);
+static PCRE_EXEC: Leaf = Leaf::new("pcre_exec", Category::Regex);
+static PCRE_REPLACE: Leaf = Leaf::new("pcre_replace", Category::Regex);
+static REGEXLOOKUP: Leaf = Leaf::new("regexlookup", Category::Regex);
+static REGEXP_SHADOW: Leaf = Leaf::new("regexp_shadow", Category::Regex);
+static REGEXP_SIEVE: Leaf = Leaf::new("regexp_sieve", Category::Regex);
+static STRINGOP_COMPARE: Leaf = Leaf::new("stringop_compare", Category::String);
+static STRINGOP_FIND: Leaf = Leaf::new("stringop_find", Category::String);
+static STRINGOP_FINDSET: Leaf = Leaf::new("stringop_findset", Category::String);
+static STRINGOP_REPLACE: Leaf = Leaf::new("stringop_replace", Category::String);
+static STRINGOP_TRANSLATE: Leaf = Leaf::new("stringop_translate", Category::String);
+static STRINGOP_TRIM: Leaf = Leaf::new("stringop_trim", Category::String);
+static STRREADCONFIG: Leaf = Leaf::new("strreadconfig", Category::String);
+static ZEND_HASH_NEXT_INSERT: Leaf = Leaf::new("zend_hash_next_insert", Category::HashMap);
 
 /// Execution mode of the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,10 +421,8 @@ impl PhpMachine {
         self.pending_hv_flip = None;
     }
 
-    fn dispatch(&self, name: &'static str, cat: Category) {
-        self.ctx
-            .profiler()
-            .record(name, cat, OpCost::alu(DISPATCH_UOPS));
+    fn dispatch(&self, leaf: &'static Leaf) {
+        self.ctx.profiler().record(leaf, OpCost::alu(DISPATCH_UOPS));
     }
 
     /// Resets every metric (profiler, refcount/alloc counters are kept in
@@ -462,11 +482,9 @@ impl PhpMachine {
             self.core.straccel.strwriteconfig();
             // On resume the config is reloaded.
             let cycles = self.core.straccel.strreadconfig();
-            self.ctx.profiler().record(
-                "strreadconfig",
-                Category::String,
-                OpCost::alu(DISPATCH_UOPS + cycles / 2),
-            );
+            self.ctx
+                .profiler()
+                .record(&STRREADCONFIG, OpCost::alu(DISPATCH_UOPS + cycles / 2));
         }
     }
 
@@ -482,7 +500,7 @@ impl PhpMachine {
                 .with_allocator(|a| self.core.heap.hmmalloc(size, a, prof));
             match out {
                 MallocOutcome::Hit { addr } => {
-                    self.dispatch("hmmalloc", Category::Heap);
+                    self.dispatch(&HMMALLOC);
                     return MBlock {
                         addr,
                         size,
@@ -492,7 +510,7 @@ impl PhpMachine {
                 }
                 MallocOutcome::SoftwareRefill { addr } => {
                     // Cost already charged by the software handler.
-                    self.dispatch("hmmalloc", Category::Heap);
+                    self.dispatch(&HMMALLOC);
                     return MBlock {
                         addr,
                         size,
@@ -520,7 +538,7 @@ impl PhpMachine {
                 .ctx
                 .with_allocator(|a| self.core.heap.hmfree(block.addr, block.size, a, prof));
             debug_assert!(!matches!(out, FreeOutcome::TooLarge));
-            self.dispatch("hmfree", Category::Heap);
+            self.dispatch(&HMFREE);
         } else if let Some(sw) = block.sw_block {
             self.ctx.free(sw);
         }
@@ -602,7 +620,7 @@ impl PhpMachine {
             let kb = key_bytes(key);
             match self.core.htable.get_hinted(arr.base_addr(), &kb, hint) {
                 GetOutcome::Hit { .. } => {
-                    self.dispatch("hashtableget", Category::HashMap);
+                    self.dispatch(&HASHTABLEGET);
                     let out = arr.get(key).cloned();
                     if let Some(v) = &out {
                         self.ctx.type_check_elidable(v, facts.skip_type_check);
@@ -665,18 +683,16 @@ impl PhpMachine {
                 .htable
                 .set_hinted(base, &kb, value_token(base, &kb), hint)
             {
-                SetOutcome::Updated => self.dispatch("hashtableset", Category::HashMap),
+                SetOutcome::Updated => self.dispatch(&HASHTABLESET),
                 SetOutcome::Inserted { eviction } => {
-                    self.dispatch("hashtableset", Category::HashMap);
+                    self.dispatch(&HASHTABLESET);
                     self.charge_eviction(eviction);
                 }
                 SetOutcome::Unsupported => {
                     // Long key: the software walk cost applies after all.
-                    self.ctx.profiler().record(
-                        "zend_hash_update",
-                        Category::HashMap,
-                        OpCost::mixed(90),
-                    );
+                    self.ctx
+                        .profiler()
+                        .record(&ZEND_HASH_UPDATE, OpCost::mixed(90));
                 }
             }
             return;
@@ -716,28 +732,24 @@ impl PhpMachine {
                 .set_hinted(base, &kb, value_token(base, &kb), hint)
             {
                 SetOutcome::Inserted { eviction } => {
-                    self.dispatch("hashtableset", Category::HashMap);
+                    self.dispatch(&HASHTABLESET);
                     self.charge_eviction(eviction);
                 }
-                _ => self.dispatch("hashtableset", Category::HashMap),
+                _ => self.dispatch(&HASHTABLESET),
             }
         } else {
-            self.ctx.profiler().record(
-                "zend_hash_next_insert",
-                Category::HashMap,
-                OpCost::mixed(55),
-            );
+            self.ctx
+                .profiler()
+                .record(&ZEND_HASH_NEXT_INSERT, OpCost::mixed(55));
         }
         key
     }
 
     fn charge_eviction(&self, ev: Eviction) {
         if let Eviction::DirtyWriteback { .. } = ev {
-            self.ctx.profiler().record(
-                "ht_dirty_writeback",
-                Category::HashMap,
-                OpCost::mixed(DIRTY_WRITEBACK_UOPS),
-            );
+            self.ctx
+                .profiler()
+                .record(&HT_DIRTY_WRITEBACK, OpCost::mixed(DIRTY_WRITEBACK_UOPS));
         }
     }
 
@@ -755,11 +767,11 @@ impl PhpMachine {
     pub fn array_free(&mut self, arr: &PhpArray) {
         if self.use_accel(AccelId::Htable) {
             self.core.htable.free(arr.base_addr());
-            self.dispatch("hashtable_free", Category::HashMap);
+            self.dispatch(&HASHTABLE_FREE);
             // Software still frees the map structure itself.
             self.ctx
                 .profiler()
-                .record("zend_hash_destroy", Category::HashMap, OpCost::mixed(16));
+                .record(&ZEND_HASH_DESTROY, OpCost::mixed(16));
             return;
         }
         self.ctx.array_free(arr);
@@ -775,12 +787,10 @@ impl PhpMachine {
                 // Hardware can't replay the full order: software iterates.
                 self.ctx.charge_foreach(arr);
             } else {
-                self.dispatch("hashtable_foreach", Category::HashMap);
-                self.ctx.profiler().record(
-                    "hashtable_foreach",
-                    Category::HashMap,
-                    OpCost::alu(pairs.len() as u64 / 4),
-                );
+                self.dispatch(&HASHTABLE_FOREACH);
+                self.ctx
+                    .profiler()
+                    .record(&HASHTABLE_FOREACH, OpCost::alu(pairs.len() as u64 / 4));
             }
         } else {
             self.ctx.charge_foreach(arr);
@@ -812,7 +822,7 @@ impl PhpMachine {
         if self.str_accel_ready() {
             match self.core.straccel.find(haystack.as_bytes(), needle, from) {
                 Ok((pos, _cost)) => {
-                    self.dispatch("stringop_find", Category::String);
+                    self.dispatch(&STRINGOP_FIND);
                     return pos;
                 }
                 Err(_) => self.core.straccel.note_fallback(),
@@ -825,7 +835,7 @@ impl PhpMachine {
     pub fn strcmp(&mut self, a: &PhpStr, b: &PhpStr) -> std::cmp::Ordering {
         if self.str_accel_ready() {
             let (ord, _) = self.core.straccel.compare(a.as_bytes(), b.as_bytes());
-            self.dispatch("stringop_compare", Category::String);
+            self.dispatch(&STRINGOP_COMPARE);
             return ord;
         }
         self.strlib().strcmp(a, b)
@@ -844,7 +854,7 @@ impl PhpMachine {
     fn case_convert(&mut self, s: &PhpStr, upper: bool) -> PhpStr {
         if self.str_accel_ready() {
             let (out, _) = self.core.straccel.translate_case(s.as_bytes(), upper);
-            self.dispatch("stringop_translate", Category::String);
+            self.dispatch(&STRINGOP_TRANSLATE);
             return PhpStr::from_bytes(out);
         }
         if upper {
@@ -862,7 +872,7 @@ impl PhpMachine {
                 .straccel
                 .trim_range(s.as_bytes(), StrLib::WHITESPACE)
             {
-                self.dispatch("stringop_trim", Category::String);
+                self.dispatch(&STRINGOP_TRIM);
                 return PhpStr::from_bytes(s.as_bytes()[start..end].to_vec());
             }
             self.core.straccel.note_fallback();
@@ -882,7 +892,7 @@ impl PhpMachine {
                 self.core
                     .straccel
                     .replace_byte(subject.as_bytes(), search[0], replace[0]);
-            self.dispatch("stringop_replace", Category::String);
+            self.dispatch(&STRINGOP_REPLACE);
             return (PhpStr::from_bytes(out), n);
         }
         self.strlib().str_replace(search, replace, subject)
@@ -898,7 +908,7 @@ impl PhpMachine {
                 .straccel
                 .find_byte_set(s.as_bytes(), b"&<>\"'", 0)
                 .expect("5-byte set fits");
-            self.dispatch("stringop_findset", Category::String);
+            self.dispatch(&STRINGOP_FINDSET);
             match first {
                 None => return s.clone(),
                 Some(pos) => {
@@ -923,7 +933,7 @@ impl PhpMachine {
                 .straccel
                 .find_byte_set(s.as_bytes(), b"<", 0)
                 .expect("single-byte set fits");
-            self.dispatch("stringop_findset", Category::String);
+            self.dispatch(&STRINGOP_FINDSET);
             match first {
                 None => return s.clone(),
                 Some(pos) => {
@@ -967,7 +977,7 @@ impl PhpMachine {
                     }
                 }
             }
-            self.dispatch("stringop_find", Category::String);
+            self.dispatch(&STRINGOP_FIND);
             return parts;
         }
         self.strlib().explode(sep, s)
@@ -980,16 +990,14 @@ impl PhpMachine {
 
     // -- regular expressions -----------------------------------------------------
 
-    fn charge_regex(&self, name: &'static str, uops: u64) {
-        self.ctx
-            .profiler()
-            .record(name, Category::Regex, OpCost::mixed(uops));
+    fn charge_regex(&self, leaf: &'static Leaf, uops: u64) {
+        self.ctx.profiler().record(leaf, OpCost::mixed(uops));
     }
 
     /// `preg_match`-style boolean search (no sifting context).
     pub fn preg_match(&mut self, re: &Regex, subject: &PhpStr) -> bool {
         let (m, stats) = re.is_match(subject.as_bytes());
-        self.charge_regex("pcre_exec", stats.uops);
+        self.charge_regex(&PCRE_EXEC, stats.uops);
         m
     }
 
@@ -1001,12 +1009,12 @@ impl PhpMachine {
     pub fn preg_replace(&mut self, re: &Regex, subject: &PhpStr, replacement: &[u8]) -> PhpStr {
         if !self.use_accel(AccelId::Regex) {
             let (out, _n, stats) = re.replace_all(subject.as_bytes(), replacement);
-            self.charge_regex("pcre_replace", stats.uops);
+            self.charge_regex(&PCRE_REPLACE, stats.uops);
             return PhpStr::from_bytes(out);
         }
         let bytes = subject.as_bytes();
         let sieve = regexp_sieve(re, bytes, self.cfg.segment_size, &mut self.core.straccel);
-        self.charge_regex("regexp_sieve", sieve.uops);
+        self.charge_regex(&REGEXP_SIEVE, sieve.uops);
         self.core.regex_stats.note_sieve(&sieve, bytes.len());
         let mut cur = bytes.to_vec();
         for m in sieve.matches.iter().rev() {
@@ -1024,7 +1032,7 @@ impl PhpMachine {
             let mut cur = content.as_bytes().to_vec();
             for (re, repl) in rules {
                 let (out, _n, stats) = re.replace_all(&cur, repl);
-                self.charge_regex("pcre_replace", stats.uops);
+                self.charge_regex(&PCRE_REPLACE, stats.uops);
                 cur = out;
             }
             return PhpStr::from_bytes(cur);
@@ -1037,7 +1045,7 @@ impl PhpMachine {
             if i == 0 {
                 // Sieve: full scan + HV generation via the string accelerator.
                 let sieve = regexp_sieve(re, &cur, seg, &mut self.core.straccel);
-                self.charge_regex("regexp_sieve", sieve.uops);
+                self.charge_regex(&REGEXP_SIEVE, sieve.uops);
                 self.core.regex_stats.note_sieve(&sieve, cur.len());
                 let mut hv_new = sieve.hv;
                 cur = apply_padded_replacements(&cur, &sieve.matches, repl, &mut hv_new);
@@ -1057,7 +1065,7 @@ impl PhpMachine {
                     self.core.regex_stats.hv_faults_detected += 1;
                 }
                 let shadow = regexp_shadow(re, &cur, hv_ref);
-                self.charge_regex("regexp_shadow", shadow.uops);
+                self.charge_regex(&REGEXP_SHADOW, shadow.uops);
                 self.core.regex_stats.note_shadow(&shadow, cur.len());
                 if matches!(shadow.mode, ShadowMode::Skipping { .. }) {
                     cur = apply_padded_replacements(&cur, &shadow.matches, repl, hv_ref);
@@ -1075,9 +1083,9 @@ impl PhpMachine {
     pub fn match_with_reuse(&mut self, pc: u64, re: &Regex, subject: &PhpStr) -> Option<usize> {
         if self.use_accel(AccelId::Regex) {
             let run = run_with_reuse(re, pc, 1, subject.as_bytes(), &mut self.core.reuse);
-            self.dispatch("regexlookup", Category::Regex);
+            self.dispatch(&REGEXLOOKUP);
             self.charge_regex(
-                "pcre_exec",
+                &PCRE_EXEC,
                 regex_engine::SW_UOPS_PER_CALL + run.bytes_scanned * regex_engine::SW_UOPS_PER_BYTE,
             );
             self.core.regex_stats.bytes_total += subject.len() as u64;
@@ -1088,7 +1096,7 @@ impl PhpMachine {
         }
         let (m, scanned) = re.match_at(subject.as_bytes(), 0);
         self.charge_regex(
-            "pcre_exec",
+            &PCRE_EXEC,
             regex_engine::SW_UOPS_PER_CALL + scanned * regex_engine::SW_UOPS_PER_BYTE,
         );
         m.map(|m| m.end)

@@ -8,6 +8,7 @@ use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
 use phpaccel_core::PhpMachine;
 use regex_engine::Regex;
+use std::sync::Arc;
 
 /// What a builtin needs from the engine running it. Both the tree-walking
 /// [`Interp`] and the compiled VM implement this, so every builtin has
@@ -17,10 +18,10 @@ pub trait Host {
     fn machine(&mut self) -> &mut PhpMachine;
     /// Sets a variable in the current scope (`extract`).
     fn set_var(&mut self, name: &str, value: PhpValue);
-    /// The compiled regex for a `preg_*` pattern argument: an
+    /// The compiled regex for a `preg_*` pattern argument: the shared
     /// analysis-time-compiled handle when the engine has one for the current
     /// call site, otherwise a runtime compile through the engine's cache.
-    fn regex(&mut self, pattern: &str) -> Result<Regex, RuntimeError>;
+    fn regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError>;
     /// The next value of the engine's pseudo-random stream (`rand`). The
     /// stream is seeded per engine instance, so primary and reference
     /// replays of the same request agree byte-for-byte — but it is
@@ -134,7 +135,7 @@ pub fn call(
         fn set_var(&mut self, name: &str, value: PhpValue) {
             self.interp.set_var_public(name, value);
         }
-        fn regex(&mut self, pattern: &str) -> Result<Regex, RuntimeError> {
+        fn regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
             self.interp.regex_for(self.site, pattern)
         }
         fn next_rand(&mut self) -> i64 {

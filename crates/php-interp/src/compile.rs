@@ -24,6 +24,7 @@ use crate::ast::{BinOp, Expr, FuncDef, LValue, Program, Stmt};
 use crate::builtins;
 use crate::eval::hint_of;
 use crate::facts::{AnalysisFacts, KeyShape};
+use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
 use phpaccel_core::KeyShapeHint;
 use regex_engine::Regex;
@@ -553,11 +554,12 @@ pub struct CompiledUnit {
     /// Hoisted name bindings active when execution starts.
     pub func_index: HashMap<String, u32>,
     /// Variable / function / builtin name pool.
-    pub names: Vec<String>,
+    pub names: Vec<Name>,
     /// String-literal pool.
     pub consts: Vec<PhpStr>,
-    /// Analysis-time-compiled regex pool.
-    pub regexes: Vec<Regex>,
+    /// Analysis-time-compiled regex pool: handles to the facts' own
+    /// patterns, shared by every request that runs the unit.
+    pub regexes: Vec<Arc<Regex>>,
     /// Runtime error-message pool.
     pub msgs: Vec<String>,
     /// The fusion pass ran.
@@ -577,6 +579,16 @@ pub struct CompiledUnit {
     /// Facts side-channel: memoizable call sites, indexed by
     /// [`Op::MemoEnter`]/[`Op::MemoStore`]'s `site` operand.
     pub memo_sites: Vec<MemoSiteInfo>,
+}
+
+/// One entry of the name pool: the name as text, and as the symbol-table key
+/// the VM would otherwise build from it on every variable access.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Name {
+    /// The name.
+    pub text: String,
+    /// The same name as a ready-made array key.
+    pub key: ArrayKey,
 }
 
 /// Static description of one proven-memoizable call site.
@@ -747,7 +759,10 @@ impl<'f> Compiler<'f> {
             return i;
         }
         let i = self.unit.names.len() as u32;
-        self.unit.names.push(s.to_string());
+        self.unit.names.push(Name {
+            text: s.to_string(),
+            key: ArrayKey::from(s),
+        });
         self.name_map.insert(s.to_string(), i);
         i
     }
@@ -1127,7 +1142,7 @@ impl<'f> Compiler<'f> {
                 let summarized = self.facts.is_some_and(|f| f.call_summarized(e));
                 let regex = self.facts.and_then(|f| f.precompiled_regex(e)).map(|re| {
                     let i = self.unit.regexes.len() as u32;
-                    self.unit.regexes.push(re.clone());
+                    self.unit.regexes.push(Arc::clone(re));
                     i
                 });
                 let rebindable = self.nested_defs.contains(name);

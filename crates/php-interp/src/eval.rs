@@ -97,7 +97,7 @@ pub struct Interp<'m> {
     funcs: HashMap<String, Arc<FuncDef>>,
     scopes: Vec<Scope>,
     output: Vec<u8>,
-    regex_cache: HashMap<String, Regex>,
+    regex_cache: HashMap<String, Arc<Regex>>,
     /// Runtime regex compiles performed (regex-cache misses).
     regex_compiles: u64,
     /// Recursion guard.
@@ -974,18 +974,18 @@ impl<'m> Interp<'m> {
         binop_eval(self.machine, &mut self.output, op, l, r, arena_safe)
     }
 
-    /// Compiles (and caches) a `/pattern/`-delimited preg pattern,
-    /// returning a clone that shares nothing mutable with the cache.
-    pub(crate) fn compile_regex(&mut self, pattern: &str) -> Result<Regex, RuntimeError> {
+    /// Compiles (and caches) a `/pattern/`-delimited preg pattern, returning
+    /// a handle to the cached instance.
+    pub(crate) fn compile_regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
         if !self.regex_cache.contains_key(pattern) {
             let inner = strip_delimiters(pattern)
                 .ok_or_else(|| RuntimeError::new(format!("bad preg pattern {pattern:?}")))?;
             let re =
                 Regex::new(inner).map_err(|e| RuntimeError::new(format!("regex error: {e}")))?;
             self.regex_compiles += 1;
-            self.regex_cache.insert(pattern.to_owned(), re);
+            self.regex_cache.insert(pattern.to_owned(), Arc::new(re));
         }
-        Ok(self.regex_cache[pattern].clone())
+        Ok(Arc::clone(&self.regex_cache[pattern]))
     }
 
     /// The compiled regex for a `preg_*` pattern argument: the analysis-time
@@ -996,10 +996,10 @@ impl<'m> Interp<'m> {
         &mut self,
         site: Option<&Expr>,
         pattern: &str,
-    ) -> Result<Regex, RuntimeError> {
+    ) -> Result<Arc<Regex>, RuntimeError> {
         if let (Some(site), Some(f)) = (site, self.facts.as_ref()) {
             if let Some(re) = f.precompiled_regex(site) {
-                let re = re.clone();
+                let re = Arc::clone(re);
                 self.machine.ctx().profiler().note_regex_compile_avoided();
                 return Ok(re);
             }

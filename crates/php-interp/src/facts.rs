@@ -26,6 +26,7 @@
 use crate::ast::{Expr, Stmt};
 use regex_engine::Regex;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Identifier of an AST node, assigned in lowering order by `php-analysis`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,9 +63,10 @@ pub struct AnalysisFacts {
     /// Key shape proven for `Expr::Index` reads and `Stmt::Assign` writes.
     key_shape: HashMap<NodeId, KeyShape>,
     /// Per-`Expr::Call` node: the regex compiled at analysis time from a
-    /// constant-propagated `preg_*` pattern argument. The interpreter clones
-    /// the handle instead of compiling per request.
-    precompiled_regex: HashMap<NodeId, Regex>,
+    /// constant-propagated `preg_*` pattern argument. Both engines share
+    /// this one handle instead of compiling per request, so its lazy DFA
+    /// and first-byte table stay warm across requests and workers.
+    precompiled_regex: HashMap<NodeId, Arc<Regex>>,
     /// `Expr::Call` nodes of user functions resolved through an
     /// interprocedural summary (counted at runtime as a savings win).
     call_summarized: HashSet<NodeId>,
@@ -164,7 +166,7 @@ impl AnalysisFacts {
 
     /// Stores the analysis-time-compiled regex for a `preg_*` call site.
     pub fn set_precompiled_regex(&mut self, id: NodeId, re: Regex) {
-        self.precompiled_regex.insert(id, re);
+        self.precompiled_regex.insert(id, Arc::new(re));
     }
 
     /// Marks a user-call site as resolved through a function summary.
@@ -247,7 +249,7 @@ impl AnalysisFacts {
     }
 
     /// The analysis-time-compiled regex for a `preg_*` call site, if any.
-    pub fn precompiled_regex(&self, e: &Expr) -> Option<&Regex> {
+    pub fn precompiled_regex(&self, e: &Expr) -> Option<&Arc<Regex>> {
         self.expr_id(e)
             .and_then(|id| self.precompiled_regex.get(&id))
     }

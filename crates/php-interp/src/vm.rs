@@ -16,7 +16,7 @@
 //! [`builtins::Host`] dispatch.
 
 use crate::builtins;
-use crate::compile::{CompiledUnit, Op, OpKind, OP_KIND_COUNT};
+use crate::compile::{CompiledUnit, Name, Op, OpKind, OP_KIND_COUNT};
 use crate::eval::{binop_eval, index_read, key_of, RuntimeError, MAX_DEPTH};
 use crate::memo::{MemoHandle, MemoHit, MemoValue};
 use php_runtime::array::{ArrayKey, PhpArray};
@@ -37,8 +37,10 @@ pub const VM_OP_UOPS: u64 = 1;
 pub struct OpcodeTally {
     counts: [u64; OP_KIND_COUNT],
     /// Dynamic (prev, next) pairs for *statically adjacent* opcodes — the
-    /// population the superinstruction selection was measured from.
-    pairs: HashMap<(OpKind, OpKind), u64>,
+    /// population the superinstruction selection was measured from. A flat
+    /// `OP_KIND_COUNT × OP_KIND_COUNT` table, row = prev. Only `analyze`
+    /// reads it; the serving path reads the three totals.
+    pairs: Box<[u64]>,
     /// Total opcodes executed.
     pub total: u64,
     /// Fused superinstructions executed.
@@ -51,7 +53,7 @@ impl Default for OpcodeTally {
     fn default() -> Self {
         OpcodeTally {
             counts: [0; OP_KIND_COUNT],
-            pairs: HashMap::new(),
+            pairs: vec![0; OP_KIND_COUNT * OP_KIND_COUNT].into_boxed_slice(),
             total: 0,
             fused: 0,
             transients_elided: 0,
@@ -78,8 +80,12 @@ impl OpcodeTally {
 
     /// Statically adjacent opcode pairs by execution count, descending.
     pub fn top_pairs(&self) -> Vec<((OpKind, OpKind), u64)> {
-        let mut v: Vec<((OpKind, OpKind), u64)> =
-            self.pairs.iter().map(|(k, n)| (*k, *n)).collect();
+        let mut v: Vec<((OpKind, OpKind), u64)> = OpKind::all()
+            .into_iter()
+            .flat_map(|prev| OpKind::all().map(|next| (prev, next)))
+            .map(|(prev, next)| ((prev, next), self.pairs[pair_slot(prev, next)]))
+            .filter(|(_, n)| *n > 0)
+            .collect();
         v.sort_by(|a, b| {
             b.1.cmp(&a.1)
                 .then(a.0 .0.name().cmp(b.0 .0.name()))
@@ -88,16 +94,22 @@ impl OpcodeTally {
         v
     }
 
-    fn note(&mut self, kind: OpKind, adjacent_prev: Option<OpKind>) {
+    /// Counts one executed opcode; `adjacent_prev` is the opcode before it
+    /// when that one is also its static predecessor.
+    pub fn note(&mut self, kind: OpKind, adjacent_prev: Option<OpKind>) {
         self.counts[kind as usize] += 1;
         self.total += 1;
         if kind.is_fused() {
             self.fused += 1;
         }
         if let Some(prev) = adjacent_prev {
-            *self.pairs.entry((prev, kind)).or_insert(0) += 1;
+            self.pairs[pair_slot(prev, kind)] += 1;
         }
     }
+}
+
+fn pair_slot(prev: OpKind, next: OpKind) -> usize {
+    prev as usize * OP_KIND_COUNT + next as usize
 }
 
 /// How one body's execution ended.
@@ -136,11 +148,11 @@ pub struct Vm<'m> {
     stack: Vec<PhpValue>,
     iters: Vec<(Vec<(ArrayKey, PhpValue)>, usize)>,
     guards: Vec<u64>,
-    /// Live name → function-table bindings (seeded from the hoisted table,
-    /// updated by `DefineFunc`).
-    funcs: HashMap<String, u32>,
+    /// Live name → function-table bindings once a `DefineFunc` has rebound
+    /// a name; until then the unit's hoisted table is the live one.
+    rebound_funcs: Option<HashMap<String, u32>>,
     output: Vec<u8>,
-    regex_cache: HashMap<String, Regex>,
+    regex_cache: HashMap<String, Arc<Regex>>,
     regex_compiles: u64,
     depth: usize,
     tally: OpcodeTally,
@@ -159,7 +171,6 @@ impl<'m> Vm<'m> {
     /// Creates a VM for one request over `unit`.
     pub fn new(machine: &'m mut PhpMachine, unit: Arc<CompiledUnit>) -> Self {
         let table = machine.new_array();
-        let funcs = unit.func_index.clone();
         Vm {
             machine,
             unit,
@@ -170,7 +181,7 @@ impl<'m> Vm<'m> {
             stack: Vec::new(),
             iters: Vec::new(),
             guards: Vec::new(),
-            funcs,
+            rebound_funcs: None,
             output: Vec::new(),
             regex_cache: HashMap::new(),
             regex_compiles: 0,
@@ -223,7 +234,7 @@ impl<'m> Vm<'m> {
     /// Sets a variable in the current scope (workload drivers bind request
     /// variables through this, mirroring [`crate::Interp::set_var_public`]).
     pub fn set_var_public(&mut self, name: &str, value: PhpValue) {
-        self.set_var(name, value);
+        self.set_var_by_text(name, value);
     }
 
     /// Runs the unit's main body.
@@ -284,12 +295,12 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn get_var_static(&mut self, name: &str, st: AccessStatic, hint: KeyShapeHint) -> PhpValue {
-        let idx = self.scope_index_for(name);
+    fn get_var_static(&mut self, name: &Name, st: AccessStatic, hint: KeyShapeHint) -> PhpValue {
+        let idx = self.scope_index_for(&name.text);
         let table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
         let v = self
             .machine
-            .array_get_static(&table, &ArrayKey::from(name), st, hint)
+            .array_get_static(&table, &name.key, st, hint)
             .unwrap_or(PhpValue::Null);
         self.scopes[idx].table = table;
         v
@@ -297,7 +308,18 @@ impl<'m> Vm<'m> {
 
     fn set_var_static(
         &mut self,
+        name: &Name,
+        value: PhpValue,
+        st: AccessStatic,
+        hint: KeyShapeHint,
+    ) {
+        self.set_var_keyed(&name.text, name.key.clone(), value, st, hint);
+    }
+
+    fn set_var_keyed(
+        &mut self,
         name: &str,
+        key: ArrayKey,
         value: PhpValue,
         st: AccessStatic,
         hint: KeyShapeHint,
@@ -305,7 +327,7 @@ impl<'m> Vm<'m> {
         let idx = self.scope_index_for(name);
         let mut table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
         self.machine
-            .array_set_static(&mut table, ArrayKey::from(name), value, st, hint);
+            .array_set_static(&mut table, key, value, st, hint);
         self.scopes[idx].table = table;
         if idx == 0 && self.memo.is_some() {
             self.memo_invalidate_global(name);
@@ -324,12 +346,24 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn set_var(&mut self, name: &str, value: PhpValue) {
+    fn set_var(&mut self, name: &Name, value: PhpValue) {
         self.set_var_static(name, value, AccessStatic::default(), KeyShapeHint::Unknown);
     }
 
-    fn get_var(&mut self, name: &str) -> PhpValue {
+    fn get_var(&mut self, name: &Name) -> PhpValue {
         self.get_var_static(name, AccessStatic::default(), KeyShapeHint::Unknown)
+    }
+
+    /// [`Vm::set_var`] for a name that is not in the unit's pool (a request
+    /// variable, a parameter, an `extract`ed key).
+    fn set_var_by_text(&mut self, name: &str, value: PhpValue) {
+        self.set_var_keyed(
+            name,
+            ArrayKey::from(name),
+            value,
+            AccessStatic::default(),
+            KeyShapeHint::Unknown,
+        );
     }
 
     fn pop(&mut self) -> PhpValue {
@@ -343,16 +377,16 @@ impl<'m> Vm<'m> {
         self.stack.split_off(at)
     }
 
-    fn compile_regex(&mut self, pattern: &str) -> Result<Regex, RuntimeError> {
+    fn compile_regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
         if !self.regex_cache.contains_key(pattern) {
             let inner = crate::eval::strip_delimiters(pattern)
                 .ok_or_else(|| RuntimeError::new(format!("bad preg pattern {pattern:?}")))?;
             let re =
                 Regex::new(inner).map_err(|e| RuntimeError::new(format!("regex error: {e}")))?;
             self.regex_compiles += 1;
-            self.regex_cache.insert(pattern.to_owned(), re);
+            self.regex_cache.insert(pattern.to_owned(), Arc::new(re));
         }
-        Ok(self.regex_cache[pattern].clone())
+        Ok(Arc::clone(&self.regex_cache[pattern]))
     }
 
     fn call_builtin(
@@ -370,14 +404,14 @@ impl<'m> Vm<'m> {
                 self.vm.machine
             }
             fn set_var(&mut self, name: &str, value: PhpValue) {
-                self.vm.set_var(name, value);
+                self.vm.set_var_by_text(name, value);
             }
             fn next_rand(&mut self) -> i64 {
                 builtins::rand_step(&mut self.vm.rand_state)
             }
-            fn regex(&mut self, pattern: &str) -> Result<Regex, RuntimeError> {
+            fn regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
                 if let Some(i) = self.regex {
-                    let re = self.vm.unit.regexes[i as usize].clone();
+                    let re = Arc::clone(&self.vm.unit.regexes[i as usize]);
                     self.vm
                         .machine
                         .ctx()
@@ -405,7 +439,7 @@ impl<'m> Vm<'m> {
         });
         for (i, p) in f.params.iter().enumerate() {
             let v = args.get(i).cloned().unwrap_or(PhpValue::Null);
-            self.set_var(p, v);
+            self.set_var_by_text(p, v);
         }
         let stack_mark = self.stack.len();
         let iter_mark = self.iters.len();
@@ -468,8 +502,7 @@ impl<'m> Vm<'m> {
                     } else {
                         KeyShapeHint::Unknown
                     };
-                    let name = unit.names[*name as usize].clone();
-                    let v = self.get_var_static(&name, st, hint);
+                    let v = self.get_var_static(&unit.names[*name as usize], st, hint);
                     self.stack.push(v);
                 }
                 Op::StoreVar {
@@ -487,8 +520,7 @@ impl<'m> Vm<'m> {
                     } else {
                         KeyShapeHint::Unknown
                     };
-                    let name = unit.names[*name as usize].clone();
-                    self.set_var_static(&name, v, st, hint);
+                    self.set_var_static(&unit.names[*name as usize], v, st, hint);
                 }
                 Op::IndexGet { elide_rc, hint } => {
                     let key = self.pop();
@@ -515,19 +547,19 @@ impl<'m> Vm<'m> {
                     self.stack.push(v);
                 }
                 Op::LoadIndexBase { name, arena } => {
-                    let name = unit.names[*name as usize].clone();
+                    let name = &unit.names[*name as usize];
                     // Only store paths flow through LoadIndexBase: an indexed
                     // write to a global is about to happen.
-                    if self.memo.is_some() && self.scope_index_for(&name) == 0 {
-                        self.memo_invalidate_global(&name);
+                    if self.memo.is_some() && self.scope_index_for(&name.text) == 0 {
+                        self.memo_invalidate_global(&name.text);
                     }
-                    let base = self.get_var(&name);
+                    let base = self.get_var(name);
                     let v = match base {
                         PhpValue::Array(_) => base,
                         PhpValue::Null => {
                             let a = self.machine.new_array_static(*arena);
                             let v2 = PhpValue::array(a);
-                            self.set_var(&name, v2.clone());
+                            self.set_var(name, v2.clone());
                             v2
                         }
                         other => {
@@ -706,11 +738,9 @@ impl<'m> Vm<'m> {
                                 ArrayKey::Int(i) => PhpValue::Int(*i),
                                 ArrayKey::Str(s) => PhpValue::str(s.clone()),
                             };
-                            let kn = unit.names[*kn as usize].clone();
-                            self.set_var_static(&kn, key_value, st, hint);
+                            self.set_var_static(&unit.names[*kn as usize], key_value, st, hint);
                         }
-                        let vn = unit.names[*value as usize].clone();
-                        self.set_var_static(&vn, v, st, hint);
+                        self.set_var_static(&unit.names[*value as usize], v, st, hint);
                     }
                 }
                 Op::IterPop => {
@@ -718,7 +748,9 @@ impl<'m> Vm<'m> {
                 }
                 Op::DefineFunc { func } => {
                     let name = unit.funcs[*func as usize].name.clone();
-                    self.funcs.insert(name, *func);
+                    self.rebound_funcs
+                        .get_or_insert_with(|| unit.func_index.clone())
+                        .insert(name, *func);
                 }
                 Op::CallUser {
                     func,
@@ -818,8 +850,7 @@ impl<'m> Vm<'m> {
                 }
                 Op::CallBuiltin { name, argc, regex } => {
                     let args = self.pop_args(*argc);
-                    let name = unit.names[*name as usize].clone();
-                    let v = self.call_builtin(&name, args, *regex)?;
+                    let v = self.call_builtin(&unit.names[*name as usize].text, args, *regex)?;
                     self.stack.push(v);
                 }
                 Op::CallDynamic {
@@ -829,8 +860,9 @@ impl<'m> Vm<'m> {
                     summarized,
                 } => {
                     let args = self.pop_args(*argc);
-                    let name = unit.names[*name as usize].clone();
-                    let v = match self.funcs.get(&name).copied() {
+                    let name = &unit.names[*name as usize].text;
+                    let funcs = self.rebound_funcs.as_ref().unwrap_or(&unit.func_index);
+                    let v = match funcs.get(name).copied() {
                         Some(func) => {
                             // Summaries only apply when the call resolves to
                             // a user function, as in the tree-walker.
@@ -839,7 +871,7 @@ impl<'m> Vm<'m> {
                             }
                             self.invoke(func, args)?
                         }
-                        None => self.call_builtin(&name, args, *regex)?,
+                        None => self.call_builtin(name, args, *regex)?,
                     };
                     self.stack.push(v);
                 }
@@ -880,13 +912,11 @@ impl<'m> Vm<'m> {
                     } else {
                         KeyShapeHint::Unknown
                     };
-                    let name = unit.names[*name as usize].clone();
-                    let v = self.get_var_static(&name, st, hint);
-                    let arena = *arena;
-                    self.echo_fast(v, arena);
+                    let v = self.get_var_static(&unit.names[*name as usize], st, hint);
+                    self.echo_fast(v, *arena);
                 }
                 Op::Global { name } => {
-                    let name = unit.names[*name as usize].clone();
+                    let name = unit.names[*name as usize].text.clone();
                     let cur = self.scopes.len() - 1;
                     self.scopes[cur].globals.insert(name);
                 }

@@ -11,8 +11,16 @@
 //! paper's Figure 8 is built from: the allocation-size CDF and the per-slab
 //! live-memory timeline.
 
-use crate::profile::{Category, OpCost, Profiler};
+use crate::profile::{Category, Leaf, OpCost, Profiler};
 use std::collections::{HashMap, HashSet};
+
+static SLAB_MALLOC: Leaf = Leaf::new("slab_malloc", Category::Heap);
+static SLAB_FREE: Leaf = Leaf::new("slab_free", Category::Heap);
+static KERNEL_MMAP_ALLOC: Leaf = Leaf::new("kernel_mmap_alloc", Category::Heap);
+static KERNEL_MMAP_FREE: Leaf = Leaf::new("kernel_mmap_free", Category::Heap);
+static ARENA_BUMP_ALLOC: Leaf = Leaf::new("arena_bump_alloc", Category::Heap);
+static ARENA_LOGICAL_FREE: Leaf = Leaf::new("arena_logical_free", Category::Heap);
+static ARENA_EPOCH_RESET: Leaf = Leaf::new("arena_epoch_reset", Category::Heap);
 
 /// Granularity of the small size classes, in bytes (§4.3: 8 slabs cover
 /// requests up to 128 B).
@@ -392,7 +400,7 @@ impl SlabAllocator {
                 let (addr, uops) = self.small_alloc(ci);
                 self.stats.allocs_by_class[ci] += 1;
                 self.stats.malloc_uops += uops;
-                prof.record("slab_malloc", Category::Heap, OpCost::mixed(uops));
+                prof.record(&SLAB_MALLOC, OpCost::mixed(uops));
                 self.classes[ci].live += self.classes[ci].size as u64;
                 self.total_live += self.classes[ci].size as u64;
                 self.live_blocks.insert(addr, (ci, size));
@@ -407,11 +415,7 @@ impl SlabAllocator {
                 let addr = self.fresh_range(size as u64);
                 *self.stats.allocs_by_class.last_mut().unwrap() += 1;
                 self.stats.malloc_uops += cost::MALLOC_HUGE;
-                prof.record(
-                    "kernel_mmap_alloc",
-                    Category::Heap,
-                    OpCost::mixed(cost::MALLOC_HUGE),
-                );
+                prof.record(&KERNEL_MMAP_ALLOC, OpCost::mixed(cost::MALLOC_HUGE));
                 self.total_live += size as u64;
                 self.live_blocks.insert(addr, (usize::MAX, size));
                 Block {
@@ -500,7 +504,7 @@ impl SlabAllocator {
         let addr = self.arena.bump;
         self.arena.bump += rounded;
         self.stats.malloc_uops += uops;
-        prof.record("arena_bump_alloc", Category::Heap, OpCost::mixed(uops));
+        prof.record(&ARENA_BUMP_ALLOC, OpCost::mixed(uops));
         self.arena.block_count += 1;
         self.arena.live_by_class[ci] += rounded;
         self.total_live += rounded;
@@ -547,11 +551,7 @@ impl SlabAllocator {
         self.stats.frees += 1;
         self.stats.frees_by_class[ci] += 1;
         self.stats.free_uops += cost::ARENA_FREE;
-        prof.record(
-            "arena_logical_free",
-            Category::Heap,
-            OpCost::mixed(cost::ARENA_FREE),
-        );
+        prof.record(&ARENA_LOGICAL_FREE, OpCost::mixed(cost::ARENA_FREE));
         self.arena.block_count -= 1;
         self.arena.live_by_class[ci] -= rounded;
         self.total_live -= rounded;
@@ -581,11 +581,7 @@ impl SlabAllocator {
         self.stats.arena_resets += 1;
         self.stats.arena_bytes_reclaimed += bytes;
         self.stats.free_uops += cost::ARENA_RESET;
-        prof.record(
-            "arena_epoch_reset",
-            Category::Heap,
-            OpCost::mixed(cost::ARENA_RESET),
-        );
+        prof.record(&ARENA_EPOCH_RESET, OpCost::mixed(cost::ARENA_RESET));
         self.total_live -= bytes;
         self.arena.block_count = 0;
         self.arena.live_by_class = [0; CLASS_SIZES.len()];
@@ -646,16 +642,12 @@ impl SlabAllocator {
         if ci == usize::MAX {
             *self.stats.frees_by_class.last_mut().unwrap() += 1;
             self.stats.free_uops += cost::FREE_HUGE;
-            prof.record(
-                "kernel_mmap_free",
-                Category::Heap,
-                OpCost::mixed(cost::FREE_HUGE),
-            );
+            prof.record(&KERNEL_MMAP_FREE, OpCost::mixed(cost::FREE_HUGE));
             self.total_live -= size as u64;
         } else {
             self.stats.frees_by_class[ci] += 1;
             self.stats.free_uops += cost::FREE_FAST;
-            prof.record("slab_free", Category::Heap, OpCost::mixed(cost::FREE_FAST));
+            prof.record(&SLAB_FREE, OpCost::mixed(cost::FREE_FAST));
             self.classes[ci].free.push(block.addr);
             self.classes[ci].live -= self.classes[ci].size as u64;
             self.total_live -= self.classes[ci].size as u64;
@@ -677,7 +669,7 @@ impl SlabAllocator {
     /// manager, charging the software cost. Used when the prefetcher misses.
     pub fn carve_for_hardware(&mut self, ci: usize, prof: &Profiler) -> u64 {
         let (addr, uops) = self.small_alloc(ci);
-        prof.record("slab_malloc", Category::Heap, OpCost::mixed(uops));
+        prof.record(&SLAB_MALLOC, OpCost::mixed(uops));
         self.stats.malloc_uops += uops;
         self.stats.mallocs += 1;
         self.stats.allocs_by_class[ci] += 1;

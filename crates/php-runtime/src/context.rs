@@ -7,12 +7,24 @@
 
 use crate::alloc::{Block, SlabAllocator, ARENA_CLASS};
 use crate::array::{ArrayKey, PhpArray, WalkCost};
-use crate::profile::{Category, OpCost, Profiler};
+use crate::profile::{Category, Leaf, OpCost, Profiler};
 use crate::refcount::RefcountMeter;
 use crate::strfuncs::{StrLib, StrMode};
 use crate::string::PhpStr;
 use crate::value::PhpValue;
 use std::cell::{Cell, RefCell};
+
+/// One dynamic type check.
+pub static ZVAL_TYPE_CHECK: Leaf = Leaf::new("zval_type_check", Category::TypeCheck);
+/// Whole-map deallocation.
+pub static ZEND_HASH_DESTROY: Leaf = Leaf::new("zend_hash_destroy", Category::HashMap);
+/// Software hash SET walk.
+pub static ZEND_HASH_UPDATE: Leaf = Leaf::new("zend_hash_update", Category::HashMap);
+static ZEND_HASH_REBUILD: Leaf = Leaf::new("zend_hash_rebuild", Category::HashMap);
+static ZEND_HASH_FIND: Leaf = Leaf::new("zend_hash_find", Category::HashMap);
+static ZEND_HASH_DEL: Leaf = Leaf::new("zend_hash_del", Category::HashMap);
+static ZEND_HASH_FOREACH: Leaf = Leaf::new("zend_hash_foreach", Category::HashMap);
+static JIT_COMPILED_CODE: Leaf = Leaf::new("jit_compiled_code", Category::JitCode);
 
 /// Kind of hash-map request, used by accelerator integration and statistics
 /// (§4.2 distinguishes GET and SET mixes: "relatively higher percentage of
@@ -288,11 +300,8 @@ impl RuntimeContext {
     /// Charges one dynamic type check (the overhead checked-load \[22\]
     /// removes).
     pub fn type_check(&self, _v: &PhpValue) {
-        self.profiler.record(
-            "zval_type_check",
-            Category::TypeCheck,
-            PhpValue::type_check_cost(),
-        );
+        self.profiler
+            .record(&ZVAL_TYPE_CHECK, PhpValue::type_check_cost());
     }
 
     /// Charges refcount traffic for copying a value (inc) if refcounted.
@@ -400,14 +409,12 @@ impl RuntimeContext {
             // metered path charges the rebuild cost and proceeds on the
             // ordered table (still correct, linear).
             self.profiler.record(
-                "zend_hash_rebuild",
-                Category::HashMap,
+                &ZEND_HASH_REBUILD,
                 OpCost::mixed(20 + 30 * arr.len() as u64),
             );
         }
         let (found, wc) = arr.get_with_cost(key);
-        self.profiler
-            .record("zend_hash_find", Category::HashMap, wc.cost);
+        self.profiler.record(&ZEND_HASH_FIND, wc.cost);
         self.log_hash(HashOp::Get, arr.base_addr(), Some(key), Some(&wc));
         let out = found.cloned();
         if let Some(v) = &out {
@@ -435,8 +442,7 @@ impl RuntimeContext {
         self.refcount_on_copy_elidable(&value, facts.elide_rc);
         let logged_key = key.clone();
         let (old, wc) = arr.insert_with_cost(key, value);
-        self.profiler
-            .record("zend_hash_update", Category::HashMap, wc.cost);
+        self.profiler.record(&ZEND_HASH_UPDATE, wc.cost);
         self.log_hash(HashOp::Set, arr.base_addr(), Some(&logged_key), Some(&wc));
         if let Some(old) = old {
             self.refcount_on_drop_elidable(&old, facts.elide_rc);
@@ -446,8 +452,7 @@ impl RuntimeContext {
     /// Metered hash unset.
     pub fn array_remove(&self, arr: &mut PhpArray, key: &ArrayKey) -> Option<PhpValue> {
         let (old, wc) = arr.remove_with_cost(key);
-        self.profiler
-            .record("zend_hash_del", Category::HashMap, wc.cost);
+        self.profiler.record(&ZEND_HASH_DEL, wc.cost);
         self.log_hash(HashOp::Unset, arr.base_addr(), Some(key), Some(&wc));
         if let Some(v) = &old {
             self.refcount_on_drop(v);
@@ -458,18 +463,14 @@ impl RuntimeContext {
     /// Metered whole-map free (hash maps are freed when their request scope
     /// or function scope ends).
     pub fn array_free(&self, arr: &PhpArray) {
-        self.profiler.record(
-            "zend_hash_destroy",
-            Category::HashMap,
-            OpCost::mixed(16 + 6 * arr.len() as u64),
-        );
+        self.profiler
+            .record(&ZEND_HASH_DESTROY, OpCost::mixed(16 + 6 * arr.len() as u64));
         self.log_hash(HashOp::Free, arr.base_addr(), None, None);
     }
 
     /// Charges a metered ordered iteration (`foreach`).
     pub fn charge_foreach(&self, arr: &PhpArray) {
-        self.profiler
-            .record("zend_hash_foreach", Category::HashMap, arr.foreach_cost());
+        self.profiler.record(&ZEND_HASH_FOREACH, arr.foreach_cost());
         self.log_hash(HashOp::Foreach, arr.base_addr(), None, None);
     }
 
@@ -477,13 +478,14 @@ impl RuntimeContext {
     /// library category.
     pub fn charge_jit(&self, uops: u64) {
         self.profiler
-            .record("jit_compiled_code", Category::JitCode, OpCost::mixed(uops));
+            .record(&JIT_COMPILED_CODE, OpCost::mixed(uops));
     }
 
-    /// Charges miscellaneous VM work under the given leaf-function name.
-    pub fn charge_other(&self, name: &str, uops: u64) {
-        self.profiler
-            .record(name, Category::Other, OpCost::mixed(uops));
+    /// Charges miscellaneous VM work to `leaf`, which the caller declared
+    /// (or interned) in [`Category::Other`].
+    pub fn charge_other(&self, leaf: &'static Leaf, uops: u64) {
+        debug_assert_eq!(leaf.category(), Category::Other);
+        self.profiler.record(leaf, OpCost::mixed(uops));
     }
 }
 

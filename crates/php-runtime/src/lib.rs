@@ -38,6 +38,6 @@ pub mod value;
 
 pub use array::{ArrayKey, PhpArray};
 pub use context::{AccessStatic, RuntimeContext};
-pub use profile::{Category, OpCost, Profiler, StaticSavings};
+pub use profile::{Category, Leaf, OpCost, Profiler, StaticSavings};
 pub use string::PhpStr;
 pub use value::PhpValue;

@@ -8,10 +8,17 @@
 //!
 //! Costs are *simulated micro-ops*, not wall-clock time; the
 //! `uarch-sim` crate converts them to cycles through a core model.
+//!
+//! The ledger is dense: a leaf function is a `'static` [`Leaf`] descriptor
+//! that a process-wide registry numbers on first use, and a [`Profiler`] is
+//! a vector indexed by that number. Recording an event is an index and a few
+//! adds, so the simulated clock costs the host almost nothing to keep.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{LazyLock, Mutex, MutexGuard};
 
 /// Activity category of a leaf function.
 ///
@@ -241,19 +248,158 @@ impl StaticSavings {
     }
 }
 
+/// A leaf function: its name, its activity category, and the dense id the
+/// registry hands out the first time it is charged.
+///
+/// Declare one as a `static` next to the code that charges it:
+///
+/// ```
+/// use php_runtime::profile::{Category, Leaf, OpCost, Profiler};
+///
+/// static ZEND_HASH_FIND: Leaf = Leaf::new("zend_hash_find", Category::HashMap);
+/// let p = Profiler::new();
+/// p.record(&ZEND_HASH_FIND, OpCost::mixed(90));
+/// assert_eq!(p.function("zend_hash_find").unwrap().calls, 1);
+/// ```
+///
+/// The name is the leaf's identity. Descriptors that share a name share one
+/// ledger slot and must agree on the category.
+#[derive(Debug)]
+pub struct Leaf {
+    name: &'static str,
+    category: Category,
+    /// [`UNREGISTERED`] until the first charge. `Relaxed` everywhere: the id
+    /// publishes nothing but itself, the registry's tables are read under
+    /// its mutex.
+    id: AtomicU32,
+}
+
+const UNREGISTERED: u32 = u32::MAX;
+
+/// Every leaf charged so far, by id and by name.
+#[derive(Default)]
+struct Registry {
+    leaves: Vec<&'static Leaf>,
+    by_name: HashMap<&'static str, u32>,
+}
+
+impl Registry {
+    fn find(&self, name: &str) -> Option<&'static Leaf> {
+        self.by_name.get(name).map(|&id| self.leaves[id as usize])
+    }
+
+    fn push(&mut self, leaf: &'static Leaf) {
+        let id = self.leaves.len() as u32;
+        self.by_name.insert(leaf.name, id);
+        self.leaves.push(leaf);
+        leaf.id.store(id, Ordering::Relaxed);
+    }
+}
+
+static REGISTRY: LazyLock<Mutex<Registry>> = LazyLock::new(Mutex::default);
+
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY
+        .lock()
+        .expect("leaf registry lock: no holder panics")
+}
+
+impl Leaf {
+    /// A descriptor for leaf function `name` in `category`.
+    pub const fn new(name: &'static str, category: Category) -> Leaf {
+        Leaf {
+            name,
+            category,
+            id: AtomicU32::new(UNREGISTERED),
+        }
+    }
+
+    /// The descriptor for a name that is only known at run time (a workload
+    /// building its own leaf table). Returns the registered descriptor of
+    /// that name if there is one. Otherwise the new descriptor is leaked and
+    /// lives as long as the process, so intern names from a fixed set, once,
+    /// and keep the handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is registered under another category.
+    pub fn intern(name: &str, category: Category) -> &'static Leaf {
+        let mut reg = registry();
+        let leaf = reg.find(name).unwrap_or_else(|| {
+            let leaf = Box::leak(Box::new(Leaf::new(Box::leak(name.into()), category)));
+            reg.push(leaf);
+            leaf
+        });
+        drop(reg);
+        leaf.check_category(category);
+        leaf
+    }
+
+    /// The leaf function's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The activity category it is charged to.
+    pub fn category(&self) -> Category {
+        self.category
+    }
+
+    fn check_category(&self, category: Category) {
+        assert_eq!(
+            self.category, category,
+            "leaf {:?} declared under two categories",
+            self.name
+        );
+    }
+
+    #[inline]
+    fn id(&'static self) -> usize {
+        match self.id.load(Ordering::Relaxed) {
+            UNREGISTERED => self.register(),
+            id => id as usize,
+        }
+    }
+
+    #[cold]
+    fn register(&'static self) -> usize {
+        let mut reg = registry();
+        match reg.find(self.name) {
+            Some(first) => {
+                drop(reg);
+                first.check_category(self.category);
+                let id = first.id.load(Ordering::Relaxed);
+                self.id.store(id, Ordering::Relaxed);
+            }
+            None => reg.push(self),
+        }
+        self.id.load(Ordering::Relaxed) as usize
+    }
+}
+
+/// Every leaf registered so far, in id order. One entry per name.
+pub fn registered_leaves() -> Vec<&'static Leaf> {
+    registry().leaves.clone()
+}
+
+/// One leaf's ledger slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    calls: u64,
+    cost: OpCost,
+}
+
 /// The profiler. Interior-mutable so that runtime operations can record
 /// through a shared reference (`&RuntimeContext`).
 #[derive(Debug, Default)]
 pub struct Profiler {
-    inner: RefCell<ProfilerInner>,
-}
-
-#[derive(Debug, Default)]
-struct ProfilerInner {
-    funcs: HashMap<String, FuncStats>,
-    total: OpCost,
-    enabled_depth: u32,
-    savings: StaticSavings,
+    /// Indexed by leaf id; grows when a leaf beyond its end is first charged.
+    slots: RefCell<Vec<Slot>>,
+    total: Cell<OpCost>,
+    paused_depth: Cell<u32>,
+    savings: RefCell<StaticSavings>,
+    logging_events: Cell<bool>,
+    event_log: RefCell<Vec<(&'static Leaf, OpCost)>>,
 }
 
 impl Profiler {
@@ -262,23 +408,42 @@ impl Profiler {
         Self::default()
     }
 
-    /// Records one invocation of leaf function `name` in `category` with `cost`.
-    pub fn record(&self, name: &str, category: Category, cost: OpCost) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.enabled_depth > 0 {
+    /// Records one invocation of `leaf` with `cost`.
+    #[inline]
+    pub fn record(&self, leaf: &'static Leaf, cost: OpCost) {
+        if self.paused_depth.get() > 0 {
             return;
         }
-        inner.total = inner.total.plus(cost);
-        let entry = inner.funcs.entry(name.to_owned()).or_default();
-        entry.category.get_or_insert(category);
-        entry.calls += 1;
-        entry.cost = entry.cost.plus(cost);
+        self.total.set(self.total.get().plus(cost));
+        let id = leaf.id();
+        let mut slots = self.slots.borrow_mut();
+        if id >= slots.len() {
+            slots.resize(id + 1, Slot::default());
+        }
+        let slot = &mut slots[id];
+        slot.calls += 1;
+        slot.cost = slot.cost.plus(cost);
+        if self.logging_events.get() {
+            self.event_log.borrow_mut().push((leaf, cost));
+        }
+    }
+
+    /// Turns the event log on or off. While it is on, every event the
+    /// ledger takes is also appended to the log, in order; the
+    /// ledger-equivalence test replays it into a string-keyed reference.
+    pub fn set_event_log(&self, on: bool) {
+        self.logging_events.set(on);
+    }
+
+    /// Drains the event log.
+    pub fn take_event_log(&self) -> Vec<(&'static Leaf, OpCost)> {
+        std::mem::take(&mut *self.event_log.borrow_mut())
     }
 
     /// Temporarily disables recording (e.g. while replaying a trace).
     /// Must be balanced with [`Profiler::resume`].
     pub fn pause(&self) {
-        self.inner.borrow_mut().enabled_depth += 1;
+        self.paused_depth.set(self.paused_depth.get() + 1);
     }
 
     /// Re-enables recording after a [`Profiler::pause`].
@@ -287,53 +452,71 @@ impl Profiler {
     ///
     /// Panics if called without a matching `pause`.
     pub fn resume(&self) {
-        let mut inner = self.inner.borrow_mut();
-        assert!(inner.enabled_depth > 0, "resume without pause");
-        inner.enabled_depth -= 1;
+        let depth = self.paused_depth.get();
+        assert!(depth > 0, "resume without pause");
+        self.paused_depth.set(depth - 1);
     }
 
     /// Total micro-ops recorded so far.
+    #[inline]
     pub fn total_uops(&self) -> u64 {
-        self.inner.borrow().total.uops
+        self.total.get().uops
     }
 
     /// Total cost recorded so far.
     pub fn total_cost(&self) -> OpCost {
-        self.inner.borrow().total
+        self.total.get()
     }
 
-    /// Number of distinct leaf functions observed.
+    /// The leaves charged since the last [`Profiler::reset`], with their
+    /// slots, in id order.
+    fn charged(&self) -> Vec<(&'static Leaf, Slot)> {
+        let slots = self.slots.borrow();
+        let reg = registry();
+        slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.calls > 0)
+            .map(|(id, s)| (reg.leaves[id], *s))
+            .collect()
+    }
+
+    /// Number of distinct leaf functions charged since the last
+    /// [`Profiler::reset`].
     pub fn function_count(&self) -> usize {
-        self.inner.borrow().funcs.len()
+        self.slots.borrow().iter().filter(|s| s.calls > 0).count()
     }
 
-    /// Stats for one function, if it was ever recorded.
+    /// Stats for one function, if it was charged since the last
+    /// [`Profiler::reset`].
     pub fn function(&self, name: &str) -> Option<FuncStats> {
-        self.inner.borrow().funcs.get(name).cloned()
+        let leaf = registry().find(name)?;
+        let slot = *self.slots.borrow().get(leaf.id())?;
+        (slot.calls > 0).then_some(FuncStats {
+            category: Some(leaf.category),
+            calls: slot.calls,
+            cost: slot.cost,
+        })
     }
 
     /// Aggregated micro-ops per category.
     pub fn category_breakdown(&self) -> HashMap<Category, u64> {
-        let inner = self.inner.borrow();
         let mut out = HashMap::new();
-        for stats in inner.funcs.values() {
-            if let Some(cat) = stats.category {
-                *out.entry(cat).or_insert(0) += stats.cost.uops;
-            }
+        for (leaf, slot) in self.charged() {
+            *out.entry(leaf.category).or_insert(0) += slot.cost.uops;
         }
         out
     }
 
     /// The leaf-function profile, hottest first (Figure 1 / Figure 3 input).
     pub fn leaf_profile(&self) -> Vec<ProfileRow> {
-        let inner = self.inner.borrow();
-        let total = inner.total.uops.max(1) as f64;
-        let mut rows: Vec<ProfileRow> = inner
-            .funcs
-            .iter()
-            .map(|(name, s)| ProfileRow {
-                name: name.clone(),
-                category: s.category.unwrap_or(Category::Other),
+        let total = self.total.get().uops.max(1) as f64;
+        let mut rows: Vec<ProfileRow> = self
+            .charged()
+            .into_iter()
+            .map(|(leaf, s)| ProfileRow {
+                name: leaf.name.to_owned(),
+                category: leaf.category,
                 calls: s.calls,
                 uops: s.cost.uops,
                 share: s.cost.uops as f64 / total,
@@ -351,95 +534,94 @@ impl Profiler {
 
     /// Clears all recorded data.
     pub fn reset(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.funcs.clear();
-        inner.total = OpCost::default();
-        inner.savings = StaticSavings::default();
+        self.slots.borrow_mut().fill(Slot::default());
+        self.total.set(OpCost::default());
+        *self.savings.borrow_mut() = StaticSavings::default();
     }
 
     // -- statically avoided work ---------------------------------------------
 
     /// Notes a dynamic type check proven unnecessary and skipped.
     pub fn note_type_check_avoided(&self) {
-        self.inner.borrow_mut().savings.type_checks_avoided += 1;
+        self.savings.borrow_mut().type_checks_avoided += 1;
     }
 
     /// Notes a refcount increment proven unnecessary and skipped.
     pub fn note_rc_inc_avoided(&self) {
-        self.inner.borrow_mut().savings.rc_incs_avoided += 1;
+        self.savings.borrow_mut().rc_incs_avoided += 1;
     }
 
     /// Notes a refcount decrement proven unnecessary and skipped.
     pub fn note_rc_dec_avoided(&self) {
-        self.inner.borrow_mut().savings.rc_decs_avoided += 1;
+        self.savings.borrow_mut().rc_decs_avoided += 1;
     }
 
     /// Notes a call evaluated with an interprocedural summary attached.
     pub fn note_summary_applied(&self) {
-        self.inner.borrow_mut().savings.summaries_applied += 1;
+        self.savings.borrow_mut().summaries_applied += 1;
     }
 
     /// Notes a regex compile skipped thanks to analysis-time compilation.
     pub fn note_regex_compile_avoided(&self) {
-        self.inner.borrow_mut().savings.regex_compiles_avoided += 1;
+        self.savings.borrow_mut().regex_compiles_avoided += 1;
     }
 
     /// Notes `n` heap size classes pre-seeded from static allocation sizes.
     pub fn note_heap_classes_preseeded(&self, n: u64) {
-        self.inner.borrow_mut().savings.heap_classes_preseeded += n;
+        self.savings.borrow_mut().heap_classes_preseeded += n;
     }
 
     /// Notes `n` tainted-sink lints flagged by the attached analysis.
     pub fn note_taint_lints(&self, n: u64) {
-        self.inner.borrow_mut().savings.taint_lints_flagged += n;
+        self.savings.borrow_mut().taint_lints_flagged += n;
     }
 
     /// Notes `n` allocation sites the region analysis proved arena-safe.
     pub fn note_arena_safe_sites(&self, n: u64) {
-        self.inner.borrow_mut().savings.arena_safe_sites += n;
+        self.savings.borrow_mut().arena_safe_sites += n;
     }
 
     /// Notes one arena epoch reset: `bytes` reclaimed in O(1) and the
     /// `uops_saved` a per-block free-list teardown would have cost instead.
     pub fn note_arena_reset(&self, bytes: u64, uops_saved: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.savings.arena_bytes_reclaimed += bytes;
-        inner.savings.teardown_uops_saved += uops_saved;
+        let mut savings = self.savings.borrow_mut();
+        savings.arena_bytes_reclaimed += bytes;
+        savings.teardown_uops_saved += uops_saved;
     }
 
     /// Notes one compiled-VM run: opcodes executed, fused superinstructions
     /// among them, and transient allocations those superinstructions elided.
     pub fn note_vm_execution(&self, ops: u64, fused: u64, transients_elided: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.savings.vm_ops_executed += ops;
-        inner.savings.vm_fused_ops += fused;
-        inner.savings.vm_transients_elided += transients_elided;
+        let mut savings = self.savings.borrow_mut();
+        savings.vm_ops_executed += ops;
+        savings.vm_fused_ops += fused;
+        savings.vm_transients_elided += transients_elided;
     }
 
     /// Notes one memo-cache hit: the memoized result was replayed and the
     /// callee body skipped.
     pub fn note_memo_hit(&self) {
-        self.inner.borrow_mut().savings.memo_hits += 1;
+        self.savings.borrow_mut().memo_hits += 1;
     }
 
     /// Notes one memo-cache miss (the site executed normally).
     pub fn note_memo_miss(&self) {
-        self.inner.borrow_mut().savings.memo_misses += 1;
+        self.savings.borrow_mut().memo_misses += 1;
     }
 
     /// Notes one result stored into the memo tier.
     pub fn note_memo_store(&self) {
-        self.inner.borrow_mut().savings.memo_stores += 1;
+        self.savings.borrow_mut().memo_stores += 1;
     }
 
     /// Notes `n` memo entries invalidated by a dependency write.
     pub fn note_memo_invalidations(&self, n: u64) {
-        self.inner.borrow_mut().savings.memo_invalidations += n;
+        self.savings.borrow_mut().memo_invalidations += n;
     }
 
     /// Work skipped thanks to static analysis so far.
     pub fn static_savings(&self) -> StaticSavings {
-        self.inner.borrow().savings
+        *self.savings.borrow()
     }
 }
 
@@ -447,29 +629,35 @@ impl Profiler {
 mod tests {
     use super::*;
 
+    static FIND: Leaf = Leaf::new("zend_hash_find", Category::HashMap);
+    static TRIM: Leaf = Leaf::new("php_trim", Category::String);
+
     #[test]
     fn record_accumulates_per_function() {
         let p = Profiler::new();
-        p.record("zend_hash_find", Category::HashMap, OpCost::mixed(90));
-        p.record("zend_hash_find", Category::HashMap, OpCost::mixed(90));
-        p.record("php_trim", Category::String, OpCost::alu(30));
+        p.record(&FIND, OpCost::mixed(90));
+        p.record(&FIND, OpCost::mixed(90));
+        p.record(&TRIM, OpCost::alu(30));
         let f = p.function("zend_hash_find").unwrap();
+        assert_eq!(f.category, Some(Category::HashMap));
         assert_eq!(f.calls, 2);
         assert_eq!(f.cost.uops, 180);
         assert_eq!(p.total_uops(), 210);
         assert_eq!(p.function_count(), 2);
+        assert!(p.function("never_charged_anywhere").is_none());
     }
 
     #[test]
     fn leaf_profile_is_sorted_hottest_first() {
         let p = Profiler::new();
-        p.record("cold", Category::Other, OpCost::alu(1));
-        p.record("hot", Category::JitCode, OpCost::alu(100));
-        p.record("warm", Category::String, OpCost::alu(10));
+        p.record(Leaf::intern("t_cold", Category::Other), OpCost::alu(1));
+        p.record(Leaf::intern("t_hot", Category::JitCode), OpCost::alu(100));
+        p.record(Leaf::intern("t_warm", Category::String), OpCost::alu(10));
         let rows = p.leaf_profile();
-        assert_eq!(rows[0].name, "hot");
-        assert_eq!(rows[1].name, "warm");
-        assert_eq!(rows[2].name, "cold");
+        assert_eq!(rows[0].name, "t_hot");
+        assert_eq!(rows[0].category, Category::JitCode);
+        assert_eq!(rows[1].name, "t_warm");
+        assert_eq!(rows[2].name, "t_cold");
         assert!((rows[0].share - 100.0 / 111.0).abs() < 1e-12);
     }
 
@@ -477,7 +665,8 @@ mod tests {
     fn cumulative_share_sums_top_n() {
         let p = Profiler::new();
         for i in 0..10 {
-            p.record(&format!("f{i}"), Category::Other, OpCost::alu(10));
+            let leaf = Leaf::intern(&format!("t_f{i}"), Category::Other);
+            p.record(leaf, OpCost::alu(10));
         }
         assert!((p.cumulative_share(5) - 0.5).abs() < 1e-12);
         assert!((p.cumulative_share(100) - 1.0).abs() < 1e-12);
@@ -486,9 +675,9 @@ mod tests {
     #[test]
     fn category_breakdown_aggregates() {
         let p = Profiler::new();
-        p.record("a", Category::Heap, OpCost::alu(69));
-        p.record("b", Category::Heap, OpCost::alu(37));
-        p.record("c", Category::Regex, OpCost::alu(10));
+        p.record(Leaf::intern("t_heap_a", Category::Heap), OpCost::alu(69));
+        p.record(Leaf::intern("t_heap_b", Category::Heap), OpCost::alu(37));
+        p.record(Leaf::intern("t_regex", Category::Regex), OpCost::alu(10));
         let m = p.category_breakdown();
         assert_eq!(m[&Category::Heap], 106);
         assert_eq!(m[&Category::Regex], 10);
@@ -499,10 +688,11 @@ mod tests {
     fn pause_suppresses_recording() {
         let p = Profiler::new();
         p.pause();
-        p.record("x", Category::Other, OpCost::alu(5));
+        p.record(&TRIM, OpCost::alu(5));
         p.resume();
         assert_eq!(p.total_uops(), 0);
-        p.record("x", Category::Other, OpCost::alu(5));
+        assert_eq!(p.function_count(), 0);
+        p.record(&TRIM, OpCost::alu(5));
         assert_eq!(p.total_uops(), 5);
     }
 
@@ -523,12 +713,39 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let p = Profiler::new();
-        p.record("a", Category::Other, OpCost::alu(5));
+        p.record(&TRIM, OpCost::alu(5));
         p.note_type_check_avoided();
         p.reset();
         assert_eq!(p.total_uops(), 0);
         assert_eq!(p.function_count(), 0);
+        assert!(p.function("php_trim").is_none());
+        assert!(p.leaf_profile().is_empty());
         assert_eq!(p.static_savings(), StaticSavings::default());
+        // A leaf charged before the reset is counted again once it recurs.
+        p.record(&TRIM, OpCost::alu(5));
+        assert_eq!(p.function_count(), 1);
+    }
+
+    #[test]
+    fn descriptors_of_one_name_share_a_slot() {
+        static TWIN: Leaf = Leaf::new("t_twin", Category::Heap);
+        let p = Profiler::new();
+        p.record(&TWIN, OpCost::alu(1));
+        let interned = Leaf::intern("t_twin", Category::Heap);
+        assert!(std::ptr::eq(interned, &TWIN));
+        static LATE_TWIN: Leaf = Leaf::new("t_twin", Category::Heap);
+        p.record(&LATE_TWIN, OpCost::alu(1));
+        assert_eq!(p.function("t_twin").unwrap().calls, 2);
+        assert_eq!(p.function_count(), 1);
+        let names: Vec<&str> = registered_leaves().iter().map(|l| l.name()).collect();
+        assert_eq!(names.iter().filter(|n| **n == "t_twin").count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "declared under two categories")]
+    fn one_name_cannot_have_two_categories() {
+        Leaf::intern("t_two_cats", Category::Heap);
+        Leaf::intern("t_two_cats", Category::String);
     }
 
     #[test]

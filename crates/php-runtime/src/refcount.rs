@@ -7,8 +7,11 @@
 //! (Figure 3) and the hardware-refcounting prior optimization \[46\] have real
 //! numbers to work from.
 
-use crate::profile::{Category, OpCost, Profiler};
+use crate::profile::{Category, Leaf, OpCost, Profiler};
 use std::cell::Cell;
+
+static ZVAL_REFCOUNT_INC: Leaf = Leaf::new("zval_refcount_inc", Category::RefCount);
+static ZVAL_REFCOUNT_DEC: Leaf = Leaf::new("zval_refcount_dec", Category::RefCount);
 
 /// Micro-ops charged per software refcount increment (load, add, store).
 pub const INC_UOPS: u64 = 3;
@@ -33,8 +36,7 @@ impl RefcountMeter {
     pub fn inc(&self, prof: &Profiler) {
         self.incs.set(self.incs.get() + 1);
         prof.record(
-            "zval_refcount_inc",
-            Category::RefCount,
+            &ZVAL_REFCOUNT_INC,
             OpCost {
                 uops: INC_UOPS,
                 branches: 0,
@@ -48,8 +50,7 @@ impl RefcountMeter {
     pub fn dec(&self, prof: &Profiler) {
         self.decs.set(self.decs.get() + 1);
         prof.record(
-            "zval_refcount_dec",
-            Category::RefCount,
+            &ZVAL_REFCOUNT_DEC,
             OpCost {
                 uops: DEC_UOPS,
                 branches: 1,
@@ -63,8 +64,7 @@ impl RefcountMeter {
     pub fn inc_n(&self, n: u64, prof: &Profiler) {
         self.incs.set(self.incs.get() + n);
         prof.record(
-            "zval_refcount_inc",
-            Category::RefCount,
+            &ZVAL_REFCOUNT_INC,
             OpCost {
                 uops: INC_UOPS,
                 branches: 0,

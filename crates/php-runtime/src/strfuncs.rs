@@ -15,8 +15,33 @@
 //! Every call charges its simulated µop cost to the profiler under a
 //! `php_*` leaf-function name in [`Category::String`].
 
-use crate::profile::{Category, OpCost, Profiler};
+use crate::profile::{Category, Leaf, OpCost, Profiler};
 use crate::string::PhpStr;
+
+static PHP_ADDSLASHES: Leaf = Leaf::new("php_addslashes", Category::String);
+static PHP_CTYPE_SPAN: Leaf = Leaf::new("php_ctype_span", Category::String);
+static PHP_EXPLODE: Leaf = Leaf::new("php_explode", Category::String);
+static PHP_HTMLSPECIALCHARS: Leaf = Leaf::new("php_htmlspecialchars", Category::String);
+static PHP_IMPLODE: Leaf = Leaf::new("php_implode", Category::String);
+static PHP_LCFIRST: Leaf = Leaf::new("php_lcfirst", Category::String);
+static PHP_NL2BR: Leaf = Leaf::new("php_nl2br", Category::String);
+static PHP_SPRINTF: Leaf = Leaf::new("php_sprintf", Category::String);
+static PHP_STR_PAD: Leaf = Leaf::new("php_str_pad", Category::String);
+static PHP_STR_REPEAT: Leaf = Leaf::new("php_str_repeat", Category::String);
+static PHP_STR_REPLACE: Leaf = Leaf::new("php_str_replace", Category::String);
+static PHP_STR_WORD_COUNT: Leaf = Leaf::new("php_str_word_count", Category::String);
+static PHP_STRCMP: Leaf = Leaf::new("php_strcmp", Category::String);
+static PHP_STRIP_TAGS: Leaf = Leaf::new("php_strip_tags", Category::String);
+static PHP_STRLEN: Leaf = Leaf::new("php_strlen", Category::String);
+static PHP_STRPOS: Leaf = Leaf::new("php_strpos", Category::String);
+static PHP_STRREV: Leaf = Leaf::new("php_strrev", Category::String);
+static PHP_STRTOLOWER: Leaf = Leaf::new("php_strtolower", Category::String);
+static PHP_STRTOUPPER: Leaf = Leaf::new("php_strtoupper", Category::String);
+static PHP_SUBSTR: Leaf = Leaf::new("php_substr", Category::String);
+static PHP_TRIM: Leaf = Leaf::new("php_trim", Category::String);
+static PHP_UCFIRST: Leaf = Leaf::new("php_ucfirst", Category::String);
+static PHP_UCWORDS: Leaf = Leaf::new("php_ucwords", Category::String);
+static PHP_WORDWRAP: Leaf = Leaf::new("php_wordwrap", Category::String);
 
 /// Which software implementation family to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,18 +69,18 @@ pub struct StrLib<'p> {
     mode: StrMode,
 }
 
-fn scan_cost(name: &'static str, bytes: usize, mode: StrMode, prof: &Profiler) {
+fn scan_cost(leaf: &'static Leaf, bytes: usize, mode: StrMode, prof: &Profiler) {
     let uops = match mode {
         StrMode::Scalar => CALL_FIXED_UOPS + (bytes as f64 * SCALAR_BYTE_UOPS) as u64,
         StrMode::Swar => CALL_FIXED_UOPS + (bytes.div_ceil(8) as f64 * SWAR_WORD_UOPS) as u64,
     };
-    prof.record(name, Category::String, OpCost::mixed(uops));
+    prof.record(leaf, OpCost::mixed(uops));
 }
 
-fn copy_cost(name: &'static str, bytes: usize, prof: &Profiler) {
+fn copy_cost(leaf: &'static Leaf, bytes: usize, prof: &Profiler) {
     // Copies move 8B per µop plus loop overhead regardless of mode.
     let uops = CALL_FIXED_UOPS + bytes.div_ceil(8) as u64 * 2;
-    prof.record(name, Category::String, OpCost::mixed(uops));
+    prof.record(leaf, OpCost::mixed(uops));
 }
 
 impl<'p> StrLib<'p> {
@@ -71,8 +96,7 @@ impl<'p> StrLib<'p> {
 
     /// `strlen` — O(1) for counted strings.
     pub fn strlen(&self, s: &PhpStr) -> usize {
-        self.prof
-            .record("php_strlen", Category::String, OpCost::alu(2));
+        self.prof.record(&PHP_STRLEN, OpCost::alu(2));
         s.len()
     }
 
@@ -81,7 +105,7 @@ impl<'p> StrLib<'p> {
     pub fn strpos(&self, haystack: &PhpStr, needle: &[u8], offset: usize) -> Option<usize> {
         let h = haystack.as_bytes();
         if needle.is_empty() || offset > h.len() {
-            scan_cost("php_strpos", 0, self.mode, self.prof);
+            scan_cost(&PHP_STRPOS, 0, self.mode, self.prof);
             return None;
         }
         let result = match self.mode {
@@ -89,14 +113,14 @@ impl<'p> StrLib<'p> {
             StrMode::Swar => swar_find(&h[offset..], needle),
         };
         let scanned = result.map(|r| r + needle.len()).unwrap_or(h.len() - offset);
-        scan_cost("php_strpos", scanned, self.mode, self.prof);
+        scan_cost(&PHP_STRPOS, scanned, self.mode, self.prof);
         result.map(|r| r + offset)
     }
 
     /// `strcmp` — byte-wise comparison result as in C.
     pub fn strcmp(&self, a: &PhpStr, b: &PhpStr) -> std::cmp::Ordering {
         let n = a.len().min(b.len());
-        scan_cost("php_strcmp", n, self.mode, self.prof);
+        scan_cost(&PHP_STRCMP, n, self.mode, self.prof);
         a.as_bytes().cmp(b.as_bytes())
     }
 
@@ -114,7 +138,7 @@ impl<'p> StrLib<'p> {
             Some(l) => (start + l).min(n),
         };
         let out = PhpStr::from_bytes(s.as_bytes()[start as usize..end as usize].to_vec());
-        copy_cost("php_substr", out.len(), self.prof);
+        copy_cost(&PHP_SUBSTR, out.len(), self.prof);
         out
     }
 
@@ -128,7 +152,7 @@ impl<'p> StrLib<'p> {
             .map(|i| i + 1)
             .unwrap_or(start);
         let trimmed = (b.len() - (end - start)).max(1);
-        scan_cost("php_trim", trimmed + 2, self.mode, self.prof);
+        scan_cost(&PHP_TRIM, trimmed + 2, self.mode, self.prof);
         PhpStr::from_bytes(b[start..end].to_vec())
     }
 
@@ -137,7 +161,7 @@ impl<'p> StrLib<'p> {
 
     /// `strtolower` — ASCII lowercase.
     pub fn strtolower(&self, s: &PhpStr) -> PhpStr {
-        scan_cost("php_strtolower", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STRTOLOWER, s.len(), self.mode, self.prof);
         PhpStr::from_bytes(
             s.as_bytes()
                 .iter()
@@ -148,7 +172,7 @@ impl<'p> StrLib<'p> {
 
     /// `strtoupper` — ASCII uppercase.
     pub fn strtoupper(&self, s: &PhpStr) -> PhpStr {
-        scan_cost("php_strtoupper", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STRTOUPPER, s.len(), self.mode, self.prof);
         PhpStr::from_bytes(
             s.as_bytes()
                 .iter()
@@ -159,11 +183,7 @@ impl<'p> StrLib<'p> {
 
     /// `ucfirst`.
     pub fn ucfirst(&self, s: &PhpStr) -> PhpStr {
-        self.prof.record(
-            "php_ucfirst",
-            Category::String,
-            OpCost::alu(CALL_FIXED_UOPS),
-        );
+        self.prof.record(&PHP_UCFIRST, OpCost::alu(CALL_FIXED_UOPS));
         let mut out = s.as_bytes().to_vec();
         if let Some(first) = out.first_mut() {
             *first = first.to_ascii_uppercase();
@@ -173,7 +193,7 @@ impl<'p> StrLib<'p> {
 
     /// `ucwords` — uppercase the first letter of each word.
     pub fn ucwords(&self, s: &PhpStr) -> PhpStr {
-        scan_cost("php_ucwords", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_UCWORDS, s.len(), self.mode, self.prof);
         let mut out = s.as_bytes().to_vec();
         let mut at_word_start = true;
         for b in out.iter_mut() {
@@ -189,7 +209,7 @@ impl<'p> StrLib<'p> {
     pub fn str_replace(&self, search: &[u8], replace: &[u8], subject: &PhpStr) -> (PhpStr, usize) {
         let hay = subject.as_bytes();
         if search.is_empty() {
-            scan_cost("php_str_replace", 0, self.mode, self.prof);
+            scan_cost(&PHP_STR_REPLACE, 0, self.mode, self.prof);
             return (subject.clone(), 0);
         }
         let mut out = Vec::with_capacity(hay.len());
@@ -213,8 +233,8 @@ impl<'p> StrLib<'p> {
                 }
             }
         }
-        scan_cost("php_str_replace", hay.len(), self.mode, self.prof);
-        copy_cost("php_str_replace", out.len(), self.prof);
+        scan_cost(&PHP_STR_REPLACE, hay.len(), self.mode, self.prof);
+        copy_cost(&PHP_STR_REPLACE, out.len(), self.prof);
         (PhpStr::from_bytes(out), count)
     }
 
@@ -224,7 +244,7 @@ impl<'p> StrLib<'p> {
         for _ in 0..times {
             out.extend_from_slice(s.as_bytes());
         }
-        copy_cost("php_str_repeat", out.len(), self.prof);
+        copy_cost(&PHP_STR_REPEAT, out.len(), self.prof);
         PhpStr::from_bytes(out)
     }
 
@@ -237,7 +257,7 @@ impl<'p> StrLib<'p> {
             }
             out.extend_from_slice(p.as_bytes());
         }
-        copy_cost("php_implode", out.len(), self.prof);
+        copy_cost(&PHP_IMPLODE, out.len(), self.prof);
         PhpStr::from_bytes(out)
     }
 
@@ -263,13 +283,13 @@ impl<'p> StrLib<'p> {
                 }
             }
         }
-        scan_cost("php_explode", b.len(), self.mode, self.prof);
+        scan_cost(&PHP_EXPLODE, b.len(), self.mode, self.prof);
         parts
     }
 
     /// `htmlspecialchars` — encodes `& < > " '`.
     pub fn htmlspecialchars(&self, s: &PhpStr) -> PhpStr {
-        scan_cost("php_htmlspecialchars", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_HTMLSPECIALCHARS, s.len(), self.mode, self.prof);
         let mut out = Vec::with_capacity(s.len());
         for &b in s.as_bytes() {
             match b {
@@ -281,13 +301,13 @@ impl<'p> StrLib<'p> {
                 other => out.push(other),
             }
         }
-        copy_cost("php_htmlspecialchars", out.len(), self.prof);
+        copy_cost(&PHP_HTMLSPECIALCHARS, out.len(), self.prof);
         PhpStr::from_bytes(out)
     }
 
     /// `nl2br` — inserts `<br />` before newlines.
     pub fn nl2br(&self, s: &PhpStr) -> PhpStr {
-        scan_cost("php_nl2br", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_NL2BR, s.len(), self.mode, self.prof);
         let mut out = Vec::with_capacity(s.len());
         let b = s.as_bytes();
         let mut i = 0;
@@ -317,7 +337,7 @@ impl<'p> StrLib<'p> {
 
     /// `addslashes` — backslash-escapes `' " \` and NUL.
     pub fn addslashes(&self, s: &PhpStr) -> PhpStr {
-        scan_cost("php_addslashes", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_ADDSLASHES, s.len(), self.mode, self.prof);
         let mut out = Vec::with_capacity(s.len());
         for &b in s.as_bytes() {
             match b {
@@ -336,20 +356,20 @@ impl<'p> StrLib<'p> {
     pub fn str_pad(&self, s: &PhpStr, len: usize, pad: &[u8]) -> PhpStr {
         let mut out = s.as_bytes().to_vec();
         if pad.is_empty() {
-            copy_cost("php_str_pad", out.len(), self.prof);
+            copy_cost(&PHP_STR_PAD, out.len(), self.prof);
             return PhpStr::from_bytes(out);
         }
         while out.len() < len {
             let take = pad.len().min(len - out.len());
             out.extend_from_slice(&pad[..take]);
         }
-        copy_cost("php_str_pad", out.len(), self.prof);
+        copy_cost(&PHP_STR_PAD, out.len(), self.prof);
         PhpStr::from_bytes(out)
     }
 
     /// `strrev`.
     pub fn strrev(&self, s: &PhpStr) -> PhpStr {
-        copy_cost("php_strrev", s.len(), self.prof);
+        copy_cost(&PHP_STRREV, s.len(), self.prof);
         let mut out = s.as_bytes().to_vec();
         out.reverse();
         PhpStr::from_bytes(out)
@@ -358,7 +378,7 @@ impl<'p> StrLib<'p> {
     /// `wordwrap` at `width` with `\n` breaks (break long words disabled,
     /// like PHP's default).
     pub fn wordwrap(&self, s: &PhpStr, width: usize) -> PhpStr {
-        scan_cost("php_wordwrap", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_WORDWRAP, s.len(), self.mode, self.prof);
         let mut out = Vec::with_capacity(s.len());
         let mut line_len = 0usize;
         for word in s.as_bytes().split(|&b| b == b' ') {
@@ -384,7 +404,7 @@ impl<'p> StrLib<'p> {
     /// Panics on a conversion specifier other than `s`, `d`, `f`, `%`, or if
     /// too few arguments are supplied.
     pub fn sprintf(&self, format: &PhpStr, args: &[crate::value::PhpValue]) -> PhpStr {
-        scan_cost("php_sprintf", format.len(), self.mode, self.prof);
+        scan_cost(&PHP_SPRINTF, format.len(), self.mode, self.prof);
         let f = format.as_bytes();
         let mut out = Vec::with_capacity(f.len() * 2);
         let mut ai = 0;
@@ -413,14 +433,14 @@ impl<'p> StrLib<'p> {
                 i += 1;
             }
         }
-        copy_cost("php_sprintf", out.len(), self.prof);
+        copy_cost(&PHP_SPRINTF, out.len(), self.prof);
         PhpStr::from_bytes(out)
     }
 
     /// `strip_tags` — removes `<...>` spans (no attribute parsing, like
     /// PHP's fast path; unterminated tags are stripped to the end).
     pub fn strip_tags(&self, s: &PhpStr) -> PhpStr {
-        scan_cost("php_strip_tags", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STRIP_TAGS, s.len(), self.mode, self.prof);
         let b = s.as_bytes();
         let mut out = Vec::with_capacity(b.len());
         let mut in_tag = false;
@@ -432,17 +452,13 @@ impl<'p> StrLib<'p> {
                 _ => {}
             }
         }
-        copy_cost("php_strip_tags", out.len(), self.prof);
+        copy_cost(&PHP_STRIP_TAGS, out.len(), self.prof);
         PhpStr::from_bytes(out)
     }
 
     /// `lcfirst`.
     pub fn lcfirst(&self, s: &PhpStr) -> PhpStr {
-        self.prof.record(
-            "php_lcfirst",
-            Category::String,
-            OpCost::alu(CALL_FIXED_UOPS),
-        );
+        self.prof.record(&PHP_LCFIRST, OpCost::alu(CALL_FIXED_UOPS));
         let mut out = s.as_bytes().to_vec();
         if let Some(first) = out.first_mut() {
             *first = first.to_ascii_lowercase();
@@ -452,7 +468,7 @@ impl<'p> StrLib<'p> {
 
     /// `str_word_count` — counts alphabetic word runs.
     pub fn str_word_count(&self, s: &PhpStr) -> usize {
-        scan_cost("php_str_word_count", s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STR_WORD_COUNT, s.len(), self.mode, self.prof);
         let mut count = 0;
         let mut in_word = false;
         for &b in s.as_bytes() {
@@ -473,7 +489,7 @@ impl<'p> StrLib<'p> {
             .iter()
             .take_while(|&&b| class.matches(b))
             .count();
-        scan_cost("php_ctype_span", n + 1, self.mode, self.prof);
+        scan_cost(&PHP_CTYPE_SPAN, n + 1, self.mode, self.prof);
         n
     }
 }

@@ -398,6 +398,18 @@ mod tests {
     }
 
     #[test]
+    fn first_byte_table_is_computed_once_per_instance() {
+        let r = re("ab+c");
+        assert!(r.first_bytes.get().is_none(), "lazy until the first search");
+        assert!(r.is_match(b"xxabbc").0);
+        let table = r.first_bytes.get().expect("the search built it").as_ptr();
+        let states = r.fsm_states();
+        assert!(r.is_match(b"xxabbc").0);
+        assert_eq!(r.first_bytes.get().unwrap().as_ptr(), table);
+        assert_eq!(r.fsm_states(), states, "a warm DFA grows no states");
+    }
+
+    #[test]
     fn clone_preserves_materialized_caches() {
         let r = re("ab+c");
         assert!(r.is_match(b"xxabbc").0); // materialize DFA + prefilter

@@ -234,3 +234,84 @@ fn vm_pool_serves_the_same_bytes_as_the_tree_walk_pool() {
     assert_eq!(vm.live_blocks, 0, "vm pool leaked allocator blocks");
     assert_eq!(tree.live_blocks, 0, "tree pool leaked allocator blocks");
 }
+
+/// Every worker matches on the corpus cache's one compiled instance of each
+/// constant `preg_*` pattern (an `Arc<Regex>` whose lazy DFA sits behind a
+/// mutex), so workers now meet inside the regex engine. µops are a function
+/// of bytes and calls, never of how warm the DFA is or who warmed it: a mix
+/// weighted towards `comment-filter` (the corpus script with `preg_*` sites,
+/// one of them a pattern returned from a function) must be record-for-record
+/// identical at 1 and 8 workers.
+///
+/// µops are compared across worker counts on all-software machines, past
+/// each machine's first request (its slab allocator carves its pages then):
+/// from there on deterministic mode restores the machine completely, so a
+/// request costs the same wherever it is served. A specialized machine's
+/// accelerator tables warm up over many requests, so its µops depend on the
+/// worker count with or without regexes. There the 8-worker run is repeated
+/// instead: the same sharding must meter the same µops however the threads
+/// interleave on the shared handles.
+#[test]
+fn shared_regex_handles_keep_the_pool_deterministic() {
+    const REGEX_REQUESTS: u64 = 96;
+    let cache = Arc::new(CorpusCache::build());
+    let comment_filter = cache
+        .scripts()
+        .iter()
+        .position(|s| s.entry().name == "comment-filter")
+        .expect("comment-filter is in the corpus");
+    let regexes = &cache.scripts()[comment_filter].vm_unit(true, true).regexes;
+    assert!(regexes.len() >= 2);
+
+    let run = |workers: usize, machine: fn() -> PhpMachine| {
+        let cfg = PoolConfig::deterministic(workers, REGEX_REQUESTS).with_arena(true);
+        let cache = Arc::clone(&cache);
+        WorkerPool::new(cfg).run(
+            move |_| {
+                let mut m = machine();
+                m.set_engine(Engine::Vm);
+                m
+            },
+            move |_w| {
+                let cache = Arc::clone(&cache);
+                move |m: &mut PhpMachine, req: u64| {
+                    // Three requests in four hit the regex script.
+                    let script = if req % 4 == 3 {
+                        cache.script_for_request(req)
+                    } else {
+                        &cache.scripts()[comment_filter]
+                    };
+                    script.run(m, true)
+                }
+            },
+        )
+    };
+
+    for (label, machine) in [
+        ("specialized", PhpMachine::specialized as fn() -> PhpMachine),
+        ("baseline", PhpMachine::baseline),
+    ] {
+        let one = run(1, machine);
+        assert_eq!(one.stats.ok, REGEX_REQUESTS, "{label}");
+        assert_eq!(one.stats.mismatches, 0, "{label}: replay");
+        assert!(one.savings.regex_compiles_avoided >= REGEX_REQUESTS);
+        let eight = run(8, machine);
+        assert_eq!(eight.stats.mismatches, 0, "{label} x8: replay");
+        assert_eq!(eight.stats, one.stats, "{label} x8: stats");
+        assert_eq!(eight.records, one.records, "{label} x8: records");
+        if label == "baseline" {
+            assert_eq!(
+                eight.service_uops[8..],
+                one.service_uops[8..],
+                "x8: per-request µops"
+            );
+        }
+        let again = run(8, machine);
+        assert_eq!(again.service_uops, eight.service_uops, "{label} x8, rerun");
+        assert_eq!(again.worker_uops, eight.worker_uops, "{label} x8, rerun");
+    }
+    assert!(
+        regexes.iter().all(|re| re.fsm_states() > 1),
+        "the workers ran on the cache's own instances"
+    );
+}

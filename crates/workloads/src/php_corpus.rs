@@ -672,6 +672,33 @@ mod tests {
         );
     }
 
+    /// Both engines match on the unit's / the facts' own compiled patterns,
+    /// not on per-call copies: one request leaves those instances' lazy DFAs
+    /// materialized, and the next request adds no states to them.
+    #[test]
+    fn precompiled_patterns_stay_warm_across_requests() {
+        let entry = ENTRIES.iter().find(|e| e.name == "comment-filter").unwrap();
+        for engine in [Engine::TreeWalk, Engine::Vm] {
+            let p = prepare(entry);
+            let unit = p.vm_unit(true, true);
+            assert!(unit.regexes.len() >= 2);
+            let states = |unit: &CompiledUnit| -> Vec<usize> {
+                unit.regexes.iter().map(|re| re.fsm_states()).collect()
+            };
+            let cold = states(unit);
+            let mut m = PhpMachine::specialized();
+            m.set_engine(engine);
+            p.run(&mut m, true);
+            let warm = states(unit);
+            assert!(
+                warm.iter().zip(&cold).all(|(w, c)| w > c),
+                "{engine:?}: the shared handles never ran: {cold:?} -> {warm:?}"
+            );
+            p.run(&mut m, true);
+            assert_eq!(states(unit), warm, "{engine:?}: a rerun rebuilt DFA states");
+        }
+    }
+
     /// Every one of the interprocedural savings counters fires somewhere in
     /// the corpus, so `analyze` never reports a structurally-zero column.
     #[test]

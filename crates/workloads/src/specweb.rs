@@ -10,7 +10,13 @@ use crate::loadgen::Workload;
 use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
+use php_runtime::{Category, Leaf};
 use phpaccel_core::PhpMachine;
+
+static BANK_VALIDATE_SESSION: Leaf = Leaf::new("bank_validate_session", Category::Other);
+static BANK_FORMAT_STATEMENT: Leaf = Leaf::new("bank_format_statement", Category::Other);
+static SHOP_RENDER_CATALOG: Leaf = Leaf::new("shop_render_catalog", Category::Other);
+static SHOP_PRICE_FORMAT: Leaf = Leaf::new("shop_price_format", Category::Other);
 
 /// Which SPECWeb-like benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +56,8 @@ impl Workload for SpecWeb {
             SpecVariant::Banking => {
                 // One giant hot function: the transaction-processing loop.
                 m.ctx().charge_jit(9_000);
-                m.ctx().charge_other("bank_validate_session", 900);
-                m.ctx().charge_other("bank_format_statement", 700);
+                m.ctx().charge_other(&BANK_VALIDATE_SESSION, 900);
+                m.ctx().charge_other(&BANK_FORMAT_STATEMENT, 700);
                 // A small, static-key account table: IC-friendly accesses.
                 let mut accounts = m.new_array();
                 for (i, bal) in self.accounts.iter().enumerate().take(16) {
@@ -62,8 +68,8 @@ impl Workload for SpecWeb {
             }
             SpecVariant::Ecommerce => {
                 m.ctx().charge_jit(7_500);
-                m.ctx().charge_other("shop_render_catalog", 2_200);
-                m.ctx().charge_other("shop_price_format", 650);
+                m.ctx().charge_other(&SHOP_RENDER_CATALOG, 2_200);
+                m.ctx().charge_other(&SHOP_PRICE_FORMAT, 650);
                 let price = PhpStr::from(format!("{}.99", 10 + req % 90));
                 let formatted = m.sprintf(
                     &PhpStr::from("item %s: $%s"),

@@ -10,10 +10,20 @@
 //! the prior optimizations. This module charges that long tail, plus the
 //! refcount/type-check traffic that pervades all of it.
 
+use php_runtime::context::ZVAL_TYPE_CHECK;
+use php_runtime::{Category, Leaf};
 use phpaccel_core::PhpMachine;
+use std::sync::LazyLock;
 
 /// Number of distinct tail leaf functions.
 pub const TAIL_FUNCTIONS: usize = 150;
+
+/// The tail's leaf descriptors, `vm_leaf_000` onwards, interned once.
+static TAIL_LEAVES: LazyLock<Vec<&'static Leaf>> = LazyLock::new(|| {
+    (0..TAIL_FUNCTIONS)
+        .map(|k| Leaf::intern(&format!("vm_leaf_{k:03}"), Category::Other))
+        .collect()
+});
 
 /// Per-request VM-tail parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +44,8 @@ impl VmTail {
         // The hottest single function: JIT-compiled code (~10-12 %).
         ctx.charge_jit(10 * self.scale);
         // A flat, heavy tail of VM leaf functions.
-        for k in 0..TAIL_FUNCTIONS as u64 {
-            let name = format!("vm_leaf_{k:03}");
-            ctx.charge_other(&name, 60 * self.scale / (k + 6));
+        for (k, leaf) in TAIL_LEAVES.iter().enumerate() {
+            ctx.charge_other(leaf, 60 * self.scale / (k as u64 + 6));
         }
         // Abstraction overheads spread across everything (§3).
         let half = self.refcount_ops / 2;
@@ -49,8 +58,7 @@ impl VmTail {
         }
         // The remaining checks charged in bulk for speed.
         ctx.profiler().record(
-            "zval_type_check",
-            php_runtime::Category::TypeCheck,
+            &ZVAL_TYPE_CHECK,
             php_runtime::OpCost {
                 uops: 3 * (self.type_checks - self.type_checks / 4),
                 branches: self.type_checks,
