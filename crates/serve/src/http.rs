@@ -45,7 +45,6 @@ use crate::server::{ServeStats, Server};
 use php_interp::MemoTier;
 use php_runtime::StaticSavings;
 use phpaccel_core::{AccelId, Engine, PhpMachine};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -761,7 +760,7 @@ pub struct HttpServer {
     addr: SocketAddr,
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<VecDeque<JoinHandle<()>>>>,
+    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for HttpServer {
@@ -835,7 +834,7 @@ impl HttpServer {
             })
             .collect();
 
-        let conn_handles = Arc::new(Mutex::new(VecDeque::new()));
+        let conn_handles = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let state = Arc::clone(&state);
             let conn_handles = Arc::clone(&conn_handles);
@@ -864,6 +863,15 @@ impl HttpServer {
         self.state.metrics_snapshot()
     }
 
+    /// Connection threads not yet joined: the open connections plus those
+    /// that ended since the last accept.
+    pub fn unjoined_connection_threads(&self) -> usize {
+        self.conn_handles
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
+    }
+
     /// Stops accepting, drains the queue, joins every thread, and returns
     /// the final report.
     pub fn shutdown(self) -> HttpReport {
@@ -878,7 +886,7 @@ impl HttpServer {
                 .conn_handles
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .pop_front();
+                .pop();
             match handle {
                 Some(h) => {
                     let _ = h.join();
@@ -914,7 +922,7 @@ impl HttpServer {
 fn acceptor_loop(
     listener: TcpListener,
     state: Arc<FrontState>,
-    conn_handles: Arc<Mutex<VecDeque<JoinHandle<()>>>>,
+    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     loop {
         let stream = match listener.accept() {
@@ -950,10 +958,19 @@ fn acceptor_loop(
                 conn_state.conn_count.fetch_sub(1, Ordering::SeqCst);
             })
             .expect("spawn connection thread");
-        conn_handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(handle);
+        let mut handles = conn_handles.lock().unwrap_or_else(|e| e.into_inner());
+        // Reap the connections that have ended, so the handles kept (and
+        // the thread stacks they pin until joined) stay bounded by the
+        // connections that are open, not by those ever accepted.
+        let mut i = 0;
+        while i < handles.len() {
+            if handles[i].is_finished() {
+                let _ = handles.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        handles.push(handle);
     }
 }
 
