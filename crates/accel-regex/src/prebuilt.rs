@@ -15,6 +15,7 @@ use regex_engine::analysis::{
     literal_prefix, max_match_len, requires_special, sought_special_chars,
 };
 use regex_engine::{ParseError, Regex};
+use std::sync::Arc;
 
 /// How a pre-built pattern will behave under hint-vector skipping,
 /// decided at analysis time (mirrors `sieve::skipping_plan`).
@@ -34,7 +35,8 @@ pub enum ShadowPlan {
 /// A pattern compiled and analyzed ahead of the first request.
 #[derive(Debug, Clone)]
 pub struct PrebuiltPattern {
-    regex: Regex,
+    /// Shared, so a copy of the descriptor runs on the same warm DFA.
+    regex: Arc<Regex>,
     plan: ShadowPlan,
     special_bytes: Vec<u8>,
     literal_prefix: Vec<u8>,
@@ -44,12 +46,12 @@ impl PrebuiltPattern {
     /// Compiles `pattern` (bare, delimiters already stripped) and derives
     /// all per-pattern facts.
     pub fn compile(pattern: &str) -> Result<Self, ParseError> {
-        Ok(Self::from_regex(Regex::new(pattern)?))
+        Ok(Self::from_regex(Arc::new(Regex::new(pattern)?)))
     }
 
-    /// Wraps an already compiled regex (e.g. one the analysis compiled via
-    /// the interpreter's own path, keeping the handles identical).
-    pub fn from_regex(regex: Regex) -> Self {
+    /// Wraps a handle to an already compiled regex (e.g. the one the
+    /// analysis compiled and the engines match on).
+    pub fn from_regex(regex: Arc<Regex>) -> Self {
         let ast = regex.ast();
         let plan = if regex.anchored_start() {
             ShadowPlan::Anchored

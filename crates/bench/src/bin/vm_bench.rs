@@ -22,6 +22,10 @@
 //!   the unfused VM;
 //! * no machine leaks live blocks.
 //!
+//! Beside the simulated clock it reports the host's: each engine serves the
+//! same schedule on one bare machine (no pool, no reference replay), timed
+//! per pass, so the µop cut has a wall-clock counterpart in the same file.
+//!
 //! Results land in `BENCH_vm.json`.
 //!
 //! Usage: `vm_bench [--smoke] [--out PATH]`
@@ -40,6 +44,10 @@ const FULL_REQUESTS: u64 = 400;
 const SMOKE_REQUESTS: u64 = 80;
 /// Acceptance floor: fused-VM elapsed-µop reduction vs the tree walker.
 const MIN_REDUCTION_PCT: f64 = 25.0;
+/// Timed passes over the schedule per engine on the host clock (full mode /
+/// --smoke); the median pass is reported.
+const FULL_WALL_PASSES: usize = 25;
+const SMOKE_WALL_PASSES: usize = 5;
 
 /// The three engine configurations under test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,6 +56,8 @@ enum Mode {
     VmUnfused,
     VmFused,
 }
+
+const MODES: [Mode; 3] = [Mode::Tree, Mode::VmUnfused, Mode::VmFused];
 
 impl Mode {
     fn label(self) -> &'static str {
@@ -111,6 +121,56 @@ fn run(
     }
 }
 
+/// Each engine's cost per request on both clocks, `(µops, host ns)` in
+/// [`MODES`] order: the schedule served on a bare specialized machine per
+/// engine as one worker serves it (run, then recover), after one untimed
+/// pass. Pass k of every engine runs before pass k+1 of any, so a slow
+/// phase of the host lands on all three. µops are the last pass's; the host
+/// time is the median pass's.
+fn per_request_costs(cache: &CorpusCache, schedule: &[usize], passes: usize) -> Vec<(f64, f64)> {
+    let pass = |m: &mut PhpMachine, mode: Mode| {
+        let start = Instant::now();
+        for &script in schedule {
+            let script = &cache.scripts()[script];
+            std::hint::black_box(match mode {
+                Mode::Tree | Mode::VmFused => script.run(m, true),
+                Mode::VmUnfused => script.run_vm(m, true, false),
+            });
+            m.recover_request();
+        }
+        start.elapsed().as_nanos() as f64 / schedule.len() as f64
+    };
+    let mut machines: Vec<PhpMachine> = MODES
+        .iter()
+        .map(|&mode| {
+            let mut m = PhpMachine::specialized();
+            if mode != Mode::Tree {
+                m.set_engine(Engine::Vm);
+            }
+            pass(&mut m, mode);
+            m
+        })
+        .collect();
+    let mut wall_ns = vec![Vec::with_capacity(passes); MODES.len()];
+    let mut uops = vec![0; MODES.len()];
+    for _ in 0..passes {
+        for (i, &mode) in MODES.iter().enumerate() {
+            let m = &mut machines[i];
+            let before = m.ctx().profiler().total_uops();
+            wall_ns[i].push(pass(m, mode));
+            uops[i] = m.ctx().profiler().total_uops() - before;
+        }
+    }
+    wall_ns
+        .into_iter()
+        .zip(uops)
+        .map(|(mut ns, uops)| {
+            ns.sort_by(f64::total_cmp);
+            (uops as f64 / schedule.len() as f64, ns[passes / 2])
+        })
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -141,8 +201,7 @@ fn main() {
     let mut headline: Option<(f64, f64)> = None;
 
     for &workers in &WORKER_COUNTS {
-        let modes = [Mode::Tree, Mode::VmUnfused, Mode::VmFused];
-        let results: Vec<RunResult> = modes
+        let results: Vec<RunResult> = MODES
             .iter()
             .map(|&mode| run(&cache, &schedule, workers, requests, mode))
             .collect();
@@ -167,7 +226,7 @@ fn main() {
                 }
             }
         }
-        for (mode, r) in modes.iter().zip(&results) {
+        for (mode, r) in MODES.iter().zip(&results) {
             replay_mismatches += r.report.stats.mismatches;
             if r.report.stats.ok != requests {
                 failures.push(format!(
@@ -245,6 +304,41 @@ fn main() {
         }
     }
 
+    let passes = if smoke {
+        SMOKE_WALL_PASSES
+    } else {
+        FULL_WALL_PASSES
+    };
+    let engines: Vec<(Mode, f64, f64)> = MODES
+        .into_iter()
+        .zip(per_request_costs(&cache, &schedule, passes))
+        .map(|(mode, (uops, wall_ns))| {
+            println!(
+                "  {:>9}: {uops:.1} uops/request, {wall_ns:.0} ns/request on the host \
+                 (1 thread, median of {passes} passes)",
+                mode.label()
+            );
+            (mode, uops, wall_ns)
+        })
+        .collect();
+    let (tree, fused) = (&engines[0], &engines[2]);
+    let uop_cut = 100.0 * (tree.1 - fused.1) / tree.1;
+    let wall_cut = 100.0 * (tree.2 - fused.2) / tree.2;
+    println!(
+        "  tree-walk -> vm+fusion on one machine: {uop_cut:.1}% fewer uops, \
+         {wall_cut:.1}% less host time"
+    );
+    let engines_json: Vec<String> = engines
+        .iter()
+        .map(|(mode, uops, wall_ns)| {
+            format!(
+                "    {{\"engine\": \"{}\", \"uops_per_req\": {uops:.1}, \
+                 \"wall_ns_per_req\": {wall_ns:.0}}}",
+                mode.label()
+            )
+        })
+        .collect();
+
     let mismatches = identity_mismatches + replay_mismatches;
     if mismatches != 0 {
         failures.push(format!(
@@ -261,13 +355,17 @@ fn main() {
          \"corpus_scripts\": {},\n  \"requests_per_run\": {},\n  \
          \"request_mix\": \"zipfian\",\n  \"mismatches\": {},\n  \
          \"reduction_pct_at_1_worker\": {:.2},\n  \
-         \"fusion_delta_pct_at_1_worker\": {:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
+         \"fusion_delta_pct_at_1_worker\": {:.2},\n  \
+         \"uop_cut_pct_one_machine\": {uop_cut:.2},\n  \
+         \"wall_cut_pct_one_machine\": {wall_cut:.2},\n  \"engines\": [\n{}\n  ],\n  \
+         \"runs\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         cache.len(),
         requests,
         mismatches,
         reduction,
         fusion_delta,
+        engines_json.join(",\n"),
         runs_json.join(",\n")
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

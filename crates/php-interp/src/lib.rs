@@ -32,7 +32,9 @@ pub mod vm;
 
 pub use ast::{BinOp, Expr, FuncDef, Program, Stmt};
 pub use builtins::NAMES as BUILTIN_NAMES;
-pub use compile::{compile, CompileOptions, CompiledFunc, CompiledUnit, MemoSiteInfo, Op, OpKind};
+pub use compile::{
+    compile, CompileOptions, CompiledFunc, CompiledUnit, MemoSiteInfo, Name, Op, OpKind,
+};
 pub use eval::{strip_delimiters, ErrorKind, Interp, RuntimeError};
 pub use facts::{AnalysisFacts, KeyShape, MemoSiteFact, NodeId};
 pub use memo::{MemoHandle, MemoHit, MemoTier, MemoValue, SimpleMemo};

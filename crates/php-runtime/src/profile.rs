@@ -362,6 +362,7 @@ impl Leaf {
     }
 
     #[cold]
+    #[inline(never)]
     fn register(&'static self) -> usize {
         let mut reg = registry();
         match reg.find(self.name) {
@@ -387,6 +388,13 @@ pub fn registered_leaves() -> Vec<&'static Leaf> {
 struct Slot {
     calls: u64,
     cost: OpCost,
+}
+
+/// First charge of a leaf this ledger has no slot for yet.
+#[cold]
+#[inline(never)]
+fn grow(slots: &mut Vec<Slot>, id: usize) {
+    slots.resize(id + 1, Slot::default());
 }
 
 /// The profiler. Interior-mutable so that runtime operations can record
@@ -418,14 +426,20 @@ impl Profiler {
         let id = leaf.id();
         let mut slots = self.slots.borrow_mut();
         if id >= slots.len() {
-            slots.resize(id + 1, Slot::default());
+            grow(&mut slots, id);
         }
         let slot = &mut slots[id];
         slot.calls += 1;
         slot.cost = slot.cost.plus(cost);
         if self.logging_events.get() {
-            self.event_log.borrow_mut().push((leaf, cost));
+            self.log_event(leaf, cost);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn log_event(&self, leaf: &'static Leaf, cost: OpCost) {
+        self.event_log.borrow_mut().push((leaf, cost));
     }
 
     /// Turns the event log on or off. While it is on, every event the

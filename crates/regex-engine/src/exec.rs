@@ -69,7 +69,8 @@ impl ScanStats {
 /// prefilter) sit behind a `Mutex`/`OnceLock`, so a compiled handle is
 /// `Send + Sync` and can be shared across worker threads — analysis-time
 /// precompiled patterns live in an `Arc`'d facts table that every worker
-/// reads.
+/// reads. It is deliberately not `Clone`: share one instance behind an
+/// `Arc`, so the instance that is kept is the one whose caches get warm.
 #[derive(Debug)]
 pub struct Regex {
     pattern: String,
@@ -81,22 +82,6 @@ pub struct Regex {
     anchored_start: bool,
     /// Lazily computed set of viable first bytes (prefilter).
     first_bytes: OnceLock<Box<[bool; 256]>>,
-}
-
-impl Clone for Regex {
-    fn clone(&self) -> Regex {
-        let cloned_first = OnceLock::new();
-        if let Some(table) = self.first_bytes.get() {
-            let _ = cloned_first.set(table.clone());
-        }
-        Regex {
-            pattern: self.pattern.clone(),
-            ast: self.ast.clone(),
-            anchored: Mutex::new(self.dfa().clone()),
-            anchored_start: self.anchored_start,
-            first_bytes: cloned_first,
-        }
-    }
 }
 
 impl Regex {
@@ -407,16 +392,6 @@ mod tests {
         assert!(r.is_match(b"xxabbc").0);
         assert_eq!(r.first_bytes.get().unwrap().as_ptr(), table);
         assert_eq!(r.fsm_states(), states, "a warm DFA grows no states");
-    }
-
-    #[test]
-    fn clone_preserves_materialized_caches() {
-        let r = re("ab+c");
-        assert!(r.is_match(b"xxabbc").0); // materialize DFA + prefilter
-        let c = r.clone();
-        assert_eq!(c.fsm_states(), r.fsm_states());
-        assert!(c.is_match(b"xxabbc").0);
-        assert_eq!(c.viable_first_bytes(), r.viable_first_bytes());
     }
 
     #[test]

@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== benchmark package: unit tests =="
+# benchmark/ is a package of its own that path-depends on crates/*; nothing
+# above builds benchmark/src/adapter.rs, so a signature change in crates/*
+# would otherwise first be noticed by the pipeline's benchmark run.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark suite smoke =="
+benchmark/run.sh --smoke >target/benchmark-smoke.out
+
 echo "== interprocedural analysis =="
 # Lints are errors: every corpus lint must be covered by the allowlist.
 # (Covers the taint lints and the region pass's [cross-request-escape]
@@ -106,6 +115,9 @@ for r in doc["runs"]:
     assert r["replay_mismatches"] == 0, r["workers"]
     assert r["elapsed_uops_vm_fused"] < r["elapsed_uops_vm"] < r["elapsed_uops_tree"], r["workers"]
     assert r["vm_ops_executed"] > 0 and r["vm_fused_ops"] > 0, r["workers"]
+assert [e["engine"] for e in doc["engines"]] == ["tree-walk", "vm", "vm+fusion"]
+for e in doc["engines"]:
+    assert e["uops_per_req"] > 0 and e["wall_ns_per_req"] > 0, e["engine"]
 print("BENCH_vm_smoke.json is valid")
 EOF
 
