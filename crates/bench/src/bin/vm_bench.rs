@@ -35,7 +35,7 @@ use serve::{PoolConfig, PoolReport, WorkerPool};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::corpus::{Corpus, CorpusConfig};
-use workloads::php_corpus::CorpusCache;
+use workloads::php_corpus::{CorpusCache, PreparedScript};
 
 /// Worker counts the bench sweeps.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -67,6 +67,25 @@ impl Mode {
             Mode::VmFused => "vm+fusion",
         }
     }
+
+    /// A specialized machine on this mode's engine.
+    fn machine(self) -> PhpMachine {
+        let mut m = PhpMachine::specialized();
+        if self != Mode::Tree {
+            m.set_engine(Engine::Vm);
+        }
+        m
+    }
+
+    /// Runs one script with facts on. `run` dispatches on the machine's
+    /// engine and the fused unit is the production path; the unfused leg
+    /// calls the engine entry point directly to isolate fusion.
+    fn serve(self, script: &PreparedScript, m: &mut PhpMachine) -> Vec<u8> {
+        match self {
+            Mode::Tree | Mode::VmFused => script.run(m, true),
+            Mode::VmUnfused => script.run_vm(m, true, false),
+        }
+    }
 }
 
 /// Zipfian request → script schedule, fixed up front so the mapping depends
@@ -93,25 +112,12 @@ fn run(
     let schedule = Arc::clone(schedule);
     let start = Instant::now();
     let report = pool.run(
-        move |_| {
-            let mut m = PhpMachine::specialized();
-            if mode != Mode::Tree {
-                m.set_engine(Engine::Vm);
-            }
-            m
-        },
+        move |_| mode.machine(),
         move |_w| {
             let cache = Arc::clone(&cache);
             let schedule = Arc::clone(&schedule);
             move |m: &mut PhpMachine, req: u64| {
-                let script = &cache.scripts()[schedule[req as usize]];
-                match mode {
-                    // `run` dispatches on the machine's engine; the fused
-                    // unit is the production path. The unfused leg calls
-                    // the engine entry point directly to isolate fusion.
-                    Mode::Tree | Mode::VmFused => script.run(m, true),
-                    Mode::VmUnfused => script.run_vm(m, true, false),
-                }
+                mode.serve(&cache.scripts()[schedule[req as usize]], m)
             }
         },
     );
@@ -131,11 +137,7 @@ fn per_request_costs(cache: &CorpusCache, schedule: &[usize], passes: usize) -> 
     let pass = |m: &mut PhpMachine, mode: Mode| {
         let start = Instant::now();
         for &script in schedule {
-            let script = &cache.scripts()[script];
-            std::hint::black_box(match mode {
-                Mode::Tree | Mode::VmFused => script.run(m, true),
-                Mode::VmUnfused => script.run_vm(m, true, false),
-            });
+            std::hint::black_box(mode.serve(&cache.scripts()[script], m));
             m.recover_request();
         }
         start.elapsed().as_nanos() as f64 / schedule.len() as f64
@@ -143,10 +145,7 @@ fn per_request_costs(cache: &CorpusCache, schedule: &[usize], passes: usize) -> 
     let mut machines: Vec<PhpMachine> = MODES
         .iter()
         .map(|&mode| {
-            let mut m = PhpMachine::specialized();
-            if mode != Mode::Tree {
-                m.set_engine(Engine::Vm);
-            }
+            let mut m = mode.machine();
             pass(&mut m, mode);
             m
         })
