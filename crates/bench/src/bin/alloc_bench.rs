@@ -26,7 +26,7 @@
 //! Usage: `alloc_bench [--smoke] [--out PATH]`
 
 use phpaccel_core::PhpMachine;
-use serve::{PoolConfig, PoolReport, WorkerPool};
+use serve::{PoolConfig, PoolReport, Scripts, WorkerPool};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::corpus::{Corpus, CorpusConfig};
@@ -58,15 +58,12 @@ fn run(
     arena: bool,
 ) -> RunResult {
     let pool = WorkerPool::new(PoolConfig::deterministic(workers, requests).with_arena(arena));
-    let cache = Arc::clone(cache);
-    let schedule = Arc::clone(schedule);
     let start = Instant::now();
     let report = pool.run(
         |_| PhpMachine::specialized(),
-        move |_w| {
-            let cache = Arc::clone(&cache);
-            let schedule = Arc::clone(&schedule);
-            move |m: &mut PhpMachine, req: u64| cache.scripts()[schedule[req as usize]].run(m, true)
+        |_w| Scripts {
+            pick: move |req| Arc::clone(&cache.scripts()[schedule[req as usize]]),
+            memo: None,
         },
     );
     RunResult {

@@ -19,9 +19,9 @@
 //!
 //! Usage: `http_bench [--smoke] [--out PATH]`
 
-use phpaccel_core::PhpMachine;
+use phpaccel_core::{Engine, PhpMachine};
 use serve::BreakerConfig;
-use serve::{HttpConfig, HttpReport, HttpServer, SandboxConfig, Server};
+use serve::{HttpConfig, HttpReport, HttpServer, SandboxConfig, Scripts, Server};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,16 +49,23 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// engine, reference replay, reset between requests) and returns
 /// path → expected response bytes.
 fn direct_expected(corpus: &CorpusCache) -> BTreeMap<String, Vec<u8>> {
-    let mut server = Server::new(
-        PhpMachine::specialized(),
+    let mut machine = PhpMachine::specialized();
+    machine.set_engine(Engine::Vm);
+    let mut server = Server::worker(
+        machine,
         BreakerConfig::default(),
         SandboxConfig::unlimited(),
-    )
-    .with_reference(PhpMachine::baseline());
+        false,
+        true,
+        true,
+    );
     let mut expected = BTreeMap::new();
     for (i, script) in corpus.scripts().iter().enumerate() {
-        let script = Arc::clone(script);
-        let record = server.serve_indexed(i as u64, &mut |m, _req| script.run(m, true));
+        let mut handler = Scripts {
+            pick: |_req| Arc::clone(script),
+            memo: None,
+        };
+        let (record, _) = server.step(i as u64, &mut handler, true);
         assert_eq!(
             record.outcome.status_code(),
             200,
@@ -66,7 +73,6 @@ fn direct_expected(corpus: &CorpusCache) -> BTreeMap<String, Vec<u8>> {
             script.entry().name
         );
         expected.insert(format!("/run/{}", script.entry().name), record.response);
-        server.recover_between_requests();
     }
     assert_eq!(server.stats().mismatches, 0, "direct replay mismatch");
     expected

@@ -25,8 +25,8 @@
 
 use phpaccel_core::{Engine, PhpMachine};
 use serve::{
-    AdmissionConfig, AdmissionController, BreakerConfig, FaultPlan, OverloadConfig, OverloadReport,
-    OverloadSim, SandboxConfig, Server,
+    AdmissionConfig, AdmissionController, BreakerConfig, FaultPlan, Handler, OverloadConfig,
+    OverloadReport, OverloadSim, SandboxConfig, Scripts, Server,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,18 +78,18 @@ fn traffic(shape: ArrivalShape, requests: usize, mean_gap: u64, scripts: usize) 
 /// Session-aware handler: arrival `i` (global index `WARMUP + i`) runs the
 /// corpus script its session step selected; warmup requests cycle the
 /// corpus directly.
-fn session_handler(
-    cache: &Arc<CorpusCache>,
-    plan: &TrafficPlan,
-) -> impl FnMut(&mut PhpMachine, u64) -> Vec<u8> {
+fn session_handler(cache: &Arc<CorpusCache>, plan: &TrafficPlan) -> impl Handler {
     let cache = Arc::clone(cache);
     let scripts: Vec<usize> = plan.items.iter().map(|it| it.request.script).collect();
-    move |m: &mut PhpMachine, req: u64| {
-        let script = match (req as usize).checked_sub(WARMUP) {
-            Some(i) if i < scripts.len() => scripts[i],
-            _ => (req as usize) % cache.len(),
-        };
-        cache.scripts()[script].run(m, true)
+    Scripts {
+        pick: move |req| {
+            let script = match (req as usize).checked_sub(WARMUP) {
+                Some(i) if i < scripts.len() => scripts[i],
+                _ => (req as usize) % cache.len(),
+            };
+            Arc::clone(&cache.scripts()[script])
+        },
+        memo: None,
     }
 }
 
@@ -97,21 +97,20 @@ fn session_handler(
 /// per request over session-weighted traffic, warm requests only.
 fn calibrate(cache: &Arc<CorpusCache>, engine: Engine) -> (u64, u64) {
     let plan = traffic(ArrivalShape::Steady, 3 * cache.len(), 1, cache.len());
-    let mut server = Server::new(
+    let mut server = Server::worker(
         machine(engine),
         BreakerConfig::default(),
         SandboxConfig::unlimited(),
+        false,
+        false,
+        false,
     );
     let mut h = session_handler(cache, &plan);
     let skip = cache.len() as u64; // one cold corpus cycle
     let (mut total, mut max, mut n) = (0u64, 0u64, 0u64);
     for i in 0..(WARMUP as u64 + plan.len() as u64) {
-        let before = server.machine().ctx().profiler().total_uops();
-        server.serve(&mut h);
-        let after = server.machine().ctx().profiler().total_uops();
-        server.recover_between_requests();
+        let (_, s) = server.step(i, &mut h, true);
         if i >= skip {
-            let s = after - before;
             total += s;
             max = max.max(s);
             n += 1;
@@ -149,19 +148,20 @@ fn run(
     let gap = (mean as f64 / (load * workers as f64)) as u64;
     let plan = traffic(shape, requests, gap, cache.len());
     let arrivals: Vec<u64> = plan.items.iter().map(|it| it.at_uops).collect();
-    let server = Server::new(
+    let server = Server::worker(
         machine(engine),
         BreakerConfig::default(),
         SandboxConfig::unlimited(),
+        false,
+        true,
+        false,
     )
     .with_fault_plan(FaultPlan::seeded(
         SEED,
         2,
         WARMUP as u64,
         (WARMUP + requests) as u64,
-    ))
-    .with_reference(PhpMachine::baseline())
-    .with_keep_bodies(false);
+    ));
     let controller = AdmissionController::new(AdmissionConfig {
         budget_uops: budget,
         queue_capacity: 4 * workers,

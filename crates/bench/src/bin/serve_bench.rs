@@ -19,7 +19,7 @@
 //! Usage: `serve_bench [--smoke] [--out PATH]`
 
 use phpaccel_core::PhpMachine;
-use serve::{PoolConfig, PoolReport, WorkerPool};
+use serve::{PoolConfig, PoolReport, Scripts, WorkerPool};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::php_corpus::CorpusCache;
@@ -53,13 +53,12 @@ struct RunResult {
 
 fn run(cache: &Arc<CorpusCache>, workers: usize, requests: u64) -> RunResult {
     let pool = WorkerPool::new(PoolConfig::deterministic(workers, requests));
-    let cache = Arc::clone(cache);
     let start = Instant::now();
     let report = pool.run(
         |_| PhpMachine::specialized(),
-        move |_w| {
-            let cache = Arc::clone(&cache);
-            move |m: &mut PhpMachine, req: u64| cache.script_for_request(req).run(m, true)
+        |_w| Scripts {
+            pick: move |req| Arc::clone(cache.script_for_request(req)),
+            memo: None,
         },
     );
     RunResult {

@@ -6,8 +6,8 @@
 //! before blocking, so scripts can parse it from the first line.
 //!
 //! Usage:
-//!   serve_http [--addr HOST:PORT] [--workers N] [--engine treewalk|vm]
-//!              [--faults SEED] [--memo] [--queue N]
+//!   serve_http [--addr HOST:PORT] [--workers N] [--faults SEED] [--memo]
+//!              [--queue N]
 
 use serve::{FaultPlan, HttpConfig, HttpServer, MemoCache};
 use std::io::Write;
@@ -29,13 +29,6 @@ fn main() {
     let mut cfg = HttpConfig::loopback(workers);
     if let Some(addr) = arg_value(&args, "--addr") {
         cfg.addr = addr.to_string();
-    }
-    if let Some(engine) = arg_value(&args, "--engine") {
-        cfg.engine = match engine {
-            "treewalk" => phpaccel_core::Engine::TreeWalk,
-            "vm" => phpaccel_core::Engine::Vm,
-            other => panic!("unknown engine {other:?} (expected treewalk|vm)"),
-        };
     }
     if let Some(seed) = arg_value(&args, "--faults") {
         let seed: u64 = seed.parse().expect("--faults takes a u64 seed");

@@ -14,14 +14,15 @@
 //! * each breaker recovered (half-open trial succeeded) and ends closed;
 //! * every successful response is byte-identical to the software baseline.
 //!
-//! With `--workers N` the same stream is sharded across an N-worker
-//! [`serve::WorkerPool`] — each worker gets a private machine, its slice of
-//! the (N×-denser) fault plan, and its own breakers — and the pass criteria
-//! are asserted on the merged pool totals. Machines are *not* reset between
-//! requests in either mode: faults must land in live accelerator state.
-//! Response bodies are dropped from the per-request records in both modes
-//! (`keep_bodies = false`) so long soaks run in bounded memory; outcomes,
-//! byte-identity replay, and fault deltas are computed before the drop.
+//! The stream is sharded across a `--workers N` [`serve::WorkerPool`]
+//! (default 1: the same `Server` sequence, the whole plan in one shard) —
+//! each worker gets a private machine, its slice of the (N×-denser) fault
+//! plan, and its own breakers — and the pass criteria are asserted on the
+//! merged pool totals. Machines are *not* reset between requests: faults
+//! must land in live accelerator state. Response bodies are dropped from
+//! the per-request records (`keep_bodies = false`) so long soaks run in
+//! bounded memory; outcomes, byte-identity replay, and fault deltas are
+//! computed before the drop.
 //!
 //! With `--shed --shape S` the same fault-injected request mix is driven
 //! through the overload simulator instead: arrivals follow shape `S`
@@ -34,40 +35,37 @@
 //! here either, and `--workers N` selects the *simulated* worker count
 //! draining the queue (execution stays single-threaded and deterministic).
 //!
-//! With `--memo` a single cross-request [`serve::MemoCache`] is shared by
-//! every primary machine for the whole soak: each request's corpus script
-//! runs with the memo tier attached (implies the script phase even without
-//! `--engine`), so proven call sites replay out of the shared cache while
-//! faults, breaker trips, OOM kills, and degradations churn around them —
-//! and the byte-identity replay against the software reference still has to
-//! hold for every response. The run additionally fails unless the tier
-//! genuinely engaged (stores and warm hits both nonzero).
+//! Every request ends with one corpus script: the primaries execute it on
+//! the compiled opcode VM with the proven facts attached, the references
+//! tree-walk the same source with no facts, so the byte-identity replay is
+//! also a cross-engine differential under live fault injection. With
+//! `--memo` a single cross-request [`serve::MemoCache`] is shared by every
+//! primary machine for the whole soak (references never see it), so proven
+//! call sites replay out of the shared cache while faults, breaker trips,
+//! OOM kills, and degradations churn around them. The run additionally
+//! fails unless the tier genuinely engaged (stores and warm hits both
+//! nonzero).
 //!
-//! Usage: `soak [seed] [--workers N] [--arena] [--engine tree|vm]
-//! [--memo] [--shed] [--shape steady|diurnal|burst|flash-crowd]`
-//! (default seed 20170613, 1 worker). `--arena` enables the allocator's
-//! arena/epoch mode on every primary machine and routes the request-scoped
-//! heap churn through the arena-safe entry point — the reference machines
-//! stay on the classic free-list path, so byte-identity also cross-checks
-//! the two allocators under fault injection and forced OOM kills.
-//! `--engine` additionally runs one corpus script per request through the
-//! machine's engine dispatch (`tree` = tree-walking evaluator, `vm` = the
-//! compiled opcode VM); the reference machines stay on the default
-//! tree-walk engine, so with `--engine vm` the byte-identity replay is a
-//! cross-engine differential under live fault injection.
+//! Usage: `soak [seed] [--workers N] [--arena] [--memo] [--shed]
+//! [--shape steady|diurnal|burst|flash-crowd]` (default seed 20170613,
+//! 1 worker). `--arena` enables the allocator's arena/epoch mode on every
+//! primary machine and routes the request-scoped heap churn through the
+//! arena-safe entry point — the reference machines stay on the classic
+//! free-list path, so byte-identity also cross-checks the two allocators
+//! under fault injection and forced OOM kills.
 
 use php_interp::MemoTier;
 use php_runtime::{ArrayKey, PhpArray, PhpStr, PhpValue};
 use phpaccel_core::{AccelId, Engine, PhpMachine};
 use regex_engine::Regex;
 use serve::{
-    AdmissionConfig, AdmissionController, BreakerConfig, BreakerState, FaultKind, FaultPlan,
-    MemoCache, OverloadConfig, OverloadSim, PlannedFault, PoolConfig, RequestOutcome,
-    SandboxConfig, Server, WorkerPool,
+    AdmissionConfig, AdmissionController, BreakerConfig, FaultKind, FaultPlan, Handler, MemoCache,
+    MemoCacheStats, OverloadConfig, OverloadSim, PlannedFault, PoolConfig, RequestOutcome,
+    SandboxConfig, Scripts, Server, Totals, WorkerPool,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use workloads::php_corpus::CorpusCache;
+use workloads::php_corpus::{CorpusCache, PreparedScript};
 use workloads::{ArrivalConfig, ArrivalShape};
 
 const TOTAL_REQUESTS: u64 = 300;
@@ -78,46 +76,61 @@ const OOM_REQUESTS: [u64; 2] = [60, 150];
 /// The request mix: every domain is touched every request, so an injected
 /// fault is detected on (or immediately after) the request it lands on, and
 /// a half-open trial genuinely exercises the hardware path it is probing.
-struct SoakApp {
+struct SoakApp<P> {
     rules: Vec<(Regex, Vec<u8>)>,
     author_re: Regex,
     /// Route the request-scoped heap churn through the arena-safe entry
     /// point (a no-op on machines with arena mode off, e.g. references).
     arena: bool,
-    /// When set, run one corpus script per request through the machine's
-    /// engine dispatch (primaries may be on the VM; references tree-walk).
-    scripts: Option<Arc<CorpusCache>>,
-    /// Cross-request memo tier shared by every machine this app serves
-    /// (reference machines run the same closure, so they see it too — the
-    /// values-in-key discipline keeps their replays byte-identical anyway).
-    memo: Option<Arc<dyn MemoTier>>,
+    /// The corpus script that ends every request, round-robin, with the
+    /// cross-request memo tier the primaries share.
+    scripts: Scripts<P>,
     /// One persistent array per machine (primary and reference), keyed by
     /// machine address: entries stay live in the hardware hash table across
     /// requests so injected corruption has something to land on.
     arrays: HashMap<usize, PhpArray>,
 }
 
-impl SoakApp {
-    fn new(
-        arena: bool,
-        scripts: Option<Arc<CorpusCache>>,
-        memo: Option<Arc<dyn MemoTier>>,
-    ) -> Self {
-        SoakApp {
-            arena,
-            scripts,
+fn soak_app(
+    arena: bool,
+    scripts: Arc<CorpusCache>,
+    memo: Option<Arc<dyn MemoTier>>,
+) -> SoakApp<impl FnMut(u64) -> Arc<PreparedScript>> {
+    SoakApp {
+        arena,
+        scripts: Scripts {
+            pick: move |req| Arc::clone(scripts.script_for_request(req)),
             memo,
-            rules: vec![
-                (Regex::new("'").unwrap(), b"&#8217;".to_vec()),
-                (Regex::new("\"").unwrap(), b"&#8221;".to_vec()),
-                (Regex::new("<br>").unwrap(), b"<br/>".to_vec()),
-            ],
-            author_re: Regex::new("https://localhost/\\?author=[a-z]+").unwrap(),
-            arrays: HashMap::new(),
-        }
+        },
+        rules: vec![
+            (Regex::new("'").unwrap(), b"&#8217;".to_vec()),
+            (Regex::new("\"").unwrap(), b"&#8221;".to_vec()),
+            (Regex::new("<br>").unwrap(), b"<br/>".to_vec()),
+        ],
+        author_re: Regex::new("https://localhost/\\?author=[a-z]+").unwrap(),
+        arrays: HashMap::new(),
+    }
+}
+
+impl<P: FnMut(u64) -> Arc<PreparedScript>> Handler for SoakApp<P> {
+    fn primary(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        self.handle(m, req, Scripts::primary)
     }
 
-    fn handle(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+    fn reference(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        self.handle(m, req, Scripts::reference)
+    }
+}
+
+impl<P: FnMut(u64) -> Arc<PreparedScript>> SoakApp<P> {
+    /// The accelerator phase is the same code on both machines; the script
+    /// phase is the side of [`Scripts`] the caller names.
+    fn handle(
+        &mut self,
+        m: &mut PhpMachine,
+        req: u64,
+        script_phase: fn(&mut Scripts<P>, &mut PhpMachine, u64) -> Vec<u8>,
+    ) -> Vec<u8> {
         let mut out = Vec::new();
 
         // Heap churn: varied request-scoped sizes so free lists stay
@@ -172,17 +185,7 @@ impl SoakApp {
         let hit = m.match_with_reuse(0x4010_0000, &self.author_re, &url);
         out.extend_from_slice(format!(";a={hit:?}").as_bytes());
 
-        // Engine-dispatch phase: the script runs on whatever engine the
-        // machine is set to, so primaries may execute compiled opcodes
-        // while the replay reference tree-walks the same source.
-        if let Some(cache) = &self.scripts {
-            let script = cache.script_for_request(req);
-            let bytes = match &self.memo {
-                Some(tier) => script.run_memo(m, true, Some(Arc::clone(tier))),
-                None => script.run(m, true),
-            };
-            out.extend_from_slice(&bytes);
-        }
+        out.extend_from_slice(&script_phase(&mut self.scripts, m, req));
 
         m.end_request();
         out
@@ -224,12 +227,18 @@ fn sandbox() -> SandboxConfig {
     }
 }
 
+/// A primary: accelerators on, scripts on the compiled opcode VM.
+fn machine() -> PhpMachine {
+    let mut m = PhpMachine::specialized();
+    m.set_engine(Engine::Vm);
+    m
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workers: usize = 1;
     let mut seed: u64 = 20_170_613;
     let mut arena = false;
-    let mut engine: Option<Engine> = None;
     let mut shed = false;
     let mut memo = false;
     let mut shape = ArrivalShape::Steady;
@@ -244,12 +253,6 @@ fn main() {
                 .expect("--workers takes a positive integer");
         } else if a == "--arena" {
             arena = true;
-        } else if a == "--engine" {
-            engine = Some(match it.next().map(String::as_str) {
-                Some("tree") => Engine::TreeWalk,
-                Some("vm") => Engine::Vm,
-                other => panic!("--engine takes 'tree' or 'vm', got {other:?}"),
-            });
         } else if a == "--shed" {
             shed = true;
         } else if a == "--shape" {
@@ -261,103 +264,78 @@ fn main() {
             seed = a.parse().expect("seed must be an integer");
         }
     }
-    // The memo tier rides on the script phase, so `--memo` implies it.
-    let scripts = (engine.is_some() || memo).then(|| Arc::new(CorpusCache::build()));
+    let scripts = Arc::new(CorpusCache::build());
     let memo_cache = memo.then(|| Arc::new(MemoCache::default()));
 
-    if shed {
-        run_overload(seed, workers, arena, engine, scripts, memo_cache, shape);
-        return;
+    let failures = if shed {
+        run_overload(seed, workers, arena, scripts, memo_cache, shape)
+    } else {
+        run_pool(seed, workers, arena, scripts, memo_cache)
+    };
+    for f in &failures {
+        println!("SOAK FAIL: {f}");
     }
-
-    if workers > 1 {
-        run_pool(seed, workers, arena, engine, scripts, memo_cache);
-        return;
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
+}
 
-    let plan = build_plan(seed, 4);
-    let planned = plan.all().len();
-    let mut machine = PhpMachine::specialized();
-    if let Some(e) = engine {
-        machine.set_engine(e);
-    }
-    if arena {
-        machine.ctx().set_arena_enabled(true);
-    }
-    let mut server = Server::new(machine, breaker_cfg(), sandbox())
-        .with_fault_plan(plan)
-        .with_reference(PhpMachine::baseline())
-        .with_keep_bodies(false);
-
-    let tier = memo_cache.clone().map(|c| c as Arc<dyn MemoTier>);
-    let mut app = SoakApp::new(arena, scripts, tier);
-    let mut handler = |m: &mut PhpMachine, req: u64| app.handle(m, req);
-
-    // Expected panics (forced OOMs) would otherwise spam stderr.
-    std::panic::set_hook(Box::new(|_| {}));
-    let records = server.serve_many(TOTAL_REQUESTS, &mut handler);
-    let _ = std::panic::take_hook();
-
-    let stats = server.stats().clone();
-    let injected = server.machine().injected_fault_counts();
-    let detected = server.machine().detected_fault_counts();
-
-    println!("== soak: fault-tolerant serving (seed {seed}) ==");
-    println!(
-        "requests {}  ok {}  timeouts {}  ooms {}  panics {}  planned faults {}",
-        stats.requests, stats.ok, stats.timeouts, stats.ooms, stats.panics, planned
-    );
-    println!(
-        "availability {:.2}% (expected {:.2}%)  byte mismatches vs software baseline: {}",
-        stats.availability() * 100.0,
-        (TOTAL_REQUESTS - OOM_REQUESTS.len() as u64) as f64 / TOTAL_REQUESTS as f64 * 100.0,
-        stats.mismatches
-    );
-    println!(
-        "{:8} {:>8} {:>8} {:>6} {:>10} {:>9} {:>12} {:>8}",
-        "domain", "injected", "detected", "trips", "recoveries", "degraded", "recov-lat", "state"
-    );
+/// Prints the per-domain table (and the memo line, with a tier) and returns
+/// the failures every mode checks on its totals: each domain's faults were
+/// detected and tripped and recovered a breaker, every breaker ended
+/// closed, the outcome counters partition the stream, replay stayed
+/// byte-identical, and the tier — when there is one — engaged.
+fn check_totals(totals: &Totals, memo: Option<MemoCacheStats>) -> Vec<String> {
+    let stats = &totals.stats;
     let mut failures = Vec::new();
+    println!(
+        "{:8} {:>8} {:>8} {:>6} {:>10} {:>9}",
+        "domain", "injected", "detected", "trips", "recoveries", "degraded"
+    );
     for id in AccelId::ALL {
-        let b = server.breaker(id);
         let i = id.index();
-        let state = match b.state() {
-            BreakerState::Closed => "closed",
-            BreakerState::Open { .. } => "OPEN",
-            BreakerState::HalfOpen => "half-open",
-        };
         println!(
-            "{:8} {:>8} {:>8} {:>6} {:>10} {:>9} {:>12} {:>8}",
+            "{:8} {:>8} {:>8} {:>6} {:>10} {:>9}",
             id.name(),
-            injected[i],
-            detected[i],
-            b.trips,
-            b.recoveries,
+            totals.injected[i],
+            totals.detected[i],
+            totals.trips[i],
+            totals.recoveries[i],
             stats.degraded_requests[i],
-            b.last_recovery_latency
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "-".into()),
-            state
         );
-        if detected[i] == 0 {
-            failures.push(format!("{}: no faults detected", id.name()));
+        if totals.detected[i] == 0 {
+            failures.push(format!("{}: no faults detected on any worker", id.name()));
         }
-        if b.trips == 0 {
-            failures.push(format!("{}: breaker never tripped", id.name()));
+        if totals.trips[i] == 0 {
+            failures.push(format!("{}: no breaker tripped on any worker", id.name()));
         }
-        if b.recoveries == 0 {
-            failures.push(format!("{}: breaker never recovered", id.name()));
-        }
-        if b.state() != BreakerState::Closed {
-            failures.push(format!("{}: breaker not closed at end", id.name()));
+        if totals.recoveries[i] == 0 {
+            failures.push(format!("{}: no breaker recovered on any worker", id.name()));
         }
     }
-
-    if let Some(cache) = &memo_cache {
-        let m = cache.stats();
+    if !totals.all_breakers_closed() {
+        failures.push("a breaker is not closed at end of run".into());
+    }
+    if !stats.outcomes_partition_requests() {
+        failures.push("outcome counters do not partition the request count".into());
+    }
+    if stats.mismatches != 0 {
+        failures.push(format!(
+            "{} degraded responses differed from baseline",
+            stats.mismatches
+        ));
+    }
+    if let Some(m) = memo {
         println!(
-            "memo: entries {}  hits {}  misses {}  stores {}  invalidations {}",
-            m.entries, m.hits, m.misses, m.stores, m.invalidations
+            "memo: entries {}  hits {}  misses {}  stores {}  invalidations {}  \
+             (worker-side hits {}  misses {})",
+            m.entries,
+            m.hits,
+            m.misses,
+            m.stores,
+            m.invalidations,
+            stats.memo_hits,
+            stats.memo_misses
         );
         if m.stores == 0 {
             failures.push("memo: no proven site ever stored".into());
@@ -366,45 +344,7 @@ fn main() {
             failures.push("memo: warm tier never replayed a hit".into());
         }
     }
-
-    let expected_ok = TOTAL_REQUESTS - OOM_REQUESTS.len() as u64;
-    if stats.ok != expected_ok {
-        failures.push(format!(
-            "availability: {} ok, expected {}",
-            stats.ok, expected_ok
-        ));
-    }
-    if stats.mismatches != 0 {
-        failures.push(format!(
-            "{} degraded responses differed from baseline",
-            stats.mismatches
-        ));
-    }
-    for at in OOM_REQUESTS {
-        if records[at as usize].outcome != RequestOutcome::OomKilled {
-            failures.push(format!(
-                "request {at}: expected OomKilled, got {:?}",
-                records[at as usize].outcome
-            ));
-        }
-    }
-    if server
-        .machine()
-        .ctx()
-        .with_allocator(|a| a.live_block_count())
-        != 0
-    {
-        failures.push("allocator leaked live blocks".into());
-    }
-
-    if failures.is_empty() {
-        println!("SOAK PASS: all requests served, all breakers tripped and recovered, output byte-identical");
-    } else {
-        for f in &failures {
-            println!("SOAK FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    failures
 }
 
 /// The overload soak: the same fault-injected request mix pushed through
@@ -415,36 +355,20 @@ fn run_overload(
     seed: u64,
     workers: usize,
     arena: bool,
-    engine: Option<Engine>,
-    scripts: Option<Arc<CorpusCache>>,
+    scripts: Arc<CorpusCache>,
     memo_cache: Option<Arc<MemoCache>>,
     shape: ArrivalShape,
-) {
-    let make_machine = || {
-        let mut m = PhpMachine::specialized();
-        if let Some(e) = engine {
-            m.set_engine(e);
-        }
-        if arena {
-            m.ctx().set_arena_enabled(true);
-        }
-        m
-    };
-
+) -> Vec<String> {
     // Calibrate steady-state service cost of the soak mix (no faults, warm
     // requests only, memo off so capacity is measured at full cost) to
     // scale the arrival gaps and the latency budget.
     let (mean, smax) = {
-        let mut server = Server::new(make_machine(), breaker_cfg(), sandbox());
-        let mut app = SoakApp::new(arena, scripts.clone(), None);
-        let mut h = |m: &mut PhpMachine, req: u64| app.handle(m, req);
+        let mut server = Server::worker(machine(), breaker_cfg(), sandbox(), arena, false, false);
+        let mut app = soak_app(arena, Arc::clone(&scripts), None);
         let (mut total, mut max, mut n) = (0u64, 0u64, 0u64);
         for i in 0..12u64 {
-            let before = server.machine().ctx().profiler().total_uops();
-            server.serve(&mut h);
-            let after = server.machine().ctx().profiler().total_uops();
+            let (_, s) = server.step(i, &mut app, false);
             if i >= 2 {
-                let s = after - before;
                 total += s;
                 max = max.max(s);
                 n += 1;
@@ -455,10 +379,8 @@ fn run_overload(
 
     let plan = build_plan(seed, 4);
     let planned = plan.all().len();
-    let server = Server::new(make_machine(), breaker_cfg(), sandbox())
-        .with_fault_plan(plan)
-        .with_reference(PhpMachine::baseline())
-        .with_keep_bodies(false);
+    let server = Server::worker(machine(), breaker_cfg(), sandbox(), arena, true, false)
+        .with_fault_plan(plan);
     // The budget tolerates a short queue above the conservative service
     // envelope; faults degrade requests to the software path, so leave
     // more headroom than the deterministic bench does.
@@ -494,10 +416,10 @@ fn run_overload(
     .times();
 
     let tier = memo_cache.clone().map(|c| c as Arc<dyn MemoTier>);
-    let mut app = SoakApp::new(arena, scripts, tier);
-    let mut handler = |m: &mut PhpMachine, req: u64| app.handle(m, req);
+    let mut app = soak_app(arena, scripts, tier);
+    // Expected panics (forced OOMs) would otherwise spam stderr.
     std::panic::set_hook(Box::new(|_| {}));
-    let report = sim.run(&schedule, &mut handler);
+    let report = sim.run(&schedule, &mut app);
     let _ = std::panic::take_hook();
 
     let stats = &report.stats;
@@ -537,31 +459,9 @@ fn run_overload(
             .fold(f64::INFINITY, f64::min)
     );
 
-    let mut failures = Vec::new();
-    if let Some(cache) = &memo_cache {
-        let m = cache.stats();
-        println!(
-            "memo: entries {}  hits {}  misses {}  stores {}  invalidations {}",
-            m.entries, m.hits, m.misses, m.stores, m.invalidations
-        );
-        if m.stores == 0 {
-            failures.push("memo: no proven site ever stored".into());
-        }
-        if m.hits == 0 {
-            failures.push("memo: warm tier never replayed a hit".into());
-        }
-    }
+    let mut failures = check_totals(&report, memo_cache.map(|c| c.stats()));
     if stats.shed == 0 {
         failures.push("2x offered load never shed anything".to_string());
-    }
-    if !stats.outcomes_partition_requests() {
-        failures.push("outcome counters do not partition the arrivals".into());
-    }
-    if stats.mismatches != 0 {
-        failures.push(format!(
-            "{} degraded responses differed from baseline",
-            stats.mismatches
-        ));
     }
     // Every admitted request must succeed except the planned OOM kills
     // (shed arrivals postpone a due fault to the next *admitted* request,
@@ -579,47 +479,25 @@ fn run_overload(
             stats.ok, stats.ooms
         ));
     }
-    let detected = sim.server().machine().detected_fault_counts();
-    for id in AccelId::ALL {
-        let b = sim.server().breaker(id);
-        if detected[id.index()] == 0 {
-            failures.push(format!("{}: no faults detected under shedding", id.name()));
-        }
-        if b.trips == 0 {
-            failures.push(format!("{}: breaker never tripped", id.name()));
-        }
-        if b.recoveries == 0 {
-            failures.push(format!("{}: breaker never recovered", id.name()));
-        }
-        if b.state() != BreakerState::Closed {
-            failures.push(format!("{}: breaker not closed at end", id.name()));
-        }
-    }
-
     if failures.is_empty() {
         println!(
             "SOAK PASS (overload): shed early, admitted requests all served, \
              breakers recovered, output byte-identical"
         );
-    } else {
-        for f in &failures {
-            println!("SOAK FAIL: {f}");
-        }
-        std::process::exit(1);
     }
+    failures
 }
 
-/// The threaded soak: the same request stream sharded across a worker pool,
+/// The threaded soak: the request stream sharded across a worker pool,
 /// with the fault plan densified so each worker's shard still trips its
 /// breakers, and the pass criteria asserted on the merged totals.
 fn run_pool(
     seed: u64,
     workers: usize,
     arena: bool,
-    engine: Option<Engine>,
-    scripts: Option<Arc<CorpusCache>>,
+    scripts: Arc<CorpusCache>,
     memo_cache: Option<Arc<MemoCache>>,
-) {
+) -> Vec<String> {
     let plan = build_plan(seed, 4 * workers);
     let planned = plan.all().len();
     let cfg = PoolConfig {
@@ -638,20 +516,12 @@ fn run_pool(
     };
     let pool = WorkerPool::new(cfg);
 
+    // Expected panics (forced OOMs) would otherwise spam stderr.
     std::panic::set_hook(Box::new(|_| {}));
     let tier = memo_cache.map(|c| c as Arc<dyn MemoTier>);
     let report = pool.run(
-        |_| {
-            let mut m = PhpMachine::specialized();
-            if let Some(e) = engine {
-                m.set_engine(e);
-            }
-            m
-        },
-        |_w| {
-            let mut app = SoakApp::new(arena, scripts.clone(), tier.clone());
-            move |m: &mut PhpMachine, req: u64| app.handle(m, req)
-        },
+        |_| machine(),
+        |_w| soak_app(arena, Arc::clone(&scripts), tier.clone()),
     );
     let _ = std::panic::take_hook();
 
@@ -667,69 +537,12 @@ fn run_pool(
         (TOTAL_REQUESTS - OOM_REQUESTS.len() as u64) as f64 / TOTAL_REQUESTS as f64 * 100.0,
         stats.mismatches
     );
-    println!(
-        "{:8} {:>8} {:>8} {:>6} {:>10} {:>9}",
-        "domain", "injected", "detected", "trips", "recoveries", "degraded"
-    );
-    let mut failures = Vec::new();
-    for id in AccelId::ALL {
-        let i = id.index();
-        println!(
-            "{:8} {:>8} {:>8} {:>6} {:>10} {:>9}",
-            id.name(),
-            report.injected[i],
-            report.detected[i],
-            report.trips[i],
-            report.recoveries[i],
-            stats.degraded_requests[i],
-        );
-        if report.detected[i] == 0 {
-            failures.push(format!("{}: no faults detected on any worker", id.name()));
-        }
-        if report.trips[i] == 0 {
-            failures.push(format!("{}: no breaker tripped on any worker", id.name()));
-        }
-        if report.recoveries[i] == 0 {
-            failures.push(format!("{}: no breaker recovered on any worker", id.name()));
-        }
-    }
-    if !report.all_breakers_closed {
-        failures.push("a breaker is not closed at end of run".into());
-    }
-
-    if !stats.outcomes_partition_requests() {
-        failures.push("outcome counters do not partition the request count".into());
-    }
-    if let Some(m) = &report.memo {
-        println!(
-            "memo: entries {}  hits {}  misses {}  stores {}  invalidations {}  \
-             (worker-side hits {}  misses {})",
-            m.entries,
-            m.hits,
-            m.misses,
-            m.stores,
-            m.invalidations,
-            stats.memo_hits,
-            stats.memo_misses
-        );
-        if m.stores == 0 {
-            failures.push("memo: no proven site ever stored".into());
-        }
-        if m.hits == 0 {
-            failures.push("memo: warm tier never replayed a hit".into());
-        }
-    }
+    let mut failures = check_totals(&report, report.memo);
     let expected_ok = TOTAL_REQUESTS - OOM_REQUESTS.len() as u64;
     if stats.ok != expected_ok {
         failures.push(format!(
             "availability: {} ok, expected {}",
             stats.ok, expected_ok
-        ));
-    }
-    if stats.mismatches != 0 {
-        failures.push(format!(
-            "{} degraded responses differed from baseline",
-            stats.mismatches
         ));
     }
     for at in OOM_REQUESTS {
@@ -749,15 +562,10 @@ fn run_pool(
             report.live_blocks
         ));
     }
-
     if failures.is_empty() {
         println!(
             "SOAK PASS ({workers} workers): merged stats clean, every domain detected, tripped and recovered"
         );
-    } else {
-        for f in &failures {
-            println!("SOAK FAIL: {f}");
-        }
-        std::process::exit(1);
     }
+    failures
 }

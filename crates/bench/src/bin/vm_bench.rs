@@ -31,7 +31,7 @@
 //! Usage: `vm_bench [--smoke] [--out PATH]`
 
 use phpaccel_core::{Engine, PhpMachine};
-use serve::{PoolConfig, PoolReport, WorkerPool};
+use serve::{Handler, PoolConfig, PoolReport, Scripts, WorkerPool};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::corpus::{Corpus, CorpusConfig};
@@ -88,6 +88,23 @@ impl Mode {
     }
 }
 
+/// One worker's requests on `mode`: the machine under test runs the mode's
+/// engine entry point, the reference replays as [`Scripts`] always does.
+struct ModeScripts<P> {
+    mode: Mode,
+    scripts: Scripts<P>,
+}
+
+impl<P: FnMut(u64) -> Arc<PreparedScript>> Handler for ModeScripts<P> {
+    fn primary(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        self.mode.serve(&(self.scripts.pick)(req), m)
+    }
+
+    fn reference(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        self.scripts.reference(m, req)
+    }
+}
+
 /// Zipfian request → script schedule, fixed up front so the mapping depends
 /// only on the global request index (identical at every worker count).
 fn zipf_schedule(requests: u64, scripts: usize) -> Arc<Vec<usize>> {
@@ -108,17 +125,15 @@ fn run(
     mode: Mode,
 ) -> RunResult {
     let pool = WorkerPool::new(PoolConfig::deterministic(workers, requests));
-    let cache = Arc::clone(cache);
-    let schedule = Arc::clone(schedule);
     let start = Instant::now();
     let report = pool.run(
-        move |_| mode.machine(),
-        move |_w| {
-            let cache = Arc::clone(&cache);
-            let schedule = Arc::clone(&schedule);
-            move |m: &mut PhpMachine, req: u64| {
-                mode.serve(&cache.scripts()[schedule[req as usize]], m)
-            }
+        |_| mode.machine(),
+        |_w| ModeScripts {
+            mode,
+            scripts: Scripts {
+                pick: move |req| Arc::clone(&cache.scripts()[schedule[req as usize]]),
+                memo: None,
+            },
         },
     );
     RunResult {

@@ -9,7 +9,7 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`cfg`] lowers each scope (the script plus every function) into a
+//! 1. [`mod@cfg`] lowers each scope (the script plus every function) into a
 //!    control-flow graph of basic blocks, referencing AST nodes by address.
 //! 2. [`solver`] is a generic monotone framework — join-semilattice trait,
 //!    forward/backward worklist solver, widening threshold.

@@ -16,8 +16,8 @@
 //!                           (sandbox → faults → breakers → memo → replay)
 //! ```
 //!
-//! The HTTP layer is a *transport* over the same [`Server::serve_indexed`]
-//! seam the deterministic pool drives: a worker thread owns a private
+//! The HTTP layer is a *transport* over the same [`Server::step`] the
+//! deterministic pool drives: a worker thread owns a private
 //! [`PhpMachine`] wrapped in a `Server`, pulls each request's due faults
 //! from one shared global [`FaultPlan`], and serves corpus scripts through
 //! the full sandbox/fault/breaker/memo pipeline. With
@@ -31,20 +31,19 @@
 //! traffic is `GET /run/<corpus-script>`.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, ShedCause};
-use crate::breaker::{BreakerConfig, BreakerState};
+use crate::breaker::BreakerConfig;
 use crate::fault::FaultPlan;
 use crate::hist::Histogram;
-use crate::memo::{MemoCache, MemoCacheStats};
+use crate::memo::MemoCache;
 use crate::metrics_text::{render_prometheus, MetricsSnapshot};
 use crate::middleware::{
     AccessLog, ErrorPages, IdentityEncoding, Middleware as _, MiddlewareChain, MiddlewareRequest,
     RateLimit,
 };
 use crate::sandbox::SandboxConfig;
-use crate::server::{ServeStats, Server};
+use crate::server::{Scripts, Server, Totals};
 use php_interp::MemoTier;
-use php_runtime::StaticSavings;
-use phpaccel_core::{AccelId, Engine, PhpMachine};
+use phpaccel_core::{Engine, PhpMachine};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -532,7 +531,7 @@ impl HttpConfig {
             addr: "127.0.0.1:0".into(),
             workers,
             queue_capacity: workers.max(1) * 100,
-            engine: Engine::TreeWalk,
+            engine: Engine::Vm,
             breaker_cfg: BreakerConfig::default(),
             sandbox: SandboxConfig::unlimited(),
             plan: FaultPlan::default(),
@@ -598,21 +597,6 @@ struct FrontCounters {
     metrics_requests: AtomicU64,
 }
 
-/// One worker's published state, refreshed after every request it serves.
-#[derive(Debug, Clone, Default)]
-struct WorkerSnapshot {
-    stats: ServeStats,
-    savings: StaticSavings,
-    injected: [u64; 4],
-    detected: [u64; 4],
-    trips: [u64; 4],
-    recoveries: [u64; 4],
-    /// Breaker state per domain: 0 closed, 1 half-open, 2 open.
-    breaker_states: [u8; 4],
-    total_uops: u64,
-    live_blocks: usize,
-}
-
 /// One queued request.
 struct Job {
     req: u64,
@@ -634,7 +618,8 @@ struct FrontState {
     next_request: AtomicU64,
     admission: Option<Mutex<AdmissionController>>,
     plan: Mutex<FaultPlan>,
-    snapshots: Vec<Mutex<WorkerSnapshot>>,
+    /// Each worker's totals, republished after every request it serves.
+    snapshots: Vec<Mutex<Totals>>,
     front: FrontCounters,
     shed_depth: Mutex<Histogram>,
     chain: MiddlewareChain,
@@ -666,94 +651,54 @@ impl FrontState {
         }
     }
 
-    /// Merges the workers' published state and the front door's shed
+    /// Merges the workers' published totals and the front door's shed
     /// accounting into one metrics snapshot. Front sheds are folded into
-    /// the merged [`ServeStats`] (`requests`/`shed`/arrival-depth
-    /// histogram) so [`ServeStats::outcomes_partition_requests`] covers
-    /// every arrival, exactly as in the overload layer.
+    /// the merged [`crate::ServeStats`] (`requests`/`shed`/arrival-depth
+    /// histogram) so its outcome counters partition every arrival, exactly
+    /// as in the overload layer.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         let front = self.front_snapshot();
-        let mut stats = ServeStats::default();
-        let mut savings = StaticSavings::default();
-        let mut injected = [0u64; 4];
-        let mut detected = [0u64; 4];
-        let mut trips = [0u64; 4];
-        let mut recoveries = [0u64; 4];
-        let mut breaker_states = Vec::with_capacity(self.snapshots.len());
-        let mut worker_uops = Vec::with_capacity(self.snapshots.len());
-        let mut live_blocks = 0usize;
+        let mut totals = Totals::default();
         for slot in &self.snapshots {
-            let snap = slot.lock().unwrap_or_else(|e| e.into_inner()).clone();
-            stats.merge(&snap.stats);
-            savings.accumulate(&snap.savings);
-            for i in 0..4 {
-                injected[i] += snap.injected[i];
-                detected[i] += snap.detected[i];
-                trips[i] += snap.trips[i];
-                recoveries[i] += snap.recoveries[i];
-            }
-            breaker_states.push(snap.breaker_states);
-            worker_uops.push(snap.total_uops);
-            live_blocks += snap.live_blocks;
+            totals.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
         }
         let sheds = front.shed_total();
-        stats.requests += sheds;
-        stats.shed += sheds;
-        stats
+        totals.stats.requests += sheds;
+        totals.stats.shed += sheds;
+        totals
+            .stats
             .queue_depth
             .merge(&self.shed_depth.lock().unwrap_or_else(|e| e.into_inner()));
         MetricsSnapshot {
-            workers: self.snapshots.len(),
-            stats,
-            savings,
-            injected,
-            detected,
-            trips,
-            recoveries,
-            breaker_states,
-            worker_uops,
-            live_blocks,
+            totals,
             memo: self.memo.as_ref().map(|m| m.stats()),
             front,
         }
     }
 }
 
-/// End-of-run report returned by [`HttpHandle::shutdown`]. The serving-side
-/// fields mirror [`crate::pool::PoolReport`] so loopback runs reconcile
-/// against pool runs; `stats` includes front-door sheds (see
-/// [`FrontState::metrics_snapshot`]).
+/// End-of-run report returned by [`HttpServer::shutdown`]: the final
+/// [`MetricsSnapshot`] (which the report derefs to, so loopback runs
+/// reconcile field for field against pool runs and `/metrics`) plus the
+/// access log.
 #[derive(Debug)]
 pub struct HttpReport {
-    /// Merged serving statistics (workers + front-door sheds).
-    pub stats: ServeStats,
-    /// Summed static-analysis savings across workers.
-    pub savings: StaticSavings,
-    /// Summed injected-fault counters per domain.
-    pub injected: [u64; 4],
-    /// Summed detected-fault counters per domain.
-    pub detected: [u64; 4],
-    /// Summed breaker trips per domain.
-    pub trips: [u64; 4],
-    /// Summed breaker recoveries per domain.
-    pub recoveries: [u64; 4],
-    /// Final breaker state per worker per domain: 0 closed, 1 half-open,
-    /// 2 open.
-    pub breaker_states: Vec<[u8; 4]>,
-    /// Total metered µops per worker.
-    pub worker_uops: Vec<u64>,
-    /// Live allocator blocks across worker machines after the run.
-    pub live_blocks: usize,
-    /// End-of-run memo-cache snapshot, when a tier was configured.
-    pub memo: Option<MemoCacheStats>,
-    /// Front-door counters.
-    pub front: FrontSnapshot,
+    /// What `/metrics` would render after the last request.
+    pub snapshot: MetricsSnapshot,
     /// Access-log lines in completion order.
     pub access_log: Vec<String>,
 }
 
+impl std::ops::Deref for HttpReport {
+    type Target = MetricsSnapshot;
+
+    fn deref(&self) -> &MetricsSnapshot {
+        &self.snapshot
+    }
+}
+
 /// A running front end. Dropping the handle without calling
-/// [`HttpHandle::shutdown`] leaves the threads running for the process
+/// [`HttpServer::shutdown`] leaves the threads running for the process
 /// lifetime (the `serve_http` binary relies on that).
 pub struct HttpServer {
     state: Arc<FrontState>,
@@ -805,8 +750,16 @@ impl HttpServer {
                 .admission
                 .map(|a| Mutex::new(AdmissionController::new(a))),
             plan: Mutex::new(cfg.plan.clone()),
+            // One all-zero row per worker until it first publishes, so row
+            // `w` of a merged snapshot is always worker `w`.
             snapshots: (0..cfg.workers)
-                .map(|_| Mutex::new(WorkerSnapshot::default()))
+                .map(|_| {
+                    Mutex::new(Totals {
+                        breaker_states: vec![[0; 4]],
+                        worker_uops: vec![0],
+                        ..Totals::default()
+                    })
+                })
                 .collect(),
             front: FrontCounters::default(),
             shed_depth: Mutex::new(Histogram::new()),
@@ -899,19 +852,8 @@ impl HttpServer {
         for h in self.workers {
             let _ = h.join();
         }
-        let snap = self.state.metrics_snapshot();
         HttpReport {
-            stats: snap.stats,
-            savings: snap.savings,
-            injected: snap.injected,
-            detected: snap.detected,
-            trips: snap.trips,
-            recoveries: snap.recoveries,
-            breaker_states: snap.breaker_states,
-            worker_uops: snap.worker_uops,
-            live_blocks: snap.live_blocks,
-            memo: snap.memo,
-            front: snap.front,
+            snapshot: self.state.metrics_snapshot(),
             access_log: self.state.access_log.lines(),
         }
     }
@@ -1118,21 +1060,29 @@ fn shed(state: &FrontState, cause: ShedCause, depth: usize) -> HttpResponse {
 }
 
 /// One worker thread: a private [`Server`] draining the shared job queue
-/// through the full sandbox/fault/breaker/memo pipeline.
+/// through the full sandbox/fault/breaker/memo pipeline. Its policy is
+/// dynamic assignment: whichever worker is free takes the next job and
+/// pulls that request's due faults from the one shared plan.
 fn worker_loop(worker: usize, cfg: &HttpConfig, state: &FrontState, jobs: &Mutex<Receiver<Job>>) {
     let mut machine = PhpMachine::specialized();
     machine.set_engine(cfg.engine);
-    if cfg.arena {
-        machine.ctx().set_arena_enabled(true);
-    }
-    let mut server = Server::new(machine, cfg.breaker_cfg, cfg.sandbox);
-    if cfg.reference {
-        server = server.with_reference(PhpMachine::baseline());
-    }
+    let mut server = Server::worker(
+        machine,
+        cfg.breaker_cfg,
+        cfg.sandbox,
+        cfg.arena,
+        cfg.reference,
+        true,
+    );
     let memo: Option<Arc<dyn MemoTier>> = cfg
         .memo
         .as_ref()
         .map(|m| Arc::clone(m) as Arc<dyn MemoTier>);
+    let publish = |server: &Server| {
+        *state.snapshots[worker]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = server.totals();
+    };
 
     loop {
         let job = {
@@ -1161,18 +1111,11 @@ fn worker_loop(worker: usize, cfg: &HttpConfig, state: &FrontState, jobs: &Mutex
             .take_due(job.req);
         server.schedule_faults(due);
 
-        let script = Arc::clone(&job.script);
-        let memo = memo.clone();
-        let before_uops = server.machine().ctx().profiler().total_uops();
-        let record = server.serve_indexed(job.req, &mut |m, _req| {
-            script.run_memo(m, true, memo.clone())
-        });
-        let service_uops = server
-            .machine()
-            .ctx()
-            .profiler()
-            .total_uops()
-            .saturating_sub(before_uops);
+        let mut handler = Scripts {
+            pick: |_req| Arc::clone(&job.script),
+            memo: memo.clone(),
+        };
+        let (record, service_uops) = server.step(job.req, &mut handler, cfg.reset_between_requests);
         // Queue wait has no simulated-µop value on the wall-clock HTTP
         // path, so only arrival depth and service latency are recorded
         // (`queue_wait` stays empty; the overload simulator owns it).
@@ -1182,55 +1125,14 @@ fn worker_loop(worker: usize, cfg: &HttpConfig, state: &FrontState, jobs: &Mutex
                 .unwrap_or_else(|e| e.into_inner())
                 .observe_service(service_uops);
         }
-        if cfg.reset_between_requests {
-            server.recover_between_requests();
-        }
 
         let _ = job.reply.send(WorkerReply {
             status: record.outcome.status_code(),
             body: record.response,
         });
-        publish_snapshot(worker, &server, state);
+        publish(&server);
     }
-    publish_snapshot(worker, &server, state);
-}
-
-/// Publishes one worker's current counters into its snapshot slot.
-fn publish_snapshot(worker: usize, server: &Server, state: &FrontState) {
-    let machine = server.machine();
-    let savings = machine.ctx().profiler().static_savings();
-    let mut stats = server.stats().clone();
-    stats.memo_hits = savings.memo_hits;
-    stats.memo_misses = savings.memo_misses;
-    stats.memo_stores = savings.memo_stores;
-    stats.memo_invalidations = savings.memo_invalidations;
-    let mut trips = [0u64; 4];
-    let mut recoveries = [0u64; 4];
-    let mut breaker_states = [0u8; 4];
-    for id in AccelId::ALL {
-        let b = server.breaker(id);
-        trips[id.index()] = b.trips;
-        recoveries[id.index()] = b.recoveries;
-        breaker_states[id.index()] = match b.state() {
-            BreakerState::Closed => 0,
-            BreakerState::HalfOpen => 1,
-            BreakerState::Open { .. } => 2,
-        };
-    }
-    let snap = WorkerSnapshot {
-        stats,
-        savings,
-        injected: machine.injected_fault_counts(),
-        detected: machine.detected_fault_counts(),
-        trips,
-        recoveries,
-        breaker_states,
-        total_uops: machine.ctx().profiler().total_uops(),
-        live_blocks: machine.ctx().with_allocator(|a| a.live_block_count()),
-    };
-    *state.snapshots[worker]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner()) = snap;
+    publish(&server);
 }
 
 /// Convenience for tests and tooling: resolves `addr` and issues one

@@ -14,12 +14,16 @@
 //! * **Circuit breakers** ([`breaker`]): per-accelerator trip/backoff/
 //!   half-open state machines keyed on the request index, so a faulting
 //!   unit degrades to the software path and is retried later.
-//! * **The server loop** ([`server`]): ties the above together and can
-//!   byte-compare every successful response against an all-software
-//!   reference machine, making the degradation guarantee testable.
+//! * **The request step** ([`server`]): [`Server::step`] ties the above
+//!   together, byte-compares every successful response against an
+//!   all-software reference machine (what each side runs is the
+//!   [`Handler`]'s say), and returns the request's record with its service
+//!   µops. [`Server::worker`] brings a worker up; [`Totals`] is what a
+//!   worker, and any sum of workers, reports. The pool, the overload
+//!   simulator and the HTTP edge are three schedulers over that step.
 //! * **The worker pool** ([`pool`]): shards a request stream across N
 //!   workers, each with a private machine (per-core accelerator state), its
-//!   own fault-plan slice, and its own breakers; pool statistics are the
+//!   own fault-plan slice, and its own breakers; pool totals are the
 //!   lossless sum of the workers'.
 //! * **The shared memo cache** ([`memo`]): the sharded, bucket-locked
 //!   [`php_interp::MemoTier`] pool workers share — call results the effect
@@ -36,7 +40,7 @@
 //!   parser feeding a composable middleware chain ([`middleware`]), the
 //!   admission controller, and a bounded queue drained by worker threads —
 //!   each worker a private [`Server`], so HTTP is a transport over the same
-//!   execution seam, never a second execution path. `GET /metrics` exports
+//!   request step, never a second execution path. `GET /metrics` exports
 //!   everything above in Prometheus text format ([`metrics_text`]).
 
 pub mod admission;
@@ -75,6 +79,6 @@ pub use outcome::{classify_panic, RequestOutcome};
 pub use overload::{
     OverloadConfig, OverloadConfigError, OverloadRecord, OverloadReport, OverloadSim, SloWindow,
 };
-pub use pool::{PoolConfig, PoolReport, WorkerFailure, WorkerPool, WorkerReport};
+pub use pool::{PoolConfig, PoolReport, WorkerFailure, WorkerPool};
 pub use sandbox::{run_sandboxed, SandboxConfig};
-pub use server::{RequestRecord, ServeStats, Server};
+pub use server::{Handler, RequestRecord, Scripts, ServeStats, Server, Totals};

@@ -19,44 +19,35 @@
 //! | `phpaccel_http_*` front-door counters | counter | — |
 //!
 //! Counters reconcile with [`crate::pool::PoolReport`]/[`crate::http::HttpReport`]
-//! by construction: both render the same snapshot struct.
+//! by construction: all three carry the same [`Totals`].
 
 use crate::hist::Histogram;
 use crate::http::FrontSnapshot;
 use crate::memo::MemoCacheStats;
-use crate::server::ServeStats;
-use php_runtime::StaticSavings;
+use crate::server::Totals;
 use phpaccel_core::AccelId;
 use std::fmt::Write;
 
-/// Everything `/metrics` exports, merged across workers (see
-/// `FrontState::metrics_snapshot` in [`crate::http`]).
+/// Everything `/metrics` exports: the workers' merged [`Totals`] (which the
+/// snapshot derefs to; front-door sheds folded into `stats`, see
+/// `FrontState::metrics_snapshot` in [`crate::http`]) plus what only the
+/// HTTP edge has.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Worker count (one breaker-state row set per worker).
-    pub workers: usize,
-    /// Merged serving statistics, front-door sheds folded in.
-    pub stats: ServeStats,
-    /// Summed static-analysis savings.
-    pub savings: StaticSavings,
-    /// Summed injected faults per domain.
-    pub injected: [u64; 4],
-    /// Summed detected faults per domain.
-    pub detected: [u64; 4],
-    /// Summed breaker trips per domain.
-    pub trips: [u64; 4],
-    /// Summed breaker recoveries per domain.
-    pub recoveries: [u64; 4],
-    /// Per-worker breaker state per domain: 0 closed, 1 half-open, 2 open.
-    pub breaker_states: Vec<[u8; 4]>,
-    /// Total metered µops per worker.
-    pub worker_uops: Vec<u64>,
-    /// Live allocator blocks across workers.
-    pub live_blocks: usize,
+    /// Merged worker totals, one breaker-state and µop row per worker.
+    pub totals: Totals,
     /// Shared memo-cache counters, when a tier is configured.
     pub memo: Option<MemoCacheStats>,
     /// Front-door counters.
     pub front: FrontSnapshot,
+}
+
+impl std::ops::Deref for MetricsSnapshot {
+    type Target = Totals;
+
+    fn deref(&self) -> &Totals {
+        &self.totals
+    }
 }
 
 fn counter(out: &mut String, name: &str, help: &str, value: u64) {
@@ -402,6 +393,7 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<(String, f64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServeStats;
 
     fn snapshot() -> MetricsSnapshot {
         let mut stats = ServeStats {
@@ -423,16 +415,16 @@ mod tests {
         stats.queue_depth.record(7);
         stats.latency.record(1000);
         MetricsSnapshot {
-            workers: 2,
-            stats,
-            savings: StaticSavings::default(),
-            injected: [2, 0, 1, 0],
-            detected: [2, 0, 1, 0],
-            trips: [1, 0, 0, 0],
-            recoveries: [1, 0, 0, 0],
-            breaker_states: vec![[0, 0, 0, 0], [2, 0, 1, 0]],
-            worker_uops: vec![123, 456],
-            live_blocks: 0,
+            totals: Totals {
+                stats,
+                injected: [2, 0, 1, 0],
+                detected: [2, 0, 1, 0],
+                trips: [1, 0, 0, 0],
+                recoveries: [1, 0, 0, 0],
+                breaker_states: vec![[0, 0, 0, 0], [2, 0, 1, 0]],
+                worker_uops: vec![123, 456],
+                ..Totals::default()
+            },
             memo: Some(MemoCacheStats {
                 hits: 5,
                 misses: 3,

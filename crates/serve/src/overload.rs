@@ -30,8 +30,7 @@
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionStats, ShedCause};
 use crate::outcome::RequestOutcome;
-use crate::server::{ServeStats, Server};
-use phpaccel_core::PhpMachine;
+use crate::server::{Handler, Server, Totals};
 use std::collections::VecDeque;
 
 /// Configuration of one overload run.
@@ -118,19 +117,26 @@ impl SloWindow {
 /// The result of one overload run.
 #[derive(Debug, Clone)]
 pub struct OverloadReport {
-    /// Workers that drained the queue.
-    pub workers: usize,
     /// The latency budget arrivals were admitted against, in µops.
     pub budget_uops: u64,
     /// Per-arrival records in arrival order.
     pub records: Vec<OverloadRecord>,
-    /// Final serving statistics (includes shed counters and the
-    /// queue-depth/wait/latency histograms).
-    pub stats: ServeStats,
+    /// The server's final totals, which the report derefs to: `stats`
+    /// includes the shed counters and the queue-depth/wait/latency
+    /// histograms.
+    pub totals: Totals,
     /// Final admission-controller counters.
     pub admission: AdmissionStats,
     /// Per-window SLO accounting over the arrival span.
     pub windows: Vec<SloWindow>,
+}
+
+impl std::ops::Deref for OverloadReport {
+    type Target = Totals;
+
+    fn deref(&self) -> &Totals {
+        &self.totals
+    }
 }
 
 impl OverloadReport {
@@ -247,29 +253,22 @@ impl OverloadSim {
         &self.server
     }
 
-    /// The admission controller's current state.
-    pub fn controller(&self) -> &AdmissionController {
-        &self.controller
-    }
-
     /// Runs the full arrival schedule (non-decreasing µop timestamps)
     /// through admission and the workers, returning the report. Warmup
     /// requests run first (indices `0..warmup`, excluded from stats by the
     /// reset boundary); arrival `i` is then global request index
     /// `warmup + i` — the handler, fault plan, and breakers all see those
     /// global indices.
-    pub fn run(
+    pub fn run<H: Handler + ?Sized>(
         &mut self,
         arrivals: &[u64],
-        handler: &mut dyn FnMut(&mut PhpMachine, u64) -> Vec<u8>,
+        handler: &mut H,
     ) -> OverloadReport {
         let budget = self.controller.config().budget_uops;
         let warmup = self.cfg.warmup as u64;
+        let reset = self.cfg.reset_between_requests;
         for w in 0..warmup {
-            self.server.serve_indexed(w, handler);
-            if self.cfg.reset_between_requests {
-                self.server.recover_between_requests();
-            }
+            self.server.step(w, handler, reset);
         }
         self.server.reset_stats();
         let mut records = Vec::with_capacity(arrivals.len());
@@ -303,10 +302,7 @@ impl OverloadSim {
                     });
                 }
                 AdmissionDecision::Admit => {
-                    let before = self.server.machine().ctx().profiler().total_uops();
-                    let rec = self.server.serve_indexed(req, handler);
-                    let after = self.server.machine().ctx().profiler().total_uops();
-                    let service = after.saturating_sub(before);
+                    let (rec, service) = self.server.step(req, handler, reset);
                     self.controller.observe_service(service);
 
                     // Earliest-free worker, ties to the lowest index. The
@@ -332,18 +328,14 @@ impl OverloadSim {
                         service_uops: service,
                         latency_uops: latency,
                     });
-                    if self.cfg.reset_between_requests {
-                        self.server.recover_between_requests();
-                    }
                 }
             }
         }
         let windows = slo_windows(&records, budget, self.cfg.slo_windows);
         OverloadReport {
-            workers: self.cfg.workers,
             budget_uops: budget,
             records,
-            stats: self.server.stats().clone(),
+            totals: self.server.totals(),
             admission: *self.controller.stats(),
             windows,
         }
@@ -385,6 +377,7 @@ mod tests {
     use crate::admission::AdmissionConfig;
     use crate::breaker::BreakerConfig;
     use crate::sandbox::SandboxConfig;
+    use phpaccel_core::PhpMachine;
     use workloads::{ArrivalConfig, ArrivalShape};
 
     fn handler() -> impl FnMut(&mut PhpMachine, u64) -> Vec<u8> {
@@ -412,13 +405,10 @@ mod tests {
         let mut total = 0u64;
         let warm = 8u64;
         for i in 0..=warm {
-            let before = server.machine().ctx().profiler().total_uops();
-            server.serve(&mut h);
-            let after = server.machine().ctx().profiler().total_uops();
+            let (_, service) = server.step(i, &mut h, true);
             if i > 0 {
-                total += after - before;
+                total += service;
             }
-            server.recover_between_requests();
         }
         total / warm
     }

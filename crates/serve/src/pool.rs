@@ -6,21 +6,20 @@
 //! slice of the global [`FaultPlan`], and its own circuit breakers. Requests
 //! are sharded by index — worker `w` of `W` serves requests `w, w+W, w+2W, …`
 //! — so the union of the workers' streams is exactly the single-server
-//! stream, and [`ServeStats::merge`] makes the pool totals the lossless sum
-//! of the workers'.
+//! stream, and [`Totals::merge`] makes the pool totals the lossless sum of
+//! the workers'.
 //!
 //! What *is* shared is read-only: callers typically drive every worker from
 //! one `Arc`-held compile cache (`workloads::php_corpus::CorpusCache`), the
 //! software analogue of a bytecode cache shared across server processes.
 
-use crate::breaker::{BreakerConfig, BreakerState};
+use crate::breaker::BreakerConfig;
 use crate::fault::FaultPlan;
 use crate::memo::{MemoCache, MemoCacheStats};
 use crate::outcome::{classify_panic, panic_message, RequestOutcome};
 use crate::sandbox::SandboxConfig;
-use crate::server::{RequestRecord, ServeStats, Server};
-use php_runtime::StaticSavings;
-use phpaccel_core::{AccelId, PhpMachine};
+use crate::server::{Handler, RequestRecord, Server, Totals};
+use phpaccel_core::PhpMachine;
 use std::sync::Arc;
 
 /// Configuration for one pool run.
@@ -59,8 +58,10 @@ pub struct PoolConfig {
     /// cannot attach it to the interpreters the handlers build, so handlers
     /// capture their own `Arc` clone of the same cache; carrying it here too
     /// lets the report snapshot the cache-wide counters and makes the run's
-    /// memo policy part of its configuration. Reference machines never see
-    /// the tier — replay stays an independent recomputation.
+    /// memo policy part of its configuration. Whether a reference machine
+    /// sees the tier is the handler's doing: [`crate::server::Scripts`]
+    /// never hands it one, an opaque closure that captures the tier runs
+    /// with it on both machines.
     pub memo: Option<Arc<MemoCache>>,
 }
 
@@ -89,43 +90,11 @@ impl PoolConfig {
 
     /// The same configuration sharing `cache` across the workers. Handlers
     /// still attach the cache to the engines they build (see
-    /// `workloads::php_corpus::PreparedScript::run_memo`).
+    /// [`crate::server::Scripts`]).
     pub fn with_memo(mut self, cache: Arc<MemoCache>) -> Self {
         self.memo = Some(cache);
         self
     }
-}
-
-/// What one worker did: its server statistics plus the counters that live
-/// on the machine rather than in [`ServeStats`].
-#[derive(Debug)]
-pub struct WorkerReport {
-    /// Worker index in `0..workers`.
-    pub worker: usize,
-    /// The worker's serving statistics.
-    pub stats: ServeStats,
-    /// Per-request records, in this worker's serving order (global indices).
-    pub records: Vec<RequestRecord>,
-    /// Simulated service time of each request in µops, parallel to
-    /// `records` (delta of the machine profiler's `total_uops`).
-    pub service_uops: Vec<u64>,
-    /// Total metered µops this worker executed.
-    pub total_uops: u64,
-    /// Injected-fault counters per accelerator domain.
-    pub injected: [u64; 4],
-    /// Detected-fault counters per accelerator domain.
-    pub detected: [u64; 4],
-    /// Static-analysis savings accumulated by this worker's machine.
-    pub savings: StaticSavings,
-    /// Breaker trips per domain.
-    pub trips: [u64; 4],
-    /// Breaker recoveries per domain.
-    pub recoveries: [u64; 4],
-    /// Whether every breaker ended the run closed.
-    pub all_breakers_closed: bool,
-    /// Live allocator blocks on the worker's machine after the run (leak
-    /// check — should be 0 once every request ended or recovered).
-    pub live_blocks: usize,
 }
 
 /// One worker whose thread died instead of returning a report.
@@ -145,50 +114,33 @@ pub struct WorkerFailure {
     pub message: String,
 }
 
-/// The merged result of a pool run.
+/// The merged result of a pool run: the workers' summed [`Totals`] (which
+/// the report derefs to) plus what only a pool has.
 #[derive(Debug)]
 pub struct PoolReport {
-    /// Number of workers that served the stream.
-    pub workers: usize,
-    /// Lossless sum of the workers' statistics.
-    pub stats: ServeStats,
+    /// Lossless sum of the surviving workers' totals, one per-worker row
+    /// each, in worker order.
+    pub totals: Totals,
     /// All request records, sorted by global request index.
     pub records: Vec<RequestRecord>,
     /// Simulated per-request service times in µops, parallel to `records`.
     pub service_uops: Vec<u64>,
-    /// Each worker's total metered µops: the pool's simulated elapsed time
-    /// is the maximum entry (workers run in parallel on their own cores).
-    pub worker_uops: Vec<u64>,
-    /// Summed injected-fault counters per domain.
-    pub injected: [u64; 4],
-    /// Summed detected-fault counters per domain.
-    pub detected: [u64; 4],
-    /// Summed static-analysis savings.
-    pub savings: StaticSavings,
-    /// Summed breaker trips per domain.
-    pub trips: [u64; 4],
-    /// Summed breaker recoveries per domain.
-    pub recoveries: [u64; 4],
-    /// Whether every breaker on every worker ended the run closed.
-    pub all_breakers_closed: bool,
-    /// Summed live allocator blocks across worker machines after the run.
-    pub live_blocks: usize,
     /// End-of-run snapshot of the shared memo cache, when one was
     /// configured. Cache-wide (hits/misses/stores are also in
-    /// [`ServeStats`], summed from the workers' engine counters; `entries`
-    /// exists only here).
+    /// [`Totals::stats`], summed from the workers' engine counters;
+    /// `entries` exists only here).
     pub memo: Option<MemoCacheStats>,
     /// Workers whose threads panicked instead of reporting. Their requests
-    /// are absent from `records`/`stats`; the surviving workers' results are
-    /// merged normally (empty on a healthy run).
+    /// are absent from `records` and the totals; the surviving workers'
+    /// results are merged normally (empty on a healthy run).
     pub failed_workers: Vec<WorkerFailure>,
 }
 
-impl PoolReport {
-    /// The pool's simulated elapsed time in µops: the busiest worker's
-    /// total, since workers execute concurrently on private cores.
-    pub fn simulated_elapsed_uops(&self) -> u64 {
-        self.worker_uops.iter().copied().max().unwrap_or(0)
+impl std::ops::Deref for PoolReport {
+    type Target = Totals;
+
+    fn deref(&self) -> &Totals {
+        &self.totals
     }
 }
 
@@ -205,16 +157,6 @@ impl WorkerPool {
         WorkerPool { cfg }
     }
 
-    /// Number of requests worker `w` serves under modulo sharding.
-    fn requests_for(&self, w: usize) -> u64 {
-        let (total, stride, w) = (self.cfg.requests, self.cfg.workers as u64, w as u64);
-        if total > w {
-            (total - w).div_ceil(stride)
-        } else {
-            0
-        }
-    }
-
     /// Runs the whole request stream across the workers and merges the
     /// results.
     ///
@@ -226,35 +168,53 @@ impl WorkerPool {
     where
         M: Fn(usize) -> PhpMachine + Sync,
         F: Fn(usize) -> H + Sync,
-        H: FnMut(&mut PhpMachine, u64) -> Vec<u8>,
+        H: Handler,
     {
-        let shards = self.cfg.plan.partition(self.cfg.workers);
-        // A worker thread dying must not abort the pool: joins collect
-        // per-worker Results, and a panic becomes a classified
-        // `WorkerFailure` while every other worker's report is merged
-        // normally (the old `.expect()` here tore the whole pool down).
-        let mut reports: Vec<WorkerReport> = Vec::with_capacity(self.cfg.workers);
-        let mut failed: Vec<WorkerFailure> = Vec::new();
+        let cfg = &self.cfg;
+        let shards = cfg.plan.partition(cfg.workers);
+        let mut totals = Totals::default();
+        let mut served: Vec<(RequestRecord, u64)> = Vec::with_capacity(cfg.requests as usize);
+        let mut failed_workers = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .into_iter()
                 .enumerate()
                 .map(|(w, shard)| {
-                    let n = self.requests_for(w);
-                    let cfg = &self.cfg;
-                    let make_machine = &make_machine;
-                    let make_handler = &make_handler;
+                    let (make_machine, make_handler) = (&make_machine, &make_handler);
                     scope.spawn(move || {
-                        run_worker(w, n, shard, cfg, make_machine(w), make_handler(w))
+                        let mut server = Server::worker(
+                            make_machine(w),
+                            cfg.breaker_cfg,
+                            cfg.sandbox,
+                            cfg.arena,
+                            cfg.reference,
+                            cfg.keep_bodies,
+                        )
+                        .with_fault_plan(shard);
+                        let mut handler = make_handler(w);
+                        // Modulo sharding: worker `w` of `W` serves requests
+                        // `w, w + W, …`, so its breakers, fault shard and
+                        // handler all see global request indices.
+                        let served: Vec<_> = (w as u64..cfg.requests)
+                            .step_by(cfg.workers)
+                            .map(|req| server.step(req, &mut handler, cfg.reset_between_requests))
+                            .collect();
+                        (server.totals(), served)
                     })
                 })
                 .collect();
+            // A worker thread dying must not abort the pool: a panic becomes
+            // a classified `WorkerFailure` while every other worker's
+            // results are merged normally.
             for (w, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok(report) => reports.push(report),
+                    Ok((worker_totals, worker_served)) => {
+                        totals.merge(&worker_totals);
+                        served.extend(worker_served);
+                    }
                     Err(payload) => {
                         let message = panic_message(payload.as_ref());
-                        failed.push(WorkerFailure {
+                        failed_workers.push(WorkerFailure {
                             worker: w,
                             outcome: classify_panic(message.clone()),
                             message,
@@ -263,127 +223,16 @@ impl WorkerPool {
                 }
             }
         });
-        let mut report = merge_reports(self.cfg.workers, reports);
-        report.memo = self.cfg.memo.as_ref().map(|c| c.stats());
-        report.failed_workers = failed;
-        report
-    }
-}
-
-/// One worker's serving loop (runs on the worker's thread).
-fn run_worker<H>(
-    worker: usize,
-    requests: u64,
-    shard: FaultPlan,
-    cfg: &PoolConfig,
-    machine: PhpMachine,
-    mut handler: H,
-) -> WorkerReport
-where
-    H: FnMut(&mut PhpMachine, u64) -> Vec<u8>,
-{
-    if cfg.arena {
-        machine.ctx().set_arena_enabled(true);
-    }
-    let mut server = Server::new(machine, cfg.breaker_cfg, cfg.sandbox)
-        .with_fault_plan(shard)
-        .with_request_numbering(worker as u64, cfg.workers as u64)
-        .with_keep_bodies(cfg.keep_bodies);
-    if cfg.reference {
-        server = server.with_reference(PhpMachine::baseline());
-    }
-
-    let mut records = Vec::with_capacity(requests as usize);
-    let mut service_uops = Vec::with_capacity(requests as usize);
-    for _ in 0..requests {
-        let before = server.machine().ctx().profiler().total_uops();
-        let record = server.serve(&mut handler);
-        let after = server.machine().ctx().profiler().total_uops();
-        service_uops.push(after.saturating_sub(before));
-        records.push(record);
-        if cfg.reset_between_requests {
-            server.recover_between_requests();
+        // Re-interleave the workers' streams into global request order.
+        served.sort_by_key(|(r, _)| r.request);
+        let (records, service_uops) = served.into_iter().unzip();
+        PoolReport {
+            totals,
+            records,
+            service_uops,
+            memo: cfg.memo.as_ref().map(|c| c.stats()),
+            failed_workers,
         }
-    }
-
-    let machine = server.machine();
-    let mut trips = [0u64; 4];
-    let mut recoveries = [0u64; 4];
-    let mut all_closed = true;
-    for id in AccelId::ALL {
-        let b = server.breaker(id);
-        trips[id.index()] = b.trips;
-        recoveries[id.index()] = b.recoveries;
-        all_closed &= b.state() == BreakerState::Closed;
-    }
-    let savings = machine.ctx().profiler().static_savings();
-    let mut stats = server.stats().clone();
-    // The engines count memo traffic on the worker's profiler; surface it in
-    // the serving stats so pool totals carry hit/miss/invalidation counts.
-    stats.memo_hits = savings.memo_hits;
-    stats.memo_misses = savings.memo_misses;
-    stats.memo_stores = savings.memo_stores;
-    stats.memo_invalidations = savings.memo_invalidations;
-    WorkerReport {
-        worker,
-        stats,
-        total_uops: machine.ctx().profiler().total_uops(),
-        injected: machine.injected_fault_counts(),
-        detected: machine.detected_fault_counts(),
-        savings,
-        trips,
-        recoveries,
-        all_breakers_closed: all_closed,
-        live_blocks: machine.ctx().with_allocator(|a| a.live_block_count()),
-        records,
-        service_uops,
-    }
-}
-
-/// Folds the per-worker reports into a pool total, re-interleaving the
-/// records into global request order.
-fn merge_reports(workers: usize, reports: Vec<WorkerReport>) -> PoolReport {
-    let mut stats = ServeStats::default();
-    let mut injected = [0u64; 4];
-    let mut detected = [0u64; 4];
-    let mut savings = StaticSavings::default();
-    let mut trips = [0u64; 4];
-    let mut recoveries = [0u64; 4];
-    let mut worker_uops = Vec::with_capacity(workers);
-    let mut all_closed = true;
-    let mut live_blocks = 0usize;
-    let mut tagged: Vec<(RequestRecord, u64)> = Vec::new();
-    for report in reports {
-        stats.merge(&report.stats);
-        savings.accumulate(&report.savings);
-        for i in 0..4 {
-            injected[i] += report.injected[i];
-            detected[i] += report.detected[i];
-            trips[i] += report.trips[i];
-            recoveries[i] += report.recoveries[i];
-        }
-        worker_uops.push(report.total_uops);
-        all_closed &= report.all_breakers_closed;
-        live_blocks += report.live_blocks;
-        tagged.extend(report.records.into_iter().zip(report.service_uops));
-    }
-    tagged.sort_by_key(|(r, _)| r.request);
-    let (records, service_uops) = tagged.into_iter().unzip();
-    PoolReport {
-        workers,
-        stats,
-        records,
-        service_uops,
-        worker_uops,
-        injected,
-        detected,
-        savings,
-        trips,
-        recoveries,
-        all_breakers_closed: all_closed,
-        live_blocks,
-        memo: None,
-        failed_workers: Vec::new(),
     }
 }
 
@@ -470,6 +319,6 @@ mod tests {
         assert!(report.worker_uops.iter().sum::<u64>() >= report.service_uops.iter().sum::<u64>());
         assert!(report.service_uops.iter().all(|&u| u > 0));
         assert!(report.simulated_elapsed_uops() < report.worker_uops.iter().sum::<u64>());
-        assert!(report.all_breakers_closed);
+        assert!(report.all_breakers_closed());
     }
 }

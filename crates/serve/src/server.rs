@@ -13,8 +13,12 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::hist::Histogram;
 use crate::outcome::RequestOutcome;
 use crate::sandbox::{run_sandboxed, SandboxConfig};
+use php_interp::MemoTier;
+use php_runtime::StaticSavings;
 use phpaccel_core::{AccelId, PhpMachine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use workloads::php_corpus::PreparedScript;
 
 /// Heap ceiling used to realize [`FaultKind::AllocatorOom`]: low enough that
 /// any real request trips it, high enough that the sandbox's own bookkeeping
@@ -119,6 +123,108 @@ impl ServeStats {
     }
 }
 
+/// What a request executes. [`Server`] runs `primary` on the machine under
+/// test and, when replay is on, `reference` on the all-software machine;
+/// the two must produce the same bytes.
+pub trait Handler {
+    /// Runs request `req` on the machine under test.
+    fn primary(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8>;
+    /// Recomputes request `req` on the reference machine.
+    fn reference(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8>;
+}
+
+/// An opaque closure is its own reference: the same code runs on both
+/// machines, so it must be deterministic given `(machine, request index)`.
+impl<F: FnMut(&mut PhpMachine, u64) -> Vec<u8> + ?Sized> Handler for F {
+    fn primary(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        self(m, req)
+    }
+
+    fn reference(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        self(m, req)
+    }
+}
+
+/// Corpus scripts as requests: `pick(req)` names the script request `req`
+/// runs. This is the one place that says how a script runs on each side of
+/// the replay check: the machine under test uses its configured engine with
+/// the proven facts attached and the shared memo tier when there is one;
+/// the reference tree-walks the same source with no facts and no tier, so
+/// replay is a recomputation that shares nothing with the run it checks.
+pub struct Scripts<P> {
+    /// Chooses the script for a request index.
+    pub pick: P,
+    /// Cross-request memo tier the machines under test share.
+    pub memo: Option<Arc<dyn MemoTier>>,
+}
+
+impl<P: FnMut(u64) -> Arc<PreparedScript>> Handler for Scripts<P> {
+    fn primary(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        (self.pick)(req).run_memo(m, true, self.memo.clone())
+    }
+
+    fn reference(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
+        (self.pick)(req).run(m, false)
+    }
+}
+
+/// Everything a run reports about its workers beyond the per-request
+/// records: the serving statistics plus the counters that live on the
+/// machines and breakers. [`Server::totals`] reads one worker's;
+/// [`Totals::merge`] sums them, keeping one row per worker where a sum
+/// would lose information.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Serving statistics, with the engines' memo counters folded in.
+    pub stats: ServeStats,
+    /// Static-analysis savings accumulated on the machines.
+    pub savings: StaticSavings,
+    /// Injected-fault counters per accelerator domain.
+    pub injected: [u64; 4],
+    /// Detected-fault counters per accelerator domain.
+    pub detected: [u64; 4],
+    /// Breaker trips per domain.
+    pub trips: [u64; 4],
+    /// Breaker recoveries per domain.
+    pub recoveries: [u64; 4],
+    /// Breaker state per worker per domain: 0 closed, 1 half-open, 2 open.
+    pub breaker_states: Vec<[u8; 4]>,
+    /// Total metered µops per worker.
+    pub worker_uops: Vec<u64>,
+    /// Live allocator blocks across the machines (leak check — 0 once
+    /// every request ended or recovered).
+    pub live_blocks: usize,
+}
+
+impl Totals {
+    /// Folds another worker's (or run's) totals into this one: counters sum,
+    /// histograms concatenate, per-worker rows append.
+    pub fn merge(&mut self, other: &Totals) {
+        self.stats.merge(&other.stats);
+        self.savings.accumulate(&other.savings);
+        for i in 0..4 {
+            self.injected[i] += other.injected[i];
+            self.detected[i] += other.detected[i];
+            self.trips[i] += other.trips[i];
+            self.recoveries[i] += other.recoveries[i];
+        }
+        self.breaker_states.extend_from_slice(&other.breaker_states);
+        self.worker_uops.extend_from_slice(&other.worker_uops);
+        self.live_blocks += other.live_blocks;
+    }
+
+    /// Whether every breaker on every worker is closed.
+    pub fn all_breakers_closed(&self) -> bool {
+        self.breaker_states.iter().all(|row| *row == [0; 4])
+    }
+
+    /// The run's simulated elapsed time in µops: the busiest worker's
+    /// total, since workers execute concurrently on private cores.
+    pub fn simulated_elapsed_uops(&self) -> u64 {
+        self.worker_uops.iter().copied().max().unwrap_or(0)
+    }
+}
+
 /// What happened to one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestRecord {
@@ -144,8 +250,6 @@ pub struct Server {
     plan: FaultPlan,
     sandbox: SandboxConfig,
     stats: ServeStats,
-    next_request: u64,
-    request_stride: u64,
     keep_bodies: bool,
 }
 
@@ -159,10 +263,31 @@ impl Server {
             plan: FaultPlan::default(),
             sandbox,
             stats: ServeStats::default(),
-            next_request: 0,
-            request_stride: 1,
             keep_bodies: true,
         }
+    }
+
+    /// Brings up one worker, the way every scheduler and bench does:
+    /// `machine` is the worker's private machine (already on its engine),
+    /// `arena` turns on its arena/epoch allocation, and `reference`
+    /// attaches an all-software [`PhpMachine::baseline`] — tree walk, free
+    /// lists — that replays every successful request.
+    pub fn worker(
+        machine: PhpMachine,
+        breaker_cfg: BreakerConfig,
+        sandbox: SandboxConfig,
+        arena: bool,
+        reference: bool,
+        keep_bodies: bool,
+    ) -> Self {
+        if arena {
+            machine.ctx().set_arena_enabled(true);
+        }
+        let mut server = Server::new(machine, breaker_cfg, sandbox).with_keep_bodies(keep_bodies);
+        if reference {
+            server = server.with_reference(PhpMachine::baseline());
+        }
+        server
     }
 
     /// Installs a fault-injection plan.
@@ -179,16 +304,6 @@ impl Server {
         faults: impl IntoIterator<Item = crate::fault::PlannedFault>,
     ) {
         self.plan.extend(faults);
-    }
-
-    /// Numbers requests `base, base + stride, base + 2·stride, …` instead of
-    /// `0, 1, 2, …`. A pool worker `w` of `W` uses `(w, W)` so its breakers,
-    /// fault plan, and handler all see *global* request indices.
-    pub fn with_request_numbering(mut self, base: u64, stride: u64) -> Self {
-        assert!(stride > 0, "request stride must be positive");
-        self.next_request = base;
-        self.request_stride = stride;
-        self
     }
 
     /// Controls whether [`RequestRecord::response`] retains the response
@@ -228,6 +343,34 @@ impl Server {
         &self.stats
     }
 
+    /// This worker's totals so far: the statistics — with the memo traffic
+    /// the engines counted on the machine's profiler folded in — plus the
+    /// breaker, fault, savings, µop and live-block counters.
+    pub fn totals(&self) -> Totals {
+        let profiler = self.machine.ctx().profiler();
+        let savings = profiler.static_savings();
+        let mut stats = self.stats.clone();
+        stats.memo_hits = savings.memo_hits;
+        stats.memo_misses = savings.memo_misses;
+        stats.memo_stores = savings.memo_stores;
+        stats.memo_invalidations = savings.memo_invalidations;
+        Totals {
+            stats,
+            savings,
+            injected: self.machine.injected_fault_counts(),
+            detected: self.machine.detected_fault_counts(),
+            trips: self.breakers.each_ref().map(|b| b.trips),
+            recoveries: self.breakers.each_ref().map(|b| b.recoveries),
+            breaker_states: vec![self.breakers.each_ref().map(|b| match b.state() {
+                BreakerState::Closed => 0,
+                BreakerState::HalfOpen => 1,
+                BreakerState::Open { .. } => 2,
+            })],
+            worker_uops: vec![profiler.total_uops()],
+            live_blocks: self.machine.ctx().with_allocator(|a| a.live_block_count()),
+        }
+    }
+
     /// Zeroes the statistics, keeping machine, breaker, and fault-plan
     /// state. The overload simulator's warmup boundary uses this — exactly
     /// like the load generator's `reset_metrics` — so measured stats cover
@@ -255,30 +398,46 @@ impl Server {
         }
     }
 
-    /// Serves one request: injects due faults, applies breaker decisions,
-    /// runs `handler` in the sandbox, feeds fault deltas back into the
-    /// breakers, and (if configured) byte-compares against the reference.
-    pub fn serve(
+    /// The per-request step every scheduler drives: serves request `req`
+    /// (see [`Server::serve_indexed`]), measures its service time as the
+    /// machine profiler's µop delta, and — when the run resets between
+    /// requests — restores the request boundary. The µops travel beside the
+    /// record, not inside it: records compare equal across worker counts
+    /// where a specialized machine's per-request µops legitimately differ.
+    pub fn step<H: Handler + ?Sized>(
         &mut self,
-        handler: &mut dyn FnMut(&mut PhpMachine, u64) -> Vec<u8>,
-    ) -> RequestRecord {
-        let req = self.next_request;
-        self.next_request += self.request_stride;
-        self.serve_indexed(req, handler)
+        req: u64,
+        handler: &mut H,
+        reset_between_requests: bool,
+    ) -> (RequestRecord, u64) {
+        let before = self.machine.ctx().profiler().total_uops();
+        let record = self.execute(req, handler);
+        // Saturating: a handler may reset the machine's metrics mid-request.
+        let after = self.machine.ctx().profiler().total_uops();
+        let service_uops = after.saturating_sub(before);
+        if reset_between_requests {
+            self.recover_between_requests();
+        }
+        (record, service_uops)
     }
 
-    /// Like [`Server::serve`], but serves explicitly-numbered request `req`
-    /// instead of the internal counter. The overload layer uses this: shed
-    /// arrivals consume global indices without ever reaching the server, so
-    /// the admitted stream's indices are sparse and caller-driven — yet
-    /// breakers and the fault plan still key on the *global* index, keeping
-    /// fault schedules meaningful whether or not their request was admitted
-    /// (a due fault simply lands on the next admitted request).
+    /// Serves request `req`: injects due faults, applies breaker decisions,
+    /// runs `handler` in the sandbox, feeds fault deltas back into the
+    /// breakers, and (if configured) byte-compares against the reference.
+    /// Indices are the caller's: shed arrivals consume global indices
+    /// without ever reaching the server, so an admitted stream is sparse —
+    /// yet breakers and the fault plan still key on the *global* index,
+    /// keeping fault schedules meaningful whether or not their request was
+    /// admitted (a due fault simply lands on the next admitted request).
     pub fn serve_indexed(
         &mut self,
         req: u64,
         handler: &mut dyn FnMut(&mut PhpMachine, u64) -> Vec<u8>,
     ) -> RequestRecord {
+        self.execute(req, handler)
+    }
+
+    fn execute<H: Handler + ?Sized>(&mut self, req: u64, handler: &mut H) -> RequestRecord {
         let mut force_oom = false;
         for fault in self.plan.take_due(req) {
             if fault.kind == FaultKind::AllocatorOom {
@@ -305,7 +464,7 @@ impl Server {
         }
         let mut response = Vec::new();
         let outcome = run_sandboxed(&mut self.machine, sandbox, |m| {
-            response = handler(m, req);
+            response = handler.primary(m, req);
         });
         let after = self.machine.detected_fault_counts();
 
@@ -336,7 +495,7 @@ impl Server {
 
         if outcome.is_ok() {
             if let Some(reference) = self.reference.as_mut() {
-                let expected = catch_unwind(AssertUnwindSafe(|| handler(reference, req)));
+                let expected = catch_unwind(AssertUnwindSafe(|| handler.reference(reference, req)));
                 match expected {
                     Ok(bytes) if bytes == response => {}
                     Ok(_) => self.stats.mismatches += 1,
@@ -360,15 +519,6 @@ impl Server {
             degraded,
             fault_delta,
         }
-    }
-
-    /// Serves `n` requests, returning the records.
-    pub fn serve_many(
-        &mut self,
-        n: u64,
-        handler: &mut dyn FnMut(&mut PhpMachine, u64) -> Vec<u8>,
-    ) -> Vec<RequestRecord> {
-        (0..n).map(|_| self.serve(handler)).collect()
     }
 
     /// Records one arrival refused by admission control at the given queue
@@ -407,13 +557,6 @@ impl Server {
             r.recover_request();
         }
     }
-
-    /// Whether any breaker is currently open or half-open.
-    pub fn any_breaker_degraded(&self) -> bool {
-        self.breakers
-            .iter()
-            .any(|b| b.state() != BreakerState::Closed)
-    }
 }
 
 #[cfg(test)]
@@ -421,6 +564,13 @@ mod tests {
     use super::*;
     use crate::fault::PlannedFault;
     use php_runtime::{ArrayKey, PhpValue};
+
+    /// Serves requests `0..n` without resetting between them.
+    fn serve_many(server: &mut Server, n: u64, handler: &mut dyn Handler) -> Vec<RequestRecord> {
+        (0..n)
+            .map(|req| server.step(req, handler, false).0)
+            .collect()
+    }
 
     /// A handler exercising the hash-table domain: a persistent map is
     /// mutated and read every request; the response is the rendered map.
@@ -477,7 +627,7 @@ mod tests {
         .with_reference(PhpMachine::baseline());
 
         let mut handler = htable_handler();
-        let records = server.serve_many(20, &mut handler);
+        let records = serve_many(&mut server, 20, &mut handler);
 
         // Every request completed; every byte matched the software run.
         assert!(records.iter().all(|r| r.outcome.is_ok()));
@@ -522,7 +672,7 @@ mod tests {
         };
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let records = server.serve_many(3, &mut handler);
+        let records = serve_many(&mut server, 3, &mut handler);
         std::panic::set_hook(hook);
 
         assert_eq!(records[0].outcome, RequestOutcome::Ok);
@@ -566,7 +716,7 @@ mod tests {
             m.end_request();
             b"ok".to_vec()
         };
-        let records = server.serve_many(2, &mut handler);
+        let records = serve_many(&mut server, 2, &mut handler);
         assert!(
             records[0].fault_delta[AccelId::Str.index()] >= 1,
             "request 0 must detect the injected fault"
@@ -601,7 +751,7 @@ mod tests {
         };
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        server.serve_many(4, &mut handler);
+        serve_many(&mut server, 4, &mut handler);
         std::panic::set_hook(hook);
 
         let s = server.stats();
@@ -644,7 +794,7 @@ mod tests {
             .with_reference(PhpMachine::baseline())
             .with_keep_bodies(keep);
             let mut handler = htable_handler();
-            let records = server.serve_many(12, &mut handler);
+            let records = serve_many(&mut server, 12, &mut handler);
             (records, server.stats().clone())
         };
         let (kept, stats_kept) = run(true);
@@ -660,30 +810,6 @@ mod tests {
             assert_eq!(k.degraded, d.degraded);
             assert_eq!(k.fault_delta, d.fault_delta);
         }
-    }
-
-    /// Strided numbering hands the handler, plan, and breakers global
-    /// request indices: worker 1 of 4 sees requests 1, 5, 9, …
-    #[test]
-    fn request_numbering_follows_base_and_stride() {
-        let mut server = Server::new(
-            PhpMachine::specialized(),
-            BreakerConfig::default(),
-            SandboxConfig::unlimited(),
-        )
-        .with_request_numbering(1, 4);
-        let mut seen = Vec::new();
-        let mut handler = |m: &mut PhpMachine, req: u64| {
-            seen.push(req);
-            m.end_request();
-            req.to_string().into_bytes()
-        };
-        let records = server.serve_many(3, &mut handler);
-        assert_eq!(seen, vec![1, 5, 9]);
-        assert_eq!(
-            records.iter().map(|r| r.request).collect::<Vec<_>>(),
-            vec![1, 5, 9]
-        );
     }
 
     #[test]
@@ -806,7 +932,7 @@ mod tests {
             m.end_request();
             out
         };
-        let records = server.serve_many(12, &mut handler);
+        let records = serve_many(&mut server, 12, &mut handler);
         assert!(records.iter().all(|r| r.outcome.is_ok()));
         assert_eq!(server.stats().mismatches, 0);
         let b = server.breaker(AccelId::Str);

@@ -256,3 +256,15 @@ fn finished_connection_threads_are_reaped_while_serving() {
     let report = server.shutdown();
     assert_eq!(report.front.connections, 2_001);
 }
+
+/// A worker that has served nothing still has its row: row `w` of the
+/// merged snapshot (the `worker="w"` label in `/metrics`) is worker `w`
+/// from the first scrape on, not whichever worker published first.
+#[test]
+fn idle_workers_keep_their_metrics_rows() {
+    let server = HttpServer::start(HttpConfig::loopback(3), corpus()).expect("bind http front end");
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.worker_uops, vec![0, 0, 0]);
+    assert_eq!(snap.breaker_states, vec![[0; 4]; 3]);
+    server.shutdown();
+}

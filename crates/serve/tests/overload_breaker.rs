@@ -44,13 +44,10 @@ fn calibrate() -> u64 {
     let mut total = 0u64;
     let warm = 8u64;
     for i in 0..=warm {
-        let before = server.machine().ctx().profiler().total_uops();
-        server.serve(&mut h);
-        let after = server.machine().ctx().profiler().total_uops();
+        let (_, service) = server.step(i, &mut h, true);
         if i > 0 {
-            total += after - before;
+            total += service;
         }
-        server.recover_between_requests();
     }
     total / warm
 }

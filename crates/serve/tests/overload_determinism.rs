@@ -31,13 +31,9 @@ fn calibrate(cache: &Arc<CorpusCache>, engine: Engine) -> (u64, u64) {
     let mut h = move |m: &mut PhpMachine, req: u64| cache2.script_for_request(req).run(m, true);
     let (mut total, mut max, mut n) = (0u64, 0u64, 0u64);
     for i in 0..(cache.len() as u64 + cache.len() as u64) {
-        let before = server.machine().ctx().profiler().total_uops();
-        server.serve(&mut h);
-        let after = server.machine().ctx().profiler().total_uops();
-        server.recover_between_requests();
+        let (_, s) = server.step(i, &mut h, true);
         // Skip the first corpus cycle: cold caches, first-touch costs.
         if i >= cache.len() as u64 {
-            let s = after - before;
             total += s;
             max = max.max(s);
             n += 1;

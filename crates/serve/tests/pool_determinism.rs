@@ -13,7 +13,7 @@
 
 use php_interp::MemoTier;
 use phpaccel_core::{AccelId, Engine, PhpMachine};
-use serve::{FaultPlan, MemoCache, PoolConfig, PoolReport, WorkerPool};
+use serve::{FaultPlan, MemoCache, PoolConfig, PoolReport, Scripts, WorkerPool};
 use std::sync::Arc;
 use workloads::php_corpus::CorpusCache;
 
@@ -154,7 +154,8 @@ fn vm_pool_results_are_identical_at_any_worker_count() {
     }
 }
 
-/// Memo-on determinism: with a shared cross-request cache attached, hit/miss
+/// Memo-on determinism: with a shared cross-request cache attached to the
+/// primaries ([`Scripts`] keeps it from the references), hit/miss
 /// splits depend on how workers interleave, but the served *bytes* cannot —
 /// the tier stores only values-in-key-proven results, so a hit replays
 /// exactly what recomputation would produce. Every memo-on response, at any
@@ -181,11 +182,9 @@ fn memo_pool_serves_identical_bytes_at_any_worker_count() {
                 },
                 move |_w| {
                     let scripts = Arc::clone(&scripts);
-                    let tier = Arc::clone(&tier);
-                    move |m: &mut PhpMachine, req: u64| {
-                        scripts
-                            .script_for_request(req)
-                            .run_memo(m, true, Some(Arc::clone(&tier)))
+                    Scripts {
+                        pick: move |req| Arc::clone(scripts.script_for_request(req)),
+                        memo: Some(Arc::clone(&tier)),
                     }
                 },
             );
@@ -210,6 +209,14 @@ fn memo_pool_serves_identical_bytes_at_any_worker_count() {
             assert!(got.stats.memo_hits > 0, "{label}: warm tier never replayed");
             let snapshot = got.memo.expect("configured cache is snapshotted");
             assert!(snapshot.stores > 0, "{label}: nothing was cached");
+            // The cache's traffic is the workers' traffic: no reference
+            // machine is ever handed the tier, so replay neither scores
+            // hits nor purges what the primaries stored.
+            assert_eq!(
+                snapshot.hits + snapshot.misses,
+                got.stats.memo_hits + got.stats.memo_misses,
+                "{label}: a reference machine reached the shared tier"
+            );
         }
     }
 }

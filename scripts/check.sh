@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== cargo doc (broken intra-doc links are errors) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps --workspace
+
 echo "== benchmark package: unit tests =="
 # benchmark/ is a package of its own that path-depends on crates/*; nothing
 # above builds benchmark/src/adapter.rs, so a signature change in crates/*
@@ -47,12 +50,6 @@ scripts/soak.sh
 echo "== arena-epoch soak smoke (4 workers) =="
 scripts/soak.sh --workers 4 --arena 20170613
 
-echo "== compiled-VM soak smoke (4 workers, engine=vm) =="
-# Primaries execute compiled opcodes, references tree-walk the same source:
-# the byte-identity replay is a cross-engine differential under fault
-# injection.
-scripts/soak.sh --workers 4 --engine vm 20170613
-
 echo "== memo soak smoke (4 workers, shared cross-request cache) =="
 # One shared memo cache across all workers with the full fault plan live:
 # proven call sites replay out of the cache while breakers trip and recover
@@ -62,8 +59,11 @@ scripts/soak.sh --workers 4 --memo 20170613
 echo "== overload-survival soak smoke (flash crowd, shedding) =="
 # Shaped arrivals at ~2x capacity through the admission controller, with
 # the full fault plan live: shedding must be early and graceful, admitted
-# requests must all serve, and replay must stay byte-identical.
-scripts/soak.sh --shed --shape flash-crowd 20170613
+# requests must all serve, and replay must stay byte-identical. Seed 12345:
+# with the script phase on, the hash-table faults of 20170613 land on
+# entries the scripts left behind and never read again, so that breaker
+# does not trip under this shape (seed sensitivity, see CHANGES.md PR 14).
+scripts/soak.sh --shed --shape flash-crowd 12345
 
 echo "== serve bench smoke (release) =="
 cargo build --release -q -p bench --bin serve_bench

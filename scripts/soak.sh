@@ -3,8 +3,8 @@
 # availability and byte-identity required. Exits nonzero on any regression.
 # Response bodies are dropped inside the soak binary (keep_bodies = false),
 # so long seed lists run in bounded memory.
-# Usage: scripts/soak.sh [--workers N] [--arena] [--engine tree|vm]
-#                        [--memo] [--shed] [--shape S] [seed ...]
+# Usage: scripts/soak.sh [--workers N] [--arena] [--memo] [--shed] [--shape S]
+#                        [seed ...]
 #   --workers N  run each seed through an N-worker pool (threaded mode);
 #                with --shed, the *simulated* worker count draining the queue
 #   --shed       overload-survival soak: shaped arrivals at ~2x capacity
@@ -15,20 +15,17 @@
 #   --arena      arena/epoch allocation for the request-scoped heap churn
 #                (reference machines stay on free lists, so replay
 #                cross-checks the two allocators under fault injection)
-#   --engine E   additionally run one corpus script per request on engine E
-#                (vm = compiled opcode VM; references stay on the tree
-#                walker, so replay is a cross-engine differential)
 #   --memo       attach one shared cross-request memo cache to the script
-#                phase (implies it): proven call sites replay out of the
-#                cache while faults churn, and the run fails unless the
-#                tier engaged and replay stayed byte-identical
+#                every request ends with (primaries run it on the compiled
+#                VM, references tree-walk it): proven call sites replay out
+#                of the cache while faults churn, and the run fails unless
+#                the tier engaged and replay stayed byte-identical
 #   default: a fixed seed set, single worker plus a 4-worker pool pass
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 workers=1
 arena=()
-engine=()
 memo=()
 shed=()
 shape=()
@@ -42,10 +39,6 @@ while [ $# -gt 0 ]; do
     --arena)
       arena=(--arena)
       shift
-      ;;
-    --engine)
-      engine=(--engine "$2")
-      shift 2
       ;;
     --memo)
       memo=(--memo)
@@ -76,9 +69,9 @@ cargo build --release -q -p bench --bin soak
 
 if [ ${#shed[@]} -gt 0 ]; then
   for seed in "${seeds[@]}"; do
-    echo "== soak seed $seed (overload${shape:+, shape ${shape[1]}}, $workers simulated workers${arena:+, arena}${engine:+, engine ${engine[1]}}${memo:+, memo}) =="
+    echo "== soak seed $seed (overload${shape:+, shape ${shape[1]}}, $workers simulated workers${arena:+, arena}${memo:+, memo}) =="
     ./target/release/soak "$seed" --shed --workers "$workers" \
-      ${shape[@]+"${shape[@]}"} ${arena[@]+"${arena[@]}"} ${engine[@]+"${engine[@]}"} ${memo[@]+"${memo[@]}"}
+      ${shape[@]+"${shape[@]}"} ${arena[@]+"${arena[@]}"} ${memo[@]+"${memo[@]}"}
   done
   echo "Overload soak passed for seeds: ${seeds[*]}"
   exit 0
@@ -86,18 +79,18 @@ fi
 
 for seed in "${seeds[@]}"; do
   if [ "$workers" -gt 1 ]; then
-    echo "== soak seed $seed ($workers workers${arena:+, arena}${engine:+, engine ${engine[1]}}${memo:+, memo}) =="
-    ./target/release/soak "$seed" --workers "$workers" ${arena[@]+"${arena[@]}"} ${engine[@]+"${engine[@]}"} ${memo[@]+"${memo[@]}"}
+    echo "== soak seed $seed ($workers workers${arena:+, arena}${memo:+, memo}) =="
+    ./target/release/soak "$seed" --workers "$workers" ${arena[@]+"${arena[@]}"} ${memo[@]+"${memo[@]}"}
   else
-    echo "== soak seed $seed${arena:+ (arena)}${engine:+ (engine ${engine[1]})}${memo:+ (memo)} =="
-    ./target/release/soak "$seed" ${arena[@]+"${arena[@]}"} ${engine[@]+"${engine[@]}"} ${memo[@]+"${memo[@]}"}
+    echo "== soak seed $seed${arena:+ (arena)}${memo:+ (memo)} =="
+    ./target/release/soak "$seed" ${arena[@]+"${arena[@]}"} ${memo[@]+"${memo[@]}"}
   fi
 done
 
 # With the default seed set, also exercise the threaded pool once.
 if [ "$workers" -eq 1 ] && [ "$default_seeds" -eq 1 ]; then
-  echo "== soak seed ${seeds[0]} (4 workers${arena:+, arena}${engine:+, engine ${engine[1]}}${memo:+, memo}) =="
-  ./target/release/soak "${seeds[0]}" --workers 4 ${arena[@]+"${arena[@]}"} ${engine[@]+"${engine[@]}"} ${memo[@]+"${memo[@]}"}
+  echo "== soak seed ${seeds[0]} (4 workers${arena:+, arena}${memo:+, memo}) =="
+  ./target/release/soak "${seeds[0]}" --workers 4 ${arena[@]+"${arena[@]}"} ${memo[@]+"${memo[@]}"}
 fi
 
-echo "Soak passed for seeds: ${seeds[*]} (workers: $workers${arena:+, arena}${engine:+, engine ${engine[1]}}${memo:+, memo})"
+echo "Soak passed for seeds: ${seeds[*]} (workers: $workers${arena:+, arena}${memo:+, memo})"
