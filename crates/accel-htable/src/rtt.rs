@@ -38,9 +38,10 @@ struct RttEntry {
 }
 
 impl RttEntry {
-    fn new(capacity: usize) -> Self {
+    /// A fresh entry over `slots`, an all-[`Slot::Empty`] buffer.
+    fn new(slots: Vec<Slot>) -> Self {
         RttEntry {
-            slots: vec![Slot::Empty; capacity],
+            slots,
             write_ptr: 0,
             next_seq: 0,
             order_lost: false,
@@ -72,6 +73,9 @@ pub struct Rtt {
     slots_per_entry: usize,
     /// Maximum number of maps tracked concurrently.
     capacity: usize,
+    /// Emptied circular buffers of maps dropped by [`Rtt::clear`], handed
+    /// to the next maps tracked (at most `capacity` of them ever exist).
+    spare: Vec<Vec<Slot>>,
 }
 
 impl Rtt {
@@ -83,6 +87,16 @@ impl Rtt {
             entries: HashMap::new(),
             slots_per_entry,
             capacity,
+            spare: Vec::new(),
+        }
+    }
+
+    /// Forgets every tracked map, keeping the allocations: the state after
+    /// `clear` is indistinguishable from a new table's.
+    pub fn clear(&mut self) {
+        for (_, mut e) in self.entries.drain() {
+            e.slots.fill(Slot::Empty);
+            self.spare.push(e.slots);
         }
     }
 
@@ -122,11 +136,10 @@ impl Rtt {
             self.entries.remove(&victim);
             displaced = Some(victim);
         }
-        let slots = self.slots_per_entry;
-        let e = self
-            .entries
-            .entry(base)
-            .or_insert_with(|| RttEntry::new(slots));
+        let e = self.entries.entry(base).or_insert_with(|| {
+            let slots = self.spare.pop();
+            RttEntry::new(slots.unwrap_or_else(|| vec![Slot::Empty; self.slots_per_entry]))
+        });
         let seq = e.next_seq;
         e.next_seq += 1;
         let pos = e.write_ptr;
@@ -270,6 +283,24 @@ mod tests {
         assert!(displaced.is_some());
         assert_eq!(rtt.tracked_maps(), 2);
         assert!(rtt.tracks(0x3));
+    }
+
+    #[test]
+    fn clear_forgets_every_map_and_reuses_the_buffers() {
+        let mut rtt = Rtt::new(8, 4);
+        for i in 0..5 {
+            let _ = rtt.record_insert(0x10, i);
+        }
+        let _ = rtt.record_insert(0x20, 9);
+        rtt.clear();
+        assert_eq!(rtt.tracked_maps(), 0);
+        assert_eq!(rtt.spare.len(), 2);
+        // A recycled buffer starts empty: order intact, sequence from zero.
+        let _ = rtt.record_insert(0x10, 7);
+        assert_eq!(rtt.spare.len(), 1);
+        let r = rtt.replay_order(0x10);
+        assert_eq!((r.live_in_order, r.live_seqs), (vec![7], vec![0]));
+        assert!(!r.order_lost);
     }
 
     #[test]

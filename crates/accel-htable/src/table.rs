@@ -538,12 +538,13 @@ impl HwHashTable {
     /// the ground truth, so nothing is lost. Clears any latent corruption.
     /// Returns the number of live entries dropped.
     pub fn invalidate_all(&mut self) -> usize {
-        let n = self.occupancy();
+        let mut n = 0;
         for e in &mut self.entries {
+            n += usize::from(e.valid);
             e.valid = false;
             e.dirty = false;
         }
-        self.rtt = Rtt::new(self.cfg.rtt_maps, self.cfg.rtt_slots);
+        self.rtt.clear();
         self.corrupt_entries.clear();
         self.corrupt_rtt.clear();
         n
