@@ -13,7 +13,7 @@ use php_interp::{
 use php_runtime::array::ArrayKey;
 use php_runtime::value::PhpValue;
 use phpaccel_core::{Engine, PhpMachine};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One mini-PHP script in the corpus.
 #[derive(Debug)]
@@ -353,11 +353,13 @@ pub struct PreparedScript {
     pub facts: Arc<AnalysisFacts>,
     /// Per-scope statistics and lints.
     pub report: php_analysis::Report,
-    /// Compiled bytecode, one unit per (facts on/off, fusion on/off)
-    /// combination, indexed `[with_facts as usize][fused as usize]`. Shared
-    /// `Arc`s: workers on the VM engine execute cached bytecode the same way
-    /// tree-walking workers execute the cached `Arc<Program>`.
-    vm_units: [[Arc<CompiledUnit>; 2]; 2],
+    /// Compiled bytecode per (facts on/off, fusion on/off) combination,
+    /// indexed `[with_facts as usize][fused as usize]`. Only facts+fusion
+    /// serves, so only that unit is built up front; the other three exist
+    /// for ablations and differential tests and compile on first use.
+    /// Shared `Arc`s: workers on the VM engine execute cached bytecode the
+    /// same way tree-walking workers execute the cached `Arc<Program>`.
+    vm_units: [[OnceLock<Arc<CompiledUnit>>; 2]; 2],
 }
 
 /// Parses and analyzes one corpus entry.
@@ -377,32 +379,19 @@ pub fn prepare(entry: &'static CorpusEntry) -> PreparedScript {
         })
         .collect();
     let analysis = php_analysis::analyze_with_funcs(&program, &shared_funcs);
-    let unit = |facts: Option<&AnalysisFacts>, fuse: bool| {
-        Arc::new(php_interp::compile(
-            &program,
-            &shared_funcs,
-            facts,
-            CompileOptions { fuse },
-        ))
-    };
-    let vm_units = [
-        [unit(None, false), unit(None, true)],
-        [
-            unit(Some(&analysis.facts), false),
-            unit(Some(&analysis.facts), true),
-        ],
-    ];
     // Wrapping after analysis is sound: the move relocates only the `Program`
     // struct itself, while the statement nodes the facts point at live in its
     // heap-allocated `stmts` buffer, whose address is stable.
-    PreparedScript {
+    let prepared = PreparedScript {
         entry,
         program: Arc::new(program),
         shared_funcs,
         facts: Arc::new(analysis.facts),
         report: analysis.report,
-        vm_units,
-    }
+        vm_units: Default::default(),
+    };
+    prepared.vm_unit(true, true);
+    prepared
 }
 
 /// Shared compile cache: every corpus entry parsed and analyzed exactly once,
@@ -455,7 +444,14 @@ impl PreparedScript {
 
     /// The cached bytecode for one (facts, fusion) combination.
     pub fn vm_unit(&self, with_facts: bool, fused: bool) -> &Arc<CompiledUnit> {
-        &self.vm_units[with_facts as usize][fused as usize]
+        self.vm_units[with_facts as usize][fused as usize].get_or_init(|| {
+            Arc::new(php_interp::compile(
+                &self.program,
+                &self.shared_funcs,
+                with_facts.then_some(&*self.facts),
+                CompileOptions { fuse: fused },
+            ))
+        })
     }
 
     /// Runs the script once on `m` and returns its output, dispatching on
