@@ -14,7 +14,7 @@ use std::sync::Arc;
 use php_interp::compile::{compile, CompileOptions, OpKind};
 use php_interp::{parse, OpcodeTally, Vm};
 use php_runtime::profile::{Category, Leaf, OpCost, Profiler};
-use php_runtime::{PhpStr, RuntimeContext};
+use php_runtime::{ArrayKey, PhpStr, PhpValue, RuntimeContext};
 use phpaccel_core::PhpMachine;
 use regex_engine::Regex;
 
@@ -45,8 +45,8 @@ fn bench_ledger(c: &mut Criterion) {
         let mut tally = OpcodeTally::default();
         b.iter(|| {
             for _ in 0..BATCH / 2 {
-                tally.note(black_box(OpKind::LoadVar), Some(OpKind::StoreVar));
-                tally.note(black_box(OpKind::StoreVar), Some(OpKind::LoadVar));
+                tally.note(black_box(OpKind::LoadSlot), Some(OpKind::StoreSlot));
+                tally.note(black_box(OpKind::StoreSlot), Some(OpKind::LoadSlot));
             }
             tally.total
         })
@@ -56,11 +56,27 @@ fn bench_ledger(c: &mut Criterion) {
 
 fn bench_vm_vars(c: &mut Criterion) {
     let mut g = c.benchmark_group("vm loop (x1000)");
-    // A straight line of `$y = $x;`: one LoadVar and one StoreVar each (plus
-    // the dispatch, the fuel step and the metered hash accesses under them).
-    // The first statement binds `$x`; `Vm::new` and `end_request` are once
-    // per thousand pairs.
-    g.bench_function("LoadVar + StoreVar pair", |b| {
+    // What a variable read and write cost while variables lived in a
+    // symbol-table array (PR 13 measured the VM's `LoadVar` + `StoreVar`
+    // pair at 212 ns): one metered hash GET and one SET with a string key.
+    // The tree-walker and the VM's spill table still pay this.
+    g.bench_function("symtab get + set pair", |b| {
+        let mut m = PhpMachine::baseline();
+        let mut table = m.new_array();
+        let (x, y) = (ArrayKey::from("x"), ArrayKey::from("y"));
+        m.array_set(&mut table, x.clone(), PhpValue::str("v"));
+        b.iter(|| {
+            for _ in 0..BATCH {
+                let v = m.array_get(&table, black_box(&x)).expect("bound above");
+                m.array_set(&mut table, y.clone(), v);
+            }
+        })
+    });
+    // A straight line of `$y = $x;`: one LoadSlot and one StoreSlot each
+    // (plus the dispatch, the fuel step and the type-check and refcount
+    // charges under them). The first statement binds `$x`; `Vm::new` and
+    // `end_request` are once per thousand pairs.
+    g.bench_function("LoadSlot + StoreSlot pair", |b| {
         let src = format!("$x = 'v'; {}", "$y = $x; ".repeat(BATCH));
         let prog = parse(&src).expect("the bench script parses");
         let unit = Arc::new(compile(&prog, &[], None, CompileOptions { fuse: true }));

@@ -16,15 +16,20 @@
 //! into [`Op::ConcatN`] (one transient allocation instead of one per join),
 //! `echo` sites become [`Op::EchoValue`] (no transient for an
 //! already-string value), and a peephole pass fuses statically adjacent
-//! pairs (`PushStr`+`EchoValue` → [`Op::EchoConst`], `LoadVar`+`EchoValue`
+//! pairs (`PushStr`+`EchoValue` → [`Op::EchoConst`], `LoadSlot`+`EchoValue`
 //! → [`Op::EchoVar`], `PushStr`+`IndexGet` → [`Op::IndexConst`]) wherever
 //! the second instruction is not a jump target.
+//!
+//! Variable names are resolved here, not at run time: every body (each
+//! function and main) gets a [`SlotMap`] with one frame slot per variable it
+//! names, parameters first, and every variable-touching opcode carries the
+//! slot index. The map itself stays on the unit for the few by-name paths
+//! (`extract`, request variables, memo dependency reads).
 
 use crate::ast::{BinOp, Expr, FuncDef, LValue, Program, Stmt};
 use crate::builtins;
 use crate::eval::hint_of;
 use crate::facts::{AnalysisFacts, KeyShape};
-use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
 use phpaccel_core::KeyShapeHint;
 use regex_engine::Regex;
@@ -52,9 +57,9 @@ impl Default for CompileOptions {
 pub const MAX_CONCAT_FLATTEN: usize = 64;
 
 /// One opcode of the compiled VM. Jump targets are instruction indices
-/// within the containing body (main or one function); every pool index
-/// (`name`, const string, regex, message) points into the owning
-/// [`CompiledUnit`].
+/// within the containing body (main or one function), `slot` operands index
+/// that body's frame, and every pool index (`name`, const string, regex,
+/// message) points into the owning [`CompiledUnit`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Push `null`.
@@ -70,22 +75,18 @@ pub enum Op {
     /// Discard the top of stack.
     Pop,
     /// Push a variable's value (`Null` when unset).
-    LoadVar {
-        /// Name-pool index.
-        name: u32,
+    LoadSlot {
+        /// Frame slot of the variable.
+        slot: u32,
         /// Proven: the fetched value's refcount increment is elidable.
         elide_rc: bool,
-        /// Known site: symbol-table key is a constant string (hash folded).
-        const_key: bool,
     },
     /// Pop a value and store it into a variable.
-    StoreVar {
-        /// Name-pool index.
-        name: u32,
+    StoreSlot {
+        /// Frame slot of the variable.
+        slot: u32,
         /// Proven: the stored/overwritten refcount pair is elidable.
         elide_rc: bool,
-        /// Known site: constant-string symbol-table key.
-        const_key: bool,
     },
     /// Pop key then base; push `base[key]` with PHP coercions.
     IndexGet {
@@ -98,8 +99,8 @@ pub enum Op {
     /// autovivifying `null` into a fresh array (arena-placed when the
     /// site was proven request-local). Errors on non-array, non-null.
     LoadIndexBase {
-        /// Name-pool index of the array variable.
-        name: u32,
+        /// Frame slot of the array variable.
+        slot: u32,
         /// Arena verdict for the autovivified array.
         arena: bool,
     },
@@ -171,14 +172,12 @@ pub enum Op {
     /// Advance the innermost iterator: bind the key/value variables and
     /// fall through, or jump to `end` when exhausted.
     IterNext {
-        /// Name-pool index of the value variable.
+        /// Frame slot of the value variable.
         value: u32,
-        /// Name-pool index of the key variable, when bound.
+        /// Frame slot of the key variable, when bound.
         key: Option<u32>,
         /// Proven RC-elidable store for the per-iteration binds.
         elide_rc: bool,
-        /// Known site: constant-string symbol-table keys.
-        const_key: bool,
         /// Jump target on exhaustion (the matching [`Op::IterPop`]).
         end: u32,
     },
@@ -231,10 +230,13 @@ pub enum Op {
         /// Arena verdict for the transient.
         arena: bool,
     },
-    /// Import names from the global scope into the current one.
+    /// `global $x`: from here on the frame's slot stands for main's
+    /// variable. A no-op in main, where the two are the same slot.
     Global {
-        /// Name-pool index.
-        name: u32,
+        /// Frame slot of the variable in the executing body.
+        slot: u32,
+        /// Its slot in main's frame.
+        main: u32,
     },
     /// Unconditional runtime error with a pooled message
     /// (`break`/`continue` outside a loop).
@@ -265,14 +267,12 @@ pub enum Op {
         /// Const-pool index.
         s: u32,
     },
-    /// Fused `LoadVar` + `EchoValue`.
+    /// Fused `LoadSlot` + `EchoValue`.
     EchoVar {
-        /// Name-pool index.
-        name: u32,
+        /// Frame slot of the variable.
+        slot: u32,
         /// Proven RC-elidable read.
         elide_rc: bool,
-        /// Known site: constant-string symbol-table key.
-        const_key: bool,
         /// Arena verdict for the non-string conversion transient.
         arena: bool,
     },
@@ -307,164 +307,49 @@ pub enum Op {
     },
 }
 
-/// Dense opcode classification for the per-opcode execution counters
-/// (satellite of the profile output). One variant per [`Op`] variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-#[repr(usize)]
-pub enum OpKind {
-    PushNull,
-    PushBool,
-    PushInt,
-    PushFloat,
-    PushStr,
-    Pop,
-    LoadVar,
-    StoreVar,
-    IndexGet,
-    LoadIndexBase,
-    StoreIndexKeyed,
-    StoreAppend,
-    NewArray,
-    ArrayInsert,
-    ArrayAppend,
-    Bin,
-    Not,
-    Neg,
-    ToBool,
-    Jump,
-    JumpIfFalsePop,
-    JumpIfTruePeek,
-    JumpIfFalsePeek,
-    PushGuard,
-    GuardTick,
-    PopGuard,
-    IterInit,
-    IterNext,
-    IterPop,
-    DefineFunc,
-    CallUser,
-    CallBuiltin,
-    CallDynamic,
-    Return,
-    Echo,
-    Global,
-    Fail,
-    ConcatN,
-    EchoValue,
-    EchoConst,
-    EchoVar,
-    IndexConst,
-    MemoEnter,
-    MemoStore,
+/// Declares [`OpKind`] with its name table, its index-ordered variant list
+/// and [`OP_KIND_COUNT`] from one list of variants.
+macro_rules! op_kinds {
+    ($($kind:ident),* $(,)?) => {
+        /// Dense opcode classification for the per-opcode execution counters
+        /// (satellite of the profile output). One variant per [`Op`] variant.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)]
+        #[repr(usize)]
+        pub enum OpKind {
+            $($kind),*
+        }
+
+        /// Number of [`OpKind`] variants (counter-array size).
+        pub const OP_KIND_COUNT: usize = [$(OpKind::$kind),*].len();
+
+        impl OpKind {
+            /// Stable display name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(OpKind::$kind => stringify!($kind)),*
+                }
+            }
+
+            /// All kinds, in index order.
+            pub fn all() -> [OpKind; OP_KIND_COUNT] {
+                [$(OpKind::$kind),*]
+            }
+        }
+    };
 }
 
-/// Number of [`OpKind`] variants (counter-array size).
-pub const OP_KIND_COUNT: usize = 44;
+op_kinds! {
+    PushNull, PushBool, PushInt, PushFloat, PushStr, Pop, LoadSlot, StoreSlot,
+    IndexGet, LoadIndexBase, StoreIndexKeyed, StoreAppend, NewArray,
+    ArrayInsert, ArrayAppend, Bin, Not, Neg, ToBool, Jump, JumpIfFalsePop,
+    JumpIfTruePeek, JumpIfFalsePeek, PushGuard, GuardTick, PopGuard, IterInit,
+    IterNext, IterPop, DefineFunc, CallUser, CallBuiltin, CallDynamic, Return,
+    Echo, Global, Fail, ConcatN, EchoValue, EchoConst, EchoVar, IndexConst,
+    MemoEnter, MemoStore,
+}
 
 impl OpKind {
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        use OpKind::*;
-        match self {
-            PushNull => "PushNull",
-            PushBool => "PushBool",
-            PushInt => "PushInt",
-            PushFloat => "PushFloat",
-            PushStr => "PushStr",
-            Pop => "Pop",
-            LoadVar => "LoadVar",
-            StoreVar => "StoreVar",
-            IndexGet => "IndexGet",
-            LoadIndexBase => "LoadIndexBase",
-            StoreIndexKeyed => "StoreIndexKeyed",
-            StoreAppend => "StoreAppend",
-            NewArray => "NewArray",
-            ArrayInsert => "ArrayInsert",
-            ArrayAppend => "ArrayAppend",
-            Bin => "Bin",
-            Not => "Not",
-            Neg => "Neg",
-            ToBool => "ToBool",
-            Jump => "Jump",
-            JumpIfFalsePop => "JumpIfFalsePop",
-            JumpIfTruePeek => "JumpIfTruePeek",
-            JumpIfFalsePeek => "JumpIfFalsePeek",
-            PushGuard => "PushGuard",
-            GuardTick => "GuardTick",
-            PopGuard => "PopGuard",
-            IterInit => "IterInit",
-            IterNext => "IterNext",
-            IterPop => "IterPop",
-            DefineFunc => "DefineFunc",
-            CallUser => "CallUser",
-            CallBuiltin => "CallBuiltin",
-            CallDynamic => "CallDynamic",
-            Return => "Return",
-            Echo => "Echo",
-            Global => "Global",
-            Fail => "Fail",
-            ConcatN => "ConcatN",
-            EchoValue => "EchoValue",
-            EchoConst => "EchoConst",
-            EchoVar => "EchoVar",
-            IndexConst => "IndexConst",
-            MemoEnter => "MemoEnter",
-            MemoStore => "MemoStore",
-        }
-    }
-
-    /// All kinds, in index order.
-    pub fn all() -> [OpKind; OP_KIND_COUNT] {
-        use OpKind::*;
-        [
-            PushNull,
-            PushBool,
-            PushInt,
-            PushFloat,
-            PushStr,
-            Pop,
-            LoadVar,
-            StoreVar,
-            IndexGet,
-            LoadIndexBase,
-            StoreIndexKeyed,
-            StoreAppend,
-            NewArray,
-            ArrayInsert,
-            ArrayAppend,
-            Bin,
-            Not,
-            Neg,
-            ToBool,
-            Jump,
-            JumpIfFalsePop,
-            JumpIfTruePeek,
-            JumpIfFalsePeek,
-            PushGuard,
-            GuardTick,
-            PopGuard,
-            IterInit,
-            IterNext,
-            IterPop,
-            DefineFunc,
-            CallUser,
-            CallBuiltin,
-            CallDynamic,
-            Return,
-            Echo,
-            Global,
-            Fail,
-            ConcatN,
-            EchoValue,
-            EchoConst,
-            EchoVar,
-            IndexConst,
-            MemoEnter,
-            MemoStore,
-        ]
-    }
-
     /// Whether this kind is a fusion-produced superinstruction.
     pub fn is_fused(self) -> bool {
         matches!(
@@ -488,8 +373,8 @@ impl Op {
             Op::PushFloat(_) => OpKind::PushFloat,
             Op::PushStr(_) => OpKind::PushStr,
             Op::Pop => OpKind::Pop,
-            Op::LoadVar { .. } => OpKind::LoadVar,
-            Op::StoreVar { .. } => OpKind::StoreVar,
+            Op::LoadSlot { .. } => OpKind::LoadSlot,
+            Op::StoreSlot { .. } => OpKind::StoreSlot,
             Op::IndexGet { .. } => OpKind::IndexGet,
             Op::LoadIndexBase { .. } => OpKind::LoadIndexBase,
             Op::StoreIndexKeyed { .. } => OpKind::StoreIndexKeyed,
@@ -535,12 +420,59 @@ impl Op {
 pub struct CompiledFunc {
     /// PHP-visible name.
     pub name: String,
-    /// Parameter names, in declaration order.
-    pub params: Vec<String>,
+    /// Number of parameters; they occupy frame slots `0..n_params`.
+    pub n_params: u32,
+    /// The frame layout: one slot per variable the body names.
+    pub slots: SlotMap,
     /// Body code.
     pub code: Vec<Op>,
-    /// The frame's symbol-table array is proven request-scoped.
-    pub symtab_arena: bool,
+}
+
+/// One body's frame layout, fixed at compile time: slot → name and back.
+/// Opcodes carry slot indices; the names serve the by-name paths that remain
+/// (`extract`, request variables, memo dependency reads and invalidations).
+#[derive(Debug, Clone, Default)]
+pub struct SlotMap {
+    names: Vec<String>,
+    by_name: HashMap<String, u32>,
+}
+
+impl SlotMap {
+    /// The slot of `name`, if the body mentions it.
+    pub fn get(&self, name: &str) -> Option<u32> {
+        self.by_name.get(name).copied()
+    }
+
+    /// The variable a slot holds.
+    pub fn name(&self, slot: usize) -> &str {
+        &self.names[slot]
+    }
+
+    /// Frame size in slots.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether the body names no variable at all.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// Appends a slot for `name` unconditionally (parameters are positional:
+    /// of two sharing a name the later one is what the body reads).
+    fn push(&mut self, name: &str) -> u32 {
+        let slot = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.by_name.insert(name.to_string(), slot);
+        slot
+    }
+
+    fn intern(&mut self, name: &str) -> u32 {
+        match self.get(name) {
+            Some(slot) => slot,
+            None => self.push(name),
+        }
+    }
 }
 
 /// A compiled program: flat code plus every pool it references. Immutable
@@ -549,12 +481,18 @@ pub struct CompiledFunc {
 pub struct CompiledUnit {
     /// Top-level code (function definitions hoisted out).
     pub main: Vec<Op>,
+    /// Main's frame layout: every variable main names, plus every name a
+    /// `global` statement or a memo dependency refers to.
+    pub main_slots: SlotMap,
+    /// Per main slot: some memo site depends on the variable, so a write to
+    /// it must purge the tier (the union of `memo_sites[*].deps`).
+    pub memo_dep: Vec<bool>,
     /// All compiled function bodies (hoisted and nested).
     pub funcs: Vec<CompiledFunc>,
     /// Hoisted name bindings active when execution starts.
     pub func_index: HashMap<String, u32>,
-    /// Variable / function / builtin name pool.
-    pub names: Vec<Name>,
+    /// Builtin and late-bound callee name pool.
+    pub names: Vec<String>,
     /// String-literal pool.
     pub consts: Vec<PhpStr>,
     /// Analysis-time-compiled regex pool: handles to the facts' own
@@ -579,16 +517,6 @@ pub struct CompiledUnit {
     /// Facts side-channel: memoizable call sites, indexed by
     /// [`Op::MemoEnter`]/[`Op::MemoStore`]'s `site` operand.
     pub memo_sites: Vec<MemoSiteInfo>,
-}
-
-/// One entry of the name pool: the name as text, and as the symbol-table key
-/// the VM would otherwise build from it on every variable access.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Name {
-    /// The name.
-    pub text: String,
-    /// The same name as a ready-made array key.
-    pub key: ArrayKey,
 }
 
 /// Static description of one proven-memoizable call site.
@@ -628,6 +556,7 @@ pub fn compile(
         msg_map: HashMap::new(),
         nested_defs: HashSet::new(),
         bodies: Vec::new(),
+        main_slots: SlotMap::default(),
     };
     collect_nested_defs(&prog.stmts, true, &mut c.nested_defs);
     if let Some(f) = facts {
@@ -690,6 +619,17 @@ pub fn compile(
         c.stmt(&mut b, s);
     }
     c.unit.main = c.finish_body(b);
+    // Every memo dependency gets a main slot (a callee can read a global
+    // main itself never names), so key building and invalidation never
+    // leave the frame.
+    let deps: Vec<u32> = (c.unit.memo_sites.iter().flat_map(|site| &site.deps))
+        .map(|dep| c.main_slots.intern(dep))
+        .collect();
+    c.unit.memo_dep = vec![false; c.main_slots.len()];
+    for slot in deps {
+        c.unit.memo_dep[slot as usize] = true;
+    }
+    c.unit.main_slots = c.main_slots;
     c.unit.funcs = c
         .bodies
         .into_iter()
@@ -728,11 +668,14 @@ fn collect_nested_defs(stmts: &[Stmt], top: bool, out: &mut HashSet<String>) {
     }
 }
 
-/// A body being compiled: its code plus the loop-patching stack.
+/// A body being compiled: its code, the loop-patching stack, and — for a
+/// function — its frame layout (`None` = main, whose layout lives on the
+/// [`Compiler`] because `global` statements in any body add to it).
 #[derive(Default)]
 struct Body {
     code: Vec<Op>,
     loops: Vec<LoopFrame>,
+    slots: Option<SlotMap>,
 }
 
 /// Pending jumps of one enclosing loop.
@@ -751,6 +694,7 @@ struct Compiler<'f> {
     msg_map: HashMap<String, u32>,
     nested_defs: HashSet<String>,
     bodies: Vec<Option<CompiledFunc>>,
+    main_slots: SlotMap,
 }
 
 impl<'f> Compiler<'f> {
@@ -759,10 +703,7 @@ impl<'f> Compiler<'f> {
             return i;
         }
         let i = self.unit.names.len() as u32;
-        self.unit.names.push(Name {
-            text: s.to_string(),
-            key: ArrayKey::from(s),
-        });
+        self.unit.names.push(s.to_string());
         self.name_map.insert(s.to_string(), i);
         i
     }
@@ -787,17 +728,31 @@ impl<'f> Compiler<'f> {
         i
     }
 
+    /// The frame slot of `name` in the body being compiled.
+    fn slot(&mut self, b: &mut Body, name: &str) -> u32 {
+        b.slots
+            .as_mut()
+            .unwrap_or(&mut self.main_slots)
+            .intern(name)
+    }
+
     fn func(&mut self, def: &FuncDef) -> CompiledFunc {
-        let mut b = Body::default();
+        let mut slots = SlotMap::default();
+        for p in &def.params {
+            slots.push(p);
+        }
+        let mut b = Body {
+            slots: Some(slots),
+            ..Body::default()
+        };
         for s in &def.body {
             self.stmt(&mut b, s);
         }
-        let symtab_arena = self.facts.is_some_and(|f| f.symtab_arena_safe(&def.name));
         CompiledFunc {
             name: def.name.clone(),
-            params: def.params.clone(),
+            n_params: def.params.len() as u32,
+            slots: b.slots.take().expect("set above"),
             code: self.finish_body(b),
-            symtab_arena,
         }
     }
 
@@ -837,30 +792,25 @@ impl<'f> Compiler<'f> {
             Stmt::Assign { target, value } => {
                 // Value evaluates before the target is touched (tree order).
                 self.expr(b, value);
-                let (elide, shape, site_known) = match self.facts {
-                    Some(f) => (
-                        f.rc_elide_store(s),
-                        f.key_shape_stmt(s),
-                        f.stmt_id(s).is_some(),
-                    ),
-                    None => (false, KeyShape::Unknown, false),
+                let (elide, shape) = match self.facts {
+                    Some(f) => (f.rc_elide_store(s), f.key_shape_stmt(s)),
+                    None => (false, KeyShape::Unknown),
                 };
                 match target {
                     LValue::Var(name) => {
-                        let name = self.name(name);
+                        let slot = self.slot(b, name);
                         self.emit(
                             b,
-                            Op::StoreVar {
-                                name,
+                            Op::StoreSlot {
+                                slot,
                                 elide_rc: elide,
-                                const_key: site_known,
                             },
                         );
                     }
                     LValue::Index { var, key } => {
                         let arena = self.facts.is_some_and(|f| f.arena_safe_stmt(s));
-                        let name = self.name(var);
-                        self.emit(b, Op::LoadIndexBase { name, arena });
+                        let slot = self.slot(b, var);
+                        self.emit(b, Op::LoadIndexBase { slot, arena });
                         match key {
                             Some(kexpr) => {
                                 // Key evaluates after autovivification, as in
@@ -988,12 +938,10 @@ impl<'f> Compiler<'f> {
             } => {
                 self.expr(b, array);
                 self.emit(b, Op::IterInit);
-                let (elide, site_known) = match self.facts {
-                    Some(f) => (f.rc_elide_store(s), f.stmt_id(s).is_some()),
-                    None => (false, false),
-                };
-                let value = self.name(value_var);
-                let key = key_var.as_ref().map(|k| self.name(k));
+                let elide = self.facts.is_some_and(|f| f.rc_elide_store(s));
+                // Value slot before key slot: the order the names appear in.
+                let value = self.slot(b, value_var);
+                let key = key_var.as_ref().map(|k| self.slot(b, k));
                 let loop_at = b.code.len();
                 let next = self.emit(
                     b,
@@ -1001,7 +949,6 @@ impl<'f> Compiler<'f> {
                         value,
                         key,
                         elide_rc: elide,
-                        const_key: site_known,
                         end: u32::MAX,
                     },
                 );
@@ -1040,8 +987,9 @@ impl<'f> Compiler<'f> {
             }
             Stmt::Global(names) => {
                 for n in names {
-                    let name = self.name(n);
-                    self.emit(b, Op::Global { name });
+                    let slot = self.slot(b, n);
+                    let main = self.main_slots.intern(n);
+                    self.emit(b, Op::Global { slot, main });
                 }
             }
             Stmt::Break => {
@@ -1088,17 +1036,13 @@ impl<'f> Compiler<'f> {
                 self.emit(b, Op::PushStr(i));
             }
             Expr::Var(name) => {
-                let (elide, site_known) = match self.facts {
-                    Some(f) => (f.rc_elide_read(e), f.expr_id(e).is_some()),
-                    None => (false, false),
-                };
-                let name = self.name(name);
+                let elide = self.facts.is_some_and(|f| f.rc_elide_read(e));
+                let slot = self.slot(b, name);
                 self.emit(
                     b,
-                    Op::LoadVar {
-                        name,
+                    Op::LoadSlot {
+                        slot,
                         elide_rc: elide,
-                        const_key: site_known,
                     },
                 );
             }
@@ -1341,7 +1285,7 @@ fn flatten_concat<'e>(e: &'e Expr, facts: Option<&AnalysisFacts>, out: &mut Vec<
 }
 
 /// The adjacent-pair peephole: fuses `PushStr`+`EchoValue`,
-/// `LoadVar`+`EchoValue`, and `PushStr`+`IndexGet` wherever the second
+/// `LoadSlot`+`EchoValue`, and `PushStr`+`IndexGet` wherever the second
 /// instruction is not a jump target, then remaps every jump across the
 /// renumbering.
 fn fuse_pairs(code: Vec<Op>) -> Vec<Op> {
@@ -1371,17 +1315,9 @@ fn fuse_pairs(code: Vec<Op>) -> Vec<Op> {
         let fused = if i + 1 < code.len() && !targets.contains(&(i + 1)) {
             match (&code[i], &code[i + 1]) {
                 (Op::PushStr(s), Op::EchoValue { .. }) => Some(Op::EchoConst { s: *s }),
-                (
-                    Op::LoadVar {
-                        name,
-                        elide_rc,
-                        const_key,
-                    },
-                    Op::EchoValue { arena },
-                ) => Some(Op::EchoVar {
-                    name: *name,
+                (Op::LoadSlot { slot, elide_rc }, Op::EchoValue { arena }) => Some(Op::EchoVar {
+                    slot: *slot,
                     elide_rc: *elide_rc,
-                    const_key: *const_key,
                     arena: *arena,
                 }),
                 (Op::PushStr(s), Op::IndexGet { elide_rc, hint }) => Some(Op::IndexConst {
@@ -1442,6 +1378,28 @@ mod tests {
             assert_eq!(k as usize, i);
             assert!(!k.name().is_empty());
         }
+    }
+
+    #[test]
+    fn parameters_take_the_first_slots_and_main_owns_every_global() {
+        let u = unit(
+            "function f($a, $b) { global $g; $c = $a; return $c . $b . $g; } \
+             $x = 1; echo f($x, 2);",
+            false,
+        );
+        let f = &u.funcs[0];
+        assert_eq!((f.n_params, f.slots.len()), (2, 4));
+        let slots = ["a", "b", "g", "c"].map(|name| f.slots.get(name));
+        assert_eq!(slots, [Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(f.slots.get("x"), None, "main's variable is not f's");
+        // `global $g` in f gave main a slot before main's own `$x`.
+        assert_eq!(
+            (u.main_slots.get("g"), u.main_slots.get("x")),
+            (Some(0), Some(1))
+        );
+        assert_eq!(u.main_slots.name(1), "x");
+        assert!(f.code.contains(&Op::Global { slot: 2, main: 0 }));
+        assert_eq!(u.memo_dep, [false, false], "no facts, no memo sites");
     }
 
     #[test]

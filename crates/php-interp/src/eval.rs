@@ -534,8 +534,12 @@ impl<'m> Interp<'m> {
     }
 
     /// Purges memo entries depending on global `name` after a write to it.
+    /// The tier is namespaced per program, so only a name in some memo
+    /// site's fingerprint can match an entry; every other write skips the
+    /// tier.
     fn memo_invalidate_global(&mut self, name: &str) {
-        if let Some(handle) = &self.memo {
+        let Some(handle) = &self.memo else { return };
+        if self.facts.as_ref().is_some_and(|f| f.is_memo_dep(name)) {
             let n = handle.invalidate(name);
             if n > 0 {
                 self.machine.ctx().profiler().note_memo_invalidations(n);

@@ -91,6 +91,9 @@ pub struct AnalysisFacts {
     /// its read-set. The stored fingerprint drives key construction and
     /// write-triggered invalidation.
     memo_sites: HashMap<NodeId, MemoSiteFact>,
+    /// The union of every memo site's `deps`: the only globals whose writes
+    /// can match a stored fingerprint.
+    memo_deps: HashSet<String>,
 }
 
 /// What the engines need to memoize one proven call site.
@@ -200,6 +203,7 @@ impl AnalysisFacts {
 
     /// Marks a call site as memoizable with the given fingerprint.
     pub fn set_memo_site(&mut self, id: NodeId, fact: MemoSiteFact) {
+        self.memo_deps.extend(fact.deps.iter().cloned());
         self.memo_sites.insert(id, fact);
     }
 
@@ -303,6 +307,12 @@ impl AnalysisFacts {
     /// memoizable.
     pub fn memo_site(&self, e: &Expr) -> Option<&MemoSiteFact> {
         self.expr_id(e).and_then(|id| self.memo_sites.get(&id))
+    }
+
+    /// Whether some memo site's fingerprint names global `name`, i.e. whether
+    /// a write to it can invalidate anything.
+    pub fn is_memo_dep(&self, name: &str) -> bool {
+        self.memo_deps.contains(name)
     }
 
     /// Number of proven-memoizable call sites.

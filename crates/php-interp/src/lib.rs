@@ -33,7 +33,7 @@ pub mod vm;
 pub use ast::{BinOp, Expr, FuncDef, Program, Stmt};
 pub use builtins::NAMES as BUILTIN_NAMES;
 pub use compile::{
-    compile, CompileOptions, CompiledFunc, CompiledUnit, MemoSiteInfo, Name, Op, OpKind,
+    compile, CompileOptions, CompiledFunc, CompiledUnit, MemoSiteInfo, Op, OpKind, SlotMap,
 };
 pub use eval::{strip_delimiters, ErrorKind, Interp, RuntimeError};
 pub use facts::{AnalysisFacts, KeyShape, MemoSiteFact, NodeId};

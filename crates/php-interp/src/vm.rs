@@ -9,22 +9,27 @@
 //! [`crate::Interp`] on every program: the differential harness and the
 //! serving layer's replay machinery gate exactly that.
 //!
-//! The VM mirrors the tree-walker's observable structure one-for-one:
-//! symbol tables are [`PhpArray`]s (hash-map traffic), function frames free
-//! their tables on scope exit, loop iteration caps and the recursion limit
-//! use the same constants and messages, and builtins run through the shared
+//! Variables live in frame slots the compiler assigned: one `Vec<Slot>`
+//! holds every active frame back to back (main at offset 0, each call's
+//! frame at the end), and a variable access is an indexed load or store that
+//! charges the type check and refcount traffic of the symbol-table access it
+//! replaces, minus the hash-table events. A name the running body never
+//! mentions (an `extract`ed key, an unused request variable) goes to the
+//! frame's spill symbol table, a metered [`PhpArray`] created on first use.
+//! Loop iteration caps and the recursion limit use the tree-walker's
+//! constants and messages, and builtins run through the shared
 //! [`builtins::Host`] dispatch.
 
 use crate::builtins;
-use crate::compile::{CompiledUnit, Name, Op, OpKind, OP_KIND_COUNT};
+use crate::compile::{CompiledUnit, Op, OpKind, SlotMap, OP_KIND_COUNT};
 use crate::eval::{binop_eval, index_read, key_of, RuntimeError, MAX_DEPTH};
 use crate::memo::{MemoHandle, MemoHit, MemoValue};
 use php_runtime::array::{ArrayKey, PhpArray};
 use php_runtime::value::PhpValue;
 use php_runtime::AccessStatic;
-use phpaccel_core::{KeyShapeHint, PhpMachine};
+use phpaccel_core::PhpMachine;
 use regex_engine::Regex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// µops charged to the JIT bucket per executed opcode (vs 3 per AST node in
@@ -120,9 +125,35 @@ enum ChunkExit {
     Returned(PhpValue),
 }
 
-struct Scope {
-    table: PhpArray,
-    globals: HashSet<String>,
+/// One variable slot of a frame.
+#[derive(Clone)]
+enum Slot {
+    /// Never written: reads as `null` and, like a symbol-table miss,
+    /// charges no type check.
+    Unset,
+    Value(PhpValue),
+    /// `global $x` ran in this frame: the variable is main's slot.
+    Global(u32),
+}
+
+/// The running body's frame.
+struct Frame {
+    /// Index of the frame's slot 0 in [`Vm::slots`].
+    base: usize,
+    /// Function-table index of the body; `None` in main.
+    func: Option<u32>,
+    /// Symbol table for names the body never mentions, created on first
+    /// use. Write-only by construction: a name that can be read has a slot.
+    spill: Option<PhpArray>,
+}
+
+/// Reads a memo dependency straight off main's frame: key building is
+/// bookkeeping, not program work, so it bypasses the metered load.
+fn read_dep(slots: &[Slot], main: &SlotMap, dep: &str) -> PhpValue {
+    match main.get(dep).map(|slot| &slots[slot as usize]) {
+        Some(Slot::Value(v)) => v.clone(),
+        _ => PhpValue::Null,
+    }
 }
 
 /// One in-flight memoizable call between its `MemoEnter` miss and its
@@ -137,14 +168,16 @@ struct PendingMemo {
     out_mark: usize,
 }
 
-/// The VM. Holds the same per-request state as [`crate::Interp`] (scope
-/// stack of symbol-table arrays, output buffer, regex cache, recursion
-/// depth) plus the bytecode machine state (value/iterator/guard stacks and
-/// the runtime function-binding table).
+/// The VM. Holds the same per-request state as [`crate::Interp`] (output
+/// buffer, regex cache, recursion depth) plus the bytecode machine state
+/// (frame slots, value/iterator/guard stacks and the runtime
+/// function-binding table).
 pub struct Vm<'m> {
     machine: &'m mut PhpMachine,
     unit: Arc<CompiledUnit>,
-    scopes: Vec<Scope>,
+    /// Every active frame's slots, main's first.
+    slots: Vec<Slot>,
+    frame: Frame,
     stack: Vec<PhpValue>,
     iters: Vec<(Vec<(ArrayKey, PhpValue)>, usize)>,
     guards: Vec<u64>,
@@ -170,14 +203,15 @@ pub struct Vm<'m> {
 impl<'m> Vm<'m> {
     /// Creates a VM for one request over `unit`.
     pub fn new(machine: &'m mut PhpMachine, unit: Arc<CompiledUnit>) -> Self {
-        let table = machine.new_array();
         Vm {
             machine,
+            slots: vec![Slot::Unset; unit.main_slots.len()],
+            frame: Frame {
+                base: 0,
+                func: None,
+                spill: None,
+            },
             unit,
-            scopes: vec![Scope {
-                table,
-                globals: HashSet::new(),
-            }],
             stack: Vec::new(),
             iters: Vec::new(),
             guards: Vec::new(),
@@ -234,7 +268,7 @@ impl<'m> Vm<'m> {
     /// Sets a variable in the current scope (workload drivers bind request
     /// variables through this, mirroring [`crate::Interp::set_var_public`]).
     pub fn set_var_public(&mut self, name: &str, value: PhpValue) {
-        self.set_var_by_text(name, value);
+        self.set_var_by_name(name, value);
     }
 
     /// Runs the unit's main body.
@@ -286,84 +320,82 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn scope_index_for(&self, name: &str) -> usize {
-        let cur = self.scopes.len() - 1;
-        if cur > 0 && self.scopes[cur].globals.contains(name) {
-            0
-        } else {
-            cur
+    /// The absolute index of a frame slot, following a `global` binding.
+    fn resolve(&self, slot: u32) -> usize {
+        let at = self.frame.base + slot as usize;
+        match self.slots[at] {
+            Slot::Global(main) => main as usize,
+            _ => at,
         }
     }
 
-    fn get_var_static(&mut self, name: &Name, st: AccessStatic, hint: KeyShapeHint) -> PhpValue {
-        let idx = self.scope_index_for(&name.text);
-        let table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
-        let v = self
-            .machine
-            .array_get_static(&table, &name.key, st, hint)
-            .unwrap_or(PhpValue::Null);
-        self.scopes[idx].table = table;
-        v
-    }
-
-    fn set_var_static(
-        &mut self,
-        name: &Name,
-        value: PhpValue,
-        st: AccessStatic,
-        hint: KeyShapeHint,
-    ) {
-        self.set_var_keyed(&name.text, name.key.clone(), value, st, hint);
-    }
-
-    fn set_var_keyed(
-        &mut self,
-        name: &str,
-        key: ArrayKey,
-        value: PhpValue,
-        st: AccessStatic,
-        hint: KeyShapeHint,
-    ) {
-        let idx = self.scope_index_for(name);
-        let mut table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
-        self.machine
-            .array_set_static(&mut table, key, value, st, hint);
-        self.scopes[idx].table = table;
-        if idx == 0 && self.memo.is_some() {
-            self.memo_invalidate_global(name);
+    /// A variable read: the symbol-table GET's type check and refcount
+    /// increment, without the hash probe.
+    fn load_at(&self, at: usize, elide_rc: bool) -> PhpValue {
+        match &self.slots[at] {
+            Slot::Value(v) => {
+                let ctx = self.machine.ctx();
+                ctx.type_check(v);
+                ctx.refcount_on_copy_elidable(v, elide_rc);
+                v.clone()
+            }
+            _ => PhpValue::Null,
         }
     }
 
-    /// A global was (re)written: purge memo entries whose fingerprint names
-    /// it. Freshness/capacity only — soundness comes from dep *values* being
+    fn load(&self, slot: u32, elide_rc: bool) -> PhpValue {
+        self.load_at(self.resolve(slot), elide_rc)
+    }
+
+    /// A variable write: the symbol-table SET's refcount pair, without the
+    /// hash probe.
+    fn store_at(&mut self, at: usize, value: PhpValue, elide_rc: bool) {
+        let ctx = self.machine.ctx();
+        ctx.refcount_on_copy_elidable(&value, elide_rc);
+        if let Slot::Value(old) = std::mem::replace(&mut self.slots[at], Slot::Value(value)) {
+            ctx.refcount_on_drop_elidable(&old, elide_rc);
+        }
+        self.memo_invalidate(at);
+    }
+
+    fn store(&mut self, slot: u32, value: PhpValue, elide_rc: bool) {
+        self.store_at(self.resolve(slot), value, elide_rc);
+    }
+
+    /// The variable at `at` was (re)written: if it is a global some memo
+    /// site depends on, purge the entries whose fingerprint names it.
+    /// Freshness/capacity only — soundness comes from dep *values* being
     /// part of every key.
-    fn memo_invalidate_global(&mut self, name: &str) {
+    fn memo_invalidate(&mut self, at: usize) {
+        if self.unit.memo_dep.get(at) != Some(&true) {
+            return;
+        }
         if let Some(handle) = &self.memo {
-            let n = handle.invalidate(name);
+            let n = handle.invalidate(self.unit.main_slots.name(at));
             if n > 0 {
                 self.machine.ctx().profiler().note_memo_invalidations(n);
             }
         }
     }
 
-    fn set_var(&mut self, name: &Name, value: PhpValue) {
-        self.set_var_static(name, value, AccessStatic::default(), KeyShapeHint::Unknown);
-    }
-
-    fn get_var(&mut self, name: &Name) -> PhpValue {
-        self.get_var_static(name, AccessStatic::default(), KeyShapeHint::Unknown)
-    }
-
-    /// [`Vm::set_var`] for a name that is not in the unit's pool (a request
-    /// variable, a parameter, an `extract`ed key).
-    fn set_var_by_text(&mut self, name: &str, value: PhpValue) {
-        self.set_var_keyed(
-            name,
-            ArrayKey::from(name),
-            value,
-            AccessStatic::default(),
-            KeyShapeHint::Unknown,
-        );
+    /// Sets a variable of the running body by name (a request variable, an
+    /// `extract`ed key): its slot when the body mentions the name, the
+    /// frame's spill table otherwise.
+    fn set_var_by_name(&mut self, name: &str, value: PhpValue) {
+        let map = match self.frame.func {
+            Some(f) => &self.unit.funcs[f as usize].slots,
+            None => &self.unit.main_slots,
+        };
+        if let Some(slot) = map.get(name) {
+            return self.store(slot, value, false);
+        }
+        let mut table = match self.frame.spill.take() {
+            Some(table) => table,
+            None => self.machine.new_array(),
+        };
+        self.machine
+            .array_set(&mut table, ArrayKey::from(name), value);
+        self.frame.spill = Some(table);
     }
 
     fn pop(&mut self) -> PhpValue {
@@ -375,6 +407,13 @@ impl<'m> Vm<'m> {
     fn pop_args(&mut self, argc: u32) -> Vec<PhpValue> {
         let at = self.stack.len() - argc as usize;
         self.stack.split_off(at)
+    }
+
+    fn access(elide_rc: bool) -> AccessStatic {
+        AccessStatic {
+            elide_rc,
+            skip_type_check: false,
+        }
     }
 
     fn compile_regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
@@ -404,7 +443,7 @@ impl<'m> Vm<'m> {
                 self.vm.machine
             }
             fn set_var(&mut self, name: &str, value: PhpValue) {
-                self.vm.set_var_by_text(name, value);
+                self.vm.set_var_by_name(name, value);
             }
             fn next_rand(&mut self) -> i64 {
                 builtins::rand_step(&mut self.vm.rand_state)
@@ -425,22 +464,33 @@ impl<'m> Vm<'m> {
         builtins::dispatch(&mut VmHost { vm: self, regex }, name, args)
     }
 
-    fn invoke(&mut self, func: u32, args: Vec<PhpValue>) -> Result<PhpValue, RuntimeError> {
+    /// Calls a user function with the top `argc` stack values as arguments.
+    fn invoke(&mut self, func: u32, argc: u32) -> Result<PhpValue, RuntimeError> {
         if self.depth >= MAX_DEPTH {
             return Err(RuntimeError::new("maximum call depth exceeded"));
         }
         self.depth += 1;
         let unit = Arc::clone(&self.unit);
         let f = &unit.funcs[func as usize];
-        let table = self.machine.new_array_static(f.symtab_arena);
-        self.scopes.push(Scope {
-            table,
-            globals: HashSet::new(),
-        });
-        for (i, p) in f.params.iter().enumerate() {
-            let v = args.get(i).cloned().unwrap_or(PhpValue::Null);
-            self.set_var_by_text(p, v);
+        // The new frame goes on the end of the slot vector. Arguments move
+        // off the value stack into the parameter slots (surplus ones are
+        // dropped, missing ones are `null`); every other slot starts unset.
+        let base = self.slots.len();
+        let n_params = f.n_params as usize;
+        let args_at = self.stack.len() - argc as usize;
+        for v in self.stack.drain(args_at..).take(n_params) {
+            self.machine.ctx().refcount_on_copy(&v);
+            self.slots.push(Slot::Value(v));
         }
+        self.slots
+            .resize(base + n_params, Slot::Value(PhpValue::Null));
+        self.slots.resize(base + f.slots.len(), Slot::Unset);
+        let frame = Frame {
+            base,
+            func: Some(func),
+            spill: None,
+        };
+        let caller = std::mem::replace(&mut self.frame, frame);
         let stack_mark = self.stack.len();
         let iter_mark = self.iters.len();
         let guard_mark = self.guards.len();
@@ -452,10 +502,11 @@ impl<'m> Vm<'m> {
         self.iters.truncate(iter_mark);
         self.guards.truncate(guard_mark);
         self.memo_pending.truncate(memo_mark);
-        // Function scope ends: its symbol table (a short-lived hash map!)
-        // is freed — the pattern the hardware hash table exploits.
-        let scope = self.scopes.pop().expect("scope pushed above");
-        self.machine.array_free(&scope.table);
+        self.slots.truncate(base);
+        let frame = std::mem::replace(&mut self.frame, caller);
+        if let Some(spill) = frame.spill {
+            self.machine.array_free(&spill);
+        }
         self.depth -= 1;
         match result? {
             ChunkExit::Returned(v) => Ok(v),
@@ -488,48 +539,18 @@ impl<'m> Vm<'m> {
                 Op::Pop => {
                     self.pop();
                 }
-                Op::LoadVar {
-                    name,
-                    elide_rc,
-                    const_key,
-                } => {
-                    let st = AccessStatic {
-                        elide_rc: *elide_rc,
-                        skip_type_check: false,
-                    };
-                    let hint = if *const_key {
-                        KeyShapeHint::ConstStr
-                    } else {
-                        KeyShapeHint::Unknown
-                    };
-                    let v = self.get_var_static(&unit.names[*name as usize], st, hint);
+                Op::LoadSlot { slot, elide_rc } => {
+                    let v = self.load(*slot, *elide_rc);
                     self.stack.push(v);
                 }
-                Op::StoreVar {
-                    name,
-                    elide_rc,
-                    const_key,
-                } => {
+                Op::StoreSlot { slot, elide_rc } => {
                     let v = self.pop();
-                    let st = AccessStatic {
-                        elide_rc: *elide_rc,
-                        skip_type_check: false,
-                    };
-                    let hint = if *const_key {
-                        KeyShapeHint::ConstStr
-                    } else {
-                        KeyShapeHint::Unknown
-                    };
-                    self.set_var_static(&unit.names[*name as usize], v, st, hint);
+                    self.store(*slot, v, *elide_rc);
                 }
                 Op::IndexGet { elide_rc, hint } => {
                     let key = self.pop();
                     let base = self.pop();
-                    let st = AccessStatic {
-                        elide_rc: *elide_rc,
-                        skip_type_check: false,
-                    };
-                    let v = index_read(self.machine, base, &key, st, *hint)?;
+                    let v = index_read(self.machine, base, &key, Self::access(*elide_rc), *hint)?;
                     self.stack.push(v);
                 }
                 Op::IndexConst {
@@ -539,27 +560,23 @@ impl<'m> Vm<'m> {
                 } => {
                     let base = self.pop();
                     let kv = PhpValue::str(unit.consts[*key as usize].clone());
-                    let st = AccessStatic {
-                        elide_rc: *elide_rc,
-                        skip_type_check: false,
-                    };
-                    let v = index_read(self.machine, base, &kv, st, *hint)?;
+                    let v = index_read(self.machine, base, &kv, Self::access(*elide_rc), *hint)?;
                     self.stack.push(v);
                 }
-                Op::LoadIndexBase { name, arena } => {
-                    let name = &unit.names[*name as usize];
-                    // Only store paths flow through LoadIndexBase: an indexed
-                    // write to a global is about to happen.
-                    if self.memo.is_some() && self.scope_index_for(&name.text) == 0 {
-                        self.memo_invalidate_global(&name.text);
-                    }
-                    let base = self.get_var(name);
-                    let v = match base {
-                        PhpValue::Array(_) => base,
+                Op::LoadIndexBase { slot, arena } => {
+                    let at = self.resolve(*slot);
+                    let v = match self.load_at(at, false) {
+                        base @ PhpValue::Array(_) => {
+                            // Only store paths flow through LoadIndexBase:
+                            // an element of the variable is about to be
+                            // written without passing through `store_at`.
+                            self.memo_invalidate(at);
+                            base
+                        }
                         PhpValue::Null => {
                             let a = self.machine.new_array_static(*arena);
                             let v2 = PhpValue::array(a);
-                            self.set_var(name, v2.clone());
+                            self.store_at(at, v2.clone(), false);
                             v2
                         }
                         other => {
@@ -578,11 +595,7 @@ impl<'m> Vm<'m> {
                     let PhpValue::Array(rc) = base else {
                         unreachable!("LoadIndexBase always pushes an array");
                     };
-                    let st = AccessStatic {
-                        elide_rc: *elide_rc,
-                        skip_type_check: false,
-                    };
-                    let k = key_of(&key);
+                    let (k, st) = (key_of(&key), Self::access(*elide_rc));
                     self.machine
                         .array_set_static(&mut rc.borrow_mut(), k, value, st, *hint);
                 }
@@ -595,10 +608,7 @@ impl<'m> Vm<'m> {
                     let PhpValue::Array(rc) = base else {
                         unreachable!("LoadIndexBase always pushes an array");
                     };
-                    let st = AccessStatic {
-                        elide_rc: *elide_rc,
-                        skip_type_check: false,
-                    };
+                    let st = Self::access(*elide_rc);
                     self.machine
                         .array_push_static(&mut rc.borrow_mut(), value, st, *int_append);
                 }
@@ -715,7 +725,6 @@ impl<'m> Vm<'m> {
                     value,
                     key,
                     elide_rc,
-                    const_key,
                     end,
                 } => {
                     let (pairs, pos) = self.iters.last_mut().expect("iter pushed");
@@ -724,23 +733,14 @@ impl<'m> Vm<'m> {
                     } else {
                         let (k, v) = pairs[*pos].clone();
                         *pos += 1;
-                        let st = AccessStatic {
-                            elide_rc: *elide_rc,
-                            skip_type_check: false,
-                        };
-                        let hint = if *const_key {
-                            KeyShapeHint::ConstStr
-                        } else {
-                            KeyShapeHint::Unknown
-                        };
-                        if let Some(kn) = key {
-                            let key_value = match &k {
-                                ArrayKey::Int(i) => PhpValue::Int(*i),
-                                ArrayKey::Str(s) => PhpValue::str(s.clone()),
+                        if let Some(key_slot) = key {
+                            let key_value = match k {
+                                ArrayKey::Int(i) => PhpValue::Int(i),
+                                ArrayKey::Str(s) => PhpValue::str(s),
                             };
-                            self.set_var_static(&unit.names[*kn as usize], key_value, st, hint);
+                            self.store(*key_slot, key_value, *elide_rc);
                         }
-                        self.set_var_static(&unit.names[*value as usize], v, st, hint);
+                        self.store(*value, v, *elide_rc);
                     }
                 }
                 Op::IterPop => {
@@ -757,11 +757,10 @@ impl<'m> Vm<'m> {
                     argc,
                     summarized,
                 } => {
-                    let args = self.pop_args(*argc);
                     if *summarized {
                         self.machine.ctx().profiler().note_summary_applied();
                     }
-                    let v = self.invoke(*func, args)?;
+                    let v = self.invoke(*func, *argc)?;
                     self.stack.push(v);
                 }
                 Op::MemoEnter { site, skip } => {
@@ -770,15 +769,8 @@ impl<'m> Vm<'m> {
                         let argc = info.argc as usize;
                         let key = {
                             let args = &self.stack[self.stack.len() - argc..];
-                            // Dep values come straight off the global table:
-                            // key building is bookkeeping, not program work,
-                            // so it bypasses the metered accessor path.
-                            let scope0 = &self.scopes[0].table;
                             handle.build_key(&info.func, args, &info.deps, |dep| {
-                                scope0
-                                    .get(&ArrayKey::from(dep))
-                                    .cloned()
-                                    .unwrap_or(PhpValue::Null)
+                                read_dep(&self.slots, &unit.main_slots, dep)
                             })
                         };
                         match key {
@@ -823,17 +815,11 @@ impl<'m> Vm<'m> {
                             // argument or a dep through an alias the keys
                             // differ and the entry is not stored — replaying
                             // it later could skip that mutation.
-                            let stable = {
-                                let scope0 = &self.scopes[0].table;
-                                handle
-                                    .build_key(&info.func, &p.args, &info.deps, |dep| {
-                                        scope0
-                                            .get(&ArrayKey::from(dep))
-                                            .cloned()
-                                            .unwrap_or(PhpValue::Null)
-                                    })
-                                    .is_some_and(|k| k == p.key)
-                            };
+                            let stable = handle
+                                .build_key(&info.func, &p.args, &info.deps, |dep| {
+                                    read_dep(&self.slots, &unit.main_slots, dep)
+                                })
+                                .is_some_and(|k| k == p.key);
                             if stable {
                                 let ret =
                                     self.stack.last().expect("CallUser pushed a return value");
@@ -850,7 +836,7 @@ impl<'m> Vm<'m> {
                 }
                 Op::CallBuiltin { name, argc, regex } => {
                     let args = self.pop_args(*argc);
-                    let v = self.call_builtin(&unit.names[*name as usize].text, args, *regex)?;
+                    let v = self.call_builtin(&unit.names[*name as usize], args, *regex)?;
                     self.stack.push(v);
                 }
                 Op::CallDynamic {
@@ -859,8 +845,7 @@ impl<'m> Vm<'m> {
                     regex,
                     summarized,
                 } => {
-                    let args = self.pop_args(*argc);
-                    let name = &unit.names[*name as usize].text;
+                    let name = &unit.names[*name as usize];
                     let funcs = self.rebound_funcs.as_ref().unwrap_or(&unit.func_index);
                     let v = match funcs.get(name).copied() {
                         Some(func) => {
@@ -869,9 +854,12 @@ impl<'m> Vm<'m> {
                             if *summarized {
                                 self.machine.ctx().profiler().note_summary_applied();
                             }
-                            self.invoke(func, args)?
+                            self.invoke(func, *argc)?
                         }
-                        None => self.call_builtin(name, args, *regex)?,
+                        None => {
+                            let args = self.pop_args(*argc);
+                            self.call_builtin(name, args, *regex)?
+                        }
                     };
                     self.stack.push(v);
                 }
@@ -898,27 +886,20 @@ impl<'m> Vm<'m> {
                     self.tally.transients_elided += 1;
                 }
                 Op::EchoVar {
-                    name,
+                    slot,
                     elide_rc,
-                    const_key,
                     arena,
                 } => {
-                    let st = AccessStatic {
-                        elide_rc: *elide_rc,
-                        skip_type_check: false,
-                    };
-                    let hint = if *const_key {
-                        KeyShapeHint::ConstStr
-                    } else {
-                        KeyShapeHint::Unknown
-                    };
-                    let v = self.get_var_static(&unit.names[*name as usize], st, hint);
+                    let v = self.load(*slot, *elide_rc);
                     self.echo_fast(v, *arena);
                 }
-                Op::Global { name } => {
-                    let name = unit.names[*name as usize].text.clone();
-                    let cur = self.scopes.len() - 1;
-                    self.scopes[cur].globals.insert(name);
+                Op::Global { slot, main } => {
+                    // Whatever the frame held under that name is dropped, as
+                    // the tree-walker's shadowed local becomes unreachable.
+                    let at = self.frame.base + *slot as usize;
+                    if at != *main as usize {
+                        self.slots[at] = Slot::Global(*main);
+                    }
                 }
                 Op::Fail { msg } => {
                     return Err(RuntimeError::new(unit.msgs[*msg as usize].clone()));
@@ -1143,6 +1124,26 @@ mod tests {
         ] {
             assert!(both(src).is_err(), "{src}");
         }
+    }
+
+    #[test]
+    fn parameters_sharing_a_name_read_the_last_one() {
+        assert_eq!(
+            both("function f($a, $a) { return $a; } echo f(1, 2);").unwrap(),
+            "2"
+        );
+    }
+
+    #[test]
+    fn call_depth_error_unwinds_every_frame() {
+        let prog = parse("$m = 1; function f($n) { $l = $n; return f($n + 1); } f(0);").unwrap();
+        let unit = Arc::new(compile(&prog, &[], None, CompileOptions::default()));
+        let mut m = PhpMachine::specialized();
+        let mut vm = Vm::new(&mut m, unit);
+        assert_eq!(vm.run().unwrap_err().message, "maximum call depth exceeded");
+        // Back to main's one-slot frame.
+        assert_eq!((vm.slots.len(), vm.frame.base, vm.depth), (1, 0, 0));
+        assert!(vm.frame.func.is_none() && vm.frame.spill.is_none());
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! precise AST node it wants to specialize, and compiles that same
 //! `Program` instance — mirroring how `php_corpus::prepare` keeps the
 //! analyzed program alive for the engines.
+//!
+//! Re-pinned when variables moved into frame slots: a variable access is no
+//! longer a hash probe, so `StoreSlot`/`LoadSlot` carry no constant-key hint
+//! and a function frame has no symbol table for a region verdict to place.
 
 use php_interp::ast::{BinOp, Expr, LValue, Stmt};
 use php_interp::{compile, parse, AnalysisFacts, CompileOptions, CompiledUnit, KeyShape, Op};
@@ -76,10 +80,10 @@ fn rc_elidable_assignment_compiles_to_elided_store() {
     facts.mark_rc_elide_store(id);
 
     let unit = compile(&program, &[], Some(&facts), unfused());
-    let stores = find(&unit, |op| matches!(op, Op::StoreVar { .. }));
+    let stores = find(&unit, |op| matches!(op, Op::StoreSlot { .. }));
     assert_eq!(stores.len(), 1);
     assert!(
-        matches!(stores[0], Op::StoreVar { elide_rc: true, .. }),
+        matches!(stores[0], Op::StoreSlot { elide_rc: true, .. }),
         "proven store must elide the refcount pair: {:?}",
         stores[0]
     );
@@ -88,14 +92,13 @@ fn rc_elidable_assignment_compiles_to_elided_store() {
     // defaults to the safe generic form.
     let empty = AnalysisFacts::default();
     let unit = compile(&program, &[], Some(&empty), unfused());
-    let stores = find(&unit, |op| matches!(op, Op::StoreVar { .. }));
+    let stores = find(&unit, |op| matches!(op, Op::StoreSlot { .. }));
     assert!(
         matches!(
             stores[0],
-            Op::StoreVar {
+            Op::StoreSlot {
                 elide_rc: false,
-                const_key: false,
-                ..
+                slot: 0
             }
         ),
         "empty facts must fall back to the generic store: {:?}",
@@ -233,16 +236,22 @@ fn arena_safe_indexed_store_site_reaches_autovivification() {
 }
 
 #[test]
-fn symtab_arena_verdict_reaches_compiled_function_frames() {
-    let program = parse("function f($x) { return $x + 1; } echo f(1);").unwrap();
+fn compiled_function_frames_are_slots_whatever_the_symtab_verdict() {
+    let program = parse("function f($x) { $y = $x + 1; return $y; } echo f(1);").unwrap();
     let mut facts = AnalysisFacts::default();
     facts.set_symtab_arena_safe("f", true);
 
     let unit = compile(&program, &[], Some(&facts), unfused());
     let f = &unit.funcs[unit.func_index["f"] as usize];
-    assert!(f.symtab_arena, "proven frame must arena-place its symtab");
+    assert_eq!(f.n_params, 1);
+    assert_eq!(f.slots.get("x"), Some(0), "parameters take the first slots");
+    assert_eq!(f.slots.get("y"), Some(1));
+    assert_eq!(f.slots.len(), 2);
+    assert!(unit.main_slots.is_empty(), "main names no variable");
 
-    let generic = compile(&program, &[], None, unfused());
-    let f = &generic.funcs[generic.func_index["f"] as usize];
-    assert!(!f.symtab_arena);
+    // The symtab verdict (still consumed by the tree-walker) has nothing to
+    // place in a compiled frame.
+    let generic = compile(&program, &[], Some(&AnalysisFacts::default()), unfused());
+    let g = &generic.funcs[generic.func_index["f"] as usize];
+    assert_eq!(f.code, g.code);
 }

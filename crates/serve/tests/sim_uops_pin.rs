@@ -3,8 +3,15 @@
 //! Host-side optimisations of the metering path (the dense µop ledger, the
 //! allocation-free VM loop, shared compiled regexes) must not move a single
 //! simulated µop. This runs a fixed request sequence the way one HTTP worker
-//! serves it and compares the profiler's total with the value the commit
-//! before the dense ledger produced.
+//! serves it and compares the profiler's total with a pinned value.
+//!
+//! The pin has moved once since the dense ledger (PR 13, 488 012): PR 16
+//! put the VM's variables in compile-time frame slots, so a variable access
+//! stopped metering a hash probe and a call stopped allocating a
+//! symbol-table array. That is a change to the modelled machine (the paper's
+//! §3 inline-caching prior made real for symbol tables), not to the
+//! instrument, and it is the only kind of change allowed to move this
+//! number.
 
 use php_interp::MemoTier;
 use phpaccel_core::{Engine, PhpMachine};
@@ -12,9 +19,10 @@ use serve::{BreakerConfig, MemoCache, SandboxConfig, Server};
 use std::sync::Arc;
 use workloads::php_corpus::CorpusCache;
 
-/// `total_uops` after the sequence below, measured on the parent commit
-/// (string-keyed ledger, per-call regex clones).
-const PINNED_SIM_UOPS: u64 = 488_012;
+/// `total_uops` after the sequence below: 488 012 with symbol-table
+/// variables, 357 358 with frame slots (−26.8 %, all of it hash-map and heap
+/// events of symbol tables).
+const PINNED_SIM_UOPS: u64 = 357_358;
 
 #[test]
 fn serving_configuration_sim_uops_are_pinned() {

@@ -10,8 +10,9 @@
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
 use php_interp::{compile, parse, CompileOptions, Interp, MemoHandle, MemoTier, SimpleMemo, Vm};
+use php_interp::MemoHit;
 use phpaccel_core::{Engine, PhpMachine};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Runs `src` once on a fresh machine with facts attached and the given
 /// memo tier (if any); returns the output bytes and the machine's memo
@@ -160,5 +161,95 @@ fn warm_tier_hits_are_dependency_faithful_across_requests() {
             "rewritten deps must not accumulate hits ({engine:?})"
         );
         assert!(invalidations >= 1, "({engine:?})");
+    }
+}
+
+/// A tier that records the dependency name of every `invalidate` call it
+/// receives, over a [`SimpleMemo`] that does the work.
+#[derive(Default)]
+struct RecordingTier {
+    inner: SimpleMemo,
+    invalidate_calls: Mutex<Vec<String>>,
+}
+
+impl MemoTier for RecordingTier {
+    fn lookup(&self, key: &str) -> Option<MemoHit> {
+        self.inner.lookup(key)
+    }
+    fn store(&self, key: String, deps: Vec<String>, hit: MemoHit) {
+        self.inner.store(key, deps, hit);
+    }
+    fn invalidate(&self, dep: &str) -> u64 {
+        self.invalidate_calls.lock().unwrap().push(dep.to_string());
+        self.inner.invalidate(dep)
+    }
+}
+
+/// A memoized helper that reads no global: nothing a script writes can match
+/// a stored fingerprint.
+const NO_DEPS: &str = r#"
+$a = 1;
+$list = array();
+function square($x) {
+    return $x * $x;
+}
+echo square(3);
+$a = 2;
+$list[] = $a;
+foreach ($list as $k => $v) { echo $k, $v; }
+echo square(3);
+"#;
+
+/// `$cfg` is a dependency, `$other` and `$log` are not; the dependency is
+/// rebound, written through an index, and bound by a `foreach`.
+const MIXED_WRITES: &str = r#"
+$cfg = array('m' => 'A');
+$other = 1;
+function render($x) {
+    global $cfg;
+    return $x . ':' . $cfg['m'];
+}
+echo render('a');
+$other = 2;
+$cfg['m'] = 'B';
+$log = array();
+$log[] = $other;
+echo render('a');
+foreach (array(array('m' => 'C')) as $cfg) { echo render('a'); }
+"#;
+
+/// The tier is namespaced per script, so only a write to a name in some memo
+/// site's `deps` can match an entry: every other main-scope write must not
+/// reach `MemoTier::invalidate` at all, on either engine.
+#[test]
+fn the_tier_is_asked_to_invalidate_only_for_dependency_writes() {
+    for engine in [Engine::TreeWalk, Engine::Vm] {
+        let tier = Arc::new(RecordingTier::default());
+        let (out, (hits, _, stores, _)) =
+            run_once(NO_DEPS, engine, Some(tier.clone() as Arc<dyn MemoTier>));
+        assert_eq!(out, b"9029", "({engine:?})");
+        assert!(stores >= 1 && hits >= 1, "square must be a memo site");
+        assert_eq!(
+            *tier.invalidate_calls.lock().unwrap(),
+            Vec::<String>::new(),
+            "no memo site has a dependency, so no write can invalidate ({engine:?})"
+        );
+
+        let tier = Arc::new(RecordingTier::default());
+        let (out, (_, _, stores, invalidations)) = run_once(
+            MIXED_WRITES,
+            engine,
+            Some(tier.clone() as Arc<dyn MemoTier>),
+        );
+        assert_eq!(out, b"a:Aa:Ba:C", "({engine:?})");
+        assert!(stores >= 2 && invalidations >= 2, "({engine:?})");
+        // One call per write of `$cfg` (rebind, element write, foreach
+        // bind), none for `$other` or `$log`.
+        let dep = MemoHandle::new(tier.clone() as Arc<dyn MemoTier>, "inval-test").dep_key("cfg");
+        assert_eq!(
+            *tier.invalidate_calls.lock().unwrap(),
+            vec![dep.clone(), dep.clone(), dep],
+            "({engine:?})"
+        );
     }
 }

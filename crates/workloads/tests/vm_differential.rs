@@ -9,11 +9,11 @@
 //! (fusion on and off × facts on and off × arena on and off) and demands
 //! byte-identical output plus identical end-of-request live-block counts.
 //!
-//! The pinned tests at the bottom each encode an evaluation-order or
-//! short-circuit rule the differential flushed out while the VM codegen was
-//! being brought into line with the tree walker; they assert the exact
-//! expected bytes so a regression fails with a readable diff rather than a
-//! generated-program dump.
+//! The pinned tests at the bottom each encode an evaluation-order,
+//! short-circuit or variable-scope rule (the VM keeps variables in
+//! compile-time frame slots, the tree walker in symbol-table arrays); they
+//! assert the exact expected bytes so a regression fails with a readable
+//! diff rather than a generated-program dump.
 
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
@@ -46,6 +46,20 @@ fn run_src_memo(
     arena: bool,
     memo: Option<Arc<dyn MemoTier>>,
 ) -> (Vec<u8>, usize) {
+    let (result, live) = try_run_src(src, runner, with_facts, arena, memo);
+    let out = result.unwrap_or_else(|e| panic!("{runner:?} fails: {e}\n{src}"));
+    (out, live)
+}
+
+/// [`run_src_memo`] for programs that may fail: the error message in place
+/// of the output. The request boundary is crossed either way.
+fn try_run_src(
+    src: &str,
+    runner: Runner,
+    with_facts: bool,
+    arena: bool,
+    memo: Option<Arc<dyn MemoTier>>,
+) -> (Result<Vec<u8>, String>, usize) {
     let program =
         parse(src).unwrap_or_else(|e| panic!("generated program fails to parse: {e:?}\n{src}"));
     let shared: Vec<Arc<FuncDef>> = program
@@ -72,10 +86,8 @@ fn run_src_memo(
             if let Some(t) = memo {
                 interp.set_memo(MemoHandle::new(t, "vm-diff"));
             }
-            interp
-                .run_program(&program)
-                .unwrap_or_else(|e| panic!("tree walk fails: {e:?}\n{src}"));
-            interp.take_output()
+            let r = interp.run_program(&program);
+            r.map(|()| interp.take_output()).map_err(|e| e.message)
         }
         Runner::Vm { fused } => {
             let unit = Arc::new(compile(
@@ -88,9 +100,8 @@ fn run_src_memo(
             if let Some(t) = memo {
                 vm.set_memo(MemoHandle::new(t, "vm-diff"));
             }
-            vm.run()
-                .unwrap_or_else(|e| panic!("vm (fused={fused}) fails: {e:?}\n{src}"));
-            vm.take_output()
+            let r = vm.run();
+            r.map(|()| vm.take_output()).map_err(|e| e.message)
         }
     };
     m.end_request();
@@ -315,6 +326,18 @@ enum Seg {
     Cond { c: i64 },
     /// A foreach over a literal array concatenating key:value pairs.
     Each { len: usize },
+    /// `extract` onto a parameter, onto a local read afterwards, and of a
+    /// key the body never names — in a function and at main scope.
+    Extract { v: i64 },
+    /// `global` after a local write of the name and inside a branch that is
+    /// or is not taken, plus a global that only functions ever name.
+    Global { take: bool, v: i64 },
+    /// Recursion with a local per activation and a parameter named like the
+    /// `$log` global, which it must not alias.
+    Recur { n: i64 },
+    /// A never-written read, an append that auto-vivifies an unset local,
+    /// and foreach key/value variables read after the loop.
+    Fresh { len: usize },
 }
 
 fn seg_strategy() -> impl Strategy<Value = Seg> {
@@ -326,6 +349,10 @@ fn seg_strategy() -> impl Strategy<Value = Seg> {
         (0i64..3, 0i64..3).prop_map(|(a, b)| Seg::Short { a, b }),
         (0i64..4).prop_map(|c| Seg::Cond { c }),
         (1usize..5).prop_map(|len| Seg::Each { len }),
+        (0i64..9).prop_map(|v| Seg::Extract { v }),
+        (any::<bool>(), 0i64..9).prop_map(|(take, v)| Seg::Global { take, v }),
+        (0i64..5).prop_map(|n| Seg::Recur { n }),
+        (1usize..4).prop_map(|len| Seg::Fresh { len }),
     ]
 }
 
@@ -402,6 +429,47 @@ fn render(segs: &[Seg]) -> String {
                 let _ = writeln!(
                     main,
                     "echo 'e{i}:', seg{i}(array({})), ';';",
+                    items.join(", ")
+                );
+            }
+            Seg::Extract { v } => {
+                let _ = writeln!(
+                    funcs,
+                    "function seg{i}($p) {{ $q = 'q';                      extract(array('p' => $p + {v}, 'q' => 'Q', 'nobody{i}' => 1));                      return $p . $q; }}"
+                );
+                let _ = writeln!(
+                    main,
+                    "$m{i} = 'm'; extract(array('m{i}' => 'M{v}', 'ghost{i}' => 2));                      echo 't{i}:', seg{i}({v}), $m{i}, ';';"
+                );
+            }
+            Seg::Global { take, v } => {
+                let _ = writeln!(
+                    funcs,
+                    "function seg{i}($t) {{ $g{i} = 'local'; $r = $g{i};                      if ($t) {{ global $g{i}; }} return $r . '/' . $g{i}; }}\n\
+                     function seg{i}b() {{ global $h{i}; $h{i} = $h{i} . 'w'; return $h{i}; }}"
+                );
+                let _ = writeln!(
+                    main,
+                    "$g{i} = 'G{v}'; echo 'g{i}:', seg{i}({}), ',', seg{i}b(), seg{i}b(), ';';",
+                    *take as i64
+                );
+            }
+            Seg::Recur { n } => {
+                let _ = writeln!(
+                    funcs,
+                    "function seg{i}($n, $log) {{ $mine = $n * 2;                      if ($n > 0) {{ $below = seg{i}($n - 1, $log . $n); }}                      else {{ $below = $log; }} return $below . ':' . $mine; }}"
+                );
+                let _ = writeln!(main, "echo 'r{i}:', seg{i}({n}, 'L'), ';';");
+            }
+            Seg::Fresh { len } => {
+                let items: Vec<String> = (0..*len).map(|j| format!("'w{j}'")).collect();
+                let _ = writeln!(
+                    funcs,
+                    "function seg{i}($a) {{ $fresh[] = 1; $fresh[] = $never;                      foreach ($a as $k => $v) {{ $seen = $k; }}                      return count($fresh) . (is_null($never) ? 'N' : '?') . $k . $v . $seen; }}"
+                );
+                let _ = writeln!(
+                    main,
+                    "foreach (array({0}) as $fk{i} => $fv{i}) {{ }}                      echo 'f{i}:', seg{i}(array({0})), $fk{i}, $fv{i}, ';';",
                     items.join(", ")
                 );
             }
@@ -495,4 +563,130 @@ fn pinned_concat_chain_evaluates_left_to_right() {
                $log = '';\n\
                echo p('a') . p('b') . p('c') . p('d'), ':', $log;";
     assert_eq!(assert_engines_agree(src), b"abcd:abcd");
+}
+
+// -- pinned variable-scope rules ---------------------------------------------
+//
+// The VM resolves every variable name to a frame slot at compile time; the
+// by-name paths that remain (`extract`, `global`) have to land on the same
+// variable a later static read finds.
+
+/// `extract` onto a name the body mentions writes that variable's slot, in
+/// main and in a function (where a parameter is the target), and the next
+/// static read sees it.
+#[test]
+fn pinned_extract_onto_a_slot_is_seen_by_a_static_read() {
+    let src = "function f($p) { $q = 'q'; extract(array('p' => 'P', 'q' => 'Q')); return $p . $q; }\n\
+               $m = 'm';\n\
+               extract(array('m' => 'M', 'late' => 'L'));\n\
+               echo f('p'), $m, $late;";
+    assert_eq!(assert_engines_agree(src), b"PQML");
+}
+
+/// `extract` of names no code mentions lands in the frame's spill table:
+/// nothing can read them back, and no block outlives the request
+/// (`assert_engines_agree` compares the live-block counts).
+#[test]
+fn pinned_extract_of_unmentioned_names_spills_and_leaks_nothing() {
+    let src = "function f() { extract(array('nobody' => 1, 'nothing' => 2)); return 'f'; }\n\
+               echo extract(array('ghost' => 1, 7 => 'skipped')), f(), f();";
+    assert_eq!(assert_engines_agree(src), b"1ff");
+}
+
+/// `global $x` takes effect when the statement executes: a local written
+/// before it is shadowed from then on, and a `global` in a branch not taken
+/// binds nothing.
+#[test]
+fn pinned_global_binds_when_executed() {
+    let src = "function late() { $x = 'local'; $seen = $x; global $x; $x = $x . '!'; return $seen; }\n\
+               function skipped($t) { $x = 'mine'; if ($t) { global $x; } return $x; }\n\
+               $x = 'G';\n\
+               echo late(), ',', $x, ',', skipped(0), ',', skipped(1);";
+    assert_eq!(assert_engines_agree(src), b"local,G!,mine,G!");
+}
+
+/// A global main never mentions still persists between the functions that
+/// name it.
+#[test]
+fn pinned_global_main_never_mentions_is_shared_between_functions() {
+    let src = "function put($v) { global $hidden; $hidden = $v; }\n\
+               function get() { global $hidden; return $hidden; }\n\
+               echo is_null(get()) ? 'null' : 'set'; put('kept'); echo ',', get();";
+    assert_eq!(assert_engines_agree(src), b"null,kept");
+}
+
+/// A parameter named like a global is the frame's own variable.
+#[test]
+fn pinned_parameter_named_like_a_global_does_not_alias_it() {
+    let src = "function f($g) { $g = $g . '+'; return $g; }\n\
+               $g = 'G';\n\
+               echo f('arg'), ',', $g;";
+    assert_eq!(assert_engines_agree(src), b"arg+,G");
+}
+
+/// Every activation of a recursive function has its own frame: a local
+/// written before the recursive call still holds its value after it.
+#[test]
+fn pinned_recursion_gives_each_activation_its_own_frame() {
+    let src = "function down($n) { $mine = $n; if ($n > 0) { $below = down($n - 1); } \
+               else { $below = ''; } return $below . $mine; }\n\
+               echo down(4);";
+    assert_eq!(assert_engines_agree(src), b"01234");
+}
+
+/// Unbounded recursion fails with the tree walker's message on every VM
+/// variant, and the unwound request leaves the allocator as the tree
+/// walker's does.
+#[test]
+fn pinned_call_depth_error_unwinds_every_frame() {
+    let src = "function f($n) { $a = array($n); return f($n + 1); } echo 'in'; f(0); echo 'out';";
+    let (tree, live_tree) = try_run_src(src, Runner::Tree, true, false, None);
+    assert_eq!(tree, Err("maximum call depth exceeded".to_string()));
+    for fused in [false, true] {
+        for with_facts in [false, true] {
+            let (vm, live_vm) = try_run_src(src, Runner::Vm { fused }, with_facts, false, None);
+            assert_eq!(vm, tree, "fused={fused} facts={with_facts}");
+            assert_eq!(live_vm, live_tree, "fused={fused} facts={with_facts}");
+        }
+    }
+}
+
+/// A never-written variable reads as `null`, in main and in a function.
+#[test]
+fn pinned_never_written_variable_reads_as_null() {
+    let src = "function f() { return is_null($never) ? 'n' : '?'; }\n\
+               echo f(), is_null($nor_this) ? 'n' : '?', '[', $nor_this, ']';";
+    assert_eq!(assert_engines_agree(src), b"nn[]");
+}
+
+/// `$a[] = v` on an unset local creates the array in the variable's slot.
+#[test]
+fn pinned_append_auto_vivifies_an_unset_local() {
+    let src = "function f() { $a[] = 'x'; $a[] = 'y'; $b['k'] = count($a); return $a[1] . $b['k']; }\n\
+               $m[] = 'main'; echo f(), $m[0];";
+    assert_eq!(assert_engines_agree(src), b"y2main");
+}
+
+/// `foreach` binds ordinary variables: the last key and value are readable
+/// after the loop.
+#[test]
+fn pinned_foreach_variables_survive_the_loop() {
+    let src = "function f($a) { foreach ($a as $k => $v) { } return $k . '=' . $v; }\n\
+               foreach (array('p' => 1, 'q' => 2) as $mk => $mv) { }\n\
+               echo f(array('a' => 'x', 'b' => 'y')), ',', $mk, $mv;";
+    assert_eq!(assert_engines_agree(src), b"b=y,q2");
+}
+
+/// A function defined inside another exists once the outer one has run, and
+/// a redefinition reached at run time replaces the hoisted body; each body
+/// has its own frame layout.
+#[test]
+fn pinned_nested_and_redefined_functions_keep_their_own_frames() {
+    let src = "function outer($x) { function inner($y) { $x = 'inner'; return $x . $y; } \
+               return inner($x) . $x; }\n\
+               function again($a) { return 'first' . $a; }\n\
+               echo outer('o'), ',', again(1);\n\
+               if (true) { function again($b, $a) { return 'second' . $a . $b; } }\n\
+               echo ',', again(1, 2);";
+    assert_eq!(assert_engines_agree(src), b"inneroo,first1,second21");
 }
