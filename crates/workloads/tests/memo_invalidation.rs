@@ -9,8 +9,9 @@
 
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
-use php_interp::{compile, parse, CompileOptions, Interp, MemoHandle, MemoTier, SimpleMemo, Vm};
-use php_interp::MemoHit;
+use php_interp::{
+    compile, parse, CompileOptions, Interp, MemoHandle, MemoHit, MemoTier, SimpleMemo, Vm,
+};
 use phpaccel_core::{Engine, PhpMachine};
 use std::sync::{Arc, Mutex};
 

@@ -576,7 +576,8 @@ fn pinned_concat_chain_evaluates_left_to_right() {
 /// static read sees it.
 #[test]
 fn pinned_extract_onto_a_slot_is_seen_by_a_static_read() {
-    let src = "function f($p) { $q = 'q'; extract(array('p' => 'P', 'q' => 'Q')); return $p . $q; }\n\
+    let src =
+        "function f($p) { $q = 'q'; extract(array('p' => 'P', 'q' => 'Q')); return $p . $q; }\n\
                $m = 'm';\n\
                extract(array('m' => 'M', 'late' => 'L'));\n\
                echo f('p'), $m, $late;";
@@ -598,7 +599,8 @@ fn pinned_extract_of_unmentioned_names_spills_and_leaks_nothing() {
 /// binds nothing.
 #[test]
 fn pinned_global_binds_when_executed() {
-    let src = "function late() { $x = 'local'; $seen = $x; global $x; $x = $x . '!'; return $seen; }\n\
+    let src =
+        "function late() { $x = 'local'; $seen = $x; global $x; $x = $x . '!'; return $seen; }\n\
                function skipped($t) { $x = 'mine'; if ($t) { global $x; } return $x; }\n\
                $x = 'G';\n\
                echo late(), ',', $x, ',', skipped(0), ',', skipped(1);";
@@ -662,7 +664,8 @@ fn pinned_never_written_variable_reads_as_null() {
 /// `$a[] = v` on an unset local creates the array in the variable's slot.
 #[test]
 fn pinned_append_auto_vivifies_an_unset_local() {
-    let src = "function f() { $a[] = 'x'; $a[] = 'y'; $b['k'] = count($a); return $a[1] . $b['k']; }\n\
+    let src =
+        "function f() { $a[] = 'x'; $a[] = 'y'; $b['k'] = count($a); return $a[1] . $b['k']; }\n\
                $m[] = 'main'; echo f(), $m[0];";
     assert_eq!(assert_engines_agree(src), b"y2main");
 }
