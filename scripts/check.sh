@@ -107,7 +107,10 @@ import json
 with open("target/BENCH_vm_smoke.json") as f:
     doc = json.load(f)
 assert doc["mismatches"] == 0, doc["mismatches"]
-assert doc["reduction_pct_at_1_worker"] >= 25.0, doc["reduction_pct_at_1_worker"]
+# Three points under what this smoke run reads with variables in frame slots
+# (45.34; the full run in BENCH_vm.json reads 47.31). With variables back in
+# a symbol-table array the VM's cut is 31, so a fall back fails here.
+assert doc["reduction_pct_at_1_worker"] >= 42.3, doc["reduction_pct_at_1_worker"]
 assert doc["fusion_delta_pct_at_1_worker"] > 0, doc["fusion_delta_pct_at_1_worker"]
 assert len(doc["runs"]) == 4 and [r["workers"] for r in doc["runs"]] == [1, 2, 4, 8]
 for r in doc["runs"]:
