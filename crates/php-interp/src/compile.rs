@@ -622,9 +622,8 @@ pub fn compile(
     // Every memo dependency gets a main slot (a callee can read a global
     // main itself never names), so key building and invalidation never
     // leave the frame.
-    let deps: Vec<u32> = (c.unit.memo_sites.iter().flat_map(|site| &site.deps))
-        .map(|dep| c.main_slots.intern(dep))
-        .collect();
+    let deps = c.unit.memo_sites.iter().flat_map(|site| &site.deps);
+    let deps: Vec<u32> = deps.map(|dep| c.main_slots.intern(dep)).collect();
     c.unit.memo_dep = vec![false; c.main_slots.len()];
     for slot in deps {
         c.unit.memo_dep[slot as usize] = true;

@@ -366,7 +366,7 @@ impl<'m> Vm<'m> {
     /// site depends on, purge the entries whose fingerprint names it.
     /// Freshness/capacity only — soundness comes from dep *values* being
     /// part of every key.
-    fn memo_invalidate(&mut self, at: usize) {
+    fn memo_invalidate(&self, at: usize) {
         if self.unit.memo_dep.get(at) != Some(&true) {
             return;
         }
