@@ -22,6 +22,7 @@
 //! assert!(matches!(hm.hmmalloc(48, &mut alloc, &prof), MallocOutcome::Hit { .. }));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod freelist;

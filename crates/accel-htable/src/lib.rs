@@ -15,6 +15,7 @@
 //! assert_eq!(ht.get(0x1000, b"missing"), GetOutcome::Miss); // zero flag → software
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod entry;

@@ -26,6 +26,7 @@
 //! # Ok::<(), regex_engine::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hints;

@@ -16,6 +16,7 @@
 //! assert!(cost.cycles <= 3); // one block
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -1,13 +1,12 @@
-//! `serve_http` — boot the HTTP/1.1 front end over the worker pool.
+//! `serve_http` — boot the HTTP/1.1 front end.
 //!
-//! Binds a `std::net` listener, spawns the acceptor + worker threads, and
-//! serves the corpus over `GET /run/<script>` plus `/health` and
-//! `/metrics` until killed. The port is printed on stdout (and flushed)
-//! before blocking, so scripts can parse it from the first line.
+//! Binds a `std::net` listener, spawns the worker threads, and serves the
+//! corpus over `GET /run/<script>` plus `/health` and `/metrics` until
+//! killed. The port is printed on stdout (and flushed) before blocking, so
+//! scripts can parse it from the first line.
 //!
 //! Usage:
 //!   serve_http [--addr HOST:PORT] [--workers N] [--faults SEED] [--memo]
-//!              [--queue N]
 
 use serve::{FaultPlan, HttpConfig, HttpServer, MemoCache};
 use std::io::Write;
@@ -37,9 +36,6 @@ fn main() {
     if args.iter().any(|a| a == "--memo") {
         cfg.memo = Some(Arc::new(MemoCache::new(16)));
     }
-    if let Some(queue) = arg_value(&args, "--queue") {
-        cfg.queue_capacity = queue.parse().expect("--queue takes a positive integer");
-    }
 
     let corpus = Arc::new(CorpusCache::build());
     let server = HttpServer::start(cfg, Arc::clone(&corpus)).expect("bind http front end");
@@ -51,7 +47,7 @@ fn main() {
     );
     std::io::stdout().flush().expect("flush stdout");
 
-    // Serve until killed; the handle keeps the acceptor + workers alive.
+    // Serve until killed; the handle keeps the workers alive.
     loop {
         std::thread::park();
     }

@@ -5,6 +5,7 @@
 //! baseline/specialized runs, report formatting, and the standard load
 //! parameters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use phpaccel_core::{compare, Comparison, ExecMode, MachineConfig, PhpMachine};

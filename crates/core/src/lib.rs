@@ -21,6 +21,7 @@
 //! assert!(m.core().htable.stats().sets > 0); // went through hardware
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod account;

@@ -40,6 +40,7 @@
 //! // Attach to an interpreter with `interp.set_facts(analysis.facts.into())`.
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callgraph;

@@ -18,6 +18,7 @@
 //! # Ok::<(), php_interp::RuntimeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -24,6 +24,7 @@
 //! assert!(ctx.profiler().total_uops() > 0); // costs were metered
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

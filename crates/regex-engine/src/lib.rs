@@ -19,6 +19,7 @@
 //! # Ok::<(), regex_engine::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

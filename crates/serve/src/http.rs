@@ -1,30 +1,29 @@
-//! The HTTP/1.1 front end (ROADMAP item 1).
+//! The HTTP/1.1 front end.
 //!
-//! Built on `std::net` only — the workspace vendors no async runtime — and
-//! layered exactly like the `tokio_php` exemplar:
+//! Built on `std::net` only — the workspace vendors no async runtime. A
+//! request is served on one thread, from socket read to socket write:
 //!
 //! ```text
-//!   acceptor thread ── connection threads (parse, keep-alive)
-//!        │                   │
-//!        │             middleware chain  (rate limit → access log →
-//!        │                   │            error pages → identity encoding)
-//!        │             admission control (predicted-wait shedding, 503)
-//!        │                   │
-//!        │             bounded sync_channel queue
-//!        │                   │
-//!        └───────────► N PHP workers, each a private [`Server`]
-//!                           (sandbox → faults → breakers → memo → replay)
+//!   one non-blocking TcpListener, polled by every worker
+//!        │  (a wake accepts at most one connection; it stays with that worker)
+//!        ▼
+//!   N php-worker threads, each a poll(2) loop over its own sockets:
+//!     read → buffer → parse_request (incomplete waits, pipelined in order)
+//!       → middleware chain  (rate limit → access log → error pages → encoding)
+//!       → admission control (depth: parsed, not yet served; 503)
+//!       → Server::step      (faults → breakers → sandbox → memo → replay)
+//!       → publish totals → buffered write (POLLOUT while the socket is full)
 //! ```
 //!
 //! The HTTP layer is a *transport* over the same [`Server::step`] the
-//! deterministic pool drives: a worker thread owns a private
-//! [`PhpMachine`] wrapped in a `Server`, pulls each request's due faults
-//! from one shared global [`FaultPlan`], and serves corpus scripts through
-//! the full sandbox/fault/breaker/memo pipeline. With
-//! `reset_between_requests` every response is machine-history-independent,
-//! so the bytes served over a socket are byte-identical to driving the
-//! `Server` directly on the same request indices — the end-to-end test's
-//! invariant, and the reason HTTP never becomes a second execution path.
+//! deterministic pool drives: a worker owns a private [`PhpMachine`]
+//! wrapped in a `Server`, pulls each request's due faults from one shared
+//! global [`FaultPlan`], and serves corpus scripts through the full
+//! sandbox/fault/breaker/memo pipeline. With `reset_between_requests` every
+//! response is machine-history-independent, so the bytes served over a
+//! socket are byte-identical to driving the `Server` directly on the same
+//! request indices — the end-to-end test's invariant, and the reason HTTP
+//! never becomes a second execution path.
 //!
 //! Internal endpoints: `GET /health` (liveness) and `GET /metrics`
 //! (Prometheus text format, schema in [`crate::metrics_text`]). Application
@@ -40,17 +39,18 @@ use crate::middleware::{
     AccessLog, ErrorPages, IdentityEncoding, Middleware as _, MiddlewareChain, MiddlewareRequest,
     RateLimit,
 };
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::sandbox::SandboxConfig;
 use crate::server::{Scripts, Server, Totals};
 use php_interp::MemoTier;
 use phpaccel_core::{Engine, PhpMachine};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Parsing
@@ -476,17 +476,22 @@ impl HttpResponse {
 // Server
 // ---------------------------------------------------------------------------
 
-/// Front-end configuration. The request pipeline behind the queue reuses
-/// the same knobs as [`crate::pool::PoolConfig`], so a loopback run is
-/// directly comparable to a pool run.
+/// How long a connection may sit idle, hold a partial request, or hold
+/// output its peer does not read before its worker closes it.
+const CONN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Bytes one `read` takes off a socket.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Front-end configuration. The request step reuses the same knobs as
+/// [`crate::pool::PoolConfig`], so a loopback run is directly comparable to
+/// a pool run.
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port.
     pub addr: String,
     /// PHP worker threads (≥ 1).
     pub workers: usize,
-    /// Bounded request-queue capacity (≥ 1); arrivals beyond it get 503.
-    pub queue_capacity: usize,
     /// Execution engine on every worker machine.
     pub engine: Engine,
     /// Breaker configuration for every worker's four breakers.
@@ -499,9 +504,9 @@ pub struct HttpConfig {
     /// reference and count byte mismatches.
     pub reference: bool,
     /// Restore machines to a pristine request boundary after every request.
-    /// Required for byte-identity with a directly-driven [`Server`]: HTTP
-    /// assigns requests to workers dynamically, so responses must not
-    /// depend on machine history.
+    /// Required for byte-identity with a directly-driven [`Server`]: a
+    /// connection is served by whichever worker accepted it, so responses
+    /// must not depend on machine history.
     pub reset_between_requests: bool,
     /// Arena/epoch allocation on worker machines.
     pub arena: bool,
@@ -509,8 +514,7 @@ pub struct HttpConfig {
     pub memo: Option<Arc<MemoCache>>,
     /// Parser limits.
     pub limits: HttpLimits,
-    /// Deadline-aware admission control; `None` admits everything the
-    /// queue can hold.
+    /// Deadline-aware admission control; `None` admits everything.
     pub admission: Option<AdmissionConfig>,
     /// Token-bucket rate limiting `(capacity, refill_per_sec)`; `None`
     /// disables the stage.
@@ -530,7 +534,6 @@ impl HttpConfig {
         HttpConfig {
             addr: "127.0.0.1:0".into(),
             workers,
-            queue_capacity: workers.max(1) * 100,
             engine: Engine::Vm,
             breaker_cfg: BreakerConfig::default(),
             sandbox: SandboxConfig::unlimited(),
@@ -548,8 +551,8 @@ impl HttpConfig {
     }
 }
 
-/// Point-in-time front-door counters (everything that happens before a
-/// request reaches a worker).
+/// Point-in-time front-door counters (everything that happens to a
+/// request outside [`Server::step`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontSnapshot {
     /// Connections accepted.
@@ -568,7 +571,7 @@ pub struct FrontSnapshot {
     pub rate_limited: u64,
     /// Arrivals shed by admission control (predicted deadline miss).
     pub shed_over_budget: u64,
-    /// Arrivals shed because the bounded queue was full.
+    /// Arrivals shed because admission's queue bound was reached.
     pub shed_queue_full: u64,
     /// `/health` requests served.
     pub health_requests: u64,
@@ -597,23 +600,13 @@ struct FrontCounters {
     metrics_requests: AtomicU64,
 }
 
-/// One queued request.
-struct Job {
-    req: u64,
-    script: Arc<workloads::php_corpus::PreparedScript>,
-    depth_at_arrival: u64,
-    reply: std::sync::mpsc::Sender<WorkerReply>,
-}
-
-struct WorkerReply {
-    status: u16,
-    body: Vec<u8>,
-}
-
-/// Shared state between the acceptor, connection threads, and workers.
+/// What every worker shares.
 struct FrontState {
+    /// Non-blocking; every worker polls it and accepts from it.
+    listener: TcpListener,
     corpus: Arc<workloads::php_corpus::CorpusCache>,
-    jobs: SyncSender<Job>,
+    /// Requests parsed out of some connection's input and not yet served,
+    /// over all workers: admission's queue depth.
     queue_depth: AtomicUsize,
     next_request: AtomicU64,
     admission: Option<Mutex<AdmissionController>>,
@@ -626,7 +619,10 @@ struct FrontState {
     access_log: Arc<AccessLog>,
     rate_limit: Option<Arc<RateLimit>>,
     memo: Option<Arc<MemoCache>>,
+    /// [`HttpConfig::reset_between_requests`].
+    reset: bool,
     shutdown: AtomicBool,
+    /// Open connections over all workers.
     conn_count: AtomicUsize,
     limits: HttpLimits,
     max_connections: usize,
@@ -634,9 +630,14 @@ struct FrontState {
 }
 
 impl FrontState {
-    fn front_snapshot(&self) -> FrontSnapshot {
+    /// Merges the workers' published totals and the front door's counters
+    /// into one metrics snapshot. Front sheds are folded into the merged
+    /// [`crate::ServeStats`] (`requests`/`shed`/arrival-depth histogram) so
+    /// its outcome counters partition every arrival, exactly as in the
+    /// overload layer.
+    fn metrics_snapshot(&self) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        FrontSnapshot {
+        let front = FrontSnapshot {
             connections: load(&self.front.connections),
             connections_refused: load(&self.front.connections_refused),
             http_requests: load(&self.front.http_requests),
@@ -648,16 +649,7 @@ impl FrontState {
             shed_queue_full: load(&self.front.shed_queue_full),
             health_requests: load(&self.front.health_requests),
             metrics_requests: load(&self.front.metrics_requests),
-        }
-    }
-
-    /// Merges the workers' published totals and the front door's shed
-    /// accounting into one metrics snapshot. Front sheds are folded into
-    /// the merged [`crate::ServeStats`] (`requests`/`shed`/arrival-depth
-    /// histogram) so its outcome counters partition every arrival, exactly
-    /// as in the overload layer.
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let front = self.front_snapshot();
+        };
         let mut totals = Totals::default();
         for slot in &self.snapshots {
             totals.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
@@ -685,7 +677,7 @@ impl FrontState {
 pub struct HttpReport {
     /// What `/metrics` would render after the last request.
     pub snapshot: MetricsSnapshot,
-    /// Access-log lines in completion order.
+    /// The last [`AccessLog::CAPACITY`] access-log lines, oldest first.
     pub access_log: Vec<String>,
 }
 
@@ -702,32 +694,28 @@ impl std::ops::Deref for HttpReport {
 /// lifetime (the `serve_http` binary relies on that).
 pub struct HttpServer {
     state: Arc<FrontState>,
-    addr: SocketAddr,
-    acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HttpServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish()
     }
 }
 
 impl HttpServer {
-    /// Binds, spawns the acceptor and `cfg.workers` worker threads, and
-    /// returns a handle. `corpus` provides the `/run/<name>` scripts.
+    /// Binds, spawns `cfg.workers` worker threads, and returns a handle.
+    /// `corpus` provides the `/run/<name>` scripts.
     pub fn start(
         cfg: HttpConfig,
         corpus: Arc<workloads::php_corpus::CorpusCache>,
     ) -> std::io::Result<HttpServer> {
         assert!(cfg.workers > 0, "the front end needs at least one worker");
         let listener = TcpListener::bind(cfg.addr.as_str())?;
-        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
 
-        let (jobs_tx, jobs_rx) = sync_channel::<Job>(cfg.queue_capacity.max(1));
         let access_log = Arc::new(AccessLog::new());
         let rate_limit = cfg
             .rate_limit
@@ -742,8 +730,8 @@ impl HttpServer {
             .with(IdentityEncoding);
 
         let state = Arc::new(FrontState {
+            listener,
             corpus,
-            jobs: jobs_tx,
             queue_depth: AtomicUsize::new(0),
             next_request: AtomicU64::new(0),
             admission: cfg
@@ -767,6 +755,7 @@ impl HttpServer {
             access_log,
             rate_limit,
             memo: cfg.memo.clone(),
+            reset: cfg.reset_between_requests,
             shutdown: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
             limits: cfg.limits,
@@ -774,41 +763,22 @@ impl HttpServer {
             max_keep_alive_requests: cfg.max_keep_alive_requests.max(1),
         });
 
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
+        let workers = (0..cfg.workers)
             .map(|w| {
-                let state = Arc::clone(&state);
-                let jobs_rx = Arc::clone(&jobs_rx);
-                let cfg = cfg.clone();
+                let (state, cfg) = (Arc::clone(&state), cfg.clone());
                 std::thread::Builder::new()
                     .name(format!("php-worker-{w}"))
-                    .spawn(move || worker_loop(w, &cfg, &state, &jobs_rx))
+                    .spawn(move || Worker::new(w, &cfg, &state).run())
                     .expect("spawn worker thread")
             })
             .collect();
 
-        let conn_handles = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let state = Arc::clone(&state);
-            let conn_handles = Arc::clone(&conn_handles);
-            std::thread::Builder::new()
-                .name("http-acceptor".into())
-                .spawn(move || acceptor_loop(listener, state, conn_handles))
-                .expect("spawn acceptor thread")
-        };
-
-        Ok(HttpServer {
-            state,
-            addr,
-            acceptor,
-            workers,
-            conn_handles,
-        })
+        Ok(HttpServer { state, workers })
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.listener.local_addr().expect("bound listener")
     }
 
     /// A point-in-time metrics snapshot (what `/metrics` renders).
@@ -816,39 +786,14 @@ impl HttpServer {
         self.state.metrics_snapshot()
     }
 
-    /// Connection threads not yet joined: the open connections plus those
-    /// that ended since the last accept.
-    pub fn unjoined_connection_threads(&self) -> usize {
-        self.conn_handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
-    /// Stops accepting, drains the queue, joins every thread, and returns
-    /// the final report.
+    /// Stops the workers (each closes its connections), joins them, and
+    /// returns the final report.
     pub fn shutdown(self) -> HttpReport {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.acceptor.join();
-        // Connection threads finish first (workers must stay alive to
-        // answer their queued jobs) …
-        loop {
-            let handle = self
-                .conn_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
-        // … then the workers drain the (now quiescent) queue and exit on
-        // the shutdown flag.
+        // No worker accepts once the flag is set, so one connection leaves
+        // the shared listener readable for good: every worker's `poll`
+        // returns and sees the flag.
+        let _ = TcpStream::connect(self.addr());
         for h in self.workers {
             let _ = h.join();
         }
@@ -859,247 +804,332 @@ impl HttpServer {
     }
 }
 
-/// Accepts connections until the shutdown flag is set, spawning one thread
-/// per connection (bounded by `max_connections`).
-fn acceptor_loop(
-    listener: TcpListener,
-    state: Arc<FrontState>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break;
+/// One accepted connection, owned by the worker that accepted it.
+struct Conn {
+    /// Non-blocking.
+    stream: TcpStream,
+    /// Received bytes not yet parsed: at most one partial request.
+    input: Vec<u8>,
+    /// Complete requests not yet served, in arrival order, then whatever
+    /// ended the input (a parse error or the peer's end of stream).
+    parsed: VecDeque<Result<HttpRequest, HttpParseError>>,
+    /// Response bytes owed to the peer, from `written` on.
+    output: Vec<u8>,
+    written: usize,
+    /// Requests served on this connection.
+    served: usize,
+    /// Nothing more is served; the connection closes once `output` is
+    /// written.
+    closing: bool,
+    /// When the connection began waiting on its peer: idle, partway
+    /// through a request, or with output the peer does not take.
+    since: Instant,
+}
+
+impl Conn {
+    /// Response bytes not yet written.
+    fn owed(&self) -> usize {
+        self.output.len() - self.written
+    }
+
+    /// Serves nothing more on this connection.
+    fn close(&mut self, state: &FrontState) {
+        self.closing = true;
+        state
+            .queue_depth
+            .fetch_sub(self.parsed.len(), Ordering::SeqCst);
+        self.parsed.clear();
+    }
+
+    /// Closes without writing what is owed: the peer is gone.
+    fn abort(&mut self, state: &FrontState) {
+        self.close(state);
+        self.output.clear();
+        self.written = 0;
+    }
+
+    /// Reads what the socket holds and parses every complete request in
+    /// the input. An incomplete request waits for more bytes.
+    fn fill(&mut self, chunk: &mut [u8], state: &FrontState, now: Instant) {
+        let eof = match (&self.stream).read(chunk) {
+            Ok(0) => true,
+            Ok(n) => {
+                if self.input.is_empty() {
+                    self.since = now;
                 }
-                continue;
+                self.input.extend_from_slice(&chunk[..n]);
+                false
             }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => return,
+            Err(_) => return self.abort(state),
         };
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
+        let mut at = 0;
+        loop {
+            let mut rest = Cursor::new(&self.input[at..]);
+            let parsed = match parse_request(&mut rest, &state.limits) {
+                Err(HttpParseError::Eof | HttpParseError::UnexpectedEof) if !eof => break,
+                parsed => parsed,
+            };
+            at += rest.position() as usize;
+            let ended = parsed.is_err();
+            self.parsed.push_back(parsed);
+            state.queue_depth.fetch_add(1, Ordering::SeqCst);
+            if ended {
+                break;
+            }
         }
+        self.input.drain(..at);
+    }
+
+    /// Writes as much owed output as the socket takes.
+    fn flush(&mut self, state: &FrontState, now: Instant) {
+        while self.owed() > 0 {
+            match (&self.stream).write(&self.output[self.written..]) {
+                Ok(n) if n > 0 => self.written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                _ => return self.abort(state),
+            }
+        }
+        self.output.clear();
+        self.written = 0;
+        self.since = now;
+    }
+}
+
+/// One worker thread: a private [`Server`] and the connections it
+/// accepted, served by one readiness loop. A connection stays with the
+/// worker that accepted it (per-connection affinity, no stealing); the
+/// worker pulls each request's due faults from the one shared plan.
+struct Worker<'a> {
+    slot: usize,
+    state: &'a FrontState,
+    server: Server,
+}
+
+impl<'a> Worker<'a> {
+    fn new(slot: usize, cfg: &HttpConfig, state: &'a FrontState) -> Worker<'a> {
+        let mut machine = PhpMachine::specialized();
+        machine.set_engine(cfg.engine);
+        let (arena, reference) = (cfg.arena, cfg.reference);
+        let server = Server::worker(
+            machine,
+            cfg.breaker_cfg,
+            cfg.sandbox,
+            arena,
+            reference,
+            true,
+        );
+        Worker {
+            slot,
+            state,
+            server,
+        }
+    }
+
+    /// Until shutdown, polls the listener and this worker's connections,
+    /// reads and parses what arrived, serves every complete request in
+    /// order, writes the replies, drops connections that are done or past
+    /// their deadline, and accepts at most one new connection per wake.
+    fn run(mut self) {
+        let state = self.state;
+        let (mut conns, mut fds) = (Vec::<Conn>::new(), Vec::new());
+        let mut chunk = vec![0u8; READ_CHUNK];
+        while !state.shutdown.load(Ordering::SeqCst) {
+            fds.clear();
+            fds.push(PollFd::new(&state.listener, POLLIN));
+            fds.extend(
+                conns
+                    .iter()
+                    .map(|c| PollFd::new(&c.stream, if c.owed() > 0 { POLLOUT } else { POLLIN })),
+            );
+            let timeout = conns
+                .iter()
+                .map(|c| c.since + CONN_DEADLINE)
+                .min()
+                .map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            poll::wait(&mut fds, timeout).expect("poll the worker's own sockets");
+
+            let now = Instant::now();
+            for (c, fd) in conns.iter_mut().zip(&fds[1..]) {
+                match fd.revents() {
+                    0 => {}
+                    _ if c.owed() > 0 => c.flush(state, now),
+                    _ => c.fill(&mut chunk, state, now),
+                }
+            }
+            for c in &mut conns {
+                self.serve(c, now);
+            }
+            conns.retain_mut(|c| {
+                let done = c.closing && c.owed() == 0;
+                let keep = !done && now.duration_since(c.since) < CONN_DEADLINE;
+                if !keep {
+                    c.close(state);
+                    state.conn_count.fetch_sub(1, Ordering::SeqCst);
+                }
+                keep
+            });
+            if fds[0].revents() & POLLIN != 0 {
+                conns.extend(self.accept(now));
+            }
+        }
+    }
+
+    /// Takes one pending connection off the shared listener, unless another
+    /// worker was first, shutdown has begun, or `max_connections` are open
+    /// (answered 503 and closed).
+    fn accept(&self, now: Instant) -> Option<Conn> {
+        let state = self.state;
+        if state.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        let (stream, _) = state.listener.accept().ok()?;
         if state.conn_count.load(Ordering::SeqCst) >= state.max_connections {
             state
                 .front
                 .connections_refused
                 .fetch_add(1, Ordering::Relaxed);
-            let mut w = BufWriter::new(&stream);
-            let _ = HttpResponse::new(503)
+            let mut refusal = Vec::new();
+            HttpResponse::new(503)
                 .with_header("retry-after", "1")
-                .write_to(&mut w, false);
-            continue;
+                .write_to(&mut refusal, false)
+                .expect("writing into a Vec cannot fail");
+            let _ = (&stream).write_all(&refusal);
+            return None;
         }
+        stream.set_nonblocking(true).ok()?;
         state.front.connections.fetch_add(1, Ordering::Relaxed);
         state.conn_count.fetch_add(1, Ordering::SeqCst);
-        let conn_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name("http-conn".into())
-            .spawn(move || {
-                connection_loop(stream, &conn_state);
-                conn_state.conn_count.fetch_sub(1, Ordering::SeqCst);
-            })
-            .expect("spawn connection thread");
-        let mut handles = conn_handles.lock().unwrap_or_else(|e| e.into_inner());
-        // Reap the connections that have ended, so the handles kept (and
-        // the thread stacks they pin until joined) stay bounded by the
-        // connections that are open, not by those ever accepted.
-        let mut i = 0;
-        while i < handles.len() {
-            if handles[i].is_finished() {
-                let _ = handles.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
-        }
-        handles.push(handle);
+        Some(Conn {
+            stream,
+            input: Vec::new(),
+            parsed: VecDeque::new(),
+            output: Vec::new(),
+            written: 0,
+            served: 0,
+            closing: false,
+            since: now,
+        })
     }
-}
 
-/// Serves one connection: parse → middleware chain → route, with keep-alive.
-fn connection_loop(stream: TcpStream, state: &FrontState) {
-    // Idle keep-alive connections must not pin shutdown forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    for _ in 0..state.max_keep_alive_requests {
-        let req = match parse_request(&mut reader, &state.limits) {
-            Ok(req) => req,
-            Err(e) => {
-                if let Some(status) = e.status() {
+    /// Serves the connection's parsed requests in order, each once the
+    /// previous reply is written; what ended the input closes it.
+    fn serve(&mut self, c: &mut Conn, now: Instant) {
+        let state = self.state;
+        while !c.closing && c.owed() == 0 {
+            let Some(next) = c.parsed.pop_front() else {
+                return;
+            };
+            state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+            let (resp, keep_alive) = match next {
+                Ok(req) => {
+                    state.front.http_requests.fetch_add(1, Ordering::Relaxed);
+                    let mreq = MiddlewareRequest {
+                        method: &req.method,
+                        target: &req.target,
+                    };
+                    let resp = state.chain.handle(&mreq, || self.route(&req));
+                    c.served += 1;
+                    let keep_alive = req.keep_alive
+                        && c.served < state.max_keep_alive_requests
+                        && !state.shutdown.load(Ordering::SeqCst);
+                    (resp, keep_alive)
+                }
+                Err(e) => {
+                    // Without a status the peer is gone: there is no one to tell.
+                    let Some(status) = e.status() else {
+                        return c.close(state);
+                    };
                     state.front.parse_errors.fetch_add(1, Ordering::Relaxed);
                     let mut resp = HttpResponse::new(status);
-                    ErrorPages.after(
-                        &MiddlewareRequest {
-                            method: "-",
-                            target: "-",
-                        },
-                        &mut resp,
-                    );
-                    let _ = resp.write_to(&mut writer, false);
+                    let mreq = MiddlewareRequest {
+                        method: "-",
+                        target: "-",
+                    };
+                    ErrorPages.after(&mreq, &mut resp);
+                    (resp, false)
                 }
-                return;
+            };
+            resp.write_to(&mut c.output, keep_alive)
+                .expect("writing into a Vec cannot fail");
+            if !keep_alive {
+                c.close(state);
             }
-        };
-        state.front.http_requests.fetch_add(1, Ordering::Relaxed);
-        let mreq = MiddlewareRequest {
-            method: &req.method,
-            target: &req.target,
-        };
-        let resp = state.chain.handle(&mreq, || route(state, &req));
-        let keep_alive = req.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-        if resp.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
-            return;
+            c.since = now;
+            c.flush(state, now);
         }
     }
-}
 
-/// Routes one parsed request to an endpoint.
-fn route(state: &FrontState, req: &HttpRequest) -> HttpResponse {
-    if req.method != "GET" {
-        state
-            .front
-            .method_not_allowed
-            .fetch_add(1, Ordering::Relaxed);
-        return HttpResponse::new(405).with_header("allow", "GET");
-    }
-    match req.path.as_str() {
-        "/health" => {
-            state.front.health_requests.fetch_add(1, Ordering::Relaxed);
-            HttpResponse::text(200, "ok\n")
+    /// Routes one parsed request to an endpoint.
+    fn route(&mut self, req: &HttpRequest) -> HttpResponse {
+        let state = self.state;
+        if req.method != "GET" {
+            state
+                .front
+                .method_not_allowed
+                .fetch_add(1, Ordering::Relaxed);
+            return HttpResponse::new(405).with_header("allow", "GET");
         }
-        "/metrics" => {
-            state.front.metrics_requests.fetch_add(1, Ordering::Relaxed);
-            let body = render_prometheus(&state.metrics_snapshot());
-            HttpResponse::new(200)
-                .with_header("content-type", "text/plain; version=0.0.4; charset=utf-8")
-                .with_body(body.into_bytes())
-        }
-        path => match path.strip_prefix("/run/") {
-            Some(name) => dispatch_run(state, name),
-            None => {
-                state.front.not_found.fetch_add(1, Ordering::Relaxed);
-                HttpResponse::new(404)
+        match req.path.as_str() {
+            "/health" => {
+                state.front.health_requests.fetch_add(1, Ordering::Relaxed);
+                HttpResponse::text(200, "ok\n")
             }
-        },
-    }
-}
-
-/// Admits (or sheds) one `/run/<name>` request and waits for its worker.
-fn dispatch_run(state: &FrontState, name: &str) -> HttpResponse {
-    let Some(script) = state
-        .corpus
-        .scripts()
-        .iter()
-        .find(|s| s.entry().name == name)
-        .cloned()
-    else {
-        state.front.not_found.fetch_add(1, Ordering::Relaxed);
-        return HttpResponse::new(404);
-    };
-
-    // The arrival consumes a global request index whether or not it is
-    // admitted — exactly the overload layer's numbering, so fault plans
-    // keyed on request indices stay meaningful (a due fault lands on the
-    // next admitted request).
-    let req = state.next_request.fetch_add(1, Ordering::SeqCst);
-    let depth = state.queue_depth.load(Ordering::SeqCst);
-    if let Some(ctl) = &state.admission {
-        let mut ctl = ctl.lock().unwrap_or_else(|e| e.into_inner());
-        let predicted = (depth as u64).saturating_mul(ctl.service_envelope_uops());
-        if let AdmissionDecision::Shed(cause) = ctl.decide(predicted, depth) {
-            drop(ctl);
-            return shed(state, cause, depth);
-        }
-    }
-
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    state.queue_depth.fetch_add(1, Ordering::SeqCst);
-    let job = Job {
-        req,
-        script,
-        depth_at_arrival: depth as u64,
-        reply: reply_tx,
-    };
-    match state.jobs.try_send(job) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-            state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            return shed(state, ShedCause::QueueFull, depth);
-        }
-    }
-    match reply_rx.recv() {
-        Ok(reply) => {
-            if reply.status == 200 {
-                HttpResponse::html(200, reply.body)
-            } else {
-                HttpResponse::new(reply.status)
+            "/metrics" => {
+                state.front.metrics_requests.fetch_add(1, Ordering::Relaxed);
+                let body = render_prometheus(&state.metrics_snapshot());
+                HttpResponse::new(200)
+                    .with_header("content-type", "text/plain; version=0.0.4; charset=utf-8")
+                    .with_body(body.into_bytes())
             }
-        }
-        // The worker died mid-request; its panic was already classified.
-        Err(_) => HttpResponse::new(500),
-    }
-}
-
-/// Records one front-door shed and builds its 503.
-fn shed(state: &FrontState, cause: ShedCause, depth: usize) -> HttpResponse {
-    let counter = match cause {
-        ShedCause::OverBudget => &state.front.shed_over_budget,
-        ShedCause::QueueFull => &state.front.shed_queue_full,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    state
-        .shed_depth
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .record(depth as u64);
-    HttpResponse::new(503).with_header("retry-after", "1")
-}
-
-/// One worker thread: a private [`Server`] draining the shared job queue
-/// through the full sandbox/fault/breaker/memo pipeline. Its policy is
-/// dynamic assignment: whichever worker is free takes the next job and
-/// pulls that request's due faults from the one shared plan.
-fn worker_loop(worker: usize, cfg: &HttpConfig, state: &FrontState, jobs: &Mutex<Receiver<Job>>) {
-    let mut machine = PhpMachine::specialized();
-    machine.set_engine(cfg.engine);
-    let mut server = Server::worker(
-        machine,
-        cfg.breaker_cfg,
-        cfg.sandbox,
-        cfg.arena,
-        cfg.reference,
-        true,
-    );
-    let memo: Option<Arc<dyn MemoTier>> = cfg
-        .memo
-        .as_ref()
-        .map(|m| Arc::clone(m) as Arc<dyn MemoTier>);
-    let publish = |server: &Server| {
-        *state.snapshots[worker]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = server.totals();
-    };
-
-    loop {
-        let job = {
-            let rx = jobs.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv_timeout(Duration::from_millis(25))
-        };
-        let job = match job {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break;
+            path => match path.strip_prefix("/run/") {
+                Some(name) => self.run_script(name),
+                None => {
+                    state.front.not_found.fetch_add(1, Ordering::Relaxed);
+                    HttpResponse::new(404)
                 }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+            },
+        }
+    }
+
+    /// Admits (or sheds) one `/run/<name>` request and serves it through
+    /// [`Server::step`], publishing this worker's totals before the reply
+    /// is written, so a client holding its reply also sees it counted.
+    fn run_script(&mut self, name: &str) -> HttpResponse {
+        let state = self.state;
+        let Some(script) = state
+            .corpus
+            .scripts()
+            .iter()
+            .find(|s| s.entry().name == name)
+            .cloned()
+        else {
+            state.front.not_found.fetch_add(1, Ordering::Relaxed);
+            return HttpResponse::new(404);
         };
-        state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+
+        // The arrival consumes a global request index whether or not it is
+        // admitted — exactly the overload layer's numbering, so fault plans
+        // keyed on request indices stay meaningful (a due fault lands on the
+        // next admitted request).
+        let req = state.next_request.fetch_add(1, Ordering::SeqCst);
+        let depth = state.queue_depth.load(Ordering::SeqCst);
+        if let Some(ctl) = &state.admission {
+            let mut ctl = ctl.lock().unwrap_or_else(|e| e.into_inner());
+            let predicted = (depth as u64).saturating_mul(ctl.service_envelope_uops());
+            if let AdmissionDecision::Shed(cause) = ctl.decide(predicted, depth) {
+                drop(ctl);
+                let counter = match cause {
+                    ShedCause::OverBudget => &state.front.shed_over_budget,
+                    ShedCause::QueueFull => &state.front.shed_queue_full,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                let mut shed_depth = state.shed_depth.lock().unwrap_or_else(|e| e.into_inner());
+                shed_depth.record(depth as u64);
+                return HttpResponse::new(503).with_header("retry-after", "1");
+            }
+        }
 
         // Pull the request's due faults from the shared global plan into
         // this worker's private server. Pulling happens at service time —
@@ -1108,74 +1138,42 @@ fn worker_loop(worker: usize, cfg: &HttpConfig, state: &FrontState, jobs: &Mutex
             .plan
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .take_due(job.req);
-        server.schedule_faults(due);
+            .take_due(req);
+        self.server.schedule_faults(due);
 
         let mut handler = Scripts {
-            pick: |_req| Arc::clone(&job.script),
-            memo: memo.clone(),
+            pick: |_req| Arc::clone(&script),
+            memo: state.memo.clone().map(|m| m as Arc<dyn MemoTier>),
         };
-        let (record, service_uops) = server.step(job.req, &mut handler, cfg.reset_between_requests);
+        let (record, service_uops) = self.server.step(req, &mut handler, state.reset);
         // Queue wait has no simulated-µop value on the wall-clock HTTP
         // path, so only arrival depth and service latency are recorded
         // (`queue_wait` stays empty; the overload simulator owns it).
-        server.record_admitted_timing(job.depth_at_arrival, 0, service_uops);
+        self.server
+            .record_admitted_timing(depth as u64, 0, service_uops);
         if let Some(ctl) = &state.admission {
             ctl.lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .observe_service(service_uops);
         }
+        *state.snapshots[self.slot]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = self.server.totals();
 
-        let _ = job.reply.send(WorkerReply {
-            status: record.outcome.status_code(),
-            body: record.response,
-        });
-        publish(&server);
+        match record.outcome.status_code() {
+            200 => HttpResponse::html(200, record.response),
+            status => HttpResponse::new(status),
+        }
     }
-    publish(&server);
 }
 
 /// Convenience for tests and tooling: resolves `addr` and issues one
-/// blocking GET, returning `(status, body)`.
+/// blocking GET on a fresh connection, returning `(status, body)`.
 pub fn blocking_get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<(u16, Vec<u8>)> {
-    let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    write!(writer, "GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n")?;
-    writer.flush()?;
-    read_response(&mut reader)
-}
-
-/// Reads one HTTP response (status line, headers, `content-length` body).
-pub fn read_response<R: BufRead>(r: &mut R) -> std::io::Result<(u16, Vec<u8>)> {
-    let bad = |msg: &str| std::io::Error::new(ErrorKind::InvalidData, msg.to_string());
-    let mut line = String::new();
-    r.read_line(&mut line)?;
-    let status: u16 = line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        r.read_line(&mut header)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("bad content-length"))?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok((status, body))
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(format!("GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n").as_bytes())?;
+    let resp = workloads::read_client_response(&mut BufReader::new(stream))?;
+    Ok((resp.status, resp.body))
 }
 
 #[cfg(test)]
@@ -1319,12 +1317,12 @@ mod tests {
     }
 
     #[test]
-    fn read_response_round_trips_write_to() {
+    fn the_client_reader_round_trips_write_to() {
         let resp = HttpResponse::html(404, b"<h1>gone</h1>".to_vec());
         let mut wire = Vec::new();
         resp.write_to(&mut wire, false).unwrap();
-        let (status, body) = read_response(&mut Cursor::new(wire)).unwrap();
-        assert_eq!(status, 404);
-        assert_eq!(body, b"<h1>gone</h1>");
+        let resp = workloads::read_client_response(&mut Cursor::new(wire)).unwrap();
+        assert_eq!(resp.status, 404);
+        assert_eq!(resp.body, b"<h1>gone</h1>");
     }
 }

@@ -36,12 +36,19 @@
 //!   so offered load above capacity degrades gracefully instead of
 //!   timeout-storming; [`ServeStats`] carries the queue-depth/wait/latency
 //!   histograms ([`hist`]) and shed counters this produces.
-//! * **The HTTP front end** ([`http`]): a `std::net` acceptor + HTTP/1.1
-//!   parser feeding a composable middleware chain ([`middleware`]), the
-//!   admission controller, and a bounded queue drained by worker threads —
-//!   each worker a private [`Server`], so HTTP is a transport over the same
-//!   request step, never a second execution path. `GET /metrics` exports
-//!   everything above in Prometheus text format ([`metrics_text`]).
+//! * **The HTTP front end** ([`http`]): N worker threads, each a private
+//!   [`Server`] and a `poll(2)` readiness loop over the connections it
+//!   accepted from one shared listener, run the HTTP/1.1 parser, a
+//!   composable middleware chain ([`middleware`]), the admission
+//!   controller and the request step on one thread per request — HTTP is a
+//!   transport over the same step, never a second execution path.
+//!   `GET /metrics` exports everything above in Prometheus text format
+//!   ([`metrics_text`]).
+//!
+//! The `poll` wrapper is the workspace's only `unsafe` code; every other
+//! crate forbids it.
+
+#![deny(unsafe_code)]
 
 pub mod admission;
 pub mod breaker;
@@ -54,6 +61,8 @@ pub mod metrics_text;
 pub mod middleware;
 pub mod outcome;
 pub mod overload;
+#[allow(unsafe_code)]
+mod poll;
 pub mod pool;
 pub mod sandbox;
 pub mod server;

@@ -11,10 +11,11 @@
 //! rate limiter count, the access log record, and the error-page stage
 //! decorate without coordinating with each other.
 //!
-//! All stages are `Send + Sync` and interior-mutable, because connection
+//! All stages are `Send + Sync` and interior-mutable, because worker
 //! threads call the chain concurrently.
 
 use crate::http::HttpResponse;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -181,24 +182,29 @@ impl Middleware for RateLimit {
 }
 
 /// Access log: records one `method target status bytes` line per request
-/// after the response is final (so short-circuited 429s are logged too).
+/// after the response is final (so short-circuited 429s are logged too),
+/// keeping the last [`AccessLog::CAPACITY`] lines.
 #[derive(Debug, Default)]
 pub struct AccessLog {
-    lines: Mutex<Vec<String>>,
+    lines: Mutex<VecDeque<String>>,
 }
 
 impl AccessLog {
+    /// Lines kept; each new line past it replaces the oldest.
+    pub const CAPACITY: usize = 4096;
+
     /// An empty log.
     pub fn new() -> Self {
         AccessLog::default()
     }
 
-    /// All lines logged so far, in arrival-completion order.
+    /// The lines kept, oldest first, in completion order.
     pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        let lines = self.lines.lock().unwrap_or_else(|e| e.into_inner());
+        lines.iter().cloned().collect()
     }
 
-    /// Number of lines logged so far.
+    /// Number of lines kept (at most [`AccessLog::CAPACITY`]).
     pub fn len(&self) -> usize {
         self.lines.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
@@ -222,10 +228,11 @@ impl Middleware for AccessLog {
             resp.status,
             resp.body.len()
         );
-        self.lines
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(line);
+        let mut lines = self.lines.lock().unwrap_or_else(|e| e.into_inner());
+        if lines.len() == Self::CAPACITY {
+            lines.pop_front();
+        }
+        lines.push_back(line);
     }
 }
 
@@ -385,6 +392,21 @@ mod tests {
         let lines = log.lines();
         assert_eq!(lines[0], "GET /run/x 200 5");
         assert!(lines[1].starts_with("GET /run/x 429"));
+    }
+
+    #[test]
+    fn access_log_keeps_the_last_lines_oldest_first() {
+        let log = Arc::new(AccessLog::new());
+        let chain = MiddlewareChain::new().with(Arc::clone(&log));
+        for i in 1..=5_000 {
+            chain.handle(&req("GET", &format!("/run/x?n={i}")), || {
+                HttpResponse::text(200, "ok")
+            });
+        }
+        let lines = log.lines();
+        assert_eq!((lines.len(), log.len()), (AccessLog::CAPACITY, 4096));
+        assert_eq!(lines[0], "GET /run/x?n=905 200 2");
+        assert_eq!(lines[4095], "GET /run/x?n=5000 200 2");
     }
 
     #[test]

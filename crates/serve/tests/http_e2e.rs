@@ -3,18 +3,23 @@
 //! The load-bearing property: a script served over `GET /run/<name>`
 //! returns byte-identical responses to the same script served through a
 //! direct [`Server`] with the same fault seeds — on both engines. The
-//! front end adds sockets, parsing, middleware, a queue, and worker
-//! threads, but the execution seam ([`Server::serve_indexed`]) is shared,
-//! so nothing about the bytes may change.
+//! front end adds sockets, parsing, middleware and worker threads, but the
+//! execution seam ([`Server::step`]) is shared, so nothing about the bytes
+//! may change. The rest checks the workers' readiness loop: partial and
+//! pipelined input, many connections per worker, and the request deadline.
 
 use phpaccel_core::{Engine, PhpMachine};
 use serve::http::blocking_get;
 use serve::{
-    parse_prometheus, BreakerConfig, FaultPlan, HttpConfig, HttpServer, SandboxConfig, Server,
+    parse_prometheus, AdmissionConfig, BreakerConfig, FaultPlan, HttpConfig, HttpServer,
+    SandboxConfig, Server,
 };
+use std::io::{BufReader, ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use workloads::php_corpus::CorpusCache;
-use workloads::HttpClient;
+use workloads::{read_client_response, HttpClient};
 
 /// Requests per run: three full cycles through the corpus.
 const N: u64 = 36;
@@ -190,26 +195,24 @@ fn health_errors_and_rate_limiting() {
 
     // Method not allowed.
     {
-        use std::io::{BufReader, Write};
-        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        let stream = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
         writer
             .write_all(b"POST /health HTTP/1.1\r\nconnection: close\r\n\r\n")
             .expect("send POST");
-        let (status, _) = serve::http::read_response(&mut reader).expect("read 405");
-        assert_eq!(status, 405);
+        let resp = read_client_response(&mut reader).expect("read 405");
+        assert_eq!(resp.status, 405);
     }
 
     // A malformed request line is answered 400 and the connection closed.
     {
-        use std::io::{BufReader, Read, Write};
-        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        let stream = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
         writer.write_all(b"garbage\r\n\r\n").expect("send garbage");
-        let (status, _) = serve::http::read_response(&mut reader).expect("read 400");
-        assert_eq!(status, 400);
+        let resp = read_client_response(&mut reader).expect("read 400");
+        assert_eq!(resp.status, 400);
         // Closed: the next read hits EOF.
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).expect("drain");
@@ -221,40 +224,220 @@ fn health_errors_and_rate_limiting() {
     assert_eq!(report.front.parse_errors, 1);
 }
 
-/// Regression: the acceptor kept one `JoinHandle` per connection ever
-/// accepted and joined them only at shutdown, so a server facing
-/// `Connection: close` clients pinned every dead thread's stack (160 MB of
-/// peak RSS after 12 600 connections). It now reaps finished connections on
-/// every accept, including those queued behind one that is still open.
+/// Names of this process's threads (`/proc/self/task/*/comm`).
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
+}
+
+/// One worker thread carries every connection: a keep-alive connection
+/// stays open and idle while 2 000 `Connection: close` requests are
+/// accepted and answered beside it, no thread is spawned per connection or
+/// for accepting, and the idle connection is still served afterwards.
 #[test]
-fn finished_connection_threads_are_reaped_while_serving() {
-    use std::io::{BufReader, Write};
+fn one_worker_serves_every_connection_beside_an_idle_one() {
     let server = HttpServer::start(HttpConfig::loopback(1), corpus()).expect("bind http front end");
     let addr = server.addr();
 
-    // A keep-alive connection that stays open for the whole test: the
-    // oldest handle never finishes.
-    let idle = std::net::TcpStream::connect(addr).expect("connect");
+    let idle = TcpStream::connect(addr).expect("connect");
     let mut idle_reader = BufReader::new(idle.try_clone().expect("clone"));
     let mut idle_writer = idle;
+    let keep_alive_get = b"GET /health HTTP/1.1\r\n\r\n";
     idle_writer
-        .write_all(b"GET /health HTTP/1.1\r\n\r\n")
+        .write_all(keep_alive_get)
         .expect("send keep-alive GET");
-    let (status, _) = serve::http::read_response(&mut idle_reader).expect("read 200");
-    assert_eq!(status, 200);
+    let resp = read_client_response(&mut idle_reader).expect("read 200");
+    assert_eq!(resp.status, 200);
 
     for _ in 0..2_000 {
         let (status, _) = blocking_get(addr, "/health").expect("GET /health");
         assert_eq!(status, 200);
     }
-    // The open connection, the last one accepted, and at most a few whose
-    // threads had not quite exited when the next accept looked.
-    let unjoined = server.unjoined_connection_threads();
-    assert!(unjoined <= 8, "{unjoined} connection threads left unjoined");
+    let names = thread_names();
+    assert!(names.iter().any(|n| n == "php-worker-0"), "{names:?}");
+    assert!(
+        !names
+            .iter()
+            .any(|n| n.starts_with("http-conn") || n.starts_with("http-acceptor")),
+        "{names:?}"
+    );
+
+    idle_writer
+        .write_all(keep_alive_get)
+        .expect("send on the idle connection");
+    let resp = read_client_response(&mut idle_reader).expect("read 200");
+    assert_eq!(resp.status, 200);
 
     drop((idle_reader, idle_writer));
     let report = server.shutdown();
     assert_eq!(report.front.connections, 2_001);
+}
+
+/// A request that arrives one byte per wake is buffered until complete,
+/// while the same worker answers another connection between the bytes.
+#[test]
+fn a_request_written_a_byte_at_a_time_gets_the_right_answer() {
+    let corpus = corpus();
+    let server = HttpServer::start(HttpConfig::loopback(1), Arc::clone(&corpus))
+        .expect("bind http front end");
+    let addr = server.addr();
+    let name = corpus.script_for_request(0).entry().name;
+
+    let slow = TcpStream::connect(addr).expect("connect");
+    slow.set_nodelay(true).expect("nodelay");
+    let mut other = HttpClient::connect(addr);
+    for byte in format!("GET /run/{name} HTTP/1.1\r\n\r\n").bytes() {
+        (&slow).write_all(&[byte]).expect("send one byte");
+        assert_eq!(other.get("/health").expect("GET /health").status, 200);
+    }
+    let resp = read_client_response(&mut BufReader::new(slow)).expect("read the reply");
+    assert_eq!(resp.status, 200);
+    let whole = other.get(&format!("/run/{name}")).expect("GET in one go");
+    assert_eq!(resp.body, whole.body);
+    server.shutdown();
+}
+
+/// Two requests in one `write` are both answered, in order.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let corpus = corpus();
+    let server = HttpServer::start(HttpConfig::loopback(1), Arc::clone(&corpus))
+        .expect("bind http front end");
+    let addr = server.addr();
+    let (a, b) = (
+        corpus.script_for_request(0).entry().name,
+        corpus.script_for_request(1).entry().name,
+    );
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            format!(
+                "GET /run/{a} HTTP/1.1\r\n\r\nGET /run/{b} HTTP/1.1\r\nconnection: close\r\n\r\n"
+            )
+            .as_bytes(),
+        )
+        .expect("send two requests at once");
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let resp = read_client_response(&mut reader).expect("a reply");
+        (resp.status, resp.body)
+    };
+    let (first, second) = (next(), next());
+
+    let want_a = blocking_get(addr, &format!("/run/{a}")).expect("GET a");
+    let want_b = blocking_get(addr, &format!("/run/{b}")).expect("GET b");
+    assert_ne!(want_a.1, want_b.1, "the two scripts must be told apart");
+    assert_eq!((first, second), (want_a, want_b));
+    server.shutdown();
+}
+
+/// Admission's queue depth is the requests parsed and not yet served: of
+/// three pipelined in one `write`, the first sees two waiting behind it and
+/// the second one, both over a one-request bound, so only the third runs.
+#[test]
+fn admission_depth_counts_requests_parsed_but_not_served() {
+    let corpus = corpus();
+    let mut cfg = HttpConfig::loopback(1);
+    cfg.admission = Some(AdmissionConfig {
+        budget_uops: 1 << 40,
+        queue_capacity: 1,
+        ..AdmissionConfig::default()
+    });
+    let server = HttpServer::start(cfg, Arc::clone(&corpus)).expect("bind http front end");
+    let name = corpus.script_for_request(0).entry().name;
+    let get = format!("GET /run/{name} HTTP/1.1\r\n\r\n");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .write_all(format!("{get}{get}{get}").as_bytes())
+        .expect("send three requests at once");
+    let mut reader = BufReader::new(stream);
+    let statuses: Vec<u16> = (0..3)
+        .map(|_| read_client_response(&mut reader).expect("a reply").status)
+        .collect();
+    assert_eq!(statuses, [503, 503, 200]);
+    drop(reader);
+    let report = server.shutdown();
+    assert_eq!(report.front.shed_queue_full, 2);
+    assert_eq!((report.stats.requests, report.stats.ok), (3, 1));
+}
+
+/// Four workers, four concurrent keep-alive clients, three corpus cycles
+/// each, no faults: every byte equals direct `Server` serving, whichever
+/// worker accepted which connection.
+#[test]
+fn four_workers_and_four_clients_match_direct_serving() {
+    const CLIENTS: u64 = 4;
+    let corpus = corpus();
+    let (expected, _, _) = direct_run(&corpus, Engine::Vm, FaultPlan::default());
+    let server = HttpServer::start(HttpConfig::loopback(4), Arc::clone(&corpus))
+        .expect("bind http front end");
+    let addr = server.addr();
+
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| {
+                let mut client = HttpClient::connect(addr);
+                for (i, (want_status, want_body)) in expected.iter().enumerate() {
+                    let name = corpus.script_for_request(i as u64).entry().name;
+                    let resp = client
+                        .get(&format!("/run/{name}"))
+                        .unwrap_or_else(|e| panic!("request {i} ({name}): {e}"));
+                    assert_eq!(resp.status, *want_status, "request {i} ({name})");
+                    assert_eq!(resp.body, *want_body, "request {i} ({name})");
+                }
+            });
+        }
+    });
+
+    let report = server.shutdown();
+    assert_eq!(report.stats.requests, CLIENTS * N);
+    assert_eq!(report.stats.ok, CLIENTS * N);
+    assert_eq!(report.stats.mismatches, 0);
+    assert_eq!(report.front.shed_total(), 0);
+}
+
+/// A client that trickles one header byte every 500 ms never completes a
+/// request, so its connection is closed once the request's first byte is
+/// 5 s old; another connection on the same worker is answered throughout.
+#[test]
+fn a_slowloris_client_is_closed_at_the_request_deadline() {
+    let server = HttpServer::start(HttpConfig::loopback(1), corpus()).expect("bind http front end");
+    let addr = server.addr();
+
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    slow.set_nodelay(true).expect("nodelay");
+    slow.set_read_timeout(Some(Duration::from_millis(500)))
+        .expect("read timeout");
+    let mut other = HttpClient::connect(addr);
+    let start = Instant::now();
+    slow.write_all(b"GET /health HTTP/1.1\r\nx-slow: ")
+        .expect("send the request line");
+    let closed_after = loop {
+        assert_eq!(other.get("/health").expect("GET /health").status, 200);
+        // Waits up to 500 ms for the server to close the slow connection.
+        match slow.read(&mut [0u8; 64]) {
+            Ok(0) => break start.elapsed(),
+            Ok(_) => panic!("a partial request got an answer"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break start.elapsed(),
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the slow connection was never closed"
+        );
+        // Fails once the server has closed its end; the read above notices.
+        let _ = slow.write_all(b"a");
+    };
+    assert!(
+        (Duration::from_millis(4_500)..Duration::from_millis(6_500)).contains(&closed_after),
+        "closed after {closed_after:?}"
+    );
+    assert_eq!(other.get("/health").expect("GET /health").status, 200);
+    server.shutdown();
 }
 
 /// A worker that has served nothing still has its row: row `w` of the

@@ -17,6 +17,7 @@
 //! assert!(result.branch_mpki() > 5.0); // PHP apps mispredict heavily (§2)
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod btb;

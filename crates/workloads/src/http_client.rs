@@ -1,4 +1,4 @@
-//! A minimal blocking HTTP/1.1 client and loopback load generator.
+//! A minimal blocking HTTP/1.1 client.
 //!
 //! This is the measurement side of the serving stack: `std::net` only, no
 //! external dependencies, just enough protocol to drive the serve crate's
@@ -7,10 +7,9 @@
 //! not implement chunked transfer or compression; the server never emits
 //! either.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A single parsed HTTP response.
 #[derive(Debug, Clone)]
@@ -159,122 +158,6 @@ pub fn read_client_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResp
         body,
         keep_alive,
     })
-}
-
-/// Configuration for [`LoopbackLoadGen`].
-#[derive(Debug, Clone)]
-pub struct LoopbackConfig {
-    /// Number of concurrent client threads.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
-    /// Paths to cycle through (client `c` starts at offset `c`).
-    pub paths: Vec<String>,
-}
-
-/// What a loopback run observed, merged across client threads.
-#[derive(Debug, Clone, Default)]
-pub struct LoopbackReport {
-    /// Requests that completed with any HTTP status.
-    pub completed: u64,
-    /// Transport errors (connect/read/write failures).
-    pub errors: u64,
-    /// Status code → count.
-    pub status_counts: BTreeMap<u16, u64>,
-    /// Per-request wall latency in microseconds, unordered.
-    pub latencies_us: Vec<u64>,
-    /// Path → the set of distinct 200-response bodies observed.
-    pub bodies: BTreeMap<String, Vec<Vec<u8>>>,
-    /// Wall-clock duration of the whole run in microseconds.
-    pub wall_us: u64,
-}
-
-impl LoopbackReport {
-    /// Count of responses with the given status.
-    pub fn status(&self, code: u16) -> u64 {
-        self.status_counts.get(&code).copied().unwrap_or(0)
-    }
-}
-
-/// Drives N client threads against an HTTP server on loopback.
-pub struct LoopbackLoadGen {
-    cfg: LoopbackConfig,
-}
-
-impl LoopbackLoadGen {
-    /// Creates a load generator with the given shape.
-    pub fn new(cfg: LoopbackConfig) -> LoopbackLoadGen {
-        LoopbackLoadGen { cfg }
-    }
-
-    /// Runs the full load against `addr` and merges per-thread results.
-    pub fn run(&self, addr: SocketAddr) -> LoopbackReport {
-        let start = Instant::now();
-        let threads: Vec<_> = (0..self.cfg.clients)
-            .map(|c| {
-                let paths = self.cfg.paths.clone();
-                let n = self.cfg.requests_per_client;
-                std::thread::Builder::new()
-                    .name(format!("loadgen-{c}"))
-                    .spawn(move || client_thread(addr, c, n, &paths))
-                    .expect("spawn loadgen thread")
-            })
-            .collect();
-        let mut merged = LoopbackReport::default();
-        for t in threads {
-            let part = t.join().expect("loadgen thread panicked");
-            merged.completed += part.completed;
-            merged.errors += part.errors;
-            for (code, count) in part.status_counts {
-                *merged.status_counts.entry(code).or_insert(0) += count;
-            }
-            merged.latencies_us.extend(part.latencies_us);
-            for (path, bodies) in part.bodies {
-                let slot = merged.bodies.entry(path).or_default();
-                for body in bodies {
-                    if !slot.contains(&body) {
-                        slot.push(body);
-                    }
-                }
-            }
-        }
-        merged.wall_us = start.elapsed().as_micros() as u64;
-        merged
-    }
-}
-
-fn client_thread(
-    addr: SocketAddr,
-    client: usize,
-    requests: usize,
-    paths: &[String],
-) -> LoopbackReport {
-    let mut report = LoopbackReport::default();
-    if paths.is_empty() {
-        return report;
-    }
-    let mut http = HttpClient::connect(addr);
-    for i in 0..requests {
-        let path = &paths[(client + i) % paths.len()];
-        let t0 = Instant::now();
-        match http.get(path) {
-            Ok(resp) => {
-                report.completed += 1;
-                *report.status_counts.entry(resp.status).or_insert(0) += 1;
-                report
-                    .latencies_us
-                    .push(t0.elapsed().as_micros().max(1) as u64);
-                if resp.status == 200 {
-                    let slot = report.bodies.entry(path.clone()).or_default();
-                    if !slot.contains(&resp.body) {
-                        slot.push(resp.body);
-                    }
-                }
-            }
-            Err(_) => report.errors += 1,
-        }
-    }
-    report
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 //! assert!(summary.total_uops > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;
@@ -35,10 +36,7 @@ pub mod wordpress;
 pub use arrival::{ArrivalConfig, ArrivalShape};
 pub use corpus::{Corpus, CorpusConfig};
 pub use drupal::Drupal;
-pub use http_client::{
-    read_client_response, ClientResponse, HttpClient, LoopbackConfig, LoopbackLoadGen,
-    LoopbackReport,
-};
+pub use http_client::{read_client_response, ClientResponse, HttpClient};
 pub use loadgen::{LoadGen, RunSummary, ShapedSummary, Workload};
 pub use mediawiki::MediaWiki;
 pub use mix::AppKind;

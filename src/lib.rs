@@ -11,6 +11,9 @@
 //! let ctx = RuntimeContext::new();
 //! assert_eq!(ctx.profiler().total_uops(), 0);
 //! ```
+
+#![forbid(unsafe_code)]
+
 pub use accel_heap as heap;
 pub use accel_htable as htable;
 pub use accel_regex as regexaccel;
