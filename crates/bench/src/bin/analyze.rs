@@ -3,9 +3,11 @@
 //! For every corpus script: per-function type-inference coverage, elidable
 //! refcount counts, proven key shapes, and the four lint diagnostics
 //! (use-before-assign, dead-store, type-guard, constant-condition). Each
-//! script is then executed with and without its facts attached to verify the
+//! script is then executed by tree walk without facts, the byte reference,
+//! and on the serving engine (the compiled VM with facts) to verify the
 //! outputs are byte-identical and to measure what the facts save (skipped
-//! type checks, elided refcount ops, hinted hash-table operations).
+//! type checks, elided refcount ops, hash-table operations) and which
+//! opcodes run.
 //!
 //! Usage: `analyze [--corpus APP] [--gate ALLOWLIST]` where APP is one of
 //! the corpus applications (e.g. `wordpress`); default is all of them. For
@@ -17,7 +19,7 @@
 //! run exits 1 listing any uncovered lint. `scripts/check.sh` uses this to
 //! keep the corpus lint-clean modulo the intentional examples.
 
-use bench::{header, quick_load};
+use bench::{header, quick_load, serving_machine};
 use php_analysis::report::parse_allowlist;
 use php_interp::{MemoTier, SimpleMemo, Vm};
 use phpaccel_core::PhpMachine;
@@ -131,18 +133,32 @@ fn main() {
                 );
             }
 
-            // Execute twice — facts off, facts on — and verify equivalence.
+            // The byte reference: a tree walk with no facts. Then the
+            // serving engine, the VM with facts, whose savings are printed
+            // and whose dynamic opcode mix — the top-10 opcodes and
+            // statically adjacent pairs — is the data the superinstruction
+            // selection in `php_interp::compile` is grounded in.
             let mut off = PhpMachine::specialized();
-            let mut on = PhpMachine::specialized();
             let plain = prepared.run(&mut off, false);
-            let specialized = prepared.run(&mut on, true);
-            if plain != specialized {
-                eprintln!(
-                    "FAIL: {}/{} output diverged with analysis on",
-                    entry.app, entry.name
-                );
-                std::process::exit(1);
-            }
+            let mut on = serving_machine();
+            let tally = {
+                let mut vm = Vm::new(&mut on, Arc::clone(prepared.vm_unit(true, true)));
+                if entry.needs_request_vars {
+                    php_corpus::bind_request_vars_vm(&mut vm);
+                }
+                if let Err(e) = vm.run() {
+                    eprintln!("FAIL: {}/{} vm run errored: {e:?}", entry.app, entry.name);
+                    std::process::exit(1);
+                }
+                if vm.take_output() != plain {
+                    eprintln!(
+                        "FAIL: {}/{} output diverged on the vm engine with analysis on",
+                        entry.app, entry.name
+                    );
+                    std::process::exit(1);
+                }
+                vm.tally().clone()
+            };
             let s = on.ctx().profiler().static_savings();
             let ht = on.core().htable.stats();
             println!(
@@ -173,7 +189,7 @@ fn main() {
             let tier: Arc<dyn MemoTier> = Arc::new(SimpleMemo::new());
             let mut warm = (0, 0, 0, 0);
             for pass in ["cold", "warm"] {
-                let mut m = PhpMachine::specialized();
+                let mut m = serving_machine();
                 let out = prepared.run_memo(&mut m, true, Some(Arc::clone(&tier)));
                 if out != plain {
                     eprintln!(
@@ -200,29 +216,6 @@ fn main() {
                 warm.3,
             );
 
-            // Execute once more on the compiled-VM engine: verify the
-            // bytes again and report the dynamic opcode mix — the top-10
-            // opcodes and statically adjacent pairs are the data the
-            // superinstruction selection in `php_interp::compile` is
-            // grounded in.
-            let mut vm_machine = PhpMachine::specialized();
-            let unit = Arc::clone(prepared.vm_unit(true, true));
-            let mut vm = Vm::new(&mut vm_machine, unit);
-            if entry.needs_request_vars {
-                php_corpus::bind_request_vars_vm(&mut vm);
-            }
-            if let Err(e) = vm.run() {
-                eprintln!("FAIL: {}/{} vm run errored: {e:?}", entry.app, entry.name);
-                std::process::exit(1);
-            }
-            if vm.take_output() != plain {
-                eprintln!(
-                    "FAIL: {}/{} output diverged on the vm engine",
-                    entry.app, entry.name
-                );
-                std::process::exit(1);
-            }
-            let tally = vm.tally();
             println!(
                 "  vm:     ops-executed={} fused-ops={} transients-elided={}",
                 tally.total, tally.fused, tally.transients_elided,

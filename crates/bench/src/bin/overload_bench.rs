@@ -23,18 +23,18 @@
 //!
 //! Usage: `overload_bench [--smoke] [--out PATH]`
 
+use bench::{uops_to_us, Bench, Json, CLOCK_GHZ};
 use phpaccel_core::{Engine, PhpMachine};
 use serve::{
     AdmissionConfig, AdmissionController, BreakerConfig, FaultPlan, Handler, OverloadConfig,
     OverloadReport, OverloadSim, SandboxConfig, Scripts, Server,
 };
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::php_corpus::CorpusCache;
 use workloads::{ArrivalConfig, ArrivalShape, SessionConfig, TrafficPlan};
 
-/// Nominal clock for µops → seconds conversion (1 µop per cycle).
-const CLOCK_GHZ: f64 = 2.0;
 /// Worker counts the bench sweeps.
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
 /// Offered-load factors relative to measured capacity.
@@ -46,10 +46,6 @@ const SMOKE_REQUESTS: usize = 60;
 const WARMUP: usize = 6;
 /// Seed for arrivals, sessions, and the fault plan.
 const SEED: u64 = 20_170_613;
-
-fn uops_to_us(uops: u64) -> f64 {
-    uops as f64 / (CLOCK_GHZ * 1_000.0)
-}
 
 fn machine(engine: Engine) -> PhpMachine {
     let mut m = PhpMachine::specialized();
@@ -193,16 +189,9 @@ fn run(
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_overload.json")
-        .to_string();
+fn main() -> ExitCode {
+    let bench = Bench::from_env("overload");
+    let smoke = bench.smoke;
     let requests = if smoke { SMOKE_REQUESTS } else { FULL_REQUESTS };
     let loads: &[f64] = if smoke { &[2.0] } else { &LOAD_FACTORS };
 
@@ -336,32 +325,29 @@ fn main() {
             failures.push(format!("{tag}: flash crowd must force shedding"));
         }
 
-        rows.push(format!(
-            "    {{\"engine\": \"{}\", \"workers\": {}, \"load_factor\": {:.1}, \
-             \"shape\": \"{}\", \"requests\": {}, \"admitted\": {}, \"ok\": {}, \
-             \"shed\": {}, \"shed_fraction\": {:.4}, \"availability_admitted\": {:.4}, \
-             \"budget_us\": {:.2}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"p999_us\": {:.2}, \
-             \"slo_attainment\": {:.4}, \"admission_engages\": {}, \"replay_mismatches\": {}, \
-             \"wall_clock_ms\": {:.1}}}",
-            r.engine,
-            r.workers,
-            r.load,
-            r.shape.name(),
-            stats.requests,
-            admitted,
-            stats.ok,
-            stats.shed,
-            report.shed_fraction(),
-            stats.availability(),
-            uops_to_us(r.budget_uops),
-            uops_to_us(p50),
-            uops_to_us(p99),
-            uops_to_us(p999),
-            report.slo_attainment(),
-            report.admission.engages,
-            stats.mismatches,
-            r.wall_ms
-        ));
+        rows.push(Json::Obj(vec![
+            ("engine", r.engine.into()),
+            ("workers", r.workers.into()),
+            ("load_factor", Json::Fixed(r.load, 1)),
+            ("shape", r.shape.name().into()),
+            ("requests", stats.requests.into()),
+            ("admitted", admitted.into()),
+            ("ok", stats.ok.into()),
+            ("shed", stats.shed.into()),
+            ("shed_fraction", Json::Fixed(report.shed_fraction(), 4)),
+            (
+                "availability_admitted",
+                Json::Fixed(stats.availability(), 4),
+            ),
+            ("budget_us", Json::Fixed(uops_to_us(r.budget_uops), 2)),
+            ("p50_us", Json::Fixed(uops_to_us(p50), 2)),
+            ("p99_us", Json::Fixed(uops_to_us(p99), 2)),
+            ("p999_us", Json::Fixed(uops_to_us(p999), 2)),
+            ("slo_attainment", Json::Fixed(report.slo_attainment(), 4)),
+            ("admission_engages", report.admission.engages.into()),
+            ("replay_mismatches", stats.mismatches.into()),
+            ("wall_clock_ms", Json::Fixed(r.wall_ms, 1)),
+        ]));
     }
 
     // Graceful degradation is monotone: at fixed capacity, offering more
@@ -387,33 +373,31 @@ fn main() {
         }
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"overload\",\n  \"mode\": \"{}\",\n  \"model\": \"simulated cores: \
-         Lindley-recurrence FIFO queue over metered uops; {} GHz nominal clock, 1 uop/cycle; \
-         deadline-aware admission with hysteresis; seeded session traffic and fault plan\",\n  \
-         \"clock_ghz\": {:.1},\n  \"corpus_scripts\": {},\n  \"requests_per_run\": {},\n  \
-         \"warmup\": {},\n  \"worker_counts\": [1, 4, 8],\n  \"mismatches\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        CLOCK_GHZ,
-        CLOCK_GHZ,
-        cache.len(),
-        requests,
-        WARMUP,
-        total_mismatches,
-        rows.join(",\n")
+    let doc = bench.document(
+        &format!(
+            "simulated cores: Lindley-recurrence FIFO queue over metered uops; {CLOCK_GHZ} GHz \
+             nominal clock, 1 uop/cycle; deadline-aware admission with hysteresis; seeded \
+             session traffic and fault plan"
+        ),
+        vec![
+            ("clock_ghz", Json::Fixed(CLOCK_GHZ, 1)),
+            ("corpus_scripts", cache.len().into()),
+            ("requests_per_run", requests.into()),
+            ("warmup", WARMUP.into()),
+            (
+                "worker_counts",
+                Json::Arr(WORKER_COUNTS.iter().map(|&w| w.into()).collect()),
+            ),
+            ("mismatches", total_mismatches.into()),
+            ("runs", Json::Arr(rows)),
+        ],
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("overload_bench: wrote {out_path}");
-
-    if failures.is_empty() {
-        println!(
-            "overload_bench: PASS ({} runs, 0 replay mismatches, graceful degradation at 2x)",
+    bench.finish(
+        &doc,
+        &failures,
+        &format!(
+            "{} runs, 0 replay mismatches, graceful degradation at 2x",
             results.len()
-        );
-    } else {
-        for f in &failures {
-            eprintln!("overload_bench: FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+        ),
+    )
 }

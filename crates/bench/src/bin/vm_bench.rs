@@ -8,19 +8,15 @@
 //! `Arc`-held compile cache — the VM engines share one `CompiledUnit` per
 //! script across every worker.
 //!
-//! The run fails (exit 1) unless:
-//!
-//! * every response is byte-identical across the three engines, request for
-//!   request, at every worker count;
-//! * every multi-worker stream reproduces the single-worker stream exactly
-//!   (pool determinism), on every engine;
-//! * the per-request replay against each worker's all-software reference
-//!   (which stays on the tree-walk engine) reports zero mismatches — the
-//!   replay gate doubles as a cross-engine differential;
-//! * the fused VM cuts simulated elapsed µops by ≥ 25% versus the tree
-//!   walker at 1 worker, with fusion contributing a measurable delta over
-//!   the unfused VM;
-//! * no machine leaks live blocks.
+//! The run fails (exit 1) on any of [`bench::Sweep`]'s gates (the three
+//! engines byte-identical request for request, each pool-deterministic,
+//! replay against each worker's all-software reference — which stays on the
+//! tree-walk engine, so the replay gate doubles as a cross-engine
+//! differential — clean, every request ok, no live blocks), or unless at
+//! every worker count the fused VM spends fewer elapsed µops than the
+//! unfused one and that fewer than the tree walker, with VM and fused ops
+//! executed, and the fused VM cuts elapsed µops by at least
+//! [`MIN_REDUCTION_PCT`] at 1 worker.
 //!
 //! Beside the simulated clock it reports the host's: each engine serves the
 //! same schedule on one bare machine (no pool, no reference replay), timed
@@ -30,20 +26,22 @@
 //!
 //! Usage: `vm_bench [--smoke] [--out PATH]`
 
+use bench::{zipf_schedule, Bench, Json, Sweep};
 use phpaccel_core::{Engine, PhpMachine};
-use serve::{Handler, PoolConfig, PoolReport, Scripts, WorkerPool};
+use serve::{Handler, PoolConfig, Scripts, WorkerPool};
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::corpus::{Corpus, CorpusConfig};
 use workloads::php_corpus::{CorpusCache, PreparedScript};
 
-/// Worker counts the bench sweeps.
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Requests per run (full mode / --smoke).
 const FULL_REQUESTS: u64 = 400;
 const SMOKE_REQUESTS: u64 = 80;
-/// Acceptance floor: fused-VM elapsed-µop reduction vs the tree walker.
-const MIN_REDUCTION_PCT: f64 = 25.0;
+/// Acceptance floor: fused-VM elapsed-µop reduction vs the tree walker at
+/// 1 worker. Three points under what the smoke run reads with variables in
+/// frame slots (45.34; the full run reads 47.31). With variables back in a
+/// symbol-table array the cut is 31, so a fall back fails here.
+const MIN_REDUCTION_PCT: f64 = 42.3;
 /// Timed passes over the schedule per engine on the host clock (full mode /
 /// --smoke); the median pass is reported.
 const FULL_WALL_PASSES: usize = 25;
@@ -105,43 +103,6 @@ impl<P: FnMut(u64) -> Arc<PreparedScript>> Handler for ModeScripts<P> {
     }
 }
 
-/// Zipfian request → script schedule, fixed up front so the mapping depends
-/// only on the global request index (identical at every worker count).
-fn zipf_schedule(requests: u64, scripts: usize) -> Arc<Vec<usize>> {
-    let mut corpus = Corpus::new(CorpusConfig::default());
-    Arc::new((0..requests).map(|_| corpus.zipf_pick(scripts)).collect())
-}
-
-struct RunResult {
-    report: PoolReport,
-    wall_ms: f64,
-}
-
-fn run(
-    cache: &Arc<CorpusCache>,
-    schedule: &Arc<Vec<usize>>,
-    workers: usize,
-    requests: u64,
-    mode: Mode,
-) -> RunResult {
-    let pool = WorkerPool::new(PoolConfig::deterministic(workers, requests));
-    let start = Instant::now();
-    let report = pool.run(
-        |_| mode.machine(),
-        |_w| ModeScripts {
-            mode,
-            scripts: Scripts {
-                pick: move |req| Arc::clone(&cache.scripts()[schedule[req as usize]]),
-                memo: None,
-            },
-        },
-    );
-    RunResult {
-        report,
-        wall_ms: start.elapsed().as_secs_f64() * 1000.0,
-    }
-}
-
 /// Each engine's cost per request on both clocks, `(µops, host ns)` in
 /// [`MODES`] order: the schedule served on a bare specialized machine per
 /// engine as one worker serves it (run, then recover), after one untimed
@@ -185,20 +146,12 @@ fn per_request_costs(cache: &CorpusCache, schedule: &[usize], passes: usize) -> 
         .collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_vm.json")
-        .to_string();
-    let requests = if smoke { SMOKE_REQUESTS } else { FULL_REQUESTS };
+fn main() -> ExitCode {
+    let bench = Bench::from_env("vm");
+    let requests = bench.full_or_smoke(FULL_REQUESTS, SMOKE_REQUESTS);
 
     println!("vm_bench: building the shared compile cache...");
-    let cache = Arc::new(CorpusCache::build());
+    let cache = CorpusCache::build();
     let schedule = zipf_schedule(requests, cache.len());
     println!(
         "vm_bench: {} corpus scripts, {} zipfian requests per run",
@@ -206,194 +159,124 @@ fn main() {
         requests
     );
 
-    let mut failures: Vec<String> = Vec::new();
-    let mut runs_json = Vec::new();
-    let mut identity_mismatches = 0u64;
-    let mut replay_mismatches = 0u64;
-    // 1-worker streams per mode, for the determinism cross-check.
-    let mut references: Vec<Option<RunResult>> = vec![None, None, None];
-    let mut headline: Option<(f64, f64)> = None;
+    let pick = |req: u64| Arc::clone(&cache.scripts()[schedule[req as usize]]);
+    let mut sweep = Sweep::run(requests, &MODES.map(Mode::label), |workers, leg| {
+        let mode = MODES[leg];
+        WorkerPool::new(PoolConfig::deterministic(workers, requests)).run(
+            |_| mode.machine(),
+            |_| ModeScripts {
+                mode,
+                scripts: Scripts { pick, memo: None },
+            },
+        )
+    });
 
-    for &workers in &WORKER_COUNTS {
-        let results: Vec<RunResult> = MODES
-            .iter()
-            .map(|&mode| run(&cache, &schedule, workers, requests, mode))
-            .collect();
-
-        // Cross-engine: byte-identical request for request.
-        let tree = &results[0];
-        for r in &results[1..] {
-            for (a, b) in tree.report.records.iter().zip(&r.report.records) {
-                if a.request != b.request || a.response != b.response {
-                    identity_mismatches += 1;
-                }
-            }
-        }
-        // Pool determinism: every stream matches the 1-worker stream of
-        // its own mode.
-        for (reference, r) in references.iter().zip(&results) {
-            if let Some(base) = reference {
-                for (a, b) in base.report.records.iter().zip(&r.report.records) {
-                    if a.request != b.request || a.response != b.response {
-                        identity_mismatches += 1;
-                    }
-                }
-            }
-        }
-        for (mode, r) in MODES.iter().zip(&results) {
-            replay_mismatches += r.report.stats.mismatches;
-            if r.report.stats.ok != requests {
-                failures.push(format!(
-                    "{workers} workers: {}/{requests} requests ok on {}",
-                    r.report.stats.ok,
-                    mode.label()
-                ));
-            }
-            if r.report.live_blocks != 0 {
-                failures.push(format!(
-                    "{workers} workers: {} leaked {} live blocks",
-                    mode.label(),
-                    r.report.live_blocks
-                ));
-            }
-        }
-
-        let uops: Vec<u64> = results
-            .iter()
-            .map(|r| r.report.simulated_elapsed_uops())
-            .collect();
-        let (tree_uops, vm_uops, fused_uops) = (uops[0], uops[1], uops[2]);
+    let mut runs = Vec::new();
+    let mut headline = (0.0, 0.0);
+    for p in &sweep.points {
+        let workers = p.workers;
+        let (tree_uops, vm_uops, fused_uops) = (p.elapsed(0), p.elapsed(1), p.elapsed(2));
         let reduction = 100.0 * (tree_uops as f64 - fused_uops as f64) / tree_uops as f64;
         let fusion_delta = 100.0 * (vm_uops as f64 - fused_uops as f64) / vm_uops as f64;
-        let s = &results[2].report.savings;
+        let fused = &p.legs[2].report;
+        let s = &fused.savings;
         println!(
-            "  {} worker(s): elapsed {} -> {} -> {} uops (tree -> vm -> vm+fusion), \
-             reduction {reduction:.1}%, fusion delta {fusion_delta:.1}%, \
-             fused-ops {}, transients-elided {}",
-            workers, tree_uops, vm_uops, fused_uops, s.vm_fused_ops, s.vm_transients_elided,
+            "  {workers} worker(s): elapsed {tree_uops} -> {vm_uops} -> {fused_uops} uops \
+             (tree -> vm -> vm+fusion), reduction {reduction:.1}%, fusion delta \
+             {fusion_delta:.1}%, fused-ops {}, transients-elided {}",
+            s.vm_fused_ops, s.vm_transients_elided,
         );
+        let failures = &mut sweep.failures;
+        if !(fused_uops < vm_uops && vm_uops < tree_uops) {
+            failures.push(format!(
+                "{workers} workers: elapsed uops not fused < vm < tree \
+                 ({fused_uops}, {vm_uops}, {tree_uops})"
+            ));
+        }
+        if s.vm_ops_executed == 0 || s.vm_fused_ops == 0 {
+            failures.push(format!(
+                "{workers} workers: {} vm ops, {} fused ops executed",
+                s.vm_ops_executed, s.vm_fused_ops
+            ));
+        }
         if workers == 1 {
-            headline = Some((reduction, fusion_delta));
+            headline = (reduction, fusion_delta);
             if reduction < MIN_REDUCTION_PCT {
                 failures.push(format!(
                     "1 worker: fused vm reduction {reduction:.1}% below the \
                      {MIN_REDUCTION_PCT}% floor"
                 ));
             }
-            if fused_uops >= vm_uops {
-                failures.push(format!(
-                    "1 worker: fusion added no delta ({vm_uops} -> {fused_uops} uops)"
-                ));
-            }
         }
-
-        runs_json.push(format!(
-            "    {{\"workers\": {}, \"requests\": {}, \"ok\": {}, \
-             \"elapsed_uops_tree\": {}, \"elapsed_uops_vm\": {}, \
-             \"elapsed_uops_vm_fused\": {}, \"reduction_pct\": {:.2}, \
-             \"fusion_delta_pct\": {:.2}, \"vm_ops_executed\": {}, \
-             \"vm_fused_ops\": {}, \"vm_transients_elided\": {}, \
-             \"replay_mismatches\": {}, \"wall_clock_ms\": {:.1}}}",
-            workers,
-            requests,
-            results[2].report.stats.ok,
-            tree_uops,
-            vm_uops,
-            fused_uops,
-            reduction,
-            fusion_delta,
-            s.vm_ops_executed,
-            s.vm_fused_ops,
-            s.vm_transients_elided,
-            results
-                .iter()
-                .map(|r| r.report.stats.mismatches)
-                .sum::<u64>(),
-            results.iter().map(|r| r.wall_ms).sum::<f64>(),
-        ));
-        if workers == 1 {
-            for (slot, r) in references.iter_mut().zip(results) {
-                *slot = Some(r);
-            }
-        }
+        runs.push(Json::Obj(vec![
+            ("workers", workers.into()),
+            ("requests", requests.into()),
+            ("ok", fused.stats.ok.into()),
+            ("elapsed_uops_tree", tree_uops.into()),
+            ("elapsed_uops_vm", vm_uops.into()),
+            ("elapsed_uops_vm_fused", fused_uops.into()),
+            ("reduction_pct", Json::Fixed(reduction, 2)),
+            ("fusion_delta_pct", Json::Fixed(fusion_delta, 2)),
+            ("vm_ops_executed", s.vm_ops_executed.into()),
+            ("vm_fused_ops", s.vm_fused_ops.into()),
+            ("vm_transients_elided", s.vm_transients_elided.into()),
+            ("replay_mismatches", p.replay_mismatches().into()),
+            ("wall_clock_ms", Json::Fixed(p.wall_ms(), 1)),
+        ]));
     }
 
-    let passes = if smoke {
-        SMOKE_WALL_PASSES
-    } else {
-        FULL_WALL_PASSES
-    };
-    let engines: Vec<(Mode, f64, f64)> = MODES
-        .into_iter()
-        .zip(per_request_costs(&cache, &schedule, passes))
-        .map(|(mode, (uops, wall_ns))| {
-            println!(
-                "  {:>9}: {uops:.1} uops/request, {wall_ns:.0} ns/request on the host \
-                 (1 thread, median of {passes} passes)",
+    let passes = bench.full_or_smoke(FULL_WALL_PASSES, SMOKE_WALL_PASSES);
+    let engines = per_request_costs(&cache, &schedule, passes);
+    let mut engines_json = Vec::new();
+    for (mode, &(uops, wall_ns)) in MODES.iter().zip(&engines) {
+        println!(
+            "  {:>9}: {uops:.1} uops/request, {wall_ns:.0} ns/request on the host \
+             (1 thread, median of {passes} passes)",
+            mode.label()
+        );
+        if uops <= 0.0 || wall_ns <= 0.0 {
+            sweep.failures.push(format!(
+                "{}: {uops} uops, {wall_ns} ns per request on one machine",
                 mode.label()
-            );
-            (mode, uops, wall_ns)
-        })
-        .collect();
-    let (tree, fused) = (&engines[0], &engines[2]);
-    let uop_cut = 100.0 * (tree.1 - fused.1) / tree.1;
-    let wall_cut = 100.0 * (tree.2 - fused.2) / tree.2;
+            ));
+        }
+        engines_json.push(Json::Obj(vec![
+            ("engine", mode.label().into()),
+            ("uops_per_req", Json::Fixed(uops, 1)),
+            ("wall_ns_per_req", Json::Fixed(wall_ns, 0)),
+        ]));
+    }
+    let (tree, fused) = (engines[0], engines[2]);
+    let uop_cut = 100.0 * (tree.0 - fused.0) / tree.0;
+    let wall_cut = 100.0 * (tree.1 - fused.1) / tree.1;
     println!(
         "  tree-walk -> vm+fusion on one machine: {uop_cut:.1}% fewer uops, \
          {wall_cut:.1}% less host time"
     );
-    let engines_json: Vec<String> = engines
-        .iter()
-        .map(|(mode, uops, wall_ns)| {
-            format!(
-                "    {{\"engine\": \"{}\", \"uops_per_req\": {uops:.1}, \
-                 \"wall_ns_per_req\": {wall_ns:.0}}}",
-                mode.label()
-            )
-        })
-        .collect();
 
-    let mismatches = identity_mismatches + replay_mismatches;
-    if mismatches != 0 {
-        failures.push(format!(
-            "{mismatches} mismatches ({identity_mismatches} byte-identity/determinism, \
-             {replay_mismatches} replay)"
-        ));
-    }
-
-    let (reduction, fusion_delta) = headline.unwrap_or((0.0, 0.0));
-    let json = format!(
-        "{{\n  \"bench\": \"vm\",\n  \"mode\": \"{}\",\n  \"model\": \"fact-specialized \
-         opcode VM with superinstruction fusion vs tree-walking evaluation; one \
-         Arc-shared CompiledUnit per script across all workers\",\n  \
-         \"corpus_scripts\": {},\n  \"requests_per_run\": {},\n  \
-         \"request_mix\": \"zipfian\",\n  \"mismatches\": {},\n  \
-         \"reduction_pct_at_1_worker\": {:.2},\n  \
-         \"fusion_delta_pct_at_1_worker\": {:.2},\n  \
-         \"uop_cut_pct_one_machine\": {uop_cut:.2},\n  \
-         \"wall_cut_pct_one_machine\": {wall_cut:.2},\n  \"engines\": [\n{}\n  ],\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        cache.len(),
-        requests,
-        mismatches,
-        reduction,
-        fusion_delta,
-        engines_json.join(",\n"),
-        runs_json.join(",\n")
+    let (reduction, fusion_delta) = headline;
+    let doc = bench.document(
+        "fact-specialized opcode VM with superinstruction fusion vs tree-walking evaluation; \
+         one Arc-shared CompiledUnit per script across all workers",
+        vec![
+            ("corpus_scripts", cache.len().into()),
+            ("requests_per_run", requests.into()),
+            ("request_mix", "zipfian".into()),
+            ("mismatches", sweep.mismatches.into()),
+            ("reduction_pct_at_1_worker", Json::Fixed(reduction, 2)),
+            ("fusion_delta_pct_at_1_worker", Json::Fixed(fusion_delta, 2)),
+            ("uop_cut_pct_one_machine", Json::Fixed(uop_cut, 2)),
+            ("wall_cut_pct_one_machine", Json::Fixed(wall_cut, 2)),
+            ("engines", Json::Arr(engines_json)),
+            ("runs", Json::Arr(runs)),
+        ],
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("vm_bench: wrote {out_path}");
-
-    if failures.is_empty() {
-        println!(
-            "vm_bench: PASS (mismatches == 0, fused vm cuts elapsed uops by \
-             {reduction:.1}% at 1 worker, fusion delta {fusion_delta:.1}%)"
-        );
-    } else {
-        for f in &failures {
-            eprintln!("vm_bench: FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    bench.finish(
+        &doc,
+        &sweep.failures,
+        &format!(
+            "mismatches == 0, fused vm cuts elapsed uops by {reduction:.1}% at 1 worker, \
+             fusion delta {fusion_delta:.1}%"
+        ),
+    )
 }

@@ -65,110 +65,13 @@ echo "== overload-survival soak smoke (flash crowd, shedding) =="
 # does not trip under this shape (seed sensitivity, see CHANGES.md PR 14).
 scripts/soak.sh --shed --shape flash-crowd 12345
 
-echo "== serve bench smoke (release) =="
-cargo build --release -q -p bench --bin serve_bench
-./target/release/serve_bench --smoke --out target/BENCH_serve_smoke.json
-# The smoke run must emit parseable JSON with the acceptance fields.
-python3 - <<'EOF'
-import json
-with open("target/BENCH_serve_smoke.json") as f:
-    doc = json.load(f)
-assert doc["mismatches"] == 0, doc["mismatches"]
-assert doc["speedup_at_4_workers"] >= 1.5, doc["speedup_at_4_workers"]
-assert len(doc["runs"]) == 4 and [r["workers"] for r in doc["runs"]] == [1, 2, 4, 8]
-for r in doc["runs"]:
-    for key in ("req_per_s", "p50_us", "p95_us", "p99_us"):
-        assert r[key] > 0, (r["workers"], key)
-print("BENCH_serve_smoke.json is valid")
-EOF
-
-echo "== alloc bench smoke (release) =="
-cargo build --release -q -p bench --bin alloc_bench
-./target/release/alloc_bench --smoke --out target/BENCH_alloc_smoke.json
-python3 - <<'EOF'
-import json
-with open("target/BENCH_alloc_smoke.json") as f:
-    doc = json.load(f)
-assert doc["mismatches"] == 0, doc["mismatches"]
-assert len(doc["runs"]) == 4 and [r["workers"] for r in doc["runs"]] == [1, 2, 4, 8]
-for r in doc["runs"]:
-    assert r["ok"] == r["requests"], (r["workers"], r["ok"])
-    assert r["teardown_uops_saved"] > 0, r["workers"]
-    assert r["arena_bytes_reclaimed"] > 0, r["workers"]
-    assert r["elapsed_uops_arena"] < r["elapsed_uops_free_list"], r["workers"]
-print("BENCH_alloc_smoke.json is valid")
-EOF
-
-echo "== vm bench smoke (release) =="
-cargo build --release -q -p bench --bin vm_bench
-./target/release/vm_bench --smoke --out target/BENCH_vm_smoke.json
-python3 - <<'EOF'
-import json
-with open("target/BENCH_vm_smoke.json") as f:
-    doc = json.load(f)
-assert doc["mismatches"] == 0, doc["mismatches"]
-# Three points under what this smoke run reads with variables in frame slots
-# (45.34; the full run in BENCH_vm.json reads 47.31). With variables back in
-# a symbol-table array the VM's cut is 31, so a fall back fails here.
-assert doc["reduction_pct_at_1_worker"] >= 42.3, doc["reduction_pct_at_1_worker"]
-assert doc["fusion_delta_pct_at_1_worker"] > 0, doc["fusion_delta_pct_at_1_worker"]
-assert len(doc["runs"]) == 4 and [r["workers"] for r in doc["runs"]] == [1, 2, 4, 8]
-for r in doc["runs"]:
-    assert r["ok"] == r["requests"], (r["workers"], r["ok"])
-    assert r["replay_mismatches"] == 0, r["workers"]
-    assert r["elapsed_uops_vm_fused"] < r["elapsed_uops_vm"] < r["elapsed_uops_tree"], r["workers"]
-    assert r["vm_ops_executed"] > 0 and r["vm_fused_ops"] > 0, r["workers"]
-assert [e["engine"] for e in doc["engines"]] == ["tree-walk", "vm", "vm+fusion"]
-for e in doc["engines"]:
-    assert e["uops_per_req"] > 0 and e["wall_ns_per_req"] > 0, e["engine"]
-print("BENCH_vm_smoke.json is valid")
-EOF
-
-echo "== memo bench smoke (release) =="
-cargo build --release -q -p bench --bin memo_bench
-./target/release/memo_bench --smoke --out target/BENCH_memo_smoke.json
-python3 - <<'EOF'
-import json
-with open("target/BENCH_memo_smoke.json") as f:
-    doc = json.load(f)
-assert doc["bench"] == "memo", doc["bench"]
-assert doc["mismatches"] == 0, doc["mismatches"]
-assert len(doc["runs"]) == 4 and [r["workers"] for r in doc["runs"]] == [1, 2, 4, 8]
-for r in doc["runs"]:
-    assert r["ok"] == r["requests"], (r["workers"], r["ok"])
-    assert r["replay_mismatches"] == 0, r["workers"]
-    assert r["memo_hits"] > 0 and r["memo_stores"] > 0, r["workers"]
-    assert r["memo_invalidations"] > 0, r["workers"]
-    if r["workers"] >= 4:
-        assert r["elapsed_uops_memo_on"] < r["elapsed_uops_memo_off"], r["workers"]
-        assert r["elapsed_uop_reduction_pct"] > 0, r["workers"]
-print("BENCH_memo_smoke.json is valid")
-EOF
-
-echo "== overload bench smoke (release) =="
-cargo build --release -q -p bench --bin overload_bench
-./target/release/overload_bench --smoke --out target/BENCH_overload_smoke.json
-python3 - <<'EOF2'
-import json
-with open("target/BENCH_overload_smoke.json") as f:
-    doc = json.load(f)
-assert doc["bench"] == "overload", doc["bench"]
-assert doc["mismatches"] == 0, doc["mismatches"]
-runs = doc["runs"]
-assert runs, "no runs emitted"
-for r in runs:
-    for key in ("engine", "workers", "load_factor", "shape", "requests", "admitted",
-                "shed", "shed_fraction", "availability_admitted", "budget_us",
-                "p50_us", "p99_us", "p999_us", "slo_attainment", "replay_mismatches"):
-        assert key in r, (r.get("engine"), r.get("workers"), key)
-    assert r["replay_mismatches"] == 0, (r["engine"], r["workers"])
-    assert r["admitted"] + r["shed"] == r["requests"], (r["engine"], r["workers"])
-    if r["load_factor"] >= 2.0:
-        assert r["shed_fraction"] > 0.25, (r["engine"], r["workers"], r["shed_fraction"])
-        assert r["availability_admitted"] >= 0.99, (r["engine"], r["workers"])
-        assert r["p99_us"] <= r["budget_us"], (r["engine"], r["workers"])
-print("BENCH_overload_smoke.json is valid")
-EOF2
+echo "== bench smokes (release) =="
+# Each bench applies its own gates and exits non-zero when one fails.
+cargo build --release -q -p bench --bin serve_bench --bin alloc_bench \
+  --bin vm_bench --bin memo_bench --bin overload_bench
+for b in serve alloc vm memo overload; do
+  "./target/release/${b}_bench" --smoke --out "target/BENCH_${b}_smoke.json"
+done
 
 echo "== http front-end smoke (release) =="
 cargo build --release -q -p bench --bin serve_http
