@@ -122,6 +122,12 @@ pub struct HwHashTable {
     corrupt_entries: HashSet<usize>,
     /// Maps whose RTT back-pointer buffer is untrusted (injected faults).
     corrupt_rtt: HashSet<u64>,
+    /// Every entry made valid since the last
+    /// [`HwHashTable::invalidate_all`] (repeats included), so that call
+    /// visits only these — up to one per table entry; past that
+    /// `touch_overflow` is set and it sweeps the whole table instead.
+    touched: Vec<u32>,
+    touch_overflow: bool,
 }
 
 impl Default for HwHashTable {
@@ -151,6 +157,8 @@ impl HwHashTable {
             stats: HtStats::default(),
             corrupt_entries: HashSet::new(),
             corrupt_rtt: HashSet::new(),
+            touched: Vec::new(),
+            touch_overflow: false,
         }
     }
 
@@ -352,6 +360,11 @@ impl HwHashTable {
             valid: true,
             last_access: now,
         };
+        if self.touched.len() < self.entries.len() {
+            self.touched.push(slot as u32);
+        } else {
+            self.touch_overflow = true;
+        }
         if let Some(displaced_map) = self.rtt.record_insert(base, slot as u32) {
             // RTT capacity eviction: flush the displaced map's entries.
             self.flush_map_entries(displaced_map);
@@ -536,14 +549,24 @@ impl HwHashTable {
     /// Full hardware invalidation (the sandbox recovery path): drops every
     /// entry and the whole RTT without write-back — the software maps are
     /// the ground truth, so nothing is lost. Clears any latent corruption.
-    /// Returns the number of live entries dropped.
+    /// Returns the number of live entries dropped. Costs the entries made
+    /// valid since the last call, not the table size: only those can be
+    /// valid now.
     pub fn invalidate_all(&mut self) -> usize {
         let mut n = 0;
-        for e in &mut self.entries {
+        let mut drop_entry = |e: &mut Entry| {
             n += usize::from(e.valid);
             e.valid = false;
             e.dirty = false;
+        };
+        if std::mem::take(&mut self.touch_overflow) {
+            self.entries.iter_mut().for_each(drop_entry);
+        } else {
+            for &i in &self.touched {
+                drop_entry(&mut self.entries[i as usize]);
+            }
         }
+        self.touched.clear();
         self.rtt.clear();
         self.corrupt_entries.clear();
         self.corrupt_rtt.clear();
@@ -862,6 +885,50 @@ mod tests {
         t.set(0x100, b"a", 1);
         assert_eq!(t.get(0x100, b"a"), GetOutcome::Hit { value_ptr: 1 });
         assert_eq!(t.stats().faults_detected, 0);
+    }
+
+    #[test]
+    fn invalidate_all_matches_a_full_sweep() {
+        // The reference: what sweeping every entry returns and leaves.
+        fn swept(t: &HwHashTable) -> (usize, Vec<Entry>) {
+            let mut entries = t.entries.clone();
+            let n = entries.iter().filter(|e| e.valid).count();
+            for e in &mut entries {
+                e.valid = false;
+                e.dirty = false;
+            }
+            (n, entries)
+        }
+        let mut t = HwHashTable::new(HtConfig {
+            entries: 16,
+            probe_width: 1,
+            rtt_maps: 4,
+            rtt_slots: 4,
+        });
+        let key = |i: u64| (0x100 + (i % 3) * 0x40, format!("k{i}").into_bytes());
+        // Evictions (16 keys, one way each) and a detected fault, then a
+        // request that touches nothing, then one whose touch list overflows
+        // (40 inserts into a 16-entry table), then a short one again.
+        for inserts in [16, 0, 40, 5] {
+            for i in 0..inserts {
+                let (base, k) = key(i);
+                t.set(base, &k, i);
+            }
+            if inserts == 16 {
+                assert!(t.inject_entry_fault(1));
+                for i in 0..inserts {
+                    let (base, k) = key(i);
+                    let _ = t.get(base, &k);
+                }
+                assert_eq!(t.stats().faults_detected, 1);
+                assert!(t.stats().evict_clean + t.stats().evict_dirty > 0);
+            }
+            assert_eq!(t.touch_overflow, inserts == 40);
+            let (n, entries) = swept(&t);
+            assert_eq!(t.invalidate_all(), n, "after {inserts} inserts");
+            assert_eq!(t.entries, entries, "after {inserts} inserts");
+            assert!(t.touched.is_empty() && !t.touch_overflow);
+        }
     }
 
     #[test]

@@ -136,13 +136,14 @@ fn main() {
             // The byte reference: a tree walk with no facts. Then the
             // serving engine, the VM with facts, whose savings are printed
             // and whose dynamic opcode mix — the top-10 opcodes and
-            // statically adjacent pairs — is the data the superinstruction
-            // selection in `php_interp::compile` is grounded in.
+            // statically adjacent pairs — is the data the operand folding in
+            // `php_interp::compile` is grounded in.
             let mut off = PhpMachine::specialized();
             let plain = prepared.run(&mut off, false);
             let mut on = serving_machine();
             let tally = {
                 let mut vm = Vm::new(&mut on, Arc::clone(prepared.vm_unit(true, true)));
+                vm.count_pairs();
                 if entry.needs_request_vars {
                     php_corpus::bind_request_vars_vm(&mut vm);
                 }

@@ -38,10 +38,11 @@ use workloads::php_corpus::{CorpusCache, PreparedScript};
 const FULL_REQUESTS: u64 = 400;
 const SMOKE_REQUESTS: u64 = 80;
 /// Acceptance floor: fused-VM elapsed-µop reduction vs the tree walker at
-/// 1 worker. Three points under what the smoke run reads with variables in
-/// frame slots (45.34; the full run reads 47.31). With variables back in a
-/// symbol-table array the cut is 31, so a fall back fails here.
-const MIN_REDUCTION_PCT: f64 = 42.3;
+/// 1 worker. Three points under what the smoke run reads with literal and
+/// variable leaves folded into the ops that consume them (47.03; the full
+/// run reads 49.13). Before the folding the smoke run read 45.34, and with
+/// variables back in a symbol-table array the cut is 31.
+const MIN_REDUCTION_PCT: f64 = 44.0;
 /// Timed passes over the schedule per engine on the host clock (full mode /
 /// --smoke); the median pass is reported.
 const FULL_WALL_PASSES: usize = 25;

@@ -11,14 +11,18 @@
 //! Sync`, so one `Arc<CompiledUnit>` serves every worker, the software
 //! analogue of a shared bytecode cache.
 //!
-//! With [`CompileOptions::fuse`] on, a second pass builds
-//! *superinstructions* for the measured-hot patterns: concat trees flatten
-//! into [`Op::ConcatN`] (one transient allocation instead of one per join),
-//! `echo` sites become [`Op::EchoValue`] (no transient for an
-//! already-string value), and a peephole pass fuses statically adjacent
-//! pairs (`PushStr`+`EchoValue` → [`Op::EchoConst`], `LoadSlot`+`EchoValue`
-//! → [`Op::EchoVar`], `PushStr`+`IndexGet` → [`Op::IndexConst`]) wherever
-//! the second instruction is not a jump target.
+//! With [`CompileOptions::fuse`] on, the hot consumers take their leaves
+//! inside the instruction, as Zend's `CONST`/`CV` operands do: a string or
+//! integer literal or a variable read becomes an [`Operand`] of the
+//! [`Op::ConcatN`], [`Op::EchoValue`], [`Op::Bin`], [`Op::CallBuiltin`],
+//! [`Op::IndexGet`] or [`Op::StoreIndexKeyed`] that consumes it, and no
+//! `PushStr`/`PushInt`/`LoadSlot` feeds it. Concat trees also flatten into
+//! one `ConcatN` (one transient instead of one per join), and an `echo` of
+//! an already-string value skips the transient. A variable operand is read
+//! when the op runs, after the leaves before it were evaluated, so it folds
+//! only when no later leaf of the same op contains a call (the only way an
+//! expression can write a variable); otherwise it is loaded onto the stack
+//! in tree order.
 //!
 //! Variable names are resolved here, not at run time: every body (each
 //! function and main) gets a [`SlotMap`] with one frame slot per variable it
@@ -39,10 +43,9 @@ use std::sync::Arc;
 /// Compilation switches.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// Run the superinstruction-fusion pass (concat flattening, echo
-    /// fast paths, adjacent-pair peephole). Off = a 1:1 lowering whose
-    /// per-step work mirrors the tree-walker, for measuring the fusion
-    /// delta in isolation.
+    /// Fold leaves into their consumers as [`Operand`]s and flatten concat
+    /// chains. Off = a 1:1 lowering whose per-step work mirrors the
+    /// tree-walker, for measuring the fusion delta in isolation.
     pub fuse: bool,
 }
 
@@ -55,6 +58,26 @@ impl Default for CompileOptions {
 /// Longest concat chain [`Op::ConcatN`] will flatten (bounded by the
 /// `skip_mask` width); longer chains fall back to nested [`Op::Bin`]s.
 pub const MAX_CONCAT_FLATTEN: usize = 64;
+
+/// Where an op finds one of its inputs. Only a fused unit folds a leaf; the
+/// 1:1 lowering passes every input on the stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand {
+    /// Evaluated by the code before the op and popped off the value stack
+    /// (several `Stack` inputs sit on it in operand order).
+    Stack,
+    /// A variable, read in place from the running frame.
+    Slot {
+        /// Frame slot of the variable.
+        slot: u32,
+        /// Proven: the read's refcount increment is elidable.
+        elide_rc: bool,
+    },
+    /// A string literal: a const-pool index.
+    Const(u32),
+    /// An integer literal.
+    Int(i64),
+}
 
 /// One opcode of the compiled VM. Jump targets are instruction indices
 /// within the containing body (main or one function), `slot` operands index
@@ -88,8 +111,12 @@ pub enum Op {
         /// Proven: the stored/overwritten refcount pair is elidable.
         elide_rc: bool,
     },
-    /// Pop key then base; push `base[key]` with PHP coercions.
+    /// Push `base[key]` with PHP coercions.
     IndexGet {
+        /// The indexed value.
+        base: Operand,
+        /// The key.
+        key: Operand,
         /// Proven RC-elidable read.
         elide_rc: bool,
         /// Proven key shape for the hash probe.
@@ -104,9 +131,14 @@ pub enum Op {
         /// Arena verdict for the autovivified array.
         arena: bool,
     },
-    /// Pop key, base array, and value (pushed in value→base→key order);
-    /// store `base[key] = value`.
+    /// Pop the base array [`Op::LoadIndexBase`] pushed and store
+    /// `base[key] = value` (stacked inputs sit in value→base→key order).
     StoreIndexKeyed {
+        /// The stored value: never a variable, which the base load may have
+        /// just autovivified.
+        value: Operand,
+        /// The key.
+        key: Operand,
         /// Proven RC-elidable store.
         elide_rc: bool,
         /// Proven key shape for the hash probe.
@@ -129,12 +161,15 @@ pub enum Op {
     ArrayInsert,
     /// Pop a value; append to the array at top of stack (which stays).
     ArrayAppend,
-    /// Pop rhs then lhs; push `lhs op rhs`. Never `And`/`Or` (those
-    /// compile to jumps). Type-check skip flags are the facts' proven
-    /// operand types, baked in.
+    /// Push `lhs op rhs`. Never `And`/`Or` (those compile to jumps).
+    /// Type-check skip flags are the facts' proven operand types, baked in.
     Bin {
         /// The operator.
         op: BinOp,
+        /// Left operand.
+        lhs: Operand,
+        /// Right operand.
+        rhs: Operand,
         /// Lhs operand type proven — dynamic check elided.
         skip_lhs: bool,
         /// Rhs operand type proven — dynamic check elided.
@@ -199,13 +234,12 @@ pub enum Op {
         /// The analysis kept facts alive across this call boundary.
         summarized: bool,
     },
-    /// Direct builtin call: the name shadows no user function. Pops
-    /// `argc` arguments.
+    /// Direct builtin call: the name shadows no user function.
     CallBuiltin {
         /// Name-pool index of the builtin.
         name: u32,
-        /// Argument count.
-        argc: u32,
+        /// The arguments, in order.
+        args: Box<[Operand]>,
         /// Regex-pool index of the analysis-time-compiled pattern.
         regex: Option<u32>,
     },
@@ -245,12 +279,13 @@ pub enum Op {
         msg: u32,
     },
     // ---- fused superinstructions (emitted only with `fuse` on) ----------
-    /// Pop `n` values and push their concatenation as ONE transient —
-    /// a flattened concat tree that elides the `n-2` intermediate
-    /// transients the nested form would allocate.
+    /// Push the concatenation of a flattened concat tree as ONE transient,
+    /// eliding the `n-2` intermediate transients the nested form would
+    /// allocate.
     ConcatN {
-        /// Number of operands (≤ [`MAX_CONCAT_FLATTEN`]).
-        n: u32,
+        /// The leaves, in order (at most [`MAX_CONCAT_FLATTEN`]; never an
+        /// `Int`, which folds as its decimal string).
+        parts: Box<[Operand]>,
         /// Bit `i` set = operand `i`'s type was proven (check elided).
         skip_mask: u64,
         /// Arena verdict (root concat site) for the result transient.
@@ -259,31 +294,10 @@ pub enum Op {
     /// Fused echo: a value that is already a string is appended to the
     /// output directly, with no transient materialization.
     EchoValue {
+        /// The echoed value (never an `Int`).
+        value: Operand,
         /// Arena verdict for the non-string conversion transient.
         arena: bool,
-    },
-    /// Fused `PushStr` + `EchoValue`: emit a const-pool string.
-    EchoConst {
-        /// Const-pool index.
-        s: u32,
-    },
-    /// Fused `LoadSlot` + `EchoValue`.
-    EchoVar {
-        /// Frame slot of the variable.
-        slot: u32,
-        /// Proven RC-elidable read.
-        elide_rc: bool,
-        /// Arena verdict for the non-string conversion transient.
-        arena: bool,
-    },
-    /// Fused `PushStr` + `IndexGet`: pop base, push `base[const]`.
-    IndexConst {
-        /// Const-pool index of the key.
-        key: u32,
-        /// Proven RC-elidable read.
-        elide_rc: bool,
-        /// Proven key shape for the hash probe.
-        hint: KeyShapeHint,
     },
     // ---- cross-request memoization (emitted only when the facts prove
     //      the call site memoizable; see `php-analysis` effects pass) -----
@@ -307,8 +321,9 @@ pub enum Op {
     },
 }
 
-/// Declares [`OpKind`] with its name table, its index-ordered variant list
-/// and [`OP_KIND_COUNT`] from one list of variants.
+/// Declares [`OpKind`] with its name table, its index-ordered variant list,
+/// [`OP_KIND_COUNT`] and [`Op::kind`] from one list of variants (a
+/// `Variant { .. }` pattern matches unit, tuple and struct variants alike).
 macro_rules! op_kinds {
     ($($kind:ident),* $(,)?) => {
         /// Dense opcode classification for the per-opcode execution counters
@@ -336,6 +351,15 @@ macro_rules! op_kinds {
                 [$(OpKind::$kind),*]
             }
         }
+
+        impl Op {
+            /// The dense classification of this opcode.
+            pub fn kind(&self) -> OpKind {
+                match self {
+                    $(Op::$kind { .. } => OpKind::$kind),*
+                }
+            }
+        }
     };
 }
 
@@ -345,73 +369,13 @@ op_kinds! {
     ArrayInsert, ArrayAppend, Bin, Not, Neg, ToBool, Jump, JumpIfFalsePop,
     JumpIfTruePeek, JumpIfFalsePeek, PushGuard, GuardTick, PopGuard, IterInit,
     IterNext, IterPop, DefineFunc, CallUser, CallBuiltin, CallDynamic, Return,
-    Echo, Global, Fail, ConcatN, EchoValue, EchoConst, EchoVar, IndexConst,
-    MemoEnter, MemoStore,
+    Echo, Global, Fail, ConcatN, EchoValue, MemoEnter, MemoStore,
 }
 
 impl OpKind {
     /// Whether this kind is a fusion-produced superinstruction.
     pub fn is_fused(self) -> bool {
-        matches!(
-            self,
-            OpKind::ConcatN
-                | OpKind::EchoValue
-                | OpKind::EchoConst
-                | OpKind::EchoVar
-                | OpKind::IndexConst
-        )
-    }
-}
-
-impl Op {
-    /// The dense classification of this opcode.
-    pub fn kind(&self) -> OpKind {
-        match self {
-            Op::PushNull => OpKind::PushNull,
-            Op::PushBool(_) => OpKind::PushBool,
-            Op::PushInt(_) => OpKind::PushInt,
-            Op::PushFloat(_) => OpKind::PushFloat,
-            Op::PushStr(_) => OpKind::PushStr,
-            Op::Pop => OpKind::Pop,
-            Op::LoadSlot { .. } => OpKind::LoadSlot,
-            Op::StoreSlot { .. } => OpKind::StoreSlot,
-            Op::IndexGet { .. } => OpKind::IndexGet,
-            Op::LoadIndexBase { .. } => OpKind::LoadIndexBase,
-            Op::StoreIndexKeyed { .. } => OpKind::StoreIndexKeyed,
-            Op::StoreAppend { .. } => OpKind::StoreAppend,
-            Op::NewArray { .. } => OpKind::NewArray,
-            Op::ArrayInsert => OpKind::ArrayInsert,
-            Op::ArrayAppend => OpKind::ArrayAppend,
-            Op::Bin { .. } => OpKind::Bin,
-            Op::Not => OpKind::Not,
-            Op::Neg => OpKind::Neg,
-            Op::ToBool => OpKind::ToBool,
-            Op::Jump(_) => OpKind::Jump,
-            Op::JumpIfFalsePop(_) => OpKind::JumpIfFalsePop,
-            Op::JumpIfTruePeek(_) => OpKind::JumpIfTruePeek,
-            Op::JumpIfFalsePeek(_) => OpKind::JumpIfFalsePeek,
-            Op::PushGuard => OpKind::PushGuard,
-            Op::GuardTick { .. } => OpKind::GuardTick,
-            Op::PopGuard => OpKind::PopGuard,
-            Op::IterInit => OpKind::IterInit,
-            Op::IterNext { .. } => OpKind::IterNext,
-            Op::IterPop => OpKind::IterPop,
-            Op::DefineFunc { .. } => OpKind::DefineFunc,
-            Op::CallUser { .. } => OpKind::CallUser,
-            Op::CallBuiltin { .. } => OpKind::CallBuiltin,
-            Op::CallDynamic { .. } => OpKind::CallDynamic,
-            Op::Return => OpKind::Return,
-            Op::Echo { .. } => OpKind::Echo,
-            Op::Global { .. } => OpKind::Global,
-            Op::Fail { .. } => OpKind::Fail,
-            Op::ConcatN { .. } => OpKind::ConcatN,
-            Op::EchoValue { .. } => OpKind::EchoValue,
-            Op::EchoConst { .. } => OpKind::EchoConst,
-            Op::EchoVar { .. } => OpKind::EchoVar,
-            Op::IndexConst { .. } => OpKind::IndexConst,
-            Op::MemoEnter { .. } => OpKind::MemoEnter,
-            Op::MemoStore { .. } => OpKind::MemoStore,
-        }
+        matches!(self, OpKind::ConcatN | OpKind::EchoValue)
     }
 }
 
@@ -578,13 +542,9 @@ pub fn compile(
     for def in predefined {
         if bound.insert(def.name.clone()) {
             order.push((def.name.clone(), Pending::Shared(Arc::clone(def))));
-        } else {
+        } else if let Some(slot) = order.iter_mut().find(|(name, _)| *name == def.name) {
             // A later registration replaces the earlier one.
-            for slot in order.iter_mut() {
-                if slot.0 == def.name {
-                    slot.1 = Pending::Shared(Arc::clone(def));
-                }
-            }
+            slot.1 = Pending::Shared(Arc::clone(def));
         }
     }
     for s in &prog.stmts {
@@ -618,7 +578,7 @@ pub fn compile(
         }
         c.stmt(&mut b, s);
     }
-    c.unit.main = c.finish_body(b);
+    c.unit.main = b.code;
     // Every memo dependency gets a main slot (a callee can read a global
     // main itself never names), so key building and invalidation never
     // leave the frame.
@@ -698,33 +658,15 @@ struct Compiler<'f> {
 
 impl<'f> Compiler<'f> {
     fn name(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.name_map.get(s) {
-            return i;
-        }
-        let i = self.unit.names.len() as u32;
-        self.unit.names.push(s.to_string());
-        self.name_map.insert(s.to_string(), i);
-        i
+        intern(&mut self.name_map, &mut self.unit.names, s)
     }
 
     fn constant(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.const_map.get(s) {
-            return i;
-        }
-        let i = self.unit.consts.len() as u32;
-        self.unit.consts.push(PhpStr::from(s));
-        self.const_map.insert(s.to_string(), i);
-        i
+        intern(&mut self.const_map, &mut self.unit.consts, s)
     }
 
     fn msg(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.msg_map.get(s) {
-            return i;
-        }
-        let i = self.unit.msgs.len() as u32;
-        self.unit.msgs.push(s.to_string());
-        self.msg_map.insert(s.to_string(), i);
-        i
+        intern(&mut self.msg_map, &mut self.unit.msgs, s)
     }
 
     /// The frame slot of `name` in the body being compiled.
@@ -751,16 +693,7 @@ impl<'f> Compiler<'f> {
             name: def.name.clone(),
             n_params: def.params.len() as u32,
             slots: b.slots.take().expect("set above"),
-            code: self.finish_body(b),
-        }
-    }
-
-    fn finish_body(&mut self, b: Body) -> Vec<Op> {
-        debug_assert!(b.loops.is_empty(), "unbalanced loop frames");
-        if self.opts.fuse {
-            fuse_pairs(b.code)
-        } else {
-            b.code
+            code: b.code,
         }
     }
 
@@ -790,7 +723,16 @@ impl<'f> Compiler<'f> {
             }
             Stmt::Assign { target, value } => {
                 // Value evaluates before the target is touched (tree order).
-                self.expr(b, value);
+                // Only a keyed element store takes it as an operand, and
+                // never as a variable: the base load below may autovivify
+                // that very variable.
+                let value = match target {
+                    LValue::Index { key: Some(_), .. } => self.operand(b, value, false),
+                    _ => {
+                        self.expr(b, value);
+                        Operand::Stack
+                    }
+                };
                 let (elide, shape) = match self.facts {
                     Some(f) => (f.rc_elide_store(s), f.key_shape_stmt(s)),
                     None => (false, KeyShape::Unknown),
@@ -814,10 +756,12 @@ impl<'f> Compiler<'f> {
                             Some(kexpr) => {
                                 // Key evaluates after autovivification, as in
                                 // the tree-walker.
-                                self.expr(b, kexpr);
+                                let key = self.operand(b, kexpr, true);
                                 self.emit(
                                     b,
                                     Op::StoreIndexKeyed {
+                                        value,
+                                        key,
                                         elide_rc: elide,
                                         hint: hint_of(shape),
                                     },
@@ -838,15 +782,23 @@ impl<'f> Compiler<'f> {
             }
             Stmt::Echo(parts) => {
                 for p in parts {
-                    self.expr(b, p);
                     let arena = self.facts.is_some_and(|f| f.arena_safe_expr(p));
                     // The generic `Echo` mirrors the tree-walker exactly
-                    // (always materializes a transient); the fusion pass
-                    // rewrites it to the string-fast-path `EchoValue`.
-                    let op = if self.opts.fuse {
-                        Op::EchoValue { arena }
-                    } else {
+                    // (always materializes a transient); the fused
+                    // `EchoValue` skips it for a string. An integer literal
+                    // still converts through a transient, so it is pushed.
+                    let op = if !self.opts.fuse {
+                        self.expr(b, p);
                         Op::Echo { arena }
+                    } else if let Expr::Int(_) = p {
+                        self.expr(b, p);
+                        Op::EchoValue {
+                            value: Operand::Stack,
+                            arena,
+                        }
+                    } else {
+                        let value = self.operand(b, p, true);
+                        Op::EchoValue { value, arena }
                     };
                     self.emit(b, op);
                 }
@@ -876,27 +828,9 @@ impl<'f> Compiler<'f> {
                 }
             }
             Stmt::While { cond, body } => {
-                let cap = self.msg("while loop exceeded iteration cap");
-                self.emit(b, Op::PushGuard);
-                let loop_at = b.code.len();
-                self.expr(b, cond);
-                let jexit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
-                self.emit(b, Op::GuardTick { msg: cap });
-                b.loops.push(LoopFrame::default());
-                for s in body {
-                    self.stmt(b, s);
-                }
-                let frame = b.loops.pop().expect("pushed above");
-                self.emit(b, Op::Jump(loop_at as u32));
-                let end = b.code.len(); // the PopGuard below
-                self.patch(b, jexit, end);
-                for at in frame.break_patches {
-                    self.patch(b, at, end);
-                }
-                for at in frame.continue_patches {
-                    self.patch(b, at, loop_at);
-                }
-                self.emit(b, Op::PopGuard);
+                let (top, exit) = self.loop_head(b, cond, "while loop exceeded iteration cap");
+                let frame = self.loop_body(b, body);
+                self.close_loop(b, frame, [top, exit, top], Op::PopGuard);
             }
             Stmt::For {
                 init,
@@ -904,30 +838,12 @@ impl<'f> Compiler<'f> {
                 step,
                 body,
             } => {
-                let cap = self.msg("for loop exceeded iteration cap");
                 self.stmt(b, init);
-                self.emit(b, Op::PushGuard);
-                let loop_at = b.code.len();
-                self.expr(b, cond);
-                let jexit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
-                self.emit(b, Op::GuardTick { msg: cap });
-                b.loops.push(LoopFrame::default());
-                for s in body {
-                    self.stmt(b, s);
-                }
-                let frame = b.loops.pop().expect("pushed above");
+                let (top, exit) = self.loop_head(b, cond, "for loop exceeded iteration cap");
+                let frame = self.loop_body(b, body);
                 let step_at = b.code.len();
                 self.stmt(b, step);
-                self.emit(b, Op::Jump(loop_at as u32));
-                let end = b.code.len();
-                self.patch(b, jexit, end);
-                for at in frame.break_patches {
-                    self.patch(b, at, end);
-                }
-                for at in frame.continue_patches {
-                    self.patch(b, at, step_at);
-                }
-                self.emit(b, Op::PopGuard);
+                self.close_loop(b, frame, [top, exit, step_at], Op::PopGuard);
             }
             Stmt::Foreach {
                 array,
@@ -941,7 +857,7 @@ impl<'f> Compiler<'f> {
                 // Value slot before key slot: the order the names appear in.
                 let value = self.slot(b, value_var);
                 let key = key_var.as_ref().map(|k| self.slot(b, k));
-                let loop_at = b.code.len();
+                let top = b.code.len();
                 let next = self.emit(
                     b,
                     Op::IterNext {
@@ -951,21 +867,8 @@ impl<'f> Compiler<'f> {
                         end: u32::MAX,
                     },
                 );
-                b.loops.push(LoopFrame::default());
-                for s in body {
-                    self.stmt(b, s);
-                }
-                let frame = b.loops.pop().expect("pushed above");
-                self.emit(b, Op::Jump(loop_at as u32));
-                let end = b.code.len(); // the IterPop below
-                self.patch(b, next, end);
-                for at in frame.break_patches {
-                    self.patch(b, at, end);
-                }
-                for at in frame.continue_patches {
-                    self.patch(b, at, loop_at);
-                }
-                self.emit(b, Op::IterPop);
+                let frame = self.loop_body(b, body);
+                self.close_loop(b, frame, [top, next, top], Op::IterPop);
             }
             Stmt::FuncDef(f) => {
                 // A nested definition executed at run time (hoisted
@@ -976,12 +879,7 @@ impl<'f> Compiler<'f> {
                 self.emit(b, Op::DefineFunc { func: idx });
             }
             Stmt::Return(e) => {
-                match e {
-                    Some(e) => self.expr(b, e),
-                    None => {
-                        self.emit(b, Op::PushNull);
-                    }
-                }
+                self.expr(b, e.as_ref().unwrap_or(&Expr::Null));
                 self.emit(b, Op::Return);
             }
             Stmt::Global(names) => {
@@ -991,29 +889,63 @@ impl<'f> Compiler<'f> {
                     self.emit(b, Op::Global { slot, main });
                 }
             }
-            Stmt::Break => {
+            Stmt::Break | Stmt::Continue => {
                 if b.loops.is_empty() {
                     let msg = self.msg("break/continue outside loop");
                     self.emit(b, Op::Fail { msg });
                 } else {
                     let at = self.emit(b, Op::Jump(u32::MAX));
-                    b.loops.last_mut().expect("checked").break_patches.push(at);
-                }
-            }
-            Stmt::Continue => {
-                if b.loops.is_empty() {
-                    let msg = self.msg("break/continue outside loop");
-                    self.emit(b, Op::Fail { msg });
-                } else {
-                    let at = self.emit(b, Op::Jump(u32::MAX));
-                    b.loops
-                        .last_mut()
-                        .expect("checked")
-                        .continue_patches
-                        .push(at);
+                    let frame = b.loops.last_mut().expect("checked");
+                    let patches = match s {
+                        Stmt::Break => &mut frame.break_patches,
+                        _ => &mut frame.continue_patches,
+                    };
+                    patches.push(at);
                 }
             }
         }
+    }
+
+    /// A metered loop's head: the guard, the condition and the exit jump.
+    /// Returns where the condition starts and where the exit jump sits.
+    fn loop_head(&mut self, b: &mut Body, cond: &Expr, cap: &str) -> (usize, usize) {
+        let msg = self.msg(cap);
+        self.emit(b, Op::PushGuard);
+        let top = b.code.len();
+        self.expr(b, cond);
+        let exit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
+        self.emit(b, Op::GuardTick { msg });
+        (top, exit)
+    }
+
+    /// A loop body, and the `break`/`continue` jumps it left to patch.
+    fn loop_body(&mut self, b: &mut Body, body: &[Stmt]) -> LoopFrame {
+        b.loops.push(LoopFrame::default());
+        for s in body {
+            self.stmt(b, s);
+        }
+        b.loops.pop().expect("pushed above")
+    }
+
+    /// Ends a loop with a jump back to `top` and then `end`: the exit jump
+    /// at `exit` and every `break` land on `end`, every `continue` on
+    /// `cont`.
+    fn close_loop(
+        &mut self,
+        b: &mut Body,
+        frame: LoopFrame,
+        [top, exit, cont]: [usize; 3],
+        end: Op,
+    ) {
+        self.emit(b, Op::Jump(top as u32));
+        let end_at = b.code.len();
+        for at in frame.break_patches.into_iter().chain([exit]) {
+            self.patch(b, at, end_at);
+        }
+        for at in frame.continue_patches {
+            self.patch(b, at, cont);
+        }
+        self.emit(b, end);
     }
 
     fn expr(&mut self, b: &mut Body, e: &Expr) {
@@ -1035,19 +967,13 @@ impl<'f> Compiler<'f> {
                 self.emit(b, Op::PushStr(i));
             }
             Expr::Var(name) => {
-                let elide = self.facts.is_some_and(|f| f.rc_elide_read(e));
+                let elide_rc = self.facts.is_some_and(|f| f.rc_elide_read(e));
                 let slot = self.slot(b, name);
-                self.emit(
-                    b,
-                    Op::LoadSlot {
-                        slot,
-                        elide_rc: elide,
-                    },
-                );
+                self.emit(b, Op::LoadSlot { slot, elide_rc });
             }
             Expr::Index { base, key } => {
-                self.expr(b, base);
-                self.expr(b, key);
+                let base = self.operand(b, base, !calls(key));
+                let key = self.operand(b, key, true);
                 let (elide, shape) = match self.facts {
                     Some(f) => (f.rc_elide_read(e), f.key_shape_expr(e)),
                     None => (false, KeyShape::Unknown),
@@ -1055,6 +981,8 @@ impl<'f> Compiler<'f> {
                 self.emit(
                     b,
                     Op::IndexGet {
+                        base,
+                        key,
                         elide_rc: elide,
                         hint: hint_of(shape),
                     },
@@ -1078,9 +1006,19 @@ impl<'f> Compiler<'f> {
                 }
             }
             Expr::Call { name, args } => {
-                for a in args {
-                    self.expr(b, a);
-                }
+                let rebindable = self.nested_defs.contains(name);
+                let user = self.unit.func_index.get(name).copied();
+                let user = user.filter(|_| !rebindable);
+                let builtin =
+                    user.is_none() && !rebindable && builtins::NAMES.contains(&name.as_str());
+                // Only a builtin takes operands: a user callee reads its
+                // arguments off the stack into its frame.
+                let operands = if builtin {
+                    self.operands(b, &args.iter().collect::<Vec<_>>())
+                } else {
+                    args.iter().for_each(|a| self.expr(b, a));
+                    Vec::new()
+                };
                 let argc = args.len() as u32;
                 let summarized = self.facts.is_some_and(|f| f.call_summarized(e));
                 let regex = self.facts.and_then(|f| f.precompiled_regex(e)).map(|re| {
@@ -1088,21 +1026,18 @@ impl<'f> Compiler<'f> {
                     self.unit.regexes.push(Arc::clone(re));
                     i
                 });
-                let rebindable = self.nested_defs.contains(name);
-                let op = match self.unit.func_index.get(name) {
-                    Some(&func) if !rebindable => Op::CallUser {
+                let op = match user {
+                    Some(func) => Op::CallUser {
                         func,
                         argc,
                         summarized,
                     },
-                    None if !rebindable && builtins::NAMES.contains(&name.as_str()) => {
-                        Op::CallBuiltin {
-                            name: self.name(name),
-                            argc,
-                            regex,
-                        }
-                    }
-                    _ => Op::CallDynamic {
+                    None if builtin => Op::CallBuiltin {
+                        name: self.name(name),
+                        args: operands.into(),
+                        regex,
+                    },
+                    None => Op::CallDynamic {
                         name: self.name(name),
                         argc,
                         regex,
@@ -1202,20 +1137,24 @@ impl<'f> Compiler<'f> {
                 BinOp::Concat if self.opts.fuse => {
                     let mut leaves: Vec<(&Expr, bool)> = Vec::new();
                     flatten_concat(e, self.facts, &mut leaves);
-                    if leaves.len() >= 3 && leaves.len() <= MAX_CONCAT_FLATTEN {
-                        let mut mask = 0u64;
-                        for (i, (leaf, skip)) in leaves.iter().enumerate() {
-                            self.expr(b, leaf);
-                            if *skip {
-                                mask |= 1 << i;
-                            }
-                        }
+                    if leaves.len() <= MAX_CONCAT_FLATTEN {
+                        let exprs: Vec<&Expr> = leaves.iter().map(|(leaf, _)| *leaf).collect();
+                        let parts = self.operands(b, &exprs);
+                        // An integer literal's one use in a concat is its
+                        // decimal form.
+                        let parts = parts.into_iter().map(|p| match p {
+                            Operand::Int(i) => Operand::Const(self.constant(&i.to_string())),
+                            p => p,
+                        });
+                        let parts = parts.collect();
+                        let skip = leaves.iter().enumerate().filter(|(_, (_, skip))| *skip);
+                        let skip_mask = skip.fold(0, |mask, (i, _)| mask | 1 << i);
                         let arena = self.facts.is_some_and(|f| f.arena_safe_expr(e));
                         self.emit(
                             b,
                             Op::ConcatN {
-                                n: leaves.len() as u32,
-                                skip_mask: mask,
+                                parts,
+                                skip_mask,
                                 arena,
                             },
                         );
@@ -1229,19 +1168,82 @@ impl<'f> Compiler<'f> {
     }
 
     fn bin_generic(&mut self, b: &mut Body, e: &Expr, op: BinOp, lhs: &Expr, rhs: &Expr) {
-        self.expr(b, lhs);
-        self.expr(b, rhs);
+        let lhs = self.operand(b, lhs, !calls(rhs));
+        let rhs = self.operand(b, rhs, true);
         let (skip_lhs, skip_rhs) = self.facts.map(|f| f.bin_typed(e)).unwrap_or((false, false));
         let arena = self.facts.is_some_and(|f| f.arena_safe_expr(e));
         self.emit(
             b,
             Op::Bin {
                 op,
+                lhs,
+                rhs,
                 skip_lhs,
                 skip_rhs,
                 arena,
             },
         );
+    }
+
+    /// Lowers `e` as one input of an op. With fusion on, a string or
+    /// integer literal folds into the op, and so does a variable when
+    /// `var_ok` (no later input of the op contains a call); anything else is
+    /// evaluated onto the stack.
+    fn operand(&mut self, b: &mut Body, e: &Expr, var_ok: bool) -> Operand {
+        match e {
+            _ if !self.opts.fuse => {}
+            Expr::Str(s) => return Operand::Const(self.constant(s)),
+            Expr::Int(i) => return Operand::Int(*i),
+            Expr::Var(name) if var_ok => {
+                let elide_rc = self.facts.is_some_and(|f| f.rc_elide_read(e));
+                let slot = self.slot(b, name);
+                return Operand::Slot { slot, elide_rc };
+            }
+            _ => {}
+        }
+        self.expr(b, e);
+        Operand::Stack
+    }
+
+    /// [`Compiler::operand`] over one op's inputs, in order.
+    fn operands(&mut self, b: &mut Body, leaves: &[&Expr]) -> Vec<Operand> {
+        let mut out = Vec::with_capacity(leaves.len());
+        for (i, leaf) in leaves.iter().enumerate() {
+            let var_ok = !leaves[i + 1..].iter().any(|later| calls(later));
+            out.push(self.operand(b, leaf, var_ok));
+        }
+        out
+    }
+}
+
+/// The index of `s` in `pool`, appended on first use.
+fn intern<T: for<'s> From<&'s str>>(
+    map: &mut HashMap<String, u32>,
+    pool: &mut Vec<T>,
+    s: &str,
+) -> u32 {
+    *map.entry(s.to_string()).or_insert_with(|| {
+        pool.push(T::from(s));
+        pool.len() as u32 - 1
+    })
+}
+
+/// Whether evaluating `e` can call a function: the one way an expression
+/// can write a variable (`extract`, or a user function through `global`).
+fn calls(e: &Expr) -> bool {
+    match e {
+        Expr::Call { .. } => true,
+        Expr::Index { base: x, key: y } | Expr::Bin { lhs: x, rhs: y, .. } => calls(x) || calls(y),
+        Expr::ArrayLit(items) => items
+            .iter()
+            .any(|(k, v)| k.as_ref().is_some_and(calls) || calls(v)),
+        Expr::Ternary {
+            cond,
+            then,
+            otherwise,
+        } => calls(cond) || then.as_deref().is_some_and(calls) || calls(otherwise),
+        Expr::Not(x) | Expr::Neg(x) => calls(x),
+        _ => false,
     }
 }
 
@@ -1259,100 +1261,14 @@ fn flatten_concat<'e>(e: &'e Expr, facts: Option<&AnalysisFacts>, out: &mut Vec<
         unreachable!("flatten_concat on a non-concat node");
     };
     let (skip_l, skip_r) = facts.map(|f| f.bin_typed(e)).unwrap_or((false, false));
-    if matches!(
-        lhs.as_ref(),
-        Expr::Bin {
-            op: BinOp::Concat,
-            ..
-        }
-    ) {
-        flatten_concat(lhs, facts, out);
-    } else {
-        out.push((lhs, skip_l));
-    }
-    if matches!(
-        rhs.as_ref(),
-        Expr::Bin {
-            op: BinOp::Concat,
-            ..
-        }
-    ) {
-        flatten_concat(rhs, facts, out);
-    } else {
-        out.push((rhs, skip_r));
-    }
-}
-
-/// The adjacent-pair peephole: fuses `PushStr`+`EchoValue`,
-/// `LoadSlot`+`EchoValue`, and `PushStr`+`IndexGet` wherever the second
-/// instruction is not a jump target, then remaps every jump across the
-/// renumbering.
-fn fuse_pairs(code: Vec<Op>) -> Vec<Op> {
-    let mut targets: HashSet<usize> = HashSet::new();
-    for op in &code {
-        match op {
-            Op::Jump(t)
-            | Op::JumpIfFalsePop(t)
-            | Op::JumpIfTruePeek(t)
-            | Op::JumpIfFalsePeek(t) => {
-                targets.insert(*t as usize);
-            }
-            Op::IterNext { end, .. } => {
-                targets.insert(*end as usize);
-            }
-            Op::MemoEnter { skip, .. } => {
-                targets.insert(*skip as usize);
-            }
-            _ => {}
+    for (side, skip) in [(lhs, skip_l), (rhs, skip_r)] {
+        match side.as_ref() {
+            Expr::Bin {
+                op: BinOp::Concat, ..
+            } => flatten_concat(side, facts, out),
+            leaf => out.push((leaf, skip)),
         }
     }
-    let mut map = vec![0usize; code.len() + 1];
-    let mut out: Vec<Op> = Vec::with_capacity(code.len());
-    let mut i = 0;
-    while i < code.len() {
-        map[i] = out.len();
-        let fused = if i + 1 < code.len() && !targets.contains(&(i + 1)) {
-            match (&code[i], &code[i + 1]) {
-                (Op::PushStr(s), Op::EchoValue { .. }) => Some(Op::EchoConst { s: *s }),
-                (Op::LoadSlot { slot, elide_rc }, Op::EchoValue { arena }) => Some(Op::EchoVar {
-                    slot: *slot,
-                    elide_rc: *elide_rc,
-                    arena: *arena,
-                }),
-                (Op::PushStr(s), Op::IndexGet { elide_rc, hint }) => Some(Op::IndexConst {
-                    key: *s,
-                    elide_rc: *elide_rc,
-                    hint: *hint,
-                }),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        if let Some(op) = fused {
-            out.push(op);
-            // Nothing jumps to the consumed slot (checked above); point it
-            // past the fused op so the map stays monotone.
-            map[i + 1] = out.len();
-            i += 2;
-        } else {
-            out.push(code[i].clone());
-            i += 1;
-        }
-    }
-    map[code.len()] = out.len();
-    for op in &mut out {
-        match op {
-            Op::Jump(t)
-            | Op::JumpIfFalsePop(t)
-            | Op::JumpIfTruePeek(t)
-            | Op::JumpIfFalsePeek(t) => *t = map[*t as usize] as u32,
-            Op::IterNext { end, .. } => *end = map[*end as usize] as u32,
-            Op::MemoEnter { skip, .. } => *skip = map[*skip as usize] as u32,
-            _ => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1401,49 +1317,55 @@ mod tests {
         assert_eq!(u.memo_dep, [false, false], "no facts, no memo sites");
     }
 
-    #[test]
-    fn jumps_stay_in_bounds_after_fusion() {
-        let src = "$s = ''; for ($i = 0; $i < 3; $i++) { \
-                   if ($i == 1) { continue; } $s = $s . 'x' . $i; echo $s; } \
-                   echo 'done';";
-        for fuse in [false, true] {
-            let u = unit(src, fuse);
-            for op in &u.main {
-                let t = match op {
-                    Op::Jump(t)
-                    | Op::JumpIfFalsePop(t)
-                    | Op::JumpIfTruePeek(t)
-                    | Op::JumpIfFalsePeek(t) => *t,
-                    Op::IterNext { end, .. } => *end,
-                    _ => continue,
-                };
-                assert!(
-                    (t as usize) <= u.main.len(),
-                    "target {t} out of bounds in {:?}",
-                    u.main
-                );
-            }
-        }
+    /// `src`'s fused main code, one op per line.
+    fn fused_listing(src: &str) -> String {
+        let u = unit(src, true);
+        u.main.iter().map(|op| format!("{op:?}\n")).collect()
     }
 
     #[test]
-    fn fusion_produces_superinstructions() {
-        let u = unit("echo 'a', $x; $y = $a['k'] . 'b' . $x;", true);
-        let kinds: Vec<OpKind> = u.main.iter().map(Op::kind).collect();
-        assert!(kinds.contains(&OpKind::EchoConst), "{kinds:?}");
-        assert!(kinds.contains(&OpKind::EchoVar), "{kinds:?}");
-        assert!(kinds.contains(&OpKind::IndexConst), "{kinds:?}");
-        assert!(kinds.contains(&OpKind::ConcatN), "{kinds:?}");
+    fn fusion_folds_literals_and_variables_into_their_consumers() {
+        let listing = fused_listing("echo 'a', $x; $y = $a['k'] . 'b' . $x . 7;");
+        assert_eq!(listing, "\
+EchoValue { value: Const(0), arena: false }
+EchoValue { value: Slot { slot: 0, elide_rc: false }, arena: false }
+IndexGet { base: Slot { slot: 1, elide_rc: false }, key: Const(1), elide_rc: false, hint: Unknown }
+ConcatN { parts: [Stack, Const(2), Slot { slot: 0, elide_rc: false }, Const(3)], skip_mask: 0, arena: false }
+StoreSlot { slot: 2, elide_rc: false }
+");
+        let u = unit("$y = 'b' . 7;", true);
+        assert_eq!(u.consts, [PhpStr::from("b"), PhpStr::from("7")]);
+    }
+
+    #[test]
+    fn a_variable_before_a_call_is_loaded_in_tree_order() {
+        let src = "function f() { return 1; } $s = $x . f() . $x; $t = $x + f() - $x;";
+        assert_eq!(fused_listing(src), "\
+LoadSlot { slot: 0, elide_rc: false }
+CallUser { func: 0, argc: 0, summarized: false }
+ConcatN { parts: [Stack, Stack, Slot { slot: 0, elide_rc: false }], skip_mask: 0, arena: false }
+StoreSlot { slot: 1, elide_rc: false }
+LoadSlot { slot: 0, elide_rc: false }
+CallUser { func: 0, argc: 0, summarized: false }
+Bin { op: Add, lhs: Stack, rhs: Stack, skip_lhs: false, skip_rhs: false, arena: false }
+Bin { op: Sub, lhs: Stack, rhs: Slot { slot: 0, elide_rc: false }, skip_lhs: false, skip_rhs: false, arena: false }
+StoreSlot { slot: 2, elide_rc: false }
+");
     }
 
     #[test]
     fn unfused_unit_has_no_superinstructions() {
-        let u = unit("echo 'a', $x; $y = $a['k'] . 'b' . $x;", false);
-        assert!(
-            u.main.iter().all(|op| !op.kind().is_fused()),
-            "{:?}",
-            u.main
-        );
+        let src = "echo 'a', $x; $y = $a['k'] . 'b' . $x; $z['k'] = strlen('s') + 1;";
+        let u = unit(src, false);
+        let stacked = |ops: &[Operand]| ops.iter().all(|o| *o == Operand::Stack);
+        let folds = |op: &Op| match op {
+            Op::Bin { lhs, rhs, .. } => !stacked(&[*lhs, *rhs]),
+            Op::IndexGet { base, key, .. } => !stacked(&[*base, *key]),
+            Op::StoreIndexKeyed { value, key, .. } => !stacked(&[*value, *key]),
+            Op::CallBuiltin { args, .. } => !stacked(args),
+            op => op.kind().is_fused(),
+        };
+        assert!(!u.main.iter().any(folds), "{:?}", u.main);
     }
 
     #[test]

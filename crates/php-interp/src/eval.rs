@@ -207,7 +207,7 @@ pub(crate) fn binop_eval(
         }
         Concat => {
             let mut s = l.to_php_string();
-            s.push_bytes(r.to_php_string().as_bytes());
+            r.append_php_string(s.as_bytes_mut());
             // Concatenation allocates the result string.
             machine.transient_str_static(s, arena_safe)
         }

@@ -34,7 +34,7 @@ pub mod vm;
 pub use ast::{BinOp, Expr, FuncDef, Program, Stmt};
 pub use builtins::NAMES as BUILTIN_NAMES;
 pub use compile::{
-    compile, CompileOptions, CompiledFunc, CompiledUnit, MemoSiteInfo, Op, OpKind, SlotMap,
+    compile, CompileOptions, CompiledFunc, CompiledUnit, MemoSiteInfo, Op, OpKind, Operand, SlotMap,
 };
 pub use eval::{strip_delimiters, ErrorKind, Interp, RuntimeError};
 pub use facts::{AnalysisFacts, KeyShape, MemoSiteFact, NodeId};

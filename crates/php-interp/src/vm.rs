@@ -9,6 +9,13 @@
 //! [`crate::Interp`] on every program: the differential harness and the
 //! serving layer's replay machinery gate exactly that.
 //!
+//! An op reads each [`Operand`] where it lives: off the value stack, in
+//! place in the frame, or from the unit's const pool, whose bytes `ConcatN`
+//! and `EchoValue` append without making a value. A variable operand is
+//! charged the type check and refcount increment of the `LoadSlot` it
+//! replaces, so folding a leaf takes only that op's dispatch µop off the
+//! simulated clock.
+//!
 //! Variables live in frame slots the compiler assigned: one `Vec<Slot>`
 //! holds every active frame back to back (main at offset 0, each call's
 //! frame at the end), and a variable access is an indexed load or store that
@@ -21,14 +28,18 @@
 //! [`builtins::Host`] dispatch.
 
 use crate::builtins;
-use crate::compile::{CompiledUnit, Op, OpKind, SlotMap, OP_KIND_COUNT};
+use crate::compile::{
+    compile, CompileOptions, CompiledUnit, Op, OpKind, Operand, SlotMap, OP_KIND_COUNT,
+};
 use crate::eval::{binop_eval, index_read, key_of, RuntimeError, MAX_DEPTH};
 use crate::memo::{MemoHandle, MemoHit, MemoValue};
 use php_runtime::array::{ArrayKey, PhpArray};
+use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
 use php_runtime::AccessStatic;
 use phpaccel_core::PhpMachine;
 use regex_engine::Regex;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,15 +48,17 @@ use std::sync::Arc;
 /// charge.
 pub const VM_OP_UOPS: u64 = 1;
 
-/// Per-opcode and adjacent-pair execution counters for one VM run.
+/// Per-opcode (and, on request, adjacent-pair) execution counters for one
+/// VM run.
 #[derive(Debug, Clone)]
 pub struct OpcodeTally {
     counts: [u64; OP_KIND_COUNT],
     /// Dynamic (prev, next) pairs for *statically adjacent* opcodes — the
-    /// population the superinstruction selection was measured from. A flat
-    /// `OP_KIND_COUNT × OP_KIND_COUNT` table, row = prev. Only `analyze`
-    /// reads it; the serving path reads the three totals.
-    pairs: Box<[u64]>,
+    /// population the operand folding was measured from. A flat
+    /// `OP_KIND_COUNT × OP_KIND_COUNT` table, row = prev, allocated only when
+    /// [`Vm::count_pairs`] asks for it: `analyze` reads it, the serving path
+    /// reads the three totals.
+    pairs: Option<Box<[u64]>>,
     /// Total opcodes executed.
     pub total: u64,
     /// Fused superinstructions executed.
@@ -58,7 +71,7 @@ impl Default for OpcodeTally {
     fn default() -> Self {
         OpcodeTally {
             counts: [0; OP_KIND_COUNT],
-            pairs: vec![0; OP_KIND_COUNT * OP_KIND_COUNT].into_boxed_slice(),
+            pairs: None,
             total: 0,
             fused: 0,
             transients_elided: 0,
@@ -67,6 +80,15 @@ impl Default for OpcodeTally {
 }
 
 impl OpcodeTally {
+    /// A tally that also counts statically adjacent pairs.
+    fn with_pairs() -> Self {
+        let pairs = vec![0; OP_KIND_COUNT * OP_KIND_COUNT].into_boxed_slice();
+        OpcodeTally {
+            pairs: Some(pairs),
+            ..OpcodeTally::default()
+        }
+    }
+
     /// Executions of one opcode kind.
     pub fn count(&self, k: OpKind) -> u64 {
         self.counts[k as usize]
@@ -79,23 +101,23 @@ impl OpcodeTally {
             .map(|k| (k, self.counts[k as usize]))
             .filter(|(_, n)| *n > 0)
             .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.name().cmp(b.0.name())));
+        v.sort_by_key(|&(k, n)| (Reverse(n), k.name()));
         v
     }
 
-    /// Statically adjacent opcode pairs by execution count, descending.
+    /// Statically adjacent opcode pairs by execution count, descending
+    /// (none unless [`Vm::count_pairs`] asked for them).
     pub fn top_pairs(&self) -> Vec<((OpKind, OpKind), u64)> {
+        let Some(pairs) = &self.pairs else {
+            return Vec::new();
+        };
         let mut v: Vec<((OpKind, OpKind), u64)> = OpKind::all()
             .into_iter()
             .flat_map(|prev| OpKind::all().map(|next| (prev, next)))
-            .map(|(prev, next)| ((prev, next), self.pairs[pair_slot(prev, next)]))
+            .map(|(prev, next)| ((prev, next), pairs[pair_slot(prev, next)]))
             .filter(|(_, n)| *n > 0)
             .collect();
-        v.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(a.0 .0.name().cmp(b.0 .0.name()))
-                .then(a.0 .1.name().cmp(b.0 .1.name()))
-        });
+        v.sort_by_key(|&((prev, next), n)| (Reverse(n), prev.name(), next.name()));
         v
     }
 
@@ -107,14 +129,19 @@ impl OpcodeTally {
         if kind.is_fused() {
             self.fused += 1;
         }
-        if let Some(prev) = adjacent_prev {
-            self.pairs[pair_slot(prev, kind)] += 1;
+        if let (Some(pairs), Some(prev)) = (&mut self.pairs, adjacent_prev) {
+            pairs[pair_slot(prev, kind)] += 1;
         }
     }
 }
 
 fn pair_slot(prev: OpKind, next: OpKind) -> usize {
     prev as usize * OP_KIND_COUNT + next as usize
+}
+
+/// How many of an op's operands sit on the stack.
+fn stacked(ops: &[Operand]) -> usize {
+    ops.iter().filter(|o| **o == Operand::Stack).count()
 }
 
 /// How one body's execution ended.
@@ -179,6 +206,9 @@ pub struct Vm<'m> {
     slots: Vec<Slot>,
     frame: Frame,
     stack: Vec<PhpValue>,
+    /// Each string literal as a value, made on its first use this request:
+    /// every later use is a handle clone.
+    literals: Vec<Option<PhpValue>>,
     iters: Vec<(Vec<(ArrayKey, PhpValue)>, usize)>,
     guards: Vec<u64>,
     /// Live name → function-table bindings once a `DefineFunc` has rebound
@@ -206,6 +236,7 @@ impl<'m> Vm<'m> {
         Vm {
             machine,
             slots: vec![Slot::Unset; unit.main_slots.len()],
+            literals: vec![None; unit.consts.len()],
             frame: Frame {
                 base: 0,
                 func: None,
@@ -259,6 +290,11 @@ impl<'m> Vm<'m> {
         &self.tally
     }
 
+    /// Also counts statically adjacent opcode pairs from here on.
+    pub fn count_pairs(&mut self) {
+        self.tally = OpcodeTally::with_pairs();
+    }
+
     /// Runtime regex compiles performed (cache misses; precompiled patterns
     /// never count).
     pub fn regex_compile_count(&self) -> u64 {
@@ -288,14 +324,9 @@ impl<'m> Vm<'m> {
         if unit.specialized {
             self.machine
                 .apply_prebuilt(&unit.alloc_size_hints, unit.has_precompiled_regex);
-            self.machine
-                .ctx()
-                .profiler()
-                .note_taint_lints(unit.taint_lints);
-            self.machine
-                .ctx()
-                .profiler()
-                .note_arena_safe_sites(unit.arena_safe_sites);
+            let profiler = self.machine.ctx().profiler();
+            profiler.note_taint_lints(unit.taint_lints);
+            profiler.note_arena_safe_sites(unit.arena_safe_sites);
         }
         let result = self.run_chunk(&unit.main).map(|_| ());
         // Main never unwinds its stacks on error; clear them so a reused VM
@@ -312,14 +343,6 @@ impl<'m> Vm<'m> {
         result
     }
 
-    fn fuel_step(&mut self) -> Result<(), RuntimeError> {
-        if self.machine.ctx().consume_fuel(1) {
-            Ok(())
-        } else {
-            Err(RuntimeError::timeout("maximum execution budget exceeded"))
-        }
-    }
-
     /// The absolute index of a frame slot, following a `global` binding.
     fn resolve(&self, slot: u32) -> usize {
         let at = self.frame.base + slot as usize;
@@ -329,22 +352,104 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// A variable read: the symbol-table GET's type check and refcount
-    /// increment, without the hash probe.
-    fn load_at(&self, at: usize, elide_rc: bool) -> PhpValue {
+    /// The value in a frame slot (absolute index), uncharged; `None` when
+    /// never written.
+    fn var_at(&self, at: usize) -> Option<&PhpValue> {
         match &self.slots[at] {
-            Slot::Value(v) => {
-                let ctx = self.machine.ctx();
-                ctx.type_check(v);
-                ctx.refcount_on_copy_elidable(v, elide_rc);
-                v.clone()
-            }
-            _ => PhpValue::Null,
+            Slot::Value(v) => Some(v),
+            _ => None,
         }
     }
 
-    fn load(&self, slot: u32, elide_rc: bool) -> PhpValue {
+    /// A variable read in place: the symbol-table GET's type check and
+    /// refcount increment, without the hash probe. An unset variable reads
+    /// as `null` and, like a symbol-table miss, charges nothing.
+    fn load_at(&self, at: usize, elide_rc: bool) -> &PhpValue {
+        let Some(v) = self.var_at(at) else {
+            return &PhpValue::Null;
+        };
+        let ctx = self.machine.ctx();
+        ctx.type_check(v);
+        ctx.refcount_on_copy_elidable(v, elide_rc);
+        v
+    }
+
+    fn load(&self, slot: u32, elide_rc: bool) -> &PhpValue {
         self.load_at(self.resolve(slot), elide_rc)
+    }
+
+    /// An operand's value, as the `PushStr`/`PushInt`/`LoadSlot` it replaces
+    /// would have pushed it; a `Stack` operand is popped.
+    fn operand(&mut self, o: Operand) -> PhpValue {
+        match o {
+            Operand::Stack => self.pop(),
+            Operand::Slot { slot, elide_rc } => self.load(slot, elide_rc).clone(),
+            Operand::Const(c) => {
+                let (consts, c) = (&self.unit.consts, c as usize);
+                let literal = &mut self.literals[c];
+                literal
+                    .get_or_insert_with(|| PhpValue::str(consts[c].clone()))
+                    .clone()
+            }
+            Operand::Int(i) => PhpValue::Int(i),
+        }
+    }
+
+    /// The values of an op's operands in order; its `Stack` operands are the
+    /// top of the stack, in order.
+    fn operands(&mut self, ops: &[Operand]) -> Vec<PhpValue> {
+        let base = self.stack.len() - stacked(ops);
+        let mut at = base;
+        let values = ops
+            .iter()
+            .map(|o| match o {
+                Operand::Stack => {
+                    at += 1;
+                    std::mem::take(&mut self.stack[at - 1])
+                }
+                o => self.operand(*o),
+            })
+            .collect();
+        self.stack.truncate(base);
+        values
+    }
+
+    /// A `ConcatN`'s bytes, built in one buffer sized up front. Each leaf is
+    /// read where it lives (the stack from `at`, the frame, the const pool)
+    /// and charged as its producer and the op's own check would charge it.
+    fn concat(&self, parts: &[Operand], skip_mask: u64, at: usize) -> PhpStr {
+        let leaves = || {
+            let mut stacked = self.stack[at..].iter();
+            parts.iter().map(move |p| match *p {
+                Operand::Const(c) => Err(self.unit.consts[c as usize].as_bytes()),
+                Operand::Slot { slot, .. } => {
+                    Ok(self.var_at(self.resolve(slot)).unwrap_or(&PhpValue::Null))
+                }
+                _ => Ok(stacked.next().expect("one stacked value per Stack leaf")),
+            })
+        };
+        let ctx = self.machine.ctx();
+        let mut size = 0;
+        for ((i, part), leaf) in parts.iter().enumerate().zip(leaves()) {
+            if let Operand::Slot { slot, elide_rc } = *part {
+                self.load(slot, elide_rc);
+            }
+            // The check's cost does not depend on the value checked.
+            ctx.type_check_elidable(leaf.unwrap_or(&PhpValue::Null), skip_mask & (1 << i) != 0);
+            size += match leaf {
+                Err(bytes) => bytes.len(),
+                Ok(PhpValue::Str(s)) => s.len(),
+                Ok(_) => 20, // room for a number
+            };
+        }
+        let mut s = PhpStr::with_capacity(size);
+        for leaf in leaves() {
+            match leaf {
+                Ok(v) => v.append_php_string(s.as_bytes_mut()),
+                Err(bytes) => s.push_bytes(bytes),
+            }
+        }
+        s
     }
 
     /// A variable write: the symbol-table SET's refcount pair, without the
@@ -402,11 +507,6 @@ impl<'m> Vm<'m> {
         self.stack
             .pop()
             .expect("compiler-verified stack discipline")
-    }
-
-    fn pop_args(&mut self, argc: u32) -> Vec<PhpValue> {
-        let at = self.stack.len() - argc as usize;
-        self.stack.split_off(at)
     }
 
     fn access(elide_rc: bool) -> AccessStatic {
@@ -520,11 +620,13 @@ impl<'m> Vm<'m> {
         let mut pc = 0usize;
         let mut prev_pc = usize::MAX;
         while pc < code.len() {
-            self.fuel_step()?;
+            if !self.machine.ctx().consume_fuel(1) {
+                return Err(RuntimeError::timeout("maximum execution budget exceeded"));
+            }
             self.machine.ctx().charge_jit(VM_OP_UOPS);
             let op = &code[pc];
-            let adjacent =
-                (prev_pc != usize::MAX && pc == prev_pc + 1).then(|| code[prev_pc].kind());
+            let adjacent = (self.tally.pairs.is_some() && pc.checked_sub(1) == Some(prev_pc))
+                .then(|| code[prev_pc].kind());
             self.tally.note(op.kind(), adjacent);
             prev_pc = pc;
             pc += 1;
@@ -533,39 +635,35 @@ impl<'m> Vm<'m> {
                 Op::PushBool(b) => self.stack.push(PhpValue::Bool(*b)),
                 Op::PushInt(i) => self.stack.push(PhpValue::Int(*i)),
                 Op::PushFloat(f) => self.stack.push(PhpValue::Float(*f)),
-                Op::PushStr(i) => self
-                    .stack
-                    .push(PhpValue::str(unit.consts[*i as usize].clone())),
+                Op::PushStr(c) => {
+                    let v = self.operand(Operand::Const(*c));
+                    self.stack.push(v);
+                }
                 Op::Pop => {
                     self.pop();
                 }
                 Op::LoadSlot { slot, elide_rc } => {
-                    let v = self.load(*slot, *elide_rc);
+                    let v = self.load(*slot, *elide_rc).clone();
                     self.stack.push(v);
                 }
                 Op::StoreSlot { slot, elide_rc } => {
                     let v = self.pop();
                     self.store(*slot, v, *elide_rc);
                 }
-                Op::IndexGet { elide_rc, hint } => {
-                    let key = self.pop();
-                    let base = self.pop();
-                    let v = index_read(self.machine, base, &key, Self::access(*elide_rc), *hint)?;
-                    self.stack.push(v);
-                }
-                Op::IndexConst {
+                Op::IndexGet {
+                    base,
                     key,
                     elide_rc,
                     hint,
                 } => {
-                    let base = self.pop();
-                    let kv = PhpValue::str(unit.consts[*key as usize].clone());
-                    let v = index_read(self.machine, base, &kv, Self::access(*elide_rc), *hint)?;
+                    let key = self.operand(*key);
+                    let base = self.operand(*base);
+                    let v = index_read(self.machine, base, &key, Self::access(*elide_rc), *hint)?;
                     self.stack.push(v);
                 }
                 Op::LoadIndexBase { slot, arena } => {
                     let at = self.resolve(*slot);
-                    let v = match self.load_at(at, false) {
+                    let v = match self.load_at(at, false).clone() {
                         base @ PhpValue::Array(_) => {
                             // Only store paths flow through LoadIndexBase:
                             // an element of the variable is about to be
@@ -574,10 +672,9 @@ impl<'m> Vm<'m> {
                             base
                         }
                         PhpValue::Null => {
-                            let a = self.machine.new_array_static(*arena);
-                            let v2 = PhpValue::array(a);
-                            self.store_at(at, v2.clone(), false);
-                            v2
+                            let v = PhpValue::array(self.machine.new_array_static(*arena));
+                            self.store_at(at, v.clone(), false);
+                            v
                         }
                         other => {
                             return Err(RuntimeError::new(format!(
@@ -588,13 +685,17 @@ impl<'m> Vm<'m> {
                     };
                     self.stack.push(v);
                 }
-                Op::StoreIndexKeyed { elide_rc, hint } => {
-                    let key = self.pop();
-                    let base = self.pop();
-                    let value = self.pop();
-                    let PhpValue::Array(rc) = base else {
+                Op::StoreIndexKeyed {
+                    value,
+                    key,
+                    elide_rc,
+                    hint,
+                } => {
+                    let key = self.operand(*key);
+                    let PhpValue::Array(rc) = self.pop() else {
                         unreachable!("LoadIndexBase always pushes an array");
                     };
+                    let value = self.operand(*value);
                     let (k, st) = (key_of(&key), Self::access(*elide_rc));
                     self.machine
                         .array_set_static(&mut rc.borrow_mut(), k, value, st, *hint);
@@ -603,12 +704,10 @@ impl<'m> Vm<'m> {
                     elide_rc,
                     int_append,
                 } => {
-                    let base = self.pop();
-                    let value = self.pop();
-                    let PhpValue::Array(rc) = base else {
+                    let PhpValue::Array(rc) = self.pop() else {
                         unreachable!("LoadIndexBase always pushes an array");
                     };
-                    let st = Self::access(*elide_rc);
+                    let (value, st) = (self.pop(), Self::access(*elide_rc));
                     self.machine
                         .array_push_static(&mut rc.borrow_mut(), value, st, *int_append);
                 }
@@ -622,48 +721,42 @@ impl<'m> Vm<'m> {
                     let PhpValue::Array(rc) = self.stack.last().expect("array under insert") else {
                         unreachable!("NewArray pushed an array");
                     };
-                    let rc = rc.clone();
-                    let k = key_of(&key);
-                    self.machine.array_set(&mut rc.borrow_mut(), k, value);
+                    self.machine
+                        .array_set(&mut rc.borrow_mut(), key_of(&key), value);
                 }
                 Op::ArrayAppend => {
                     let value = self.pop();
                     let PhpValue::Array(rc) = self.stack.last().expect("array under append") else {
                         unreachable!("NewArray pushed an array");
                     };
-                    let rc = rc.clone();
                     self.machine.array_push(&mut rc.borrow_mut(), value);
                 }
                 Op::Bin {
                     op,
+                    lhs,
+                    rhs,
                     skip_lhs,
                     skip_rhs,
                     arena,
                 } => {
-                    let r = self.pop();
-                    let l = self.pop();
+                    let r = self.operand(*rhs);
+                    let l = self.operand(*lhs);
                     self.machine.ctx().type_check_elidable(&l, *skip_lhs);
                     self.machine.ctx().type_check_elidable(&r, *skip_rhs);
                     let v = binop_eval(self.machine, &mut self.output, *op, l, r, *arena)?;
                     self.stack.push(v);
                 }
                 Op::ConcatN {
-                    n,
+                    parts,
                     skip_mask,
                     arena,
                 } => {
-                    let at = self.stack.len() - *n as usize;
-                    let parts = self.stack.split_off(at);
-                    let mut s = php_runtime::string::PhpStr::default();
-                    for (i, v) in parts.iter().enumerate() {
-                        self.machine
-                            .ctx()
-                            .type_check_elidable(v, skip_mask & (1 << i) != 0);
-                        s.push_bytes(v.to_php_string().as_bytes());
-                    }
+                    let at = self.stack.len() - stacked(parts);
+                    let s = self.concat(parts, *skip_mask, at);
+                    self.stack.truncate(at);
                     // One transient for the whole chain: the n-2 intermediate
                     // allocations the nested lowering performs are elided.
-                    self.tally.transients_elided += *n as u64 - 2;
+                    self.tally.transients_elided += parts.len() as u64 - 2;
                     let v = self.machine.transient_str_static(s, *arena);
                     self.stack.push(v);
                 }
@@ -684,8 +777,7 @@ impl<'m> Vm<'m> {
                 }
                 Op::Jump(t) => pc = *t as usize,
                 Op::JumpIfFalsePop(t) => {
-                    let v = self.pop();
-                    if !v.to_bool() {
+                    if !self.pop().to_bool() {
                         pc = *t as usize;
                     }
                 }
@@ -715,10 +807,7 @@ impl<'m> Vm<'m> {
                     let PhpValue::Array(rc) = v else {
                         return Err(RuntimeError::new("foreach over non-array"));
                     };
-                    let pairs = {
-                        let borrowed = rc.borrow();
-                        self.machine.foreach(&borrowed)
-                    };
+                    let pairs = self.machine.foreach(&rc.borrow());
                     self.iters.push((pairs, 0));
                 }
                 Op::IterNext {
@@ -834,8 +923,8 @@ impl<'m> Vm<'m> {
                         }
                     }
                 }
-                Op::CallBuiltin { name, argc, regex } => {
-                    let args = self.pop_args(*argc);
+                Op::CallBuiltin { name, args, regex } => {
+                    let args = self.operands(args);
                     let v = self.call_builtin(&unit.names[*name as usize], args, *regex)?;
                     self.stack.push(v);
                 }
@@ -857,7 +946,7 @@ impl<'m> Vm<'m> {
                             self.invoke(func, *argc)?
                         }
                         None => {
-                            let args = self.pop_args(*argc);
+                            let args = self.stack.split_off(self.stack.len() - *argc as usize);
                             self.call_builtin(name, args, *regex)?
                         }
                     };
@@ -869,29 +958,19 @@ impl<'m> Vm<'m> {
                 }
                 Op::Echo { arena } => {
                     let v = self.pop();
-                    let s = v.to_php_string();
-                    // echo materializes output bytes: allocator churn
-                    // (identical to the tree-walker's charging).
-                    let tv = self.machine.transient_str_static(s.clone(), *arena);
-                    let _ = tv;
-                    self.output.extend_from_slice(s.as_bytes());
+                    self.echo(v, *arena, false);
                 }
-                Op::EchoValue { arena } => {
-                    let v = self.pop();
-                    self.echo_fast(v, *arena);
-                }
-                Op::EchoConst { s } => {
+                Op::EchoValue {
+                    value: Operand::Const(c),
+                    ..
+                } => {
                     self.output
-                        .extend_from_slice(unit.consts[*s as usize].as_bytes());
+                        .extend_from_slice(unit.consts[*c as usize].as_bytes());
                     self.tally.transients_elided += 1;
                 }
-                Op::EchoVar {
-                    slot,
-                    elide_rc,
-                    arena,
-                } => {
-                    let v = self.load(*slot, *elide_rc);
-                    self.echo_fast(v, *arena);
+                Op::EchoValue { value, arena } => {
+                    let v = self.operand(*value);
+                    self.echo(v, *arena, true);
                 }
                 Op::Global { slot, main } => {
                     // Whatever the frame held under that name is dropped, as
@@ -909,18 +988,16 @@ impl<'m> Vm<'m> {
         Ok(ChunkExit::Finished)
     }
 
-    /// Fused echo: strings go straight to the output buffer (the transient
-    /// copy the generic path materializes is elided); everything else still
-    /// converts through a transient.
-    fn echo_fast(&mut self, v: PhpValue, arena: bool) {
-        if let PhpValue::Str(s) = &v {
+    /// Echoes a value the way the tree-walker does: stringified through a
+    /// transient (allocator churn, identical charging). The fused form
+    /// (`fast`) appends a string straight to the output, eliding the copy.
+    fn echo(&mut self, v: PhpValue, arena: bool, fast: bool) {
+        if let (true, PhpValue::Str(s)) = (fast, &v) {
             self.output.extend_from_slice(s.as_bytes());
             self.tally.transients_elided += 1;
         } else {
-            let s = v.to_php_string();
-            let tv = self.machine.transient_str_static(s.clone(), arena);
-            let _ = tv;
-            self.output.extend_from_slice(s.as_bytes());
+            let tv = self.machine.transient_str_static(v.to_php_string(), arena);
+            tv.append_php_string(&mut self.output);
         }
     }
 }
@@ -933,12 +1010,7 @@ impl<'m> Vm<'m> {
 /// Returns [`RuntimeError`] on parse or evaluation failure.
 pub fn run_src(machine: &mut PhpMachine, src: &str) -> Result<Vec<u8>, RuntimeError> {
     let prog = crate::parse(src)?;
-    let unit = Arc::new(crate::compile::compile(
-        &prog,
-        &[],
-        None,
-        crate::compile::CompileOptions::default(),
-    ));
+    let unit = Arc::new(compile(&prog, &[], None, CompileOptions::default()));
     let mut vm = Vm::new(machine, unit);
     let r = vm.run();
     let out = vm.take_output();
@@ -948,7 +1020,6 @@ pub fn run_src(machine: &mut PhpMachine, src: &str) -> Result<Vec<u8>, RuntimeEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile, CompileOptions};
     use crate::parse;
 
     /// Runs `src` on both engines (VM fused and unfused) and asserts all
@@ -1191,16 +1262,20 @@ mod tests {
 
     #[test]
     fn tally_counts_ops_and_pairs() {
-        let mut m = PhpMachine::specialized();
         let prog = parse("echo 'a'; echo 'b'; $x = 1 + 2; echo $x;").unwrap();
         let unit = Arc::new(compile(&prog, &[], None, CompileOptions { fuse: true }));
-        let mut vm = Vm::new(&mut m, unit);
-        vm.run().unwrap();
-        let t = vm.tally();
-        assert_eq!(t.count(OpKind::EchoConst), 2);
-        assert!(t.total > 0);
-        assert!(t.fused >= 2);
-        assert!(!t.top_ops().is_empty());
-        assert!(!t.top_pairs().is_empty());
+        for pairs in [false, true] {
+            let mut m = PhpMachine::specialized();
+            let mut vm = Vm::new(&mut m, Arc::clone(&unit));
+            if pairs {
+                vm.count_pairs();
+            }
+            vm.run().unwrap();
+            let t = vm.tally();
+            assert_eq!(t.count(OpKind::EchoValue), 3);
+            assert_eq!((t.total, t.fused), (5, 3));
+            assert_eq!(t.top_ops().len(), 3);
+            assert_eq!(t.top_pairs().len(), if pairs { 4 } else { 0 });
+        }
     }
 }

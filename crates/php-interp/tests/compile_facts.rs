@@ -12,7 +12,9 @@
 //! and a function frame has no symbol table for a region verdict to place.
 
 use php_interp::ast::{BinOp, Expr, LValue, Stmt};
-use php_interp::{compile, parse, AnalysisFacts, CompileOptions, CompiledUnit, KeyShape, Op};
+use php_interp::{
+    compile, parse, AnalysisFacts, CompileOptions, CompiledUnit, KeyShape, Op, Operand,
+};
 use phpaccel_core::KeyShapeHint;
 
 fn unfused() -> CompileOptions {
@@ -169,14 +171,21 @@ fn const_key_shape_bakes_probe_hint_into_index_ops() {
         gets[0]
     );
 
-    // Fused: PushStr + IndexGet collapse into IndexConst, hint preserved.
+    // Fused: the base and the key fold into the IndexGet, hint preserved.
     let fused = compile(&program, &[], Some(&facts), CompileOptions { fuse: true });
-    let gets = find(&fused, |op| matches!(op, Op::IndexConst { .. }));
-    assert_eq!(gets.len(), 1, "fusion must produce IndexConst");
+    let gets = find(&fused, |op| matches!(op, Op::IndexGet { .. }));
+    assert_eq!(
+        fused.main.len(),
+        2,
+        "IndexGet + EchoValue: {:?}",
+        fused.main
+    );
     assert!(
         matches!(
             gets[0],
-            Op::IndexConst {
+            Op::IndexGet {
+                base: Operand::Slot { slot: 0, .. },
+                key: Operand::Const(0),
                 hint: KeyShapeHint::ConstStr,
                 ..
             }

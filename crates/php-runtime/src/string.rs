@@ -20,6 +20,11 @@ impl PhpStr {
         Self::default()
     }
 
+    /// Creates an empty string with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Self {
+        PhpStr::from_bytes(Vec::with_capacity(n))
+    }
+
     /// Creates a string from raw bytes.
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
         PhpStr {

@@ -103,20 +103,31 @@ impl PhpValue {
     /// PHP string coercion.
     pub fn to_php_string(&self) -> PhpStr {
         match self {
-            PhpValue::Null => PhpStr::new(),
-            PhpValue::Bool(true) => PhpStr::from("1"),
-            PhpValue::Bool(false) => PhpStr::new(),
-            PhpValue::Int(i) => PhpStr::from(i.to_string()),
-            PhpValue::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    PhpStr::from(format!("{}", *f as i64))
-                } else {
-                    PhpStr::from(format!("{f}"))
-                }
-            }
             PhpValue::Str(s) => (**s).clone(),
-            PhpValue::Array(_) => PhpStr::from("Array"),
+            other => {
+                let mut s = PhpStr::new();
+                other.append_php_string(s.as_bytes_mut());
+                s
+            }
         }
+    }
+
+    /// Appends the value's PHP string form to `out`: what
+    /// [`PhpValue::to_php_string`] returns, without building it first.
+    pub fn append_php_string(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        let written = match self {
+            PhpValue::Null | PhpValue::Bool(false) => Ok(()),
+            PhpValue::Bool(true) => write!(out, "1"),
+            PhpValue::Int(i) => write!(out, "{i}"),
+            PhpValue::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => {
+                write!(out, "{}", *f as i64)
+            }
+            PhpValue::Float(f) => write!(out, "{f}"),
+            PhpValue::Str(s) => out.write_all(s.as_bytes()),
+            PhpValue::Array(_) => write!(out, "Array"),
+        };
+        written.expect("writing into a Vec cannot fail");
     }
 
     /// Loose equality (`==`), the comparisons our workloads exercise.
@@ -269,6 +280,29 @@ mod tests {
         assert_eq!(PhpValue::Bool(false).to_php_string().len(), 0);
         assert_eq!(PhpValue::from(2.0).to_php_string().to_string_lossy(), "2");
         assert_eq!(PhpValue::from(2.5).to_php_string().to_string_lossy(), "2.5");
+    }
+
+    #[test]
+    fn append_matches_string_coercion() {
+        let mut out = b"<".to_vec();
+        let values = [
+            PhpValue::Null,
+            PhpValue::Bool(true),
+            PhpValue::Bool(false),
+            PhpValue::from(-42i64),
+            PhpValue::from(2.0),
+            PhpValue::from(2.5),
+            PhpValue::from(1e20),
+            PhpValue::from("s"),
+            PhpValue::array(PhpArray::new()),
+        ];
+        let mut expected = b"<".to_vec();
+        for v in &values {
+            v.append_php_string(&mut out);
+            expected.extend_from_slice(v.to_php_string().as_bytes());
+        }
+        assert_eq!(out, expected);
+        assert_eq!(out, b"<1-4222.5100000000000000000000sArray");
     }
 
     #[test]

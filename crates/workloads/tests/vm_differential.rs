@@ -565,6 +565,47 @@ fn pinned_concat_chain_evaluates_left_to_right() {
     assert_eq!(assert_engines_agree(src), b"abcd:abcd");
 }
 
+// -- pinned operand-folding rules --------------------------------------------
+//
+// A fused op reads a variable operand when it runs, after every earlier
+// input was evaluated. So a variable folds only when no later input of the
+// same op can call anything; otherwise it is loaded in tree order, before
+// the call that rewrites it.
+
+/// A later concat leaf rewrites an earlier leaf's variable, through a user
+/// function's `global` and through `extract`, in main and in a function.
+#[test]
+fn pinned_concat_reads_a_variable_before_a_later_leaf_rewrites_it() {
+    let src = "function bump() { global $x; $x = 'B'; return '!'; }\n\
+               function local() { $v = 'a'; return $v . extract(array('v' => 'b')) . $v; }\n\
+               $x = 'A';\n\
+               $s = 'x';\n\
+               echo $x . '-' . bump() . $x, ',', $s . extract(array('s' => 'y')) . $s, ',', local();";
+    assert_eq!(assert_engines_agree(src), b"A-!B,x1y,a1b");
+}
+
+/// Either operand of a binary op: the left one is read before the right
+/// one's call rewrites it, the right one after the left one's call did.
+#[test]
+fn pinned_bin_reads_its_left_variable_before_the_right_call() {
+    let src = "function inc() { global $n; $n = $n + 10; return 1; }\n\
+               $n = 1;\n\
+               echo $n + inc(), ',', inc() + $n, ',', $n > inc(), ',', $n;";
+    assert_eq!(assert_engines_agree(src), b"2,22,1,31");
+}
+
+/// A builtin's arguments and an index read's base: an earlier argument
+/// (or the base) is read before a later argument (or the key) calls.
+#[test]
+fn pinned_builtin_arguments_and_index_base_are_read_in_order() {
+    let src = "function grow() { global $a; $a = array('k' => 'new'); return 'k'; }\n\
+               $t = 'old';\n\
+               $a = array('k' => 'old');\n\
+               echo str_repeat($t, extract(array('t' => 'new')) + 1), ',', $t, ',';\n\
+               echo $a[grow()], ',', $a['k'];";
+    assert_eq!(assert_engines_agree(src), b"oldold,new,old,new");
+}
+
 // -- pinned variable-scope rules ---------------------------------------------
 //
 // The VM resolves every variable name to a frame slot at compile time; the
