@@ -294,7 +294,7 @@ pub enum Op {
     /// Fused echo: a value that is already a string is appended to the
     /// output directly, with no transient materialization.
     EchoValue {
-        /// The echoed value (never an `Int`).
+        /// The echoed value.
         value: Operand,
         /// Arena verdict for the non-string conversion transient.
         arena: bool,
@@ -321,9 +321,8 @@ pub enum Op {
     },
 }
 
-/// Declares [`OpKind`] with its name table, its index-ordered variant list,
-/// [`OP_KIND_COUNT`] and [`Op::kind`] from one list of variants (a
-/// `Variant { .. }` pattern matches unit, tuple and struct variants alike).
+/// Declares [`OpKind`] with its name table, its index-ordered variant list
+/// and [`OP_KIND_COUNT`] from one list of variants.
 macro_rules! op_kinds {
     ($($kind:ident),* $(,)?) => {
         /// Dense opcode classification for the per-opcode execution counters
@@ -351,15 +350,6 @@ macro_rules! op_kinds {
                 [$(OpKind::$kind),*]
             }
         }
-
-        impl Op {
-            /// The dense classification of this opcode.
-            pub fn kind(&self) -> OpKind {
-                match self {
-                    $(Op::$kind { .. } => OpKind::$kind),*
-                }
-            }
-        }
     };
 }
 
@@ -376,6 +366,55 @@ impl OpKind {
     /// Whether this kind is a fusion-produced superinstruction.
     pub fn is_fused(self) -> bool {
         matches!(self, OpKind::ConcatN | OpKind::EchoValue)
+    }
+}
+
+impl Op {
+    /// The dense classification of this opcode.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            Op::PushNull => OpKind::PushNull,
+            Op::PushBool(_) => OpKind::PushBool,
+            Op::PushInt(_) => OpKind::PushInt,
+            Op::PushFloat(_) => OpKind::PushFloat,
+            Op::PushStr(_) => OpKind::PushStr,
+            Op::Pop => OpKind::Pop,
+            Op::LoadSlot { .. } => OpKind::LoadSlot,
+            Op::StoreSlot { .. } => OpKind::StoreSlot,
+            Op::IndexGet { .. } => OpKind::IndexGet,
+            Op::LoadIndexBase { .. } => OpKind::LoadIndexBase,
+            Op::StoreIndexKeyed { .. } => OpKind::StoreIndexKeyed,
+            Op::StoreAppend { .. } => OpKind::StoreAppend,
+            Op::NewArray { .. } => OpKind::NewArray,
+            Op::ArrayInsert => OpKind::ArrayInsert,
+            Op::ArrayAppend => OpKind::ArrayAppend,
+            Op::Bin { .. } => OpKind::Bin,
+            Op::Not => OpKind::Not,
+            Op::Neg => OpKind::Neg,
+            Op::ToBool => OpKind::ToBool,
+            Op::Jump(_) => OpKind::Jump,
+            Op::JumpIfFalsePop(_) => OpKind::JumpIfFalsePop,
+            Op::JumpIfTruePeek(_) => OpKind::JumpIfTruePeek,
+            Op::JumpIfFalsePeek(_) => OpKind::JumpIfFalsePeek,
+            Op::PushGuard => OpKind::PushGuard,
+            Op::GuardTick { .. } => OpKind::GuardTick,
+            Op::PopGuard => OpKind::PopGuard,
+            Op::IterInit => OpKind::IterInit,
+            Op::IterNext { .. } => OpKind::IterNext,
+            Op::IterPop => OpKind::IterPop,
+            Op::DefineFunc { .. } => OpKind::DefineFunc,
+            Op::CallUser { .. } => OpKind::CallUser,
+            Op::CallBuiltin { .. } => OpKind::CallBuiltin,
+            Op::CallDynamic { .. } => OpKind::CallDynamic,
+            Op::Return => OpKind::Return,
+            Op::Echo { .. } => OpKind::Echo,
+            Op::Global { .. } => OpKind::Global,
+            Op::Fail { .. } => OpKind::Fail,
+            Op::ConcatN { .. } => OpKind::ConcatN,
+            Op::EchoValue { .. } => OpKind::EchoValue,
+            Op::MemoEnter { .. } => OpKind::MemoEnter,
+            Op::MemoStore { .. } => OpKind::MemoStore,
+        }
     }
 }
 
@@ -542,9 +581,13 @@ pub fn compile(
     for def in predefined {
         if bound.insert(def.name.clone()) {
             order.push((def.name.clone(), Pending::Shared(Arc::clone(def))));
-        } else if let Some(slot) = order.iter_mut().find(|(name, _)| *name == def.name) {
+        } else {
             // A later registration replaces the earlier one.
-            slot.1 = Pending::Shared(Arc::clone(def));
+            for slot in order.iter_mut() {
+                if slot.0 == def.name {
+                    slot.1 = Pending::Shared(Arc::clone(def));
+                }
+            }
         }
     }
     for s in &prog.stmts {
@@ -578,7 +621,7 @@ pub fn compile(
         }
         c.stmt(&mut b, s);
     }
-    c.unit.main = b.code;
+    c.unit.main = c.finish_body(b);
     // Every memo dependency gets a main slot (a callee can read a global
     // main itself never names), so key building and invalidation never
     // leave the frame.
@@ -658,15 +701,33 @@ struct Compiler<'f> {
 
 impl<'f> Compiler<'f> {
     fn name(&mut self, s: &str) -> u32 {
-        intern(&mut self.name_map, &mut self.unit.names, s)
+        if let Some(&i) = self.name_map.get(s) {
+            return i;
+        }
+        let i = self.unit.names.len() as u32;
+        self.unit.names.push(s.to_string());
+        self.name_map.insert(s.to_string(), i);
+        i
     }
 
     fn constant(&mut self, s: &str) -> u32 {
-        intern(&mut self.const_map, &mut self.unit.consts, s)
+        if let Some(&i) = self.const_map.get(s) {
+            return i;
+        }
+        let i = self.unit.consts.len() as u32;
+        self.unit.consts.push(PhpStr::from(s));
+        self.const_map.insert(s.to_string(), i);
+        i
     }
 
     fn msg(&mut self, s: &str) -> u32 {
-        intern(&mut self.msg_map, &mut self.unit.msgs, s)
+        if let Some(&i) = self.msg_map.get(s) {
+            return i;
+        }
+        let i = self.unit.msgs.len() as u32;
+        self.unit.msgs.push(s.to_string());
+        self.msg_map.insert(s.to_string(), i);
+        i
     }
 
     /// The frame slot of `name` in the body being compiled.
@@ -693,8 +754,13 @@ impl<'f> Compiler<'f> {
             name: def.name.clone(),
             n_params: def.params.len() as u32,
             slots: b.slots.take().expect("set above"),
-            code: b.code,
+            code: self.finish_body(b),
         }
+    }
+
+    fn finish_body(&mut self, b: Body) -> Vec<Op> {
+        debug_assert!(b.loops.is_empty(), "unbalanced loop frames");
+        b.code
     }
 
     fn emit(&mut self, b: &mut Body, op: Op) -> usize {
@@ -785,20 +851,13 @@ impl<'f> Compiler<'f> {
                     let arena = self.facts.is_some_and(|f| f.arena_safe_expr(p));
                     // The generic `Echo` mirrors the tree-walker exactly
                     // (always materializes a transient); the fused
-                    // `EchoValue` skips it for a string. An integer literal
-                    // still converts through a transient, so it is pushed.
-                    let op = if !self.opts.fuse {
-                        self.expr(b, p);
-                        Op::Echo { arena }
-                    } else if let Expr::Int(_) = p {
-                        self.expr(b, p);
-                        Op::EchoValue {
-                            value: Operand::Stack,
-                            arena,
-                        }
-                    } else {
+                    // `EchoValue` skips it for a string.
+                    let op = if self.opts.fuse {
                         let value = self.operand(b, p, true);
                         Op::EchoValue { value, arena }
+                    } else {
+                        self.expr(b, p);
+                        Op::Echo { arena }
                     };
                     self.emit(b, op);
                 }
@@ -828,9 +887,27 @@ impl<'f> Compiler<'f> {
                 }
             }
             Stmt::While { cond, body } => {
-                let (top, exit) = self.loop_head(b, cond, "while loop exceeded iteration cap");
-                let frame = self.loop_body(b, body);
-                self.close_loop(b, frame, [top, exit, top], Op::PopGuard);
+                let cap = self.msg("while loop exceeded iteration cap");
+                self.emit(b, Op::PushGuard);
+                let loop_at = b.code.len();
+                self.expr(b, cond);
+                let jexit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
+                self.emit(b, Op::GuardTick { msg: cap });
+                b.loops.push(LoopFrame::default());
+                for s in body {
+                    self.stmt(b, s);
+                }
+                let frame = b.loops.pop().expect("pushed above");
+                self.emit(b, Op::Jump(loop_at as u32));
+                let end = b.code.len(); // the PopGuard below
+                self.patch(b, jexit, end);
+                for at in frame.break_patches {
+                    self.patch(b, at, end);
+                }
+                for at in frame.continue_patches {
+                    self.patch(b, at, loop_at);
+                }
+                self.emit(b, Op::PopGuard);
             }
             Stmt::For {
                 init,
@@ -838,12 +915,30 @@ impl<'f> Compiler<'f> {
                 step,
                 body,
             } => {
+                let cap = self.msg("for loop exceeded iteration cap");
                 self.stmt(b, init);
-                let (top, exit) = self.loop_head(b, cond, "for loop exceeded iteration cap");
-                let frame = self.loop_body(b, body);
+                self.emit(b, Op::PushGuard);
+                let loop_at = b.code.len();
+                self.expr(b, cond);
+                let jexit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
+                self.emit(b, Op::GuardTick { msg: cap });
+                b.loops.push(LoopFrame::default());
+                for s in body {
+                    self.stmt(b, s);
+                }
+                let frame = b.loops.pop().expect("pushed above");
                 let step_at = b.code.len();
                 self.stmt(b, step);
-                self.close_loop(b, frame, [top, exit, step_at], Op::PopGuard);
+                self.emit(b, Op::Jump(loop_at as u32));
+                let end = b.code.len();
+                self.patch(b, jexit, end);
+                for at in frame.break_patches {
+                    self.patch(b, at, end);
+                }
+                for at in frame.continue_patches {
+                    self.patch(b, at, step_at);
+                }
+                self.emit(b, Op::PopGuard);
             }
             Stmt::Foreach {
                 array,
@@ -857,7 +952,7 @@ impl<'f> Compiler<'f> {
                 // Value slot before key slot: the order the names appear in.
                 let value = self.slot(b, value_var);
                 let key = key_var.as_ref().map(|k| self.slot(b, k));
-                let top = b.code.len();
+                let loop_at = b.code.len();
                 let next = self.emit(
                     b,
                     Op::IterNext {
@@ -867,8 +962,21 @@ impl<'f> Compiler<'f> {
                         end: u32::MAX,
                     },
                 );
-                let frame = self.loop_body(b, body);
-                self.close_loop(b, frame, [top, next, top], Op::IterPop);
+                b.loops.push(LoopFrame::default());
+                for s in body {
+                    self.stmt(b, s);
+                }
+                let frame = b.loops.pop().expect("pushed above");
+                self.emit(b, Op::Jump(loop_at as u32));
+                let end = b.code.len(); // the IterPop below
+                self.patch(b, next, end);
+                for at in frame.break_patches {
+                    self.patch(b, at, end);
+                }
+                for at in frame.continue_patches {
+                    self.patch(b, at, loop_at);
+                }
+                self.emit(b, Op::IterPop);
             }
             Stmt::FuncDef(f) => {
                 // A nested definition executed at run time (hoisted
@@ -879,7 +987,12 @@ impl<'f> Compiler<'f> {
                 self.emit(b, Op::DefineFunc { func: idx });
             }
             Stmt::Return(e) => {
-                self.expr(b, e.as_ref().unwrap_or(&Expr::Null));
+                match e {
+                    Some(e) => self.expr(b, e),
+                    None => {
+                        self.emit(b, Op::PushNull);
+                    }
+                }
                 self.emit(b, Op::Return);
             }
             Stmt::Global(names) => {
@@ -889,63 +1002,29 @@ impl<'f> Compiler<'f> {
                     self.emit(b, Op::Global { slot, main });
                 }
             }
-            Stmt::Break | Stmt::Continue => {
+            Stmt::Break => {
                 if b.loops.is_empty() {
                     let msg = self.msg("break/continue outside loop");
                     self.emit(b, Op::Fail { msg });
                 } else {
                     let at = self.emit(b, Op::Jump(u32::MAX));
-                    let frame = b.loops.last_mut().expect("checked");
-                    let patches = match s {
-                        Stmt::Break => &mut frame.break_patches,
-                        _ => &mut frame.continue_patches,
-                    };
-                    patches.push(at);
+                    b.loops.last_mut().expect("checked").break_patches.push(at);
+                }
+            }
+            Stmt::Continue => {
+                if b.loops.is_empty() {
+                    let msg = self.msg("break/continue outside loop");
+                    self.emit(b, Op::Fail { msg });
+                } else {
+                    let at = self.emit(b, Op::Jump(u32::MAX));
+                    b.loops
+                        .last_mut()
+                        .expect("checked")
+                        .continue_patches
+                        .push(at);
                 }
             }
         }
-    }
-
-    /// A metered loop's head: the guard, the condition and the exit jump.
-    /// Returns where the condition starts and where the exit jump sits.
-    fn loop_head(&mut self, b: &mut Body, cond: &Expr, cap: &str) -> (usize, usize) {
-        let msg = self.msg(cap);
-        self.emit(b, Op::PushGuard);
-        let top = b.code.len();
-        self.expr(b, cond);
-        let exit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
-        self.emit(b, Op::GuardTick { msg });
-        (top, exit)
-    }
-
-    /// A loop body, and the `break`/`continue` jumps it left to patch.
-    fn loop_body(&mut self, b: &mut Body, body: &[Stmt]) -> LoopFrame {
-        b.loops.push(LoopFrame::default());
-        for s in body {
-            self.stmt(b, s);
-        }
-        b.loops.pop().expect("pushed above")
-    }
-
-    /// Ends a loop with a jump back to `top` and then `end`: the exit jump
-    /// at `exit` and every `break` land on `end`, every `continue` on
-    /// `cont`.
-    fn close_loop(
-        &mut self,
-        b: &mut Body,
-        frame: LoopFrame,
-        [top, exit, cont]: [usize; 3],
-        end: Op,
-    ) {
-        self.emit(b, Op::Jump(top as u32));
-        let end_at = b.code.len();
-        for at in frame.break_patches.into_iter().chain([exit]) {
-            self.patch(b, at, end_at);
-        }
-        for at in frame.continue_patches {
-            self.patch(b, at, cont);
-        }
-        self.emit(b, end);
     }
 
     fn expr(&mut self, b: &mut Body, e: &Expr) {
@@ -967,9 +1046,15 @@ impl<'f> Compiler<'f> {
                 self.emit(b, Op::PushStr(i));
             }
             Expr::Var(name) => {
-                let elide_rc = self.facts.is_some_and(|f| f.rc_elide_read(e));
+                let elide = self.facts.is_some_and(|f| f.rc_elide_read(e));
                 let slot = self.slot(b, name);
-                self.emit(b, Op::LoadSlot { slot, elide_rc });
+                self.emit(
+                    b,
+                    Op::LoadSlot {
+                        slot,
+                        elide_rc: elide,
+                    },
+                );
             }
             Expr::Index { base, key } => {
                 let base = self.operand(b, base, !calls(key));
@@ -1216,18 +1301,6 @@ impl<'f> Compiler<'f> {
     }
 }
 
-/// The index of `s` in `pool`, appended on first use.
-fn intern<T: for<'s> From<&'s str>>(
-    map: &mut HashMap<String, u32>,
-    pool: &mut Vec<T>,
-    s: &str,
-) -> u32 {
-    *map.entry(s.to_string()).or_insert_with(|| {
-        pool.push(T::from(s));
-        pool.len() as u32 - 1
-    })
-}
-
 /// Whether evaluating `e` can call a function: the one way an expression
 /// can write a variable (`extract`, or a user function through `global`).
 fn calls(e: &Expr) -> bool {
@@ -1261,13 +1334,27 @@ fn flatten_concat<'e>(e: &'e Expr, facts: Option<&AnalysisFacts>, out: &mut Vec<
         unreachable!("flatten_concat on a non-concat node");
     };
     let (skip_l, skip_r) = facts.map(|f| f.bin_typed(e)).unwrap_or((false, false));
-    for (side, skip) in [(lhs, skip_l), (rhs, skip_r)] {
-        match side.as_ref() {
-            Expr::Bin {
-                op: BinOp::Concat, ..
-            } => flatten_concat(side, facts, out),
-            leaf => out.push((leaf, skip)),
+    if matches!(
+        lhs.as_ref(),
+        Expr::Bin {
+            op: BinOp::Concat,
+            ..
         }
+    ) {
+        flatten_concat(lhs, facts, out);
+    } else {
+        out.push((lhs, skip_l));
+    }
+    if matches!(
+        rhs.as_ref(),
+        Expr::Bin {
+            op: BinOp::Concat,
+            ..
+        }
+    ) {
+        flatten_concat(rhs, facts, out);
+    } else {
+        out.push((rhs, skip_r));
     }
 }
 
@@ -1317,6 +1404,31 @@ mod tests {
         assert_eq!(u.memo_dep, [false, false], "no facts, no memo sites");
     }
 
+    #[test]
+    fn jumps_stay_in_bounds_after_fusion() {
+        let src = "$s = ''; for ($i = 0; $i < 3; $i++) { \
+                   if ($i == 1) { continue; } $s = $s . 'x' . $i; echo $s; } \
+                   echo 'done';";
+        for fuse in [false, true] {
+            let u = unit(src, fuse);
+            for op in &u.main {
+                let t = match op {
+                    Op::Jump(t)
+                    | Op::JumpIfFalsePop(t)
+                    | Op::JumpIfTruePeek(t)
+                    | Op::JumpIfFalsePeek(t) => *t,
+                    Op::IterNext { end, .. } => *end,
+                    _ => continue,
+                };
+                assert!(
+                    (t as usize) <= u.main.len(),
+                    "target {t} out of bounds in {:?}",
+                    u.main
+                );
+            }
+        }
+    }
+
     /// `src`'s fused main code, one op per line.
     fn fused_listing(src: &str) -> String {
         let u = unit(src, true);
@@ -1325,10 +1437,11 @@ mod tests {
 
     #[test]
     fn fusion_folds_literals_and_variables_into_their_consumers() {
-        let listing = fused_listing("echo 'a', $x; $y = $a['k'] . 'b' . $x . 7;");
+        let listing = fused_listing("echo 'a', $x, 7; $y = $a['k'] . 'b' . $x . 7;");
         assert_eq!(listing, "\
 EchoValue { value: Const(0), arena: false }
 EchoValue { value: Slot { slot: 0, elide_rc: false }, arena: false }
+EchoValue { value: Int(7), arena: false }
 IndexGet { base: Slot { slot: 1, elide_rc: false }, key: Const(1), elide_rc: false, hint: Unknown }
 ConcatN { parts: [Stack, Const(2), Slot { slot: 0, elide_rc: false }, Const(3)], skip_mask: 0, arena: false }
 StoreSlot { slot: 2, elide_rc: false }

@@ -28,9 +28,7 @@
 //! [`builtins::Host`] dispatch.
 
 use crate::builtins;
-use crate::compile::{
-    compile, CompileOptions, CompiledUnit, Op, OpKind, Operand, SlotMap, OP_KIND_COUNT,
-};
+use crate::compile::{CompiledUnit, Op, OpKind, Operand, SlotMap, OP_KIND_COUNT};
 use crate::eval::{binop_eval, index_read, key_of, RuntimeError, MAX_DEPTH};
 use crate::memo::{MemoHandle, MemoHit, MemoValue};
 use php_runtime::array::{ArrayKey, PhpArray};
@@ -39,7 +37,6 @@ use php_runtime::value::PhpValue;
 use php_runtime::AccessStatic;
 use phpaccel_core::PhpMachine;
 use regex_engine::Regex;
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -101,7 +98,7 @@ impl OpcodeTally {
             .map(|k| (k, self.counts[k as usize]))
             .filter(|(_, n)| *n > 0)
             .collect();
-        v.sort_by_key(|&(k, n)| (Reverse(n), k.name()));
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.name().cmp(b.0.name())));
         v
     }
 
@@ -117,7 +114,11 @@ impl OpcodeTally {
             .map(|(prev, next)| ((prev, next), pairs[pair_slot(prev, next)]))
             .filter(|(_, n)| *n > 0)
             .collect();
-        v.sort_by_key(|&((prev, next), n)| (Reverse(n), prev.name(), next.name()));
+        v.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then(a.0 .0.name().cmp(b.0 .0.name()))
+                .then(a.0 .1.name().cmp(b.0 .1.name()))
+        });
         v
     }
 
@@ -206,9 +207,6 @@ pub struct Vm<'m> {
     slots: Vec<Slot>,
     frame: Frame,
     stack: Vec<PhpValue>,
-    /// Each string literal as a value, made on its first use this request:
-    /// every later use is a handle clone.
-    literals: Vec<Option<PhpValue>>,
     iters: Vec<(Vec<(ArrayKey, PhpValue)>, usize)>,
     guards: Vec<u64>,
     /// Live name → function-table bindings once a `DefineFunc` has rebound
@@ -236,7 +234,6 @@ impl<'m> Vm<'m> {
         Vm {
             machine,
             slots: vec![Slot::Unset; unit.main_slots.len()],
-            literals: vec![None; unit.consts.len()],
             frame: Frame {
                 base: 0,
                 func: None,
@@ -324,9 +321,14 @@ impl<'m> Vm<'m> {
         if unit.specialized {
             self.machine
                 .apply_prebuilt(&unit.alloc_size_hints, unit.has_precompiled_regex);
-            let profiler = self.machine.ctx().profiler();
-            profiler.note_taint_lints(unit.taint_lints);
-            profiler.note_arena_safe_sites(unit.arena_safe_sites);
+            self.machine
+                .ctx()
+                .profiler()
+                .note_taint_lints(unit.taint_lints);
+            self.machine
+                .ctx()
+                .profiler()
+                .note_arena_safe_sites(unit.arena_safe_sites);
         }
         let result = self.run_chunk(&unit.main).map(|_| ());
         // Main never unwinds its stacks on error; clear them so a reused VM
@@ -341,6 +343,14 @@ impl<'m> Vm<'m> {
             self.tally.transients_elided,
         );
         result
+    }
+
+    fn fuel_step(&mut self) -> Result<(), RuntimeError> {
+        if self.machine.ctx().consume_fuel(1) {
+            Ok(())
+        } else {
+            Err(RuntimeError::timeout("maximum execution budget exceeded"))
+        }
     }
 
     /// The absolute index of a frame slot, following a `global` binding.
@@ -384,13 +394,7 @@ impl<'m> Vm<'m> {
         match o {
             Operand::Stack => self.pop(),
             Operand::Slot { slot, elide_rc } => self.load(slot, elide_rc).clone(),
-            Operand::Const(c) => {
-                let (consts, c) = (&self.unit.consts, c as usize);
-                let literal = &mut self.literals[c];
-                literal
-                    .get_or_insert_with(|| PhpValue::str(consts[c].clone()))
-                    .clone()
-            }
+            Operand::Const(c) => PhpValue::str(self.unit.consts[c as usize].clone()),
             Operand::Int(i) => PhpValue::Int(i),
         }
     }
@@ -509,6 +513,11 @@ impl<'m> Vm<'m> {
             .expect("compiler-verified stack discipline")
     }
 
+    fn pop_args(&mut self, argc: u32) -> Vec<PhpValue> {
+        let at = self.stack.len() - argc as usize;
+        self.stack.split_off(at)
+    }
+
     fn access(elide_rc: bool) -> AccessStatic {
         AccessStatic {
             elide_rc,
@@ -620,13 +629,12 @@ impl<'m> Vm<'m> {
         let mut pc = 0usize;
         let mut prev_pc = usize::MAX;
         while pc < code.len() {
-            if !self.machine.ctx().consume_fuel(1) {
-                return Err(RuntimeError::timeout("maximum execution budget exceeded"));
-            }
+            self.fuel_step()?;
             self.machine.ctx().charge_jit(VM_OP_UOPS);
             let op = &code[pc];
-            let adjacent = (self.tally.pairs.is_some() && pc.checked_sub(1) == Some(prev_pc))
-                .then(|| code[prev_pc].kind());
+            let adjacent =
+                (self.tally.pairs.is_some() && prev_pc != usize::MAX && pc == prev_pc + 1)
+                    .then(|| code[prev_pc].kind());
             self.tally.note(op.kind(), adjacent);
             prev_pc = pc;
             pc += 1;
@@ -635,10 +643,9 @@ impl<'m> Vm<'m> {
                 Op::PushBool(b) => self.stack.push(PhpValue::Bool(*b)),
                 Op::PushInt(i) => self.stack.push(PhpValue::Int(*i)),
                 Op::PushFloat(f) => self.stack.push(PhpValue::Float(*f)),
-                Op::PushStr(c) => {
-                    let v = self.operand(Operand::Const(*c));
-                    self.stack.push(v);
-                }
+                Op::PushStr(i) => self
+                    .stack
+                    .push(PhpValue::str(unit.consts[*i as usize].clone())),
                 Op::Pop => {
                     self.pop();
                 }
@@ -672,9 +679,10 @@ impl<'m> Vm<'m> {
                             base
                         }
                         PhpValue::Null => {
-                            let v = PhpValue::array(self.machine.new_array_static(*arena));
-                            self.store_at(at, v.clone(), false);
-                            v
+                            let a = self.machine.new_array_static(*arena);
+                            let v2 = PhpValue::array(a);
+                            self.store_at(at, v2.clone(), false);
+                            v2
                         }
                         other => {
                             return Err(RuntimeError::new(format!(
@@ -704,10 +712,12 @@ impl<'m> Vm<'m> {
                     elide_rc,
                     int_append,
                 } => {
-                    let PhpValue::Array(rc) = self.pop() else {
+                    let base = self.pop();
+                    let value = self.pop();
+                    let PhpValue::Array(rc) = base else {
                         unreachable!("LoadIndexBase always pushes an array");
                     };
-                    let (value, st) = (self.pop(), Self::access(*elide_rc));
+                    let st = Self::access(*elide_rc);
                     self.machine
                         .array_push_static(&mut rc.borrow_mut(), value, st, *int_append);
                 }
@@ -721,14 +731,16 @@ impl<'m> Vm<'m> {
                     let PhpValue::Array(rc) = self.stack.last().expect("array under insert") else {
                         unreachable!("NewArray pushed an array");
                     };
-                    self.machine
-                        .array_set(&mut rc.borrow_mut(), key_of(&key), value);
+                    let rc = rc.clone();
+                    let k = key_of(&key);
+                    self.machine.array_set(&mut rc.borrow_mut(), k, value);
                 }
                 Op::ArrayAppend => {
                     let value = self.pop();
                     let PhpValue::Array(rc) = self.stack.last().expect("array under append") else {
                         unreachable!("NewArray pushed an array");
                     };
+                    let rc = rc.clone();
                     self.machine.array_push(&mut rc.borrow_mut(), value);
                 }
                 Op::Bin {
@@ -777,7 +789,8 @@ impl<'m> Vm<'m> {
                 }
                 Op::Jump(t) => pc = *t as usize,
                 Op::JumpIfFalsePop(t) => {
-                    if !self.pop().to_bool() {
+                    let v = self.pop();
+                    if !v.to_bool() {
                         pc = *t as usize;
                     }
                 }
@@ -807,7 +820,10 @@ impl<'m> Vm<'m> {
                     let PhpValue::Array(rc) = v else {
                         return Err(RuntimeError::new("foreach over non-array"));
                     };
-                    let pairs = self.machine.foreach(&rc.borrow());
+                    let pairs = {
+                        let borrowed = rc.borrow();
+                        self.machine.foreach(&borrowed)
+                    };
                     self.iters.push((pairs, 0));
                 }
                 Op::IterNext {
@@ -946,7 +962,7 @@ impl<'m> Vm<'m> {
                             self.invoke(func, *argc)?
                         }
                         None => {
-                            let args = self.stack.split_off(self.stack.len() - *argc as usize);
+                            let args = self.pop_args(*argc);
                             self.call_builtin(name, args, *regex)?
                         }
                     };
@@ -958,7 +974,12 @@ impl<'m> Vm<'m> {
                 }
                 Op::Echo { arena } => {
                     let v = self.pop();
-                    self.echo(v, *arena, false);
+                    let s = v.to_php_string();
+                    // echo materializes output bytes: allocator churn
+                    // (identical to the tree-walker's charging).
+                    let tv = self.machine.transient_str_static(s.clone(), *arena);
+                    let _ = tv;
+                    self.output.extend_from_slice(s.as_bytes());
                 }
                 Op::EchoValue {
                     value: Operand::Const(c),
@@ -970,7 +991,7 @@ impl<'m> Vm<'m> {
                 }
                 Op::EchoValue { value, arena } => {
                     let v = self.operand(*value);
-                    self.echo(v, *arena, true);
+                    self.echo_fast(v, *arena);
                 }
                 Op::Global { slot, main } => {
                     // Whatever the frame held under that name is dropped, as
@@ -988,11 +1009,11 @@ impl<'m> Vm<'m> {
         Ok(ChunkExit::Finished)
     }
 
-    /// Echoes a value the way the tree-walker does: stringified through a
-    /// transient (allocator churn, identical charging). The fused form
-    /// (`fast`) appends a string straight to the output, eliding the copy.
-    fn echo(&mut self, v: PhpValue, arena: bool, fast: bool) {
-        if let (true, PhpValue::Str(s)) = (fast, &v) {
+    /// Fused echo: strings go straight to the output buffer (the transient
+    /// copy the generic path materializes is elided); everything else still
+    /// converts through a transient, whose bytes are then appended.
+    fn echo_fast(&mut self, v: PhpValue, arena: bool) {
+        if let PhpValue::Str(s) = &v {
             self.output.extend_from_slice(s.as_bytes());
             self.tally.transients_elided += 1;
         } else {
@@ -1010,7 +1031,12 @@ impl<'m> Vm<'m> {
 /// Returns [`RuntimeError`] on parse or evaluation failure.
 pub fn run_src(machine: &mut PhpMachine, src: &str) -> Result<Vec<u8>, RuntimeError> {
     let prog = crate::parse(src)?;
-    let unit = Arc::new(compile(&prog, &[], None, CompileOptions::default()));
+    let unit = Arc::new(crate::compile::compile(
+        &prog,
+        &[],
+        None,
+        crate::compile::CompileOptions::default(),
+    ));
     let mut vm = Vm::new(machine, unit);
     let r = vm.run();
     let out = vm.take_output();
@@ -1020,6 +1046,7 @@ pub fn run_src(machine: &mut PhpMachine, src: &str) -> Result<Vec<u8>, RuntimeEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile, CompileOptions};
     use crate::parse;
 
     /// Runs `src` on both engines (VM fused and unfused) and asserts all
@@ -1052,6 +1079,7 @@ mod tests {
     #[test]
     fn arithmetic_and_echo() {
         assert_eq!(both("$x = 2 + 3 * 4; echo $x;").unwrap(), "14");
+        assert_eq!(both("echo 7, ' ', -7, ' ', 0;").unwrap(), "7 -7 0");
     }
 
     #[test]

@@ -59,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Ceiling on host allocations per request in the round robin below. The
-/// sequence makes 57.3 with literal and variable operands folded into the
+/// sequence makes 59.3 with literal and variable operands folded into the
 /// ops that consume them, and made 96.5 before.
 const MAX_ALLOCS_PER_REQUEST: f64 = 60.0;
 
