@@ -6,8 +6,7 @@ use crate::prefetch::{sw_class_for, PrefetchConfig, Prefetcher};
 use crate::size_class::{SizeClassTable, HW_CLASS_COUNT};
 use php_runtime::alloc::SlabAllocator;
 use php_runtime::profile::{Category, Leaf, OpCost};
-use php_runtime::Profiler;
-use std::collections::HashSet;
+use php_runtime::{AddrSet, Profiler};
 
 static HM_EAGER_MEMORY_UPDATE: Leaf = Leaf::new("hm_eager_memory_update", Category::Heap);
 static HM_OVERFLOW_SPILL: Leaf = Leaf::new("hm_overflow_spill", Category::Heap);
@@ -145,7 +144,7 @@ pub struct HwHeapManager {
     now: u64,
     /// Free-list nodes whose stored metadata no longer passes parity
     /// (injected faults); caught when the node is next popped or flushed.
-    poisoned: HashSet<u64>,
+    poisoned: AddrSet,
 }
 
 impl Default for HwHeapManager {
@@ -165,7 +164,7 @@ impl HwHeapManager {
             prefetcher: Prefetcher::new(cfg.prefetch),
             stats: HeapStats::default(),
             now: 0,
-            poisoned: HashSet::new(),
+            poisoned: AddrSet::default(),
         }
     }
 

@@ -92,6 +92,8 @@ impl Prefetcher {
     /// Considers issuing prefetches for `class` given its current hardware
     /// free-list length. Steals block addresses from the software allocator's
     /// free list (no core cost — pointer chasing happens off critical path).
+    /// `now` must not decrease from call to call: with one fixed latency,
+    /// prefetches then complete in the order they were issued.
     pub fn maybe_issue(
         &mut self,
         class: usize,
@@ -132,21 +134,18 @@ impl Prefetcher {
         }
     }
 
-    /// Drains prefetches that have completed by `now`; the manager pushes
-    /// them at the hardware tails. Returns `(class, addr)` pairs; any that
-    /// no longer fit must be returned to software by the caller.
-    pub fn drain_completed(&mut self, now: u64) -> Vec<(usize, u64)> {
-        let mut done = Vec::new();
-        self.inflight.retain(|p| {
-            if p.completes_at <= now {
-                done.push((p.class, p.addr));
-                false
-            } else {
-                true
-            }
-        });
-        self.landed += done.len() as u64;
-        done
+    /// Drains prefetches that have completed by `now`, oldest first; the
+    /// manager pushes them at the hardware tails. Yields `(class, addr)`
+    /// pairs; any that no longer fit must be returned to software by the
+    /// caller. Costs nothing while the oldest prefetch is still in flight.
+    pub fn drain_completed(&mut self, now: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
+        debug_assert!(self
+            .inflight
+            .windows(2)
+            .all(|w| w[0].completes_at <= w[1].completes_at));
+        let done = self.inflight.partition_point(|p| p.completes_at <= now);
+        self.landed += done as u64;
+        self.inflight.drain(..done).map(|p| (p.class, p.addr))
     }
 
     /// Outstanding prefetch count.
@@ -195,8 +194,8 @@ mod tests {
         }
         pf.maybe_issue(0, 0, 0, &mut alloc);
         assert!(pf.inflight_len() > 0);
-        assert!(pf.drain_completed(1).is_empty(), "latency not elapsed");
-        let done = pf.drain_completed(2);
+        assert_eq!(pf.drain_completed(1).count(), 0, "latency not elapsed");
+        let done: Vec<_> = pf.drain_completed(2).collect();
         assert_eq!(done.len(), pf.counters().1 as usize);
         assert!(done.iter().all(|&(c, _)| c == 0));
     }

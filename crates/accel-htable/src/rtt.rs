@@ -10,7 +10,7 @@
 //!   full-table scan;
 //! * `foreach`: replay key-value pairs in insertion order.
 
-use std::collections::HashMap;
+use php_runtime::AddrMap;
 
 /// One slot of an RTT circular buffer: a back pointer into the hash table,
 /// or invalidated.
@@ -68,7 +68,7 @@ pub struct OrderReplay {
 /// The reverse translation table.
 #[derive(Debug)]
 pub struct Rtt {
-    entries: HashMap<u64, RttEntry>,
+    entries: AddrMap<RttEntry>,
     /// Circular-buffer capacity per map.
     slots_per_entry: usize,
     /// Maximum number of maps tracked concurrently.
@@ -84,7 +84,7 @@ impl Rtt {
     pub fn new(capacity: usize, slots_per_entry: usize) -> Self {
         assert!(capacity > 0 && slots_per_entry > 0);
         Rtt {
-            entries: HashMap::new(),
+            entries: AddrMap::default(),
             slots_per_entry,
             capacity,
             spare: Vec::new(),
@@ -125,14 +125,17 @@ impl Rtt {
     pub fn record_insert(&mut self, base: u64, idx: u32) -> Option<u64> {
         let mut displaced = None;
         if !self.entries.contains_key(&base) && self.entries.len() >= self.capacity {
-            // Capacity eviction: drop the map with the oldest latest-seq
-            // (approximate LRU over maps).
-            let victim = *self
+            // Capacity eviction: drop the map with the fewest inserts since
+            // it was tracked (`next_seq` counts them per map; it is not a
+            // recency, so this is not LRU), the lowest base address among
+            // equals, so the victim does not depend on iteration order.
+            let victim = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.next_seq)
-                .map(|(b, _)| b)
-                .expect("nonempty");
+                .map(|(&base, e)| (e.next_seq, base))
+                .min()
+                .expect("nonempty")
+                .1;
             self.entries.remove(&victim);
             displaced = Some(victim);
         }
@@ -283,6 +286,21 @@ mod tests {
         assert!(displaced.is_some());
         assert_eq!(rtt.tracked_maps(), 2);
         assert!(rtt.tracks(0x3));
+    }
+
+    #[test]
+    fn capacity_victim_is_the_fewest_inserts_then_the_lowest_base() {
+        let mut rtt = Rtt::new(3, 8);
+        for base in [0x300, 0x100, 0x200] {
+            let _ = rtt.record_insert(base, 0);
+        }
+        let _ = rtt.record_insert(0x300, 1);
+        // 0x100 and 0x200 tie at one insert each: the lower base goes.
+        assert_eq!(rtt.record_insert(0x400, 2), Some(0x100));
+        // 0x200 and 0x400 tie again; 0x300, touched first, has two inserts
+        // and stays (the policy counts inserts, it does not track recency).
+        assert_eq!(rtt.record_insert(0x500, 3), Some(0x200));
+        assert_eq!(rtt.tracked_bases(), vec![0x300, 0x400, 0x500]);
     }
 
     #[test]

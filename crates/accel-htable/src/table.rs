@@ -11,6 +11,7 @@ use crate::entry::{Entry, SmallKey, MAX_KEY_BYTES};
 use crate::rtt::{OrderReplay, Rtt};
 use crate::stats::{HtStats, HASH_CYCLES, PROBE_CYCLES};
 use std::collections::HashSet;
+use std::hash::Hash;
 
 /// Configuration of the hardware hash table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +131,13 @@ pub struct HwHashTable {
     touch_overflow: bool,
 }
 
+/// Clears `key`'s fault mark and returns whether it was set: the parity
+/// check on a read or overwrite. The sets are empty on a fault-free run, and
+/// then the check hashes nothing.
+fn take_fault<T: Hash + Eq>(marks: &mut HashSet<T>, key: &T) -> bool {
+    !marks.is_empty() && marks.remove(key)
+}
+
 impl Default for HwHashTable {
     fn default() -> Self {
         Self::new(HtConfig::default())
@@ -218,7 +226,7 @@ impl HwHashTable {
         let key = SmallKey::new(key).expect("length checked");
         match self.probe(base, &key) {
             Some(idx) => {
-                if self.corrupt_entries.remove(&idx) {
+                if take_fault(&mut self.corrupt_entries, &idx) {
                     // Parity mismatch: drop the entry and report a miss so
                     // the software walk re-fetches the true pair.
                     self.stats.faults_detected += 1;
@@ -288,7 +296,7 @@ impl HwHashTable {
         let key = SmallKey::new(key).expect("length checked");
         if hint != KeyShapeHint::IntAppend {
             if let Some(idx) = self.probe(base, &key) {
-                if self.corrupt_entries.remove(&idx) {
+                if take_fault(&mut self.corrupt_entries, &idx) {
                     // Parity mismatch on the probe read; the full overwrite
                     // below repairs the entry in place.
                     self.stats.faults_detected += 1;
@@ -347,7 +355,7 @@ impl HwHashTable {
                 }
             }
         };
-        if self.corrupt_entries.remove(&slot) {
+        if take_fault(&mut self.corrupt_entries, &slot) {
             // Replacement read the victim entry; parity flagged it.
             self.stats.faults_detected += 1;
         }
@@ -379,7 +387,7 @@ impl HwHashTable {
     pub fn free(&mut self, base: u64) -> usize {
         self.stats.frees += 1;
         self.stats.accel_cycles += PROBE_CYCLES;
-        if self.corrupt_rtt.remove(&base) {
+        if take_fault(&mut self.corrupt_rtt, &base) {
             // Back pointers are untrusted: fall back to a full-table scan
             // to invalidate the dying map's entries.
             self.stats.faults_detected += 1;
@@ -391,7 +399,7 @@ impl HwHashTable {
         let idxs = self.rtt.free_map(base);
         let n = idxs.len();
         for idx in idxs {
-            self.corrupt_entries.remove(&(idx as usize));
+            take_fault(&mut self.corrupt_entries, &(idx as usize));
             self.entries[idx as usize].valid = false;
             self.entries[idx as usize].dirty = false;
         }
@@ -403,7 +411,7 @@ impl HwHashTable {
     /// dirty pairs back so the memory map is consistent for iteration.
     pub fn foreach(&mut self, base: u64) -> ForeachOutcome {
         self.stats.foreachs += 1;
-        if self.corrupt_rtt.remove(&base) {
+        if take_fault(&mut self.corrupt_rtt, &base) {
             // The circular buffer is untrusted: invalidate the map's entries
             // by scan and tell software to iterate the memory map instead.
             self.stats.faults_detected += 1;
@@ -425,7 +433,7 @@ impl HwHashTable {
         let mut live_pairs = Vec::with_capacity(live_in_order.len());
         let mut written_back = 0;
         for idx in live_in_order {
-            if self.corrupt_entries.remove(&(idx as usize)) {
+            if take_fault(&mut self.corrupt_entries, &(idx as usize)) {
                 // Parity mismatch mid-replay: drop the entry and force the
                 // software iteration path for this foreach.
                 self.stats.faults_detected += 1;
@@ -460,7 +468,7 @@ impl HwHashTable {
         };
         match self.probe(base, &key) {
             Some(idx) => {
-                self.corrupt_entries.remove(&idx);
+                take_fault(&mut self.corrupt_entries, &idx);
                 self.rtt.invalidate_backpointer(base, idx as u32);
                 self.entries[idx].valid = false;
                 self.entries[idx].dirty = false;
@@ -483,7 +491,7 @@ impl HwHashTable {
         let idxs = self.rtt.free_map(base);
         let mut dirty = Vec::new();
         for idx in idxs {
-            self.corrupt_entries.remove(&(idx as usize));
+            take_fault(&mut self.corrupt_entries, &(idx as usize));
             let e = &mut self.entries[idx as usize];
             if e.dirty {
                 dirty.push(*e);
@@ -501,7 +509,7 @@ impl HwHashTable {
         let mut n = 0;
         for (idx, e) in self.entries.iter_mut().enumerate() {
             if e.valid && e.base_addr == base {
-                self.corrupt_entries.remove(&idx);
+                take_fault(&mut self.corrupt_entries, &idx);
                 e.valid = false;
                 e.dirty = false;
                 n += 1;

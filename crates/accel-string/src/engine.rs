@@ -8,8 +8,8 @@
 //! blocks by `pattern_len - 1` bytes, which is observationally equivalent.
 
 use crate::matrix::{
-    ascii_compare, diagonal_and, priority_encode, ConfigError, MatrixConfig, RowSpec,
-    MAX_BLOCK_WIDTH,
+    ascii_compare, diagonal_and, priority_encode, BlockMatch, ConfigError, MatrixConfig, RowSpec,
+    MAX_BLOCK_WIDTH, MAX_ROWS,
 };
 use crate::ops::{AccelCost, StrAccelStats, Unsupported};
 use std::cmp::Ordering;
@@ -64,9 +64,11 @@ impl StringAccel {
     ///
     /// # Panics
     ///
-    /// Panics if `block_width` exceeds 64 or is zero.
+    /// Panics if `block_width` exceeds 64 or is zero, or `max_rows`
+    /// exceeds 16.
     pub fn new(cfg: StrAccelConfig) -> Self {
         assert!(cfg.block_width > 0 && cfg.block_width <= MAX_BLOCK_WIDTH);
+        assert!(cfg.max_rows <= MAX_ROWS);
         assert!(cfg.cycles_per_block > 0);
         StringAccel {
             cfg,
@@ -136,17 +138,35 @@ impl StringAccel {
         self.faulted = false;
     }
 
-    fn build_config(&self, rows: Vec<RowSpec>) -> Result<MatrixConfig, Unsupported> {
-        MatrixConfig::new(rows, self.cfg.max_rows, self.cfg.inequality_rows).map_err(|e| match e {
-            ConfigError::TooManyRows {
-                requested,
-                available,
-            } => Unsupported::PatternTooLong {
-                len: requested,
-                rows: available,
-            },
-            ConfigError::TooManyRanges { .. } => Unsupported::TooManyRanges,
-        })
+    /// Loads `rows` into the matrix for the next scan. The row table is
+    /// built only when `rows` differ from the loaded configuration; on an
+    /// error the loaded configuration stays.
+    fn load(&mut self, rows: impl Iterator<Item = RowSpec> + Clone) -> Result<(), Unsupported> {
+        if let Some(loaded) = &self.loaded {
+            if loaded.rows().iter().copied().eq(rows.clone()) {
+                return Ok(());
+            }
+        }
+        let config = MatrixConfig::new(rows.collect(), self.cfg.max_rows, self.cfg.inequality_rows)
+            .map_err(|e| match e {
+                ConfigError::TooManyRows {
+                    requested,
+                    available,
+                } => Unsupported::PatternTooLong {
+                    len: requested,
+                    rows: available,
+                },
+                ConfigError::TooManyRanges { .. } => Unsupported::TooManyRanges,
+            })?;
+        self.loaded = Some(config);
+        Ok(())
+    }
+
+    /// The configuration [`StringAccel::load`] put in the matrix.
+    fn matrix(&self) -> &MatrixConfig {
+        self.loaded
+            .as_ref()
+            .expect("an op loads its rows before scanning")
     }
 
     /// `strwriteconfig`: stores the current matrix configuration (before a
@@ -174,20 +194,21 @@ impl StringAccel {
         self.loaded.is_some()
     }
 
-    /// Generic block scan: applies `f(block_match, block_len, base_offset)`
-    /// per block until it returns `Some(T)`. Overlap supports patterns
-    /// spanning block boundaries.
+    /// Generic block scan under the loaded configuration: applies
+    /// `f(block_match, block_len, base_offset)` per block until it returns
+    /// `Some(T)`. Overlap supports patterns spanning block boundaries.
     fn scan_blocks<T>(
         &mut self,
         subject: &[u8],
-        config: &MatrixConfig,
         overlap: usize,
-        mut f: impl FnMut(&crate::matrix::BlockMatch, usize, usize) -> Option<T>,
+        mut f: impl FnMut(&BlockMatch, usize, usize) -> Option<T>,
     ) -> (Option<T>, AccelCost) {
         let width = self.cfg.block_width;
         assert!(overlap < width, "overlap must be smaller than a block");
         let stride = width - overlap;
+        let config = self.matrix();
         let mut cost = AccelCost::default();
+        let mut found = None;
         let mut pos = 0usize;
         while pos < subject.len() || (pos == 0 && subject.is_empty()) {
             let end = (pos + width).min(subject.len());
@@ -195,20 +216,15 @@ impl StringAccel {
             let bm = ascii_compare(config, block);
             cost.cycles += self.cfg.cycles_per_block;
             cost.bytes += block.len() as u64;
-            cost.active_cells += bm.active_cells;
-            if let Some(t) = f(&bm, block.len(), pos) {
-                self.loaded = Some(config.clone());
-                self.note(cost);
-                return (Some(t), cost);
-            }
-            if end == subject.len() {
+            cost.active_cells += bm.active_cells();
+            found = f(&bm, block.len(), pos);
+            if found.is_some() || end == subject.len() {
                 break;
             }
             pos += stride;
         }
-        self.loaded = Some(config.clone());
         self.note(cost);
-        (None, cost)
+        (found, cost)
     }
 
     /// `stringop[find]`: offset of the first occurrence of `pattern` at or
@@ -230,11 +246,10 @@ impl StringAccel {
                 rows: self.cfg.max_rows.min(self.cfg.block_width - 1),
             });
         }
-        let rows: Vec<RowSpec> = pattern.iter().map(|&b| RowSpec::Equal(b)).collect();
-        let config = self.build_config(rows)?;
+        self.load(pattern.iter().map(|&b| RowSpec::Equal(b)))?;
         let subject = &subject[from.min(subject.len())..];
         let plen = pattern.len();
-        let (found, cost) = self.scan_blocks(subject, &config, plen - 1, |bm, blen, base| {
+        let (found, cost) = self.scan_blocks(subject, plen - 1, |bm, blen, base| {
             priority_encode(diagonal_and(bm, blen)).map(|c| base + c)
         });
         Ok((found.map(|p| p + from), cost))
@@ -257,12 +272,10 @@ impl StringAccel {
                 rows: self.cfg.max_rows,
             });
         }
-        let rows: Vec<RowSpec> = set.iter().map(|&b| RowSpec::Equal(b)).collect();
-        let config = self.build_config(rows)?;
+        self.load(set.iter().map(|&b| RowSpec::Equal(b)))?;
         let subject_tail = &subject[from.min(subject.len())..];
-        let (found, cost) = self.scan_blocks(subject_tail, &config, 0, |bm, _blen, base| {
-            let any = bm.masks.iter().fold(0u64, |a, &m| a | m);
-            priority_encode(any).map(|c| base + c)
+        let (found, cost) = self.scan_blocks(subject_tail, 0, |bm, _blen, base| {
+            priority_encode(bm.any()).map(|c| base + c)
         });
         Ok((found.map(|p| p + from), cost))
     }
@@ -295,12 +308,11 @@ impl StringAccel {
     /// `strtoupper`/`strtolower`.
     pub fn translate_case(&mut self, subject: &[u8], to_upper: bool) -> (Vec<u8>, AccelCost) {
         let (lo, hi) = if to_upper { (b'a', b'z') } else { (b'A', b'Z') };
-        let config = self
-            .build_config(vec![RowSpec::Range { lo, hi }])
+        self.load([RowSpec::Range { lo, hi }].into_iter())
             .expect("single range row always fits");
         let mut out = subject.to_vec();
-        let (_, cost) = self.scan_blocks(subject, &config, 0, |bm, blen, base| {
-            let mut mask = bm.masks[0];
+        let (_, cost) = self.scan_blocks(subject, 0, |bm, blen, base| {
+            let mut mask = bm.any();
             while mask != 0 {
                 let c = mask.trailing_zeros() as usize;
                 if c < blen {
@@ -321,13 +333,12 @@ impl StringAccel {
         from: u8,
         to: u8,
     ) -> (Vec<u8>, usize, AccelCost) {
-        let config = self
-            .build_config(vec![RowSpec::Equal(from)])
+        self.load([RowSpec::Equal(from)].into_iter())
             .expect("single row always fits");
         let mut out = subject.to_vec();
         let mut count = 0usize;
-        let (_, cost) = self.scan_blocks(subject, &config, 0, |bm, blen, base| {
-            let mut mask = bm.masks[0];
+        let (_, cost) = self.scan_blocks(subject, 0, |bm, blen, base| {
+            let mut mask = bm.any();
             while mask != 0 {
                 let c = mask.trailing_zeros() as usize;
                 if c < blen {
@@ -358,12 +369,10 @@ impl StringAccel {
                 rows: self.cfg.max_rows,
             });
         }
-        let rows: Vec<RowSpec> = set.iter().map(|&b| RowSpec::Equal(b)).collect();
-        let config = self.build_config(rows)?;
+        self.load(set.iter().map(|&b| RowSpec::Equal(b)))?;
         // Leading scan: first byte NOT in the set.
-        let (lead, c1) = self.scan_blocks(subject, &config, 0, |bm, blen, base| {
-            let any = bm.masks.iter().fold(0u64, |a, &m| a | m);
-            let not = !any & mask_of(blen);
+        let (lead, c1) = self.scan_blocks(subject, 0, |bm, blen, base| {
+            let not = !bm.any() & mask_of(blen);
             priority_encode(not).map(|c| base + c)
         });
         let start = lead.unwrap_or(subject.len());
@@ -374,12 +383,11 @@ impl StringAccel {
         while end > start {
             let blk_start = end.saturating_sub(self.cfg.block_width).max(start);
             let block = &subject[blk_start..end];
-            let bm = ascii_compare(&config, block);
+            let bm = ascii_compare(self.matrix(), block);
             c2.cycles += self.cfg.cycles_per_block;
             c2.bytes += block.len() as u64;
-            c2.active_cells += bm.active_cells;
-            let any = bm.masks.iter().fold(0u64, |a, &m| a | m);
-            let not = !any & mask_of(block.len());
+            c2.active_cells += bm.active_cells();
+            let not = !bm.any() & mask_of(block.len());
             if not != 0 {
                 let last = 63 - not.leading_zeros() as usize;
                 end = blk_start + last + 1;
@@ -402,34 +410,18 @@ impl StringAccel {
         subject: &[u8],
         ranges: &[(u8, u8)],
     ) -> Result<(usize, AccelCost), Unsupported> {
-        let rows: Vec<RowSpec> = ranges
-            .iter()
-            .map(|&(lo, hi)| RowSpec::Range { lo, hi })
-            .collect();
-        let config = self.build_config(rows)?;
-        let (stop, cost) = self.scan_blocks(subject, &config, 0, |bm, blen, base| {
-            let any = bm.masks.iter().fold(0u64, |a, &m| a | m);
-            let not = !any & mask_of(blen);
+        self.load(ranges.iter().map(|&(lo, hi)| RowSpec::Range { lo, hi }))?;
+        let (stop, cost) = self.scan_blocks(subject, 0, |bm, blen, base| {
+            let not = !bm.any() & mask_of(blen);
             priority_encode(not).map(|c| base + c)
         });
         Ok((stop.unwrap_or(subject.len()), cost))
     }
 
-    /// The matrix configuration the hint-vector sift runs with. Regular
-    /// characters: 3 ranges + 5 equality rows = 8 rows, well within 16
-    /// rows / 6 inequality rows.
-    fn sift_config(&self) -> MatrixConfig {
-        self.build_config(vec![
-            RowSpec::Range { lo: b'A', hi: b'Z' },
-            RowSpec::Range { lo: b'a', hi: b'z' },
-            RowSpec::Range { lo: b'0', hi: b'9' },
-            RowSpec::Equal(b'_'),
-            RowSpec::Equal(b'.'),
-            RowSpec::Equal(b','),
-            RowSpec::Equal(b'-'),
-            RowSpec::Equal(b' '),
-        ])
-        .expect("sift config fits")
+    /// Loads the matrix configuration the hint-vector sift runs with.
+    fn load_sift_config(&mut self) {
+        self.load(SIFT_ROWS.iter().copied())
+            .expect("sift config fits");
     }
 
     /// Pre-loads (and saves) the sift matrix configuration ahead of the
@@ -438,9 +430,8 @@ impl StringAccel {
     /// already resident instead of paying the load on the first subject,
     /// and the first post-context-switch `strreadconfig` is a no-op.
     pub fn preload_sift_config(&mut self) {
-        let config = self.sift_config();
-        self.loaded = Some(config.clone());
-        self.saved = Some(config);
+        self.load_sift_config();
+        self.saved = self.loaded.clone();
     }
 
     /// Hint-vector sift (§4.5 support): marks each `segment_size`-byte
@@ -448,12 +439,11 @@ impl StringAccel {
     /// `[A-Za-z0-9_.,-]` + space). This is the sieve's extra work.
     pub fn sift_special(&mut self, subject: &[u8], segment_size: usize) -> (Vec<bool>, AccelCost) {
         assert!(segment_size > 0);
-        let config = self.sift_config();
+        self.load_sift_config();
         let nseg = subject.len().div_ceil(segment_size);
         let mut hints = vec![false; nseg];
-        let (_, cost) = self.scan_blocks(subject, &config, 0, |bm, blen, base| {
-            let regular = bm.masks.iter().fold(0u64, |a, &m| a | m);
-            let mut special = !regular & mask_of(blen);
+        let (_, cost) = self.scan_blocks(subject, 0, |bm, blen, base| {
+            let mut special = !bm.any() & mask_of(blen);
             while special != 0 {
                 let c = special.trailing_zeros() as usize;
                 hints[(base + c) / segment_size] = true;
@@ -464,6 +454,19 @@ impl StringAccel {
         (hints, cost)
     }
 }
+
+/// The rows the hint-vector sift runs with. Regular characters: 3 ranges +
+/// 5 equality rows = 8 rows, well within 16 rows / 6 inequality rows.
+const SIFT_ROWS: [RowSpec; 8] = [
+    RowSpec::Range { lo: b'A', hi: b'Z' },
+    RowSpec::Range { lo: b'a', hi: b'z' },
+    RowSpec::Range { lo: b'0', hi: b'9' },
+    RowSpec::Equal(b'_'),
+    RowSpec::Equal(b'.'),
+    RowSpec::Equal(b','),
+    RowSpec::Equal(b'-'),
+    RowSpec::Equal(b' '),
+];
 
 fn mask_of(n: usize) -> u64 {
     if n >= 64 {
@@ -673,6 +676,44 @@ mod tests {
         assert_eq!(cycles2, 1, "already configured");
         assert_eq!(a.stats().config_loads, 2);
         assert_eq!(a.stats().config_saves, 1);
+    }
+
+    /// Every engine op once, over subjects of one to several blocks: the
+    /// simulated counters must not move when the host computes them
+    /// differently.
+    #[test]
+    fn stats_after_every_op_are_pinned() {
+        let mut a = accel();
+        let page: Vec<u8> = b"Lorem <b>ipsum</b> dolor, sit_amet 42 & more.\n"
+            .iter()
+            .copied()
+            .cycle()
+            .take(300)
+            .collect();
+        assert_eq!(a.find(&page, b"amet", 5).unwrap().0, Some(30));
+        assert_eq!(a.find(&page, b"absent!", 0).unwrap().0, None);
+        assert_eq!(a.find_byte_set(&page, b"&<>\"'", 100).unwrap().0, Some(100));
+        assert_eq!(a.compare(&page, &page[..200]).0, Ordering::Greater);
+        assert_eq!(a.translate_case(&page, true).0[..5], *b"LOREM");
+        assert_eq!(a.replace_byte(&page, b' ', b'_').1, 38);
+        let padded = b"  \t padded \n ";
+        assert_eq!(a.trim_range(padded, b" \t\n").unwrap().0, (4, 10));
+        assert_eq!(
+            a.span_ranges(&page, &[(b'A', b'Z'), (b'a', b'z')])
+                .unwrap()
+                .0,
+            5
+        );
+        assert_eq!(a.sift_special(&page, 16).0.len(), 19);
+        assert_eq!(
+            a.find_utf8("naïve café", "café", 0).unwrap().0,
+            Some((7, 6))
+        );
+        let s = *a.stats();
+        assert_eq!(
+            (s.ops, s.cycles, s.bytes, s.active_cells, s.blocks),
+            (11, 93, 1656, 6340, 31)
+        );
     }
 
     #[test]

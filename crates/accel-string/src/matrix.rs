@@ -88,15 +88,31 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Rows the matrix has (§4.4). A row-table entry holds one bit per row.
+pub const MAX_ROWS: usize = 16;
+
 /// A loaded matrix configuration (the state `strwriteconfig` saves and
 /// `strreadconfig` restores, §4.6).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MatrixConfig {
     rows: Vec<RowSpec>,
+    /// The ASCII compare stage as a table: bit *r* of `lut[b]` is set when
+    /// byte `b` satisfies row *r*, so one lookup settles a whole column.
+    lut: [u16; 256],
 }
+
+/// `lut` is a function of `rows`.
+impl PartialEq for MatrixConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for MatrixConfig {}
 
 impl MatrixConfig {
     /// Builds a configuration, validating against the hardware limits.
+    /// `max_rows` is capped at [`MAX_ROWS`].
     ///
     /// # Errors
     ///
@@ -106,6 +122,7 @@ impl MatrixConfig {
         max_rows: usize,
         inequality_rows: usize,
     ) -> Result<MatrixConfig, ConfigError> {
+        let max_rows = max_rows.min(MAX_ROWS);
         if rows.len() > max_rows {
             return Err(ConfigError::TooManyRows {
                 requested: rows.len(),
@@ -119,7 +136,18 @@ impl MatrixConfig {
                 available: inequality_rows,
             });
         }
-        Ok(MatrixConfig { rows })
+        let mut lut = [0u16; 256];
+        for (r, row) in rows.iter().enumerate() {
+            let bytes = match *row {
+                RowSpec::Equal(x) => x..=x,
+                RowSpec::Range { lo, hi } => lo..=hi,
+                RowSpec::Disabled => continue,
+            };
+            for b in bytes {
+                lut[usize::from(b)] |= 1 << r;
+            }
+        }
+        Ok(MatrixConfig { rows, lut })
     }
 
     /// The row specs.
@@ -139,34 +167,56 @@ impl MatrixConfig {
 /// Result of comparing one block: per-row column bitmasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockMatch {
-    /// `masks[r]` bit `c` set ⇔ `block[c]` satisfies row `r`.
-    pub masks: Vec<u64>,
+    masks: [u64; MAX_ROWS],
+    rows: usize,
+    any: u64,
+    active_cells: u64,
+}
+
+impl BlockMatch {
+    /// `masks()[r]` bit `c` set ⇔ `block[c]` satisfies row `r`; one mask
+    /// per configured row.
+    pub fn masks(&self) -> &[u64] {
+        &self.masks[..self.rows]
+    }
+
+    /// Bit `c` set ⇔ `block[c]` satisfies at least one row.
+    pub fn any(&self) -> u64 {
+        self.any
+    }
+
     /// Number of matrix cells that toggled (energy accounting).
-    pub active_cells: u64,
+    pub fn active_cells(&self) -> u64 {
+        self.active_cells
+    }
 }
 
 /// Populates the matching matrix for `block` under `config` — the ASCII
-/// compare stage. All columns evaluate in parallel in hardware; here we
-/// also count active cells for the energy model.
+/// compare stage. All columns evaluate in parallel in hardware; here one
+/// row-table lookup per column, and the energy model counts every active
+/// row's cell in every column.
 pub fn ascii_compare(config: &MatrixConfig, block: &[u8]) -> BlockMatch {
     assert!(block.len() <= MAX_BLOCK_WIDTH, "block wider than matrix");
-    let mut masks = Vec::with_capacity(config.rows.len());
-    let mut active_cells = 0u64;
-    for row in &config.rows {
-        let mut mask = 0u64;
-        if !matches!(row, RowSpec::Disabled) {
-            active_cells += block.len() as u64;
-            for (c, &b) in block.iter().enumerate() {
-                if row.matches(b) {
-                    mask |= 1 << c;
-                }
+    let mut masks = [0u64; MAX_ROWS];
+    let mut any = 0u64;
+    let mut bit = 1u64;
+    for &b in block {
+        let mut hits = config.lut[usize::from(b)];
+        if hits != 0 {
+            any |= bit;
+            while hits != 0 {
+                // `% MAX_ROWS` changes nothing; it spares a bounds check.
+                masks[hits.trailing_zeros() as usize % MAX_ROWS] |= bit;
+                hits &= hits - 1;
             }
         }
-        masks.push(mask);
+        bit <<= 1;
     }
     BlockMatch {
         masks,
-        active_cells,
+        rows: config.rows.len(),
+        any,
+        active_cells: (config.active_rows() * block.len()) as u64,
     }
 }
 
@@ -179,12 +229,12 @@ pub fn ascii_compare(config: &MatrixConfig, block: &[u8]) -> BlockMatch {
 /// past the block are excluded (the engine's carry buffer handles
 /// wrap-around).
 pub fn diagonal_and(matches: &BlockMatch, block_len: usize) -> u64 {
-    let rows = matches.masks.len();
+    let rows = matches.rows;
     if rows == 0 || block_len == 0 || rows > block_len {
         return 0;
     }
     let mut acc = !0u64;
-    for (r, &mask) in matches.masks.iter().enumerate() {
+    for (r, &mask) in matches.masks().iter().enumerate() {
         acc &= mask >> r;
     }
     // Mask off start positions that would overflow the block.
@@ -213,25 +263,91 @@ pub fn priority_encode(mask: u64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg(rows: Vec<RowSpec>) -> MatrixConfig {
         MatrixConfig::new(rows, 16, 6).unwrap()
+    }
+
+    /// The row-by-row compare the row table replaced: the reference the
+    /// table must agree with. Returns per-row masks and active cells.
+    fn row_by_row(config: &MatrixConfig, block: &[u8]) -> (Vec<u64>, u64) {
+        let mut masks = Vec::with_capacity(config.rows.len());
+        let mut active_cells = 0u64;
+        for row in &config.rows {
+            let mut mask = 0u64;
+            if !matches!(row, RowSpec::Disabled) {
+                active_cells += block.len() as u64;
+                for (c, &b) in block.iter().enumerate() {
+                    if row.matches(b) {
+                        mask |= 1 << c;
+                    }
+                }
+            }
+            masks.push(mask);
+        }
+        (masks, active_cells)
+    }
+
+    /// Bytes biased toward a small alphabet, so equality rows hit often.
+    fn byte() -> impl Strategy<Value = u8> {
+        prop_oneof![3 => any::<u8>(), 1 => 0x60u8..0x68]
+    }
+
+    fn row() -> impl Strategy<Value = RowSpec> {
+        prop_oneof![
+            byte().prop_map(RowSpec::Equal),
+            (byte(), byte()).prop_map(|(lo, hi)| RowSpec::Range { lo, hi }),
+            (0u8..1).prop_map(|_| RowSpec::Disabled),
+        ]
+    }
+
+    /// Up to 16 rows; ranges past the sixth become equality rows.
+    fn rows() -> impl Strategy<Value = Vec<RowSpec>> {
+        prop::collection::vec(row(), 0..MAX_ROWS + 1).prop_map(|mut rows| {
+            let mut ranges = 0;
+            for r in &mut rows {
+                if let RowSpec::Range { lo, .. } = *r {
+                    ranges += 1;
+                    if ranges > 6 {
+                        *r = RowSpec::Equal(lo);
+                    }
+                }
+            }
+            rows
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn row_table_agrees_with_row_by_row_compare(
+            rows in rows(),
+            block in prop::collection::vec(byte(), 0..MAX_BLOCK_WIDTH + 1),
+        ) {
+            let config = cfg(rows);
+            let m = ascii_compare(&config, &block);
+            let (masks, active_cells) = row_by_row(&config, &block);
+            prop_assert_eq!(m.masks(), masks.as_slice());
+            prop_assert_eq!(m.any(), masks.iter().fold(0, |a, &b| a | b));
+            prop_assert_eq!(m.active_cells(), active_cells);
+        }
     }
 
     #[test]
     fn equality_rows_populate_masks() {
         let c = cfg(vec![RowSpec::Equal(b'a'), RowSpec::Equal(b'b')]);
         let m = ascii_compare(&c, b"abab");
-        assert_eq!(m.masks[0], 0b0101);
-        assert_eq!(m.masks[1], 0b1010);
-        assert_eq!(m.active_cells, 8);
+        assert_eq!(m.masks()[0], 0b0101);
+        assert_eq!(m.masks()[1], 0b1010);
+        assert_eq!(m.active_cells(), 8);
     }
 
     #[test]
     fn range_rows_match_spans() {
         let c = cfg(vec![RowSpec::Range { lo: b'a', hi: b'z' }]);
         let m = ascii_compare(&c, b"aZ9z");
-        assert_eq!(m.masks[0], 0b1001);
+        assert_eq!(m.masks()[0], 0b1001);
     }
 
     #[test]
@@ -239,10 +355,11 @@ mod tests {
         let c = cfg(vec![RowSpec::Equal(b'x'), RowSpec::Disabled]);
         let m = ascii_compare(&c, b"xxxx");
         assert_eq!(
-            m.active_cells, 4,
+            m.active_cells(),
+            4,
             "disabled row contributes no active cells"
         );
-        assert_eq!(m.masks[1], 0);
+        assert_eq!(m.masks()[1], 0);
     }
 
     #[test]

@@ -63,6 +63,30 @@ fn bench_string(c: &mut Criterion) {
     g.finish();
 }
 
+/// The matching matrix over a 2 KB page of plain text that holds none of
+/// the searched bytes, so every op scans the whole page: ns per KB is half
+/// the printed ns/iter.
+fn bench_string_page(c: &mut Criterion) {
+    let mut g = c.benchmark_group("string-accel-2kb-page");
+    let page: Vec<u8> = b"plenty of plain, regular words in this block-of text. "
+        .iter()
+        .copied()
+        .cycle()
+        .take(2048)
+        .collect();
+    let mut a = StringAccel::default();
+    g.bench_function("find-7-byte-miss", |b| {
+        b.iter(|| black_box(a.find(&page, b"zqxjkvw", 0).unwrap()))
+    });
+    g.bench_function("find-byte-set-5", |b| {
+        b.iter(|| black_box(a.find_byte_set(&page, b"&<>\"'", 0).unwrap()))
+    });
+    g.bench_function("sift-special", |b| {
+        b.iter(|| black_box(a.sift_special(&page, 32)))
+    });
+    g.finish();
+}
+
 fn bench_regex(c: &mut Criterion) {
     let mut g = c.benchmark_group("regex-pipeline");
     let mut content = Vec::new();
@@ -130,6 +154,7 @@ criterion_group!(
     benches,
     bench_htable,
     bench_string,
+    bench_string_page,
     bench_regex,
     bench_endtoend
 );

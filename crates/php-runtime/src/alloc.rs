@@ -11,8 +11,8 @@
 //! paper's Figure 8 is built from: the allocation-size CDF and the per-slab
 //! live-memory timeline.
 
+use crate::addr::{AddrMap, AddrSet};
 use crate::profile::{Category, Leaf, OpCost, Profiler};
-use std::collections::{HashMap, HashSet};
 
 static SLAB_MALLOC: Leaf = Leaf::new("slab_malloc", Category::Heap);
 static SLAB_FREE: Leaf = Leaf::new("slab_free", Category::Heap);
@@ -202,7 +202,7 @@ struct ArenaState {
     /// the arena path, mirroring the free-list path's `live_blocks` panic.
     /// Simulator integrity state only (like `live_blocks` itself): its
     /// maintenance charges no simulated µops.
-    freed: HashSet<u64>,
+    freed: AddrSet,
     /// Live arena blocks (allocated minus logically freed) this epoch.
     block_count: u64,
     /// Live arena bytes per slab class this epoch. Fixed-size, so zeroing
@@ -218,7 +218,7 @@ impl ArenaState {
             cur_chunk: 0,
             chunk_end: 0,
             epoch: 1,
-            freed: HashSet::new(),
+            freed: AddrSet::default(),
             block_count: 0,
             live_by_class: [0; CLASS_SIZES.len()],
         }
@@ -258,7 +258,7 @@ struct SizeClass {
 pub struct SlabAllocator {
     classes: Vec<SizeClass>,
     /// addr -> (class index, requested size); huge blocks use class=usize::MAX.
-    live_blocks: HashMap<u64, (usize, usize)>,
+    live_blocks: AddrMap<(usize, usize)>,
     next_addr: u64,
     stats: AllocStats,
     timeline: Vec<TimelineSample>,
@@ -309,7 +309,7 @@ impl SlabAllocator {
             .collect();
         SlabAllocator {
             classes,
-            live_blocks: HashMap::new(),
+            live_blocks: AddrMap::default(),
             next_addr: 0x1000,
             stats: AllocStats {
                 allocs_by_class: vec![0; CLASS_SIZES.len() + 1],

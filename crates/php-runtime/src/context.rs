@@ -300,8 +300,14 @@ impl RuntimeContext {
     /// Charges one dynamic type check (the overhead checked-load \[22\]
     /// removes).
     pub fn type_check(&self, _v: &PhpValue) {
+        self.type_check_n(1);
+    }
+
+    /// Charges `n` dynamic type checks; the ledger counts `n` calls of
+    /// [`RuntimeContext::type_check`].
+    pub fn type_check_n(&self, n: u64) {
         self.profiler
-            .record(&ZVAL_TYPE_CHECK, PhpValue::type_check_cost());
+            .record_n(&ZVAL_TYPE_CHECK, PhpValue::type_check_cost(), n);
     }
 
     /// Charges refcount traffic for copying a value (inc) if refcounted.

@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod addr;
 pub mod alloc;
 pub mod array;
 pub mod context;
@@ -37,6 +38,7 @@ pub mod string;
 pub mod symtab;
 pub mod value;
 
+pub use addr::{AddrMap, AddrSet};
 pub use array::{ArrayKey, PhpArray};
 pub use context::{AccessStatic, RuntimeContext};
 pub use profile::{Category, Leaf, OpCost, Profiler, StaticSavings};

@@ -419,20 +419,31 @@ impl Profiler {
     /// Records one invocation of `leaf` with `cost`.
     #[inline]
     pub fn record(&self, leaf: &'static Leaf, cost: OpCost) {
-        if self.paused_depth.get() > 0 {
+        self.record_n(leaf, cost, 1);
+    }
+
+    /// Records `n` invocations of `leaf`, each costing `cost`: the ledger
+    /// and the event log end up as after `n` calls of [`Profiler::record`],
+    /// at the host cost of one.
+    #[inline]
+    pub fn record_n(&self, leaf: &'static Leaf, cost: OpCost, n: u64) {
+        if self.paused_depth.get() > 0 || n == 0 {
             return;
         }
-        self.total.set(self.total.get().plus(cost));
+        let total = cost.scaled(n);
+        self.total.set(self.total.get().plus(total));
         let id = leaf.id();
         let mut slots = self.slots.borrow_mut();
         if id >= slots.len() {
             grow(&mut slots, id);
         }
         let slot = &mut slots[id];
-        slot.calls += 1;
-        slot.cost = slot.cost.plus(cost);
+        slot.calls += n;
+        slot.cost = slot.cost.plus(total);
         if self.logging_events.get() {
-            self.log_event(leaf, cost);
+            for _ in 0..n {
+                self.log_event(leaf, cost);
+            }
         }
     }
 
@@ -708,6 +719,46 @@ mod tests {
         assert_eq!(p.function_count(), 0);
         p.record(&TRIM, OpCost::alu(5));
         assert_eq!(p.total_uops(), 5);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let cost = OpCost {
+            uops: 5,
+            branches: 1,
+            loads: 2,
+            stores: 1,
+        };
+        let (bulk, single) = (Profiler::new(), Profiler::new());
+        for p in [&bulk, &single] {
+            p.set_event_log(true);
+            p.record(&FIND, OpCost::mixed(90));
+        }
+        bulk.record_n(&TRIM, cost, 7);
+        for _ in 0..7 {
+            single.record(&TRIM, cost);
+        }
+        let log = |p: &Profiler| -> Vec<(&str, OpCost)> {
+            let events = p.take_event_log();
+            events.into_iter().map(|(l, c)| (l.name(), c)).collect()
+        };
+        assert_eq!(bulk.function("php_trim").unwrap().calls, 7);
+        assert_eq!(bulk.function("php_trim"), single.function("php_trim"));
+        assert_eq!(bulk.leaf_profile(), single.leaf_profile());
+        assert_eq!(bulk.total_cost(), single.total_cost());
+        assert_eq!(log(&bulk), log(&single));
+
+        // Zero invocations charge nothing, not even a ledger slot; a paused
+        // ledger takes nothing either.
+        static NEVER: Leaf = Leaf::new("t_record_n_zero", Category::Other);
+        bulk.record_n(&NEVER, cost, 0);
+        bulk.pause();
+        bulk.record_n(&TRIM, cost, 3);
+        bulk.resume();
+        assert!(bulk.function("t_record_n_zero").is_none());
+        assert_eq!(bulk.leaf_profile(), single.leaf_profile());
+        assert_eq!(bulk.total_cost(), single.total_cost());
+        assert!(log(&bulk).is_empty());
     }
 
     #[test]

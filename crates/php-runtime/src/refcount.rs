@@ -48,8 +48,14 @@ impl RefcountMeter {
 
     /// Records a refcount decrement (value destroyed / overwritten).
     pub fn dec(&self, prof: &Profiler) {
-        self.decs.set(self.decs.get() + 1);
-        prof.record(
+        self.dec_n(1, prof);
+    }
+
+    /// Records `n` decrements, each charged as [`RefcountMeter::dec`] charges
+    /// one: the ledger counts `n` calls.
+    pub fn dec_n(&self, n: u64, prof: &Profiler) {
+        self.decs.set(self.decs.get() + n);
+        prof.record_n(
             &ZVAL_REFCOUNT_DEC,
             OpCost {
                 uops: DEC_UOPS,
@@ -57,6 +63,7 @@ impl RefcountMeter {
                 loads: 1,
                 stores: 1,
             },
+            n,
         );
     }
 
@@ -108,6 +115,20 @@ mod tests {
         assert_eq!(p.total_uops(), 2 * INC_UOPS + DEC_UOPS);
         let f = p.function("zval_refcount_dec").unwrap();
         assert_eq!(f.category, Some(Category::RefCount));
+    }
+
+    #[test]
+    fn dec_n_is_n_decs() {
+        let (bulk, single) = (RefcountMeter::new(), RefcountMeter::new());
+        let (pb, ps) = (Profiler::new(), Profiler::new());
+        bulk.dec_n(4, &pb);
+        for _ in 0..4 {
+            single.dec(&ps);
+        }
+        assert_eq!(bulk.decs(), 4);
+        assert_eq!(bulk.decs(), single.decs());
+        assert_eq!(pb.leaf_profile(), ps.leaf_profile());
+        assert_eq!(pb.total_cost(), ps.total_cost());
     }
 
     #[test]

@@ -50,13 +50,10 @@ impl VmTail {
         // Abstraction overheads spread across everything (§3).
         let half = self.refcount_ops / 2;
         ctx.refcount().inc_n(half, ctx.profiler());
-        for _ in 0..(self.refcount_ops - half) / 8 {
-            ctx.refcount().dec(ctx.profiler());
-        }
-        for _ in 0..self.type_checks / 4 {
-            ctx.type_check(&php_runtime::value::PhpValue::Null);
-        }
-        // The remaining checks charged in bulk for speed.
+        ctx.refcount()
+            .dec_n((self.refcount_ops - half) / 8, ctx.profiler());
+        ctx.type_check_n(self.type_checks / 4);
+        // The remaining checks charged as one call.
         ctx.profiler().record(
             &ZVAL_TYPE_CHECK,
             php_runtime::OpCost {

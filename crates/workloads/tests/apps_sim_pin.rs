@@ -1,0 +1,85 @@
+//! The paper's three applications on the specialized machine, pinned.
+//!
+//! `apps_inproc` and the `fig*` binaries read the four accelerator models
+//! and the µop ledger. How the host computes them (the matching matrix's
+//! row table, the hasher on simulated addresses, bulk ledger charges) is
+//! not part of the modelled machine, so a change there must leave every
+//! number below where it was. Only a change to the modelled machine may move
+//! them, with its reason stated here.
+//!
+//! Each application runs as `LoadGen` runs it at seed 1: 300 warm-up
+//! requests, then 1 000 measured ones, with a context switch every 50.
+
+use php_runtime::Category;
+use phpaccel_core::PhpMachine;
+use workloads::{AppKind, LoadGen};
+
+/// The measured phase's ledger and accelerator counters, one per line.
+fn report(app: AppKind) -> String {
+    let mut workload = app.build(1);
+    let mut m = PhpMachine::specialized();
+    let run = LoadGen {
+        warmup: 300,
+        measured: 1_000,
+        context_switch_every: 50,
+    }
+    .run(workload.as_mut(), &mut m);
+    assert_eq!(run.failed_requests, 0, "{:?}", run.first_error);
+    let prof = m.ctx().profiler();
+    let categories = prof.category_breakdown();
+    let by_category = Category::ALL.map(|c| categories.get(&c).copied().unwrap_or(0));
+    let leaf_calls: u64 = prof.leaf_profile().iter().map(|row| row.calls).sum();
+    let core = m.core();
+    format!(
+        "uops {}\ncategories {by_category:?}\nleaf calls {leaf_calls}\n\
+         {:?}\n{:?}\n{:?}\n{:?}\n{:?}\nprefetch {:?}",
+        prof.total_uops(),
+        core.htable.stats(),
+        core.heap.stats(),
+        core.straccel.stats(),
+        core.regex_stats,
+        core.reuse.stats(),
+        core.heap.prefetch_counters(),
+    )
+}
+
+const WORDPRESS: &str = "uops 43472578\n\
+    categories [316752, 1233493, 1579104, 1531567, 2983584, 2940775, 1889303, 30998000]\n\
+    leaf calls 1005875\n\
+    HtStats { gets: 39382, get_hits: 39314, sets: 45573, set_hits: 21400, set_inserts: 24173, key_too_long: 0, fills: 68, evict_invalid: 24165, evict_clean: 5, evict_dirty: 71, frees: 6000, freed_entries: 24168, foreachs: 3000, writebacks: 15172, coherence_flushes: 0, accel_cycles: 288634, hinted_hash_skips: 0, hinted_append_inserts: 0, faults_injected: 0, faults_detected: 0 }\n\
+    HeapStats { mallocs: 50318, malloc_hits: 50109, malloc_misses: 209, frees: 50318, free_hits: 50318, free_spills: 0, too_large: 10383, flushes: 19, flushed_blocks: 513, accel_cycles: 100636, faults_injected: 0, faults_detected: 0 }\n\
+    StrAccelStats { ops: 41213, blocks: 64753, cycles: 194259, bytes: 3291626, active_cells: 14819805, fallbacks: 0, config_loads: 19, config_saves: 19, faults_injected: 0, faults_detected: 0 }\n\
+    RegexAccelStats { sieve_calls: 1000, shadow_calls: 3000, shadow_skipping: 3000, shadow_fallbacks: 0, bytes_total: 775194, bytes_scanned: 383366, bytes_skipped_sift: 370179, bytes_skipped_reuse: 23208, uops: 1437275, hv_faults_injected: 0, hv_faults_detected: 0 }\n\
+    ReuseStats { lookups: 1000, hits: 892, invalid_misses: 0, trainings: 108, sets: 108, bytes_skipped: 23208, evictions: 0, faults_injected: 0, faults_detected: 0 }\n\
+    prefetch (372, 372, 45212)";
+
+const DRUPAL: &str = "uops 53528818\n\
+    categories [1143210, 169452, 796079, 703077, 3225000, 2316000, 2150000, 43026000]\n\
+    leaf calls 698452\n\
+    HtStats { gets: 25000, get_hits: 24441, sets: 45000, set_hits: 11302, set_inserts: 25698, key_too_long: 8000, fills: 559, evict_invalid: 23362, evict_clean: 171, evict_dirty: 2724, frees: 4000, freed_entries: 23360, foreachs: 1000, writebacks: 1675, coherence_flushes: 0, accel_cycles: 193675, hinted_hash_skips: 0, hinted_append_inserts: 0, faults_injected: 0, faults_detected: 0 }\n\
+    HeapStats { mallocs: 39000, malloc_hits: 38810, malloc_misses: 190, frees: 39000, free_hits: 39000, free_spills: 0, too_large: 0, flushes: 19, flushed_blocks: 494, accel_cycles: 78000, faults_injected: 0, faults_detected: 0 }\n\
+    StrAccelStats { ops: 1125, blocks: 6545, cycles: 19635, bytes: 413891, active_cells: 2367448, fallbacks: 0, config_loads: 19, config_saves: 19, faults_injected: 0, faults_detected: 0 }\n\
+    RegexAccelStats { sieve_calls: 125, shadow_calls: 375, shadow_skipping: 375, shadow_fallbacks: 0, bytes_total: 397324, bytes_scanned: 177172, bytes_skipped_sift: 220277, bytes_skipped_reuse: 0, uops: 703077, hv_faults_injected: 0, hv_faults_detected: 0 }\n\
+    ReuseStats { lookups: 0, hits: 0, invalid_misses: 0, trainings: 0, sets: 0, bytes_skipped: 0, evictions: 0, faults_injected: 0, faults_detected: 0 }\n\
+    prefetch (379, 379, 25914)";
+
+const MEDIAWIKI: &str = "uops 38801497\n\
+    categories [175744, 247600, 1704914, 262239, 2460000, 2451000, 1500000, 30000000]\n\
+    leaf calls 606698\n\
+    HtStats { gets: 20000, get_hits: 20000, sets: 13000, set_hits: 0, set_inserts: 12162, key_too_long: 838, fills: 0, evict_invalid: 12162, evict_clean: 0, evict_dirty: 0, frees: 2000, freed_entries: 12162, foreachs: 0, writebacks: 0, coherence_flushes: 0, accel_cycles: 98486, hinted_hash_skips: 0, hinted_append_inserts: 0, faults_injected: 0, faults_detected: 0 }\n\
+    HeapStats { mallocs: 34167, malloc_hits: 33996, malloc_misses: 171, frees: 34167, free_hits: 34167, free_spills: 0, too_large: 1000, flushes: 19, flushed_blocks: 420, accel_cycles: 68334, faults_injected: 0, faults_detected: 0 }\n\
+    StrAccelStats { ops: 15031, blocks: 39192, cycles: 117576, bytes: 2059859, active_cells: 3717050, fallbacks: 0, config_loads: 19, config_saves: 19, faults_injected: 0, faults_detected: 0 }\n\
+    RegexAccelStats { sieve_calls: 31, shadow_calls: 124, shadow_skipping: 124, shadow_fallbacks: 0, bytes_total: 133853, bytes_scanned: 77967, bytes_skipped_sift: 56095, bytes_skipped_reuse: 0, uops: 262239, hv_faults_injected: 0, hv_faults_detected: 0 }\n\
+    ReuseStats { lookups: 0, hits: 0, invalid_misses: 0, trainings: 0, sets: 0, bytes_skipped: 0, evictions: 0, faults_injected: 0, faults_detected: 0 }\n\
+    prefetch (279, 279, 39083)";
+
+#[test]
+fn application_statistics_are_pinned() {
+    for (app, pinned) in [
+        (AppKind::WordPress, WORDPRESS),
+        (AppKind::Drupal, DRUPAL),
+        (AppKind::MediaWiki, MEDIAWIKI),
+    ] {
+        assert_eq!(report(app), pinned, "{}", app.label());
+    }
+}
