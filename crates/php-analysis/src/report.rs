@@ -1,4 +1,5 @@
-//! Human-readable results: per-scope statistics and lint diagnostics.
+//! Human-readable results: per-scope statistics and lint diagnostics, and
+//! the allowlist `analyze --gate` holds the lints against.
 
 use std::fmt;
 
@@ -27,9 +28,8 @@ pub enum LintKind {
 }
 
 impl LintKind {
-    /// Every lint kind, in declaration order — the single registry the gate
-    /// tooling (`analyze --gate`, `serve::LintGate`, the allowlist parser)
-    /// resolves names against.
+    /// Every lint kind, in declaration order — the single registry
+    /// `analyze --gate` and its allowlist parser resolve names against.
     pub const ALL: [LintKind; 7] = [
         LintKind::UseBeforeAssign,
         LintKind::DeadStore,
@@ -226,11 +226,6 @@ impl Report {
     /// Total proven-memoizable call sites across scopes.
     pub fn memo_sites(&self) -> usize {
         self.scopes.iter().map(|s| s.memo_sites).sum()
-    }
-
-    /// Lints of one kind.
-    pub fn lint_count(&self, kind: LintKind) -> usize {
-        self.lints.iter().filter(|l| l.kind == kind).count()
     }
 }
 

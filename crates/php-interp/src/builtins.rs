@@ -285,11 +285,7 @@ pub fn dispatch<H: Host>(
             let keys: Vec<ArrayKey> = rc.borrow().keys().cloned().collect();
             let mut out = m.new_array();
             for k in keys {
-                let v = match k {
-                    ArrayKey::Int(i) => PhpValue::Int(i),
-                    ArrayKey::Str(s) => PhpValue::str(s),
-                };
-                m.array_push(&mut out, v);
+                m.array_push(&mut out, PhpValue::from(k));
             }
             Ok(PhpValue::array(out))
         }

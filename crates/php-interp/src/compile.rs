@@ -321,8 +321,8 @@ pub enum Op {
     },
 }
 
-/// Declares [`OpKind`] with its name table, its index-ordered variant list
-/// and [`OP_KIND_COUNT`] from one list of variants.
+/// Declares [`OpKind`] with its name table, its index-ordered variant list,
+/// [`OP_KIND_COUNT`] and [`Op::kind`] from one list of variants.
 macro_rules! op_kinds {
     ($($kind:ident),* $(,)?) => {
         /// Dense opcode classification for the per-opcode execution counters
@@ -336,6 +336,15 @@ macro_rules! op_kinds {
 
         /// Number of [`OpKind`] variants (counter-array size).
         pub const OP_KIND_COUNT: usize = [$(OpKind::$kind),*].len();
+
+        impl Op {
+            /// The dense classification of this opcode.
+            pub fn kind(&self) -> OpKind {
+                match self {
+                    $(Op::$kind { .. } => OpKind::$kind),*
+                }
+            }
+        }
 
         impl OpKind {
             /// Stable display name.
@@ -366,55 +375,6 @@ impl OpKind {
     /// Whether this kind is a fusion-produced superinstruction.
     pub fn is_fused(self) -> bool {
         matches!(self, OpKind::ConcatN | OpKind::EchoValue)
-    }
-}
-
-impl Op {
-    /// The dense classification of this opcode.
-    pub fn kind(&self) -> OpKind {
-        match self {
-            Op::PushNull => OpKind::PushNull,
-            Op::PushBool(_) => OpKind::PushBool,
-            Op::PushInt(_) => OpKind::PushInt,
-            Op::PushFloat(_) => OpKind::PushFloat,
-            Op::PushStr(_) => OpKind::PushStr,
-            Op::Pop => OpKind::Pop,
-            Op::LoadSlot { .. } => OpKind::LoadSlot,
-            Op::StoreSlot { .. } => OpKind::StoreSlot,
-            Op::IndexGet { .. } => OpKind::IndexGet,
-            Op::LoadIndexBase { .. } => OpKind::LoadIndexBase,
-            Op::StoreIndexKeyed { .. } => OpKind::StoreIndexKeyed,
-            Op::StoreAppend { .. } => OpKind::StoreAppend,
-            Op::NewArray { .. } => OpKind::NewArray,
-            Op::ArrayInsert => OpKind::ArrayInsert,
-            Op::ArrayAppend => OpKind::ArrayAppend,
-            Op::Bin { .. } => OpKind::Bin,
-            Op::Not => OpKind::Not,
-            Op::Neg => OpKind::Neg,
-            Op::ToBool => OpKind::ToBool,
-            Op::Jump(_) => OpKind::Jump,
-            Op::JumpIfFalsePop(_) => OpKind::JumpIfFalsePop,
-            Op::JumpIfTruePeek(_) => OpKind::JumpIfTruePeek,
-            Op::JumpIfFalsePeek(_) => OpKind::JumpIfFalsePeek,
-            Op::PushGuard => OpKind::PushGuard,
-            Op::GuardTick { .. } => OpKind::GuardTick,
-            Op::PopGuard => OpKind::PopGuard,
-            Op::IterInit => OpKind::IterInit,
-            Op::IterNext { .. } => OpKind::IterNext,
-            Op::IterPop => OpKind::IterPop,
-            Op::DefineFunc { .. } => OpKind::DefineFunc,
-            Op::CallUser { .. } => OpKind::CallUser,
-            Op::CallBuiltin { .. } => OpKind::CallBuiltin,
-            Op::CallDynamic { .. } => OpKind::CallDynamic,
-            Op::Return => OpKind::Return,
-            Op::Echo { .. } => OpKind::Echo,
-            Op::Global { .. } => OpKind::Global,
-            Op::Fail { .. } => OpKind::Fail,
-            Op::ConcatN { .. } => OpKind::ConcatN,
-            Op::EchoValue { .. } => OpKind::EchoValue,
-            Op::MemoEnter { .. } => OpKind::MemoEnter,
-            Op::MemoStore { .. } => OpKind::MemoStore,
-        }
     }
 }
 
@@ -503,8 +463,6 @@ pub struct CompiledUnit {
     pub regexes: Vec<Arc<Regex>>,
     /// Runtime error-message pool.
     pub msgs: Vec<String>,
-    /// The fusion pass ran.
-    pub fused: bool,
     /// Facts were attached at compile time.
     pub specialized: bool,
     /// Facts side-channel: statically known allocation sizes for heap
@@ -550,7 +508,6 @@ pub fn compile(
         facts,
         opts,
         unit: CompiledUnit {
-            fused: opts.fuse,
             specialized: facts.is_some(),
             ..CompiledUnit::default()
         },
@@ -572,45 +529,37 @@ pub fn compile(
     // Phase 1: establish the hoisted bindings. Pre-registered instances win
     // (last registration, like repeated `predefine_funcs` inserts); among
     // top-level definitions of one name the first wins (`or_insert`).
-    enum Pending<'p> {
-        Shared(Arc<FuncDef>),
-        Ast(&'p FuncDef),
-    }
-    let mut order: Vec<(String, Pending<'_>)> = Vec::new();
-    let mut bound: HashSet<String> = HashSet::new();
+    let mut order: Vec<&FuncDef> = Vec::new();
+    let mut bound: HashSet<&str> = HashSet::new();
     for def in predefined {
-        if bound.insert(def.name.clone()) {
-            order.push((def.name.clone(), Pending::Shared(Arc::clone(def))));
+        if bound.insert(&def.name) {
+            order.push(def);
         } else {
             // A later registration replaces the earlier one.
             for slot in order.iter_mut() {
-                if slot.0 == def.name {
-                    slot.1 = Pending::Shared(Arc::clone(def));
+                if slot.name == def.name {
+                    *slot = def;
                 }
             }
         }
     }
     for s in &prog.stmts {
         if let Stmt::FuncDef(f) = s {
-            if bound.insert(f.name.clone()) {
-                order.push((f.name.clone(), Pending::Ast(f)));
+            if bound.insert(&f.name) {
+                order.push(f);
             }
         }
     }
     // Reserve the slots first so call resolution inside any body sees the
     // complete hoisted table.
-    for (i, (name, _)) in order.iter().enumerate() {
-        c.unit.func_index.insert(name.clone(), i as u32);
+    for (i, def) in order.iter().enumerate() {
+        c.unit.func_index.insert(def.name.clone(), i as u32);
         c.bodies.push(None);
     }
     // Phase 2: compile the bodies (may append further slots for nested
     // definitions).
-    for (i, (_, pending)) in order.iter().enumerate() {
-        let compiled = match pending {
-            Pending::Shared(def) => c.func(def),
-            Pending::Ast(def) => c.func(def),
-        };
-        c.bodies[i] = Some(compiled);
+    for (i, def) in order.into_iter().enumerate() {
+        c.bodies[i] = Some(c.func(def));
     }
 
     // Main body: hoisted definitions are skipped, like the tree-walker.
@@ -676,15 +625,30 @@ fn collect_nested_defs(stmts: &[Stmt], top: bool, out: &mut HashSet<String>) {
 #[derive(Default)]
 struct Body {
     code: Vec<Op>,
-    loops: Vec<LoopFrame>,
+    /// Per enclosing loop, innermost last: its pending `break` (`true`) and
+    /// `continue` (`false`) jumps.
+    loops: Vec<Vec<(usize, bool)>>,
     slots: Option<SlotMap>,
 }
 
-/// Pending jumps of one enclosing loop.
-#[derive(Default)]
-struct LoopFrame {
-    break_patches: Vec<usize>,
-    continue_patches: Vec<usize>,
+impl Body {
+    fn emit(&mut self, op: Op) -> usize {
+        self.code.push(op);
+        self.code.len() - 1
+    }
+
+    fn patch(&mut self, at: usize, target: usize) {
+        let t = target as u32;
+        match &mut self.code[at] {
+            Op::Jump(x)
+            | Op::JumpIfFalsePop(x)
+            | Op::JumpIfTruePeek(x)
+            | Op::JumpIfFalsePeek(x) => *x = t,
+            Op::IterNext { end, .. } => *end = t,
+            Op::MemoEnter { skip, .. } => *skip = t,
+            other => unreachable!("patching non-jump {other:?}"),
+        }
+    }
 }
 
 struct Compiler<'f> {
@@ -701,33 +665,15 @@ struct Compiler<'f> {
 
 impl<'f> Compiler<'f> {
     fn name(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.name_map.get(s) {
-            return i;
-        }
-        let i = self.unit.names.len() as u32;
-        self.unit.names.push(s.to_string());
-        self.name_map.insert(s.to_string(), i);
-        i
+        intern(&mut self.unit.names, &mut self.name_map, s)
     }
 
     fn constant(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.const_map.get(s) {
-            return i;
-        }
-        let i = self.unit.consts.len() as u32;
-        self.unit.consts.push(PhpStr::from(s));
-        self.const_map.insert(s.to_string(), i);
-        i
+        intern(&mut self.unit.consts, &mut self.const_map, s)
     }
 
     fn msg(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.msg_map.get(s) {
-            return i;
-        }
-        let i = self.unit.msgs.len() as u32;
-        self.unit.msgs.push(s.to_string());
-        self.msg_map.insert(s.to_string(), i);
-        i
+        intern(&mut self.unit.msgs, &mut self.msg_map, s)
     }
 
     /// The frame slot of `name` in the body being compiled.
@@ -763,29 +709,11 @@ impl<'f> Compiler<'f> {
         b.code
     }
 
-    fn emit(&mut self, b: &mut Body, op: Op) -> usize {
-        b.code.push(op);
-        b.code.len() - 1
-    }
-
-    fn patch(&mut self, b: &mut Body, at: usize, target: usize) {
-        let t = target as u32;
-        match &mut b.code[at] {
-            Op::Jump(x)
-            | Op::JumpIfFalsePop(x)
-            | Op::JumpIfTruePeek(x)
-            | Op::JumpIfFalsePeek(x) => *x = t,
-            Op::IterNext { end, .. } => *end = t,
-            Op::MemoEnter { skip, .. } => *skip = t,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
-    }
-
     fn stmt(&mut self, b: &mut Body, s: &Stmt) {
         match s {
             Stmt::Expr(e) => {
                 self.expr(b, e);
-                self.emit(b, Op::Pop);
+                b.emit(Op::Pop);
             }
             Stmt::Assign { target, value } => {
                 // Value evaluates before the target is touched (tree order).
@@ -806,41 +734,32 @@ impl<'f> Compiler<'f> {
                 match target {
                     LValue::Var(name) => {
                         let slot = self.slot(b, name);
-                        self.emit(
-                            b,
-                            Op::StoreSlot {
-                                slot,
-                                elide_rc: elide,
-                            },
-                        );
+                        b.emit(Op::StoreSlot {
+                            slot,
+                            elide_rc: elide,
+                        });
                     }
                     LValue::Index { var, key } => {
                         let arena = self.facts.is_some_and(|f| f.arena_safe_stmt(s));
                         let slot = self.slot(b, var);
-                        self.emit(b, Op::LoadIndexBase { slot, arena });
+                        b.emit(Op::LoadIndexBase { slot, arena });
                         match key {
                             Some(kexpr) => {
                                 // Key evaluates after autovivification, as in
                                 // the tree-walker.
                                 let key = self.operand(b, kexpr, true);
-                                self.emit(
-                                    b,
-                                    Op::StoreIndexKeyed {
-                                        value,
-                                        key,
-                                        elide_rc: elide,
-                                        hint: hint_of(shape),
-                                    },
-                                );
+                                b.emit(Op::StoreIndexKeyed {
+                                    value,
+                                    key,
+                                    elide_rc: elide,
+                                    hint: hint_of(shape),
+                                });
                             }
                             None => {
-                                self.emit(
-                                    b,
-                                    Op::StoreAppend {
-                                        elide_rc: elide,
-                                        int_append: shape == KeyShape::IntAppend,
-                                    },
-                                );
+                                b.emit(Op::StoreAppend {
+                                    elide_rc: elide,
+                                    int_append: shape == KeyShape::IntAppend,
+                                });
                             }
                         }
                     }
@@ -859,7 +778,7 @@ impl<'f> Compiler<'f> {
                         self.expr(b, p);
                         Op::Echo { arena }
                     };
-                    self.emit(b, op);
+                    b.emit(op);
                 }
             }
             Stmt::If {
@@ -868,46 +787,26 @@ impl<'f> Compiler<'f> {
                 otherwise,
             } => {
                 self.expr(b, cond);
-                let jf = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
+                let jf = b.emit(Op::JumpIfFalsePop(u32::MAX));
                 for s in then {
                     self.stmt(b, s);
                 }
                 if otherwise.is_empty() {
-                    let end = b.code.len();
-                    self.patch(b, jf, end);
+                    b.patch(jf, b.code.len());
                 } else {
-                    let jend = self.emit(b, Op::Jump(u32::MAX));
-                    let else_at = b.code.len();
-                    self.patch(b, jf, else_at);
+                    let jend = b.emit(Op::Jump(u32::MAX));
+                    b.patch(jf, b.code.len());
                     for s in otherwise {
                         self.stmt(b, s);
                     }
-                    let end = b.code.len();
-                    self.patch(b, jend, end);
+                    b.patch(jend, b.code.len());
                 }
             }
             Stmt::While { cond, body } => {
                 let cap = self.msg("while loop exceeded iteration cap");
-                self.emit(b, Op::PushGuard);
-                let loop_at = b.code.len();
-                self.expr(b, cond);
-                let jexit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
-                self.emit(b, Op::GuardTick { msg: cap });
-                b.loops.push(LoopFrame::default());
-                for s in body {
-                    self.stmt(b, s);
-                }
-                let frame = b.loops.pop().expect("pushed above");
-                self.emit(b, Op::Jump(loop_at as u32));
-                let end = b.code.len(); // the PopGuard below
-                self.patch(b, jexit, end);
-                for at in frame.break_patches {
-                    self.patch(b, at, end);
-                }
-                for at in frame.continue_patches {
-                    self.patch(b, at, loop_at);
-                }
-                self.emit(b, Op::PopGuard);
+                b.emit(Op::PushGuard);
+                let head = |c: &mut Self, b: &mut Body| c.guarded_test(b, cond, cap);
+                self.lower_loop(b, head, body, None, Op::PopGuard);
             }
             Stmt::For {
                 init,
@@ -917,28 +816,9 @@ impl<'f> Compiler<'f> {
             } => {
                 let cap = self.msg("for loop exceeded iteration cap");
                 self.stmt(b, init);
-                self.emit(b, Op::PushGuard);
-                let loop_at = b.code.len();
-                self.expr(b, cond);
-                let jexit = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
-                self.emit(b, Op::GuardTick { msg: cap });
-                b.loops.push(LoopFrame::default());
-                for s in body {
-                    self.stmt(b, s);
-                }
-                let frame = b.loops.pop().expect("pushed above");
-                let step_at = b.code.len();
-                self.stmt(b, step);
-                self.emit(b, Op::Jump(loop_at as u32));
-                let end = b.code.len();
-                self.patch(b, jexit, end);
-                for at in frame.break_patches {
-                    self.patch(b, at, end);
-                }
-                for at in frame.continue_patches {
-                    self.patch(b, at, step_at);
-                }
-                self.emit(b, Op::PopGuard);
+                b.emit(Op::PushGuard);
+                let head = |c: &mut Self, b: &mut Body| c.guarded_test(b, cond, cap);
+                self.lower_loop(b, head, body, Some(step), Op::PopGuard);
             }
             Stmt::Foreach {
                 array,
@@ -947,36 +827,18 @@ impl<'f> Compiler<'f> {
                 body,
             } => {
                 self.expr(b, array);
-                self.emit(b, Op::IterInit);
+                b.emit(Op::IterInit);
                 let elide = self.facts.is_some_and(|f| f.rc_elide_store(s));
                 // Value slot before key slot: the order the names appear in.
                 let value = self.slot(b, value_var);
                 let key = key_var.as_ref().map(|k| self.slot(b, k));
-                let loop_at = b.code.len();
-                let next = self.emit(
-                    b,
-                    Op::IterNext {
-                        value,
-                        key,
-                        elide_rc: elide,
-                        end: u32::MAX,
-                    },
-                );
-                b.loops.push(LoopFrame::default());
-                for s in body {
-                    self.stmt(b, s);
-                }
-                let frame = b.loops.pop().expect("pushed above");
-                self.emit(b, Op::Jump(loop_at as u32));
-                let end = b.code.len(); // the IterPop below
-                self.patch(b, next, end);
-                for at in frame.break_patches {
-                    self.patch(b, at, end);
-                }
-                for at in frame.continue_patches {
-                    self.patch(b, at, loop_at);
-                }
-                self.emit(b, Op::IterPop);
+                let next = Op::IterNext {
+                    value,
+                    key,
+                    elide_rc: elide,
+                    end: u32::MAX,
+                };
+                self.lower_loop(b, |_, b| b.emit(next), body, None, Op::IterPop);
             }
             Stmt::FuncDef(f) => {
                 // A nested definition executed at run time (hoisted
@@ -984,77 +846,107 @@ impl<'f> Compiler<'f> {
                 let compiled = self.func(f);
                 let idx = self.bodies.len() as u32;
                 self.bodies.push(Some(compiled));
-                self.emit(b, Op::DefineFunc { func: idx });
+                b.emit(Op::DefineFunc { func: idx });
             }
             Stmt::Return(e) => {
                 match e {
                     Some(e) => self.expr(b, e),
                     None => {
-                        self.emit(b, Op::PushNull);
+                        b.emit(Op::PushNull);
                     }
                 }
-                self.emit(b, Op::Return);
+                b.emit(Op::Return);
             }
             Stmt::Global(names) => {
                 for n in names {
                     let slot = self.slot(b, n);
                     let main = self.main_slots.intern(n);
-                    self.emit(b, Op::Global { slot, main });
+                    b.emit(Op::Global { slot, main });
                 }
             }
-            Stmt::Break => {
-                if b.loops.is_empty() {
-                    let msg = self.msg("break/continue outside loop");
-                    self.emit(b, Op::Fail { msg });
-                } else {
-                    let at = self.emit(b, Op::Jump(u32::MAX));
-                    b.loops.last_mut().expect("checked").break_patches.push(at);
-                }
+            Stmt::Break | Stmt::Continue if b.loops.is_empty() => {
+                let msg = self.msg("break/continue outside loop");
+                b.emit(Op::Fail { msg });
             }
-            Stmt::Continue => {
-                if b.loops.is_empty() {
-                    let msg = self.msg("break/continue outside loop");
-                    self.emit(b, Op::Fail { msg });
-                } else {
-                    let at = self.emit(b, Op::Jump(u32::MAX));
-                    b.loops
-                        .last_mut()
-                        .expect("checked")
-                        .continue_patches
-                        .push(at);
-                }
+            Stmt::Break | Stmt::Continue => {
+                let at = b.emit(Op::Jump(u32::MAX));
+                let jumps = b.loops.last_mut().expect("checked");
+                jumps.push((at, matches!(s, Stmt::Break)));
             }
         }
+    }
+
+    /// A metered loop's head: the exit test, whose jump out it returns, then
+    /// the iteration tick.
+    fn guarded_test(&mut self, b: &mut Body, cond: &Expr, cap: u32) -> usize {
+        self.expr(b, cond);
+        let exit = b.emit(Op::JumpIfFalsePop(u32::MAX));
+        b.emit(Op::GuardTick { msg: cap });
+        exit
+    }
+
+    /// Lowers a loop from its head on: `head` emits the code that runs
+    /// before each iteration and returns its jump out of the loop; then
+    /// come the body, the `step` statement (where `continue` lands; the head
+    /// when there is none), the jump back to the head, and `close`, where
+    /// the jump out and `break` land.
+    fn lower_loop(
+        &mut self,
+        b: &mut Body,
+        head: impl FnOnce(&mut Self, &mut Body) -> usize,
+        body: &[Stmt],
+        step: Option<&Stmt>,
+        close: Op,
+    ) {
+        let loop_at = b.code.len();
+        let exit = head(self, b);
+        b.loops.push(Vec::new());
+        for s in body {
+            self.stmt(b, s);
+        }
+        let jumps = b.loops.pop().expect("pushed above");
+        let next_at = match step {
+            Some(step) => {
+                let at = b.code.len();
+                self.stmt(b, step);
+                at
+            }
+            None => loop_at,
+        };
+        b.emit(Op::Jump(loop_at as u32));
+        let end = b.code.len();
+        b.patch(exit, end);
+        for (at, is_break) in jumps {
+            b.patch(at, if is_break { end } else { next_at });
+        }
+        b.emit(close);
     }
 
     fn expr(&mut self, b: &mut Body, e: &Expr) {
         match e {
             Expr::Null => {
-                self.emit(b, Op::PushNull);
+                b.emit(Op::PushNull);
             }
             Expr::Bool(v) => {
-                self.emit(b, Op::PushBool(*v));
+                b.emit(Op::PushBool(*v));
             }
             Expr::Int(v) => {
-                self.emit(b, Op::PushInt(*v));
+                b.emit(Op::PushInt(*v));
             }
             Expr::Float(v) => {
-                self.emit(b, Op::PushFloat(*v));
+                b.emit(Op::PushFloat(*v));
             }
             Expr::Str(s) => {
                 let i = self.constant(s);
-                self.emit(b, Op::PushStr(i));
+                b.emit(Op::PushStr(i));
             }
             Expr::Var(name) => {
                 let elide = self.facts.is_some_and(|f| f.rc_elide_read(e));
                 let slot = self.slot(b, name);
-                self.emit(
-                    b,
-                    Op::LoadSlot {
-                        slot,
-                        elide_rc: elide,
-                    },
-                );
+                b.emit(Op::LoadSlot {
+                    slot,
+                    elide_rc: elide,
+                });
             }
             Expr::Index { base, key } => {
                 let base = self.operand(b, base, !calls(key));
@@ -1063,29 +955,26 @@ impl<'f> Compiler<'f> {
                     Some(f) => (f.rc_elide_read(e), f.key_shape_expr(e)),
                     None => (false, KeyShape::Unknown),
                 };
-                self.emit(
-                    b,
-                    Op::IndexGet {
-                        base,
-                        key,
-                        elide_rc: elide,
-                        hint: hint_of(shape),
-                    },
-                );
+                b.emit(Op::IndexGet {
+                    base,
+                    key,
+                    elide_rc: elide,
+                    hint: hint_of(shape),
+                });
             }
             Expr::ArrayLit(items) => {
                 let arena = self.facts.is_some_and(|f| f.arena_safe_expr(e));
-                self.emit(b, Op::NewArray { arena });
+                b.emit(Op::NewArray { arena });
                 for (k, vexpr) in items {
                     // Value before key, matching the tree-walker.
                     self.expr(b, vexpr);
                     match k {
                         Some(kexpr) => {
                             self.expr(b, kexpr);
-                            self.emit(b, Op::ArrayInsert);
+                            b.emit(Op::ArrayInsert);
                         }
                         None => {
-                            self.emit(b, Op::ArrayAppend);
+                            b.emit(Op::ArrayAppend);
                         }
                     }
                 }
@@ -1146,20 +1035,16 @@ impl<'f> Compiler<'f> {
                 };
                 match memo {
                     Some(site) => {
-                        let enter = self.emit(
-                            b,
-                            Op::MemoEnter {
-                                site,
-                                skip: u32::MAX,
-                            },
-                        );
-                        self.emit(b, op);
-                        self.emit(b, Op::MemoStore { site });
-                        let after = b.code.len();
-                        self.patch(b, enter, after);
+                        let enter = b.emit(Op::MemoEnter {
+                            site,
+                            skip: u32::MAX,
+                        });
+                        b.emit(op);
+                        b.emit(Op::MemoStore { site });
+                        b.patch(enter, b.code.len());
                     }
                     None => {
-                        self.emit(b, op);
+                        b.emit(op);
                     }
                 }
             }
@@ -1171,53 +1056,45 @@ impl<'f> Compiler<'f> {
                 self.expr(b, cond);
                 match then {
                     Some(t) => {
-                        let jf = self.emit(b, Op::JumpIfFalsePop(u32::MAX));
+                        let jf = b.emit(Op::JumpIfFalsePop(u32::MAX));
                         self.expr(b, t);
-                        let jend = self.emit(b, Op::Jump(u32::MAX));
-                        let else_at = b.code.len();
-                        self.patch(b, jf, else_at);
+                        let jend = b.emit(Op::Jump(u32::MAX));
+                        b.patch(jf, b.code.len());
                         self.expr(b, otherwise);
-                        let end = b.code.len();
-                        self.patch(b, jend, end);
+                        b.patch(jend, b.code.len());
                     }
                     None => {
                         // Elvis: a truthy condition is itself the result.
-                        let jt = self.emit(b, Op::JumpIfTruePeek(u32::MAX));
-                        self.emit(b, Op::Pop);
+                        let jt = b.emit(Op::JumpIfTruePeek(u32::MAX));
+                        b.emit(Op::Pop);
                         self.expr(b, otherwise);
-                        let end = b.code.len();
-                        self.patch(b, jt, end);
+                        b.patch(jt, b.code.len());
                     }
                 }
             }
             Expr::Not(inner) => {
                 self.expr(b, inner);
-                self.emit(b, Op::Not);
+                b.emit(Op::Not);
             }
             Expr::Neg(inner) => {
                 self.expr(b, inner);
-                self.emit(b, Op::Neg);
+                b.emit(Op::Neg);
             }
             Expr::Bin { op, lhs, rhs } => match op {
-                BinOp::And => {
+                BinOp::And | BinOp::Or => {
+                    // The left side's truth value decides when it is false
+                    // (`And`) or true (`Or`).
                     self.expr(b, lhs);
-                    self.emit(b, Op::ToBool);
-                    let jf = self.emit(b, Op::JumpIfFalsePeek(u32::MAX));
-                    self.emit(b, Op::Pop);
+                    b.emit(Op::ToBool);
+                    let decided = match op {
+                        BinOp::And => Op::JumpIfFalsePeek(u32::MAX),
+                        _ => Op::JumpIfTruePeek(u32::MAX),
+                    };
+                    let jump = b.emit(decided);
+                    b.emit(Op::Pop);
                     self.expr(b, rhs);
-                    self.emit(b, Op::ToBool);
-                    let end = b.code.len();
-                    self.patch(b, jf, end);
-                }
-                BinOp::Or => {
-                    self.expr(b, lhs);
-                    self.emit(b, Op::ToBool);
-                    let jt = self.emit(b, Op::JumpIfTruePeek(u32::MAX));
-                    self.emit(b, Op::Pop);
-                    self.expr(b, rhs);
-                    self.emit(b, Op::ToBool);
-                    let end = b.code.len();
-                    self.patch(b, jt, end);
+                    b.emit(Op::ToBool);
+                    b.patch(jump, b.code.len());
                 }
                 BinOp::Concat if self.opts.fuse => {
                     let mut leaves: Vec<(&Expr, bool)> = Vec::new();
@@ -1235,14 +1112,11 @@ impl<'f> Compiler<'f> {
                         let skip = leaves.iter().enumerate().filter(|(_, (_, skip))| *skip);
                         let skip_mask = skip.fold(0, |mask, (i, _)| mask | 1 << i);
                         let arena = self.facts.is_some_and(|f| f.arena_safe_expr(e));
-                        self.emit(
-                            b,
-                            Op::ConcatN {
-                                parts,
-                                skip_mask,
-                                arena,
-                            },
-                        );
+                        b.emit(Op::ConcatN {
+                            parts,
+                            skip_mask,
+                            arena,
+                        });
                     } else {
                         self.bin_generic(b, e, *op, lhs, rhs);
                     }
@@ -1257,17 +1131,14 @@ impl<'f> Compiler<'f> {
         let rhs = self.operand(b, rhs, true);
         let (skip_lhs, skip_rhs) = self.facts.map(|f| f.bin_typed(e)).unwrap_or((false, false));
         let arena = self.facts.is_some_and(|f| f.arena_safe_expr(e));
-        self.emit(
-            b,
-            Op::Bin {
-                op,
-                lhs,
-                rhs,
-                skip_lhs,
-                skip_rhs,
-                arena,
-            },
-        );
+        b.emit(Op::Bin {
+            op,
+            lhs,
+            rhs,
+            skip_lhs,
+            skip_rhs,
+            arena,
+        });
     }
 
     /// Lowers `e` as one input of an op. With fusion on, a string or
@@ -1299,6 +1170,21 @@ impl<'f> Compiler<'f> {
         }
         out
     }
+}
+
+/// The index of `s` in one of the unit's pools, appended on first use;
+/// `index` maps each pooled string to its index.
+fn intern<T: for<'s> From<&'s str>>(
+    pool: &mut Vec<T>,
+    index: &mut HashMap<String, u32>,
+    s: &str,
+) -> u32 {
+    if let Some(&i) = index.get(s) {
+        return i;
+    }
+    pool.push(T::from(s));
+    index.insert(s.to_string(), pool.len() as u32 - 1);
+    pool.len() as u32 - 1
 }
 
 /// Whether evaluating `e` can call a function: the one way an expression
@@ -1334,27 +1220,18 @@ fn flatten_concat<'e>(e: &'e Expr, facts: Option<&AnalysisFacts>, out: &mut Vec<
         unreachable!("flatten_concat on a non-concat node");
     };
     let (skip_l, skip_r) = facts.map(|f| f.bin_typed(e)).unwrap_or((false, false));
-    if matches!(
-        lhs.as_ref(),
-        Expr::Bin {
-            op: BinOp::Concat,
-            ..
+    for (side, skip) in [(lhs, skip_l), (rhs, skip_r)] {
+        if matches!(
+            side.as_ref(),
+            Expr::Bin {
+                op: BinOp::Concat,
+                ..
+            }
+        ) {
+            flatten_concat(side, facts, out);
+        } else {
+            out.push((side, skip));
         }
-    ) {
-        flatten_concat(lhs, facts, out);
-    } else {
-        out.push((lhs, skip_l));
-    }
-    if matches!(
-        rhs.as_ref(),
-        Expr::Bin {
-            op: BinOp::Concat,
-            ..
-        }
-    ) {
-        flatten_concat(rhs, facts, out);
-    } else {
-        out.push((rhs, skip_r));
     }
 }
 

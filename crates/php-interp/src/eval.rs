@@ -98,8 +98,6 @@ pub struct Interp<'m> {
     scopes: Vec<Scope>,
     output: Vec<u8>,
     regex_cache: HashMap<String, Arc<Regex>>,
-    /// Runtime regex compiles performed (regex-cache misses).
-    regex_compiles: u64,
     /// Recursion guard.
     depth: usize,
     /// Static-analysis facts for the program being run (see
@@ -133,6 +131,23 @@ pub(crate) fn key_of(v: &PhpValue) -> ArrayKey {
         PhpValue::Bool(b) => ArrayKey::Int(*b as i64),
         other => ArrayKey::Str(other.to_php_string()),
     }
+}
+
+/// The compiled regex for a `preg_*` pattern from a per-request cache,
+/// compiled on first use (shared by both engines).
+pub(crate) fn cached_regex(
+    cache: &mut HashMap<String, Arc<Regex>>,
+    pattern: &str,
+) -> Result<Arc<Regex>, RuntimeError> {
+    if let Some(re) = cache.get(pattern) {
+        return Ok(Arc::clone(re));
+    }
+    let inner = strip_delimiters(pattern)
+        .ok_or_else(|| RuntimeError::new(format!("bad preg pattern {pattern:?}")))?;
+    let re = Regex::new(inner).map_err(|e| RuntimeError::new(format!("regex error: {e}")))?;
+    let re = Arc::new(re);
+    cache.insert(pattern.to_owned(), Arc::clone(&re));
+    Ok(re)
 }
 
 /// Emits a PHP `E_WARNING`-style diagnostic into an output stream.
@@ -283,7 +298,6 @@ impl<'m> Interp<'m> {
             }],
             output: Vec::new(),
             regex_cache: HashMap::new(),
-            regex_compiles: 0,
             depth: 0,
             facts: None,
             memo: None,
@@ -316,20 +330,10 @@ impl<'m> Interp<'m> {
         self.facts = Some(facts);
     }
 
-    /// Detaches static-analysis facts.
-    pub fn clear_facts(&mut self) {
-        self.facts = None;
-    }
-
     /// Attaches a shared memo tier. Only sites the attached facts prove
     /// memoizable consult it, so without facts this is inert.
     pub fn set_memo(&mut self, handle: MemoHandle) {
         self.memo = Some(handle);
-    }
-
-    /// Detaches the memo tier.
-    pub fn clear_memo(&mut self) {
-        self.memo = None;
     }
 
     /// Draws the next value of the engine's deterministic `rand` stream.
@@ -401,24 +405,6 @@ impl<'m> Interp<'m> {
             }
         }
         Ok(())
-    }
-
-    /// Calls a user-defined function by name (used by workload drivers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError`] if the function is unknown or fails.
-    pub fn call_function(
-        &mut self,
-        name: &str,
-        args: Vec<PhpValue>,
-    ) -> Result<PhpValue, RuntimeError> {
-        let def = self
-            .funcs
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RuntimeError::new(format!("undefined function {name}")))?;
-        self.invoke(&def, args)
     }
 
     fn invoke(&mut self, def: &FuncDef, args: Vec<PhpValue>) -> Result<PhpValue, RuntimeError> {
@@ -595,10 +581,6 @@ impl<'m> Interp<'m> {
         }
     }
 
-    fn key_of(v: &PhpValue) -> ArrayKey {
-        key_of(v)
-    }
-
     /// Charges one interpreter step against the armed execution budget.
     fn fuel_step(&mut self) -> Result<(), RuntimeError> {
         if self.machine.ctx().consume_fuel(1) {
@@ -666,7 +648,7 @@ impl<'m> Interp<'m> {
                         match key {
                             Some(kexpr) => {
                                 let kv = self.expr(kexpr)?;
-                                let k = Self::key_of(&kv);
+                                let k = key_of(&kv);
                                 self.machine.array_set_static(
                                     &mut rc.borrow_mut(),
                                     k,
@@ -787,11 +769,7 @@ impl<'m> Interp<'m> {
                 };
                 for (k, v) in pairs {
                     if let Some(kv) = key_var {
-                        let key_value = match &k {
-                            ArrayKey::Int(i) => PhpValue::Int(*i),
-                            ArrayKey::Str(s) => PhpValue::str(s.clone()),
-                        };
-                        self.set_var_static(kv, key_value, st, hint);
+                        self.set_var_static(kv, PhpValue::from(k), st, hint);
                     }
                     self.set_var_static(value_var, v, st, hint);
                     match self.run_loop_body(body)? {
@@ -882,7 +860,7 @@ impl<'m> Interp<'m> {
                     match k {
                         Some(kexpr) => {
                             let kv = self.expr(kexpr)?;
-                            self.machine.array_set(&mut a, Self::key_of(&kv), v);
+                            self.machine.array_set(&mut a, key_of(&kv), v);
                         }
                         None => {
                             self.machine.array_push(&mut a, v);
@@ -978,20 +956,6 @@ impl<'m> Interp<'m> {
         binop_eval(self.machine, &mut self.output, op, l, r, arena_safe)
     }
 
-    /// Compiles (and caches) a `/pattern/`-delimited preg pattern, returning
-    /// a handle to the cached instance.
-    pub(crate) fn compile_regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
-        if !self.regex_cache.contains_key(pattern) {
-            let inner = strip_delimiters(pattern)
-                .ok_or_else(|| RuntimeError::new(format!("bad preg pattern {pattern:?}")))?;
-            let re =
-                Regex::new(inner).map_err(|e| RuntimeError::new(format!("regex error: {e}")))?;
-            self.regex_compiles += 1;
-            self.regex_cache.insert(pattern.to_owned(), Arc::new(re));
-        }
-        Ok(Arc::clone(&self.regex_cache[pattern]))
-    }
-
     /// The compiled regex for a `preg_*` pattern argument: the analysis-time
     /// handle recorded for this call site when one exists (counted as an
     /// avoided compile), otherwise a runtime compile through the per-request
@@ -1008,14 +972,13 @@ impl<'m> Interp<'m> {
                 return Ok(re);
             }
         }
-        self.compile_regex(pattern)
+        cached_regex(&mut self.regex_cache, pattern)
     }
 
-    /// How many runtime regex compiles this interpreter performed (cache
-    /// misses in [`Interp::compile_regex`]; analysis-precompiled patterns
-    /// never count).
+    /// How many runtime regex compiles this interpreter performed (one per
+    /// pattern its cache holds; analysis-precompiled patterns never count).
     pub fn regex_compile_count(&self) -> u64 {
-        self.regex_compiles
+        self.regex_cache.len() as u64
     }
 
     /// Sets a variable in the current scope (used by builtins like

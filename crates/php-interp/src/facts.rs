@@ -322,27 +322,12 @@ impl AnalysisFacts {
 
     // -- summary counts (used by reports) ------------------------------------
 
-    /// Number of nodes interned.
-    pub fn node_count(&self) -> usize {
-        self.expr_ids.len() + self.stmt_ids.len()
-    }
-
     /// Number of `Bin` operand slots with proven types.
     pub fn typed_operand_count(&self) -> usize {
         self.bin_typed
             .values()
             .map(|(l, r)| *l as usize + *r as usize)
             .sum()
-    }
-
-    /// Number of elidable read nodes.
-    pub fn rc_elide_read_count(&self) -> usize {
-        self.rc_elide_read.len()
-    }
-
-    /// Number of elidable store statements.
-    pub fn rc_elide_store_count(&self) -> usize {
-        self.rc_elide_store.len()
     }
 
     /// Number of access sites with a proven key shape, by shape.

@@ -29,7 +29,7 @@
 
 use crate::builtins;
 use crate::compile::{CompiledUnit, Op, OpKind, Operand, SlotMap, OP_KIND_COUNT};
-use crate::eval::{binop_eval, index_read, key_of, RuntimeError, MAX_DEPTH};
+use crate::eval::{binop_eval, cached_regex, index_read, key_of, RuntimeError, MAX_DEPTH};
 use crate::memo::{MemoHandle, MemoHit, MemoValue};
 use php_runtime::array::{ArrayKey, PhpArray};
 use php_runtime::string::PhpStr;
@@ -214,7 +214,6 @@ pub struct Vm<'m> {
     rebound_funcs: Option<HashMap<String, u32>>,
     output: Vec<u8>,
     regex_cache: HashMap<String, Arc<Regex>>,
-    regex_compiles: u64,
     depth: usize,
     tally: OpcodeTally,
     /// Shared memo tier; `MemoEnter`/`MemoStore` are no-ops when absent.
@@ -246,7 +245,6 @@ impl<'m> Vm<'m> {
             rebound_funcs: None,
             output: Vec::new(),
             regex_cache: HashMap::new(),
-            regex_compiles: 0,
             depth: 0,
             tally: OpcodeTally::default(),
             memo: None,
@@ -260,11 +258,6 @@ impl<'m> Vm<'m> {
     /// compiled.
     pub fn set_memo(&mut self, handle: MemoHandle) {
         self.memo = Some(handle);
-    }
-
-    /// Detaches the memo tier.
-    pub fn clear_memo(&mut self) {
-        self.memo = None;
     }
 
     /// The machine.
@@ -290,18 +283,6 @@ impl<'m> Vm<'m> {
     /// Also counts statically adjacent opcode pairs from here on.
     pub fn count_pairs(&mut self) {
         self.tally = OpcodeTally::with_pairs();
-    }
-
-    /// Runtime regex compiles performed (cache misses; precompiled patterns
-    /// never count).
-    pub fn regex_compile_count(&self) -> u64 {
-        self.regex_compiles
-    }
-
-    /// Sets a variable in the current scope (workload drivers bind request
-    /// variables through this, mirroring [`crate::Interp::set_var_public`]).
-    pub fn set_var_public(&mut self, name: &str, value: PhpValue) {
-        self.set_var_by_name(name, value);
     }
 
     /// Runs the unit's main body.
@@ -487,10 +468,11 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Sets a variable of the running body by name (a request variable, an
-    /// `extract`ed key): its slot when the body mentions the name, the
-    /// frame's spill table otherwise.
-    fn set_var_by_name(&mut self, name: &str, value: PhpValue) {
+    /// Sets a variable of the running body by name, as workload drivers bind
+    /// request variables and `extract` binds keys (mirroring
+    /// [`crate::Interp::set_var_public`]): its slot when the body mentions
+    /// the name, the frame's spill table otherwise.
+    pub fn set_var_public(&mut self, name: &str, value: PhpValue) {
         let map = match self.frame.func {
             Some(f) => &self.unit.funcs[f as usize].slots,
             None => &self.unit.main_slots,
@@ -525,18 +507,6 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn compile_regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
-        if !self.regex_cache.contains_key(pattern) {
-            let inner = crate::eval::strip_delimiters(pattern)
-                .ok_or_else(|| RuntimeError::new(format!("bad preg pattern {pattern:?}")))?;
-            let re =
-                Regex::new(inner).map_err(|e| RuntimeError::new(format!("regex error: {e}")))?;
-            self.regex_compiles += 1;
-            self.regex_cache.insert(pattern.to_owned(), Arc::new(re));
-        }
-        Ok(Arc::clone(&self.regex_cache[pattern]))
-    }
-
     fn call_builtin(
         &mut self,
         name: &str,
@@ -552,7 +522,7 @@ impl<'m> Vm<'m> {
                 self.vm.machine
             }
             fn set_var(&mut self, name: &str, value: PhpValue) {
-                self.vm.set_var_by_name(name, value);
+                self.vm.set_var_public(name, value);
             }
             fn next_rand(&mut self) -> i64 {
                 builtins::rand_step(&mut self.vm.rand_state)
@@ -567,7 +537,7 @@ impl<'m> Vm<'m> {
                         .note_regex_compile_avoided();
                     return Ok(re);
                 }
-                self.vm.compile_regex(pattern)
+                cached_regex(&mut self.vm.regex_cache, pattern)
             }
         }
         builtins::dispatch(&mut VmHost { vm: self, regex }, name, args)
@@ -839,11 +809,7 @@ impl<'m> Vm<'m> {
                         let (k, v) = pairs[*pos].clone();
                         *pos += 1;
                         if let Some(key_slot) = key {
-                            let key_value = match k {
-                                ArrayKey::Int(i) => PhpValue::Int(i),
-                                ArrayKey::Str(s) => PhpValue::str(s),
-                            };
-                            self.store(*key_slot, key_value, *elide_rc);
+                            self.store(*key_slot, PhpValue::from(k), *elide_rc);
                         }
                         self.store(*value, v, *elide_rc);
                     }

@@ -37,14 +37,6 @@ impl ArrayKey {
         }
     }
 
-    /// Byte length of the key when stored (0 for int keys).
-    pub fn byte_len(&self) -> usize {
-        match self {
-            ArrayKey::Int(_) => 0,
-            ArrayKey::Str(s) => s.len(),
-        }
-    }
-
     /// µop cost of hashing this key in software (per-byte loop for strings).
     pub fn hash_cost(&self) -> u64 {
         match self {

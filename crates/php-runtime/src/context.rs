@@ -274,13 +274,6 @@ impl RuntimeContext {
         PhpValue::str(s)
     }
 
-    /// Creates a string value whose backing allocation lives for the request.
-    pub fn make_str(&self, s: impl Into<PhpStr>) -> PhpValue {
-        let s: PhpStr = s.into();
-        self.alloc_scoped(s.heap_size());
-        PhpValue::str(s)
-    }
-
     /// Creates a new array with a simulated base address (request-scoped).
     pub fn new_array(&self) -> PhpArray {
         self.new_array_static(false)

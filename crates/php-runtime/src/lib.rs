@@ -35,7 +35,6 @@ pub mod profile;
 pub mod refcount;
 pub mod strfuncs;
 pub mod string;
-pub mod symtab;
 pub mod value;
 
 pub use addr::{AddrMap, AddrSet};

@@ -103,11 +103,6 @@ impl fmt::Display for PhpStr {
 /// Shared string handle used inside [`crate::value::PhpValue`].
 pub type RcStr = Rc<PhpStr>;
 
-/// Convenience constructor for a shared string.
-pub fn rcstr(s: impl Into<PhpStr>) -> RcStr {
-    Rc::new(s.into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

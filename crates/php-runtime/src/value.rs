@@ -5,7 +5,7 @@
 //! \[22\] removes; the [`crate::context::RuntimeContext`] charges those costs
 //! explicitly via [`PhpValue::type_check_cost`].
 
-use crate::array::PhpArray;
+use crate::array::{ArrayKey, PhpArray};
 use crate::profile::OpCost;
 use crate::string::{PhpStr, RcStr};
 use std::cell::RefCell;
@@ -233,6 +233,16 @@ impl From<f64> for PhpValue {
 impl From<bool> for PhpValue {
     fn from(b: bool) -> Self {
         PhpValue::Bool(b)
+    }
+}
+
+impl From<ArrayKey> for PhpValue {
+    /// The value PHP hands out for a key (`foreach`, `array_keys`).
+    fn from(k: ArrayKey) -> Self {
+        match k {
+            ArrayKey::Int(i) => PhpValue::Int(i),
+            ArrayKey::Str(s) => PhpValue::str(s),
+        }
     }
 }
 

@@ -236,11 +236,6 @@ impl Regex {
 
     // -- FSM-table interface (content reuse, §4.5) ---------------------------
 
-    /// The anchored FSM's start state.
-    pub fn fsm_start(&self) -> DfaStateId {
-        self.dfa().start_state()
-    }
-
     /// FSM state after consuming `prefix` from the start (`None` if dead) —
     /// the value `regexset` stores in the reuse table.
     pub fn fsm_state_after(&self, prefix: &[u8]) -> Option<DfaStateId> {

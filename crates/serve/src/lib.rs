@@ -55,7 +55,6 @@ pub mod breaker;
 pub mod fault;
 pub mod hist;
 pub mod http;
-pub mod lintgate;
 pub mod memo;
 pub mod metrics_text;
 pub mod middleware;
@@ -77,7 +76,6 @@ pub use http::{
     parse_request, FrontSnapshot, HttpConfig, HttpLimits, HttpParseError, HttpReport, HttpRequest,
     HttpResponse, HttpServer,
 };
-pub use lintgate::{GateRejection, GateStats, LintGate, LintGateConfig};
 pub use memo::{MemoCache, MemoCacheStats};
 pub use metrics_text::{parse_prometheus, render_prometheus, MetricsSnapshot};
 pub use middleware::{

@@ -89,11 +89,6 @@ impl MiddlewareChain {
         self
     }
 
-    /// Stage names, outermost first.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
-    }
-
     /// Runs `inner` inside the chain (see module docs for the onion
     /// contract) and returns the final response.
     pub fn handle(

@@ -59,13 +59,6 @@ pub struct Lookup {
     tags: [u16; 16],
 }
 
-impl Lookup {
-    /// Which tagged table provided the prediction, if any (diagnostics).
-    pub fn provider_table(&self) -> Option<usize> {
-        self.provider.map(|(t, _)| t)
-    }
-}
-
 /// Predictor statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredStats {
