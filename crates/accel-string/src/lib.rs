@@ -25,4 +25,4 @@ pub mod ops;
 
 pub use engine::{StrAccelConfig, StringAccel};
 pub use matrix::{ConfigError, MatrixConfig, RowSpec, MAX_BLOCK_WIDTH};
-pub use ops::{AccelCost, StrAccelStats, StrOpKind, Unsupported};
+pub use ops::{AccelCost, StrAccelStats, Unsupported};

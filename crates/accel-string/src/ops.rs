@@ -1,27 +1,5 @@
 //! Operation descriptors and cost accounting for the string accelerator.
 
-/// The six-bit opcode space of `stringop[op]` (§4.6). Each variant is one of
-/// the string functions the shared datapath supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StrOpKind {
-    /// Substring find (`strpos`-class).
-    Find,
-    /// First occurrence of any byte from a set (`strpbrk`/trim scans).
-    FindSet,
-    /// Block-wise compare (`strcmp`-class).
-    Compare,
-    /// Case conversion and other ranged translations.
-    Translate,
-    /// Strip a byte set from both ends.
-    Trim,
-    /// Prefix span of a character class (`ctype` scans).
-    Span,
-    /// Single-byte substitution (`str_replace` of one char).
-    ReplaceByte,
-    /// Special-character sift producing a hint vector (§4.5 support).
-    SiftSpecial,
-}
-
 /// Cost of one accelerator invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccelCost {

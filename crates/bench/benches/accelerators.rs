@@ -11,7 +11,7 @@ use accel_htable::HwHashTable;
 use accel_regex::{regexp_shadow, regexp_sieve};
 use accel_string::StringAccel;
 use php_runtime::array::{ArrayKey, PhpArray};
-use php_runtime::strfuncs::{scalar_find, swar_find};
+use php_runtime::strfuncs::scalar_find;
 use php_runtime::value::PhpValue;
 use regex_engine::Regex;
 use workloads::{AppKind, LoadGen};
@@ -55,7 +55,6 @@ fn bench_string(c: &mut Criterion) {
     g.bench_function("scalar", |b| {
         b.iter(|| black_box(scalar_find(&hay, b"needle")))
     });
-    g.bench_function("swar", |b| b.iter(|| black_box(swar_find(&hay, b"needle"))));
     g.bench_function("accel-model", |b| {
         let mut a = StringAccel::default();
         b.iter(|| black_box(a.find(&hay, b"needle", 0).unwrap()))

@@ -21,7 +21,7 @@
 
 use bench::{header, quick_load, serving_machine};
 use php_analysis::report::parse_allowlist;
-use php_interp::{MemoTier, SimpleMemo, Vm};
+use php_interp::{MemoCache, MemoTier, Vm};
 use phpaccel_core::PhpMachine;
 use std::sync::Arc;
 use workloads::php_corpus;
@@ -187,7 +187,7 @@ fn main() {
             // Memoization demo: two requests against one cross-request
             // tier. The cold request stores at every proven site, the warm
             // one replays — and both must still print the memo-off bytes.
-            let tier: Arc<dyn MemoTier> = Arc::new(SimpleMemo::new());
+            let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
             let mut warm = (0, 0, 0, 0);
             for pass in ["cold", "warm"] {
                 let mut m = serving_machine();

@@ -22,22 +22,13 @@
 //! Usage: `serve_bench [--smoke] [--out PATH]`
 
 use bench::{serve_corpus, uops_to_us, Bench, Json, Sweep, CLOCK_GHZ};
-use serve::PoolConfig;
+use serve::{percentile, PoolConfig};
 use std::process::ExitCode;
 use workloads::php_corpus::CorpusCache;
 
 /// Requests per run (full mode / --smoke).
 const FULL_REQUESTS: u64 = 400;
 const SMOKE_REQUESTS: u64 = 80;
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
 
 fn main() -> ExitCode {
     let bench = Bench::from_env("serve");

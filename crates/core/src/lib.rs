@@ -26,13 +26,11 @@
 
 pub mod account;
 pub mod config;
-pub mod isa;
 pub mod priors;
 pub mod specialized;
 
 pub use accel_htable::KeyShapeHint;
 pub use account::{compare, cycles_of, Comparison, Ledger};
 pub use config::{MachineConfig, PriorsConfig};
-pub use isa::{AccelInstr, InstrResult};
 pub use priors::{PriorOpt, PriorsOutcome};
 pub use specialized::{key_bytes, AccelId, Engine, ExecMode, MBlock, PhpMachine, SpecializedCore};

@@ -133,95 +133,6 @@ impl SpecializedCore {
             + self.heap.stats().accel_cycles
             + self.straccel.stats().cycles
     }
-
-    /// Executes one accelerator instruction at the architectural level
-    /// (§4.6): result register + zero flag. The zero flag set means the
-    /// code must branch to the software handler fallback. Heap instructions
-    /// need the software allocator and profiler for their handler paths.
-    pub fn execute(
-        &mut self,
-        instr: &crate::isa::AccelInstr,
-        alloc: &mut php_runtime::alloc::SlabAllocator,
-        prof: &php_runtime::Profiler,
-    ) -> crate::isa::InstrResult {
-        use crate::isa::{AccelInstr, InstrResult};
-        match instr {
-            AccelInstr::HashTableGet { base, key } => match self.htable.get(*base, key) {
-                GetOutcome::Hit { value_ptr } => InstrResult::ok(value_ptr, 3),
-                GetOutcome::Miss | GetOutcome::Unsupported => InstrResult::fallback(3),
-            },
-            AccelInstr::HashTableSet {
-                base,
-                key,
-                value_ptr,
-            } => {
-                match self.htable.set(*base, key, *value_ptr) {
-                    SetOutcome::Updated => InstrResult::ok(0, 3),
-                    SetOutcome::Inserted {
-                        eviction: Eviction::DirtyWriteback { evicted },
-                    } => {
-                        // Overflow: zero flag — software writes the victim back.
-                        InstrResult {
-                            zero_flag: true,
-                            result: evicted.value_ptr,
-                            cycles: 3,
-                        }
-                    }
-                    SetOutcome::Inserted { .. } => InstrResult::ok(0, 3),
-                    SetOutcome::Unsupported => InstrResult::fallback(1),
-                }
-            }
-            AccelInstr::HmMalloc { size } => match self.heap.hmmalloc(*size, alloc, prof) {
-                MallocOutcome::Hit { addr } => InstrResult::ok(addr, 1),
-                // Zero flag: the handler already supplied the block; the
-                // result register still carries the address.
-                MallocOutcome::SoftwareRefill { addr } => InstrResult {
-                    zero_flag: true,
-                    result: addr,
-                    cycles: 1,
-                },
-                MallocOutcome::TooLarge => InstrResult::fallback(1),
-            },
-            AccelInstr::HmFree { addr, size } => {
-                match self.heap.hmfree(*addr, *size, alloc, prof) {
-                    FreeOutcome::Hit => InstrResult::ok(0, 1),
-                    FreeOutcome::Spilled | FreeOutcome::TooLarge => InstrResult::fallback(1),
-                }
-            }
-            AccelInstr::HmFlush => {
-                let flushed = self.heap.hmflush(alloc, prof) as u64;
-                InstrResult::ok(flushed, 1 + flushed)
-            }
-            AccelInstr::StringOp { .. } => {
-                // Data-carrying string ops go through the typed engine API
-                // (PhpMachine); at ISA level we only model the invocation.
-                InstrResult::ok(0, self.straccel.config().cycles_per_block)
-            }
-            AccelInstr::StrReadConfig => {
-                let cycles = self.straccel.strreadconfig();
-                InstrResult::ok(0, cycles)
-            }
-            AccelInstr::StrWriteConfig => {
-                let stored = self.straccel.strwriteconfig();
-                InstrResult::ok(stored as u64, 1)
-            }
-            AccelInstr::RegexLookup { pc, asid } => {
-                // Architectural probe: content comes from the pending scan
-                // buffer; modeled here with an empty-content lookup, which
-                // is a table access without a content hit.
-                match self.reuse.regexlookup(*pc, *asid, &[]) {
-                    accel_regex::LookupOutcome::Hit { state, .. } => {
-                        InstrResult::ok(state as u64, 1)
-                    }
-                    _ => InstrResult::fallback(1),
-                }
-            }
-            AccelInstr::RegexSet { pc, asid, state } => {
-                self.reuse.regexset(*pc, *asid, *state);
-                InstrResult::ok(0, 1)
-            }
-        }
-    }
 }
 
 /// A heap block handed out by the machine (hardware- or software-served).

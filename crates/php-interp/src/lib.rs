@@ -38,6 +38,6 @@ pub use compile::{
 };
 pub use eval::{strip_delimiters, ErrorKind, Interp, RuntimeError};
 pub use facts::{AnalysisFacts, KeyShape, MemoSiteFact, NodeId};
-pub use memo::{MemoHandle, MemoHit, MemoTier, MemoValue, SimpleMemo};
+pub use memo::{MemoCache, MemoCacheStats, MemoHandle, MemoHit, MemoTier, MemoValue};
 pub use parser::{parse, ParseError};
 pub use vm::{OpcodeTally, Vm};

@@ -27,6 +27,8 @@
 //! Keys are namespaced per program (the [`MemoHandle`] carries the
 //! namespace), because node-local site identity does not survive across
 //! different scripts sharing one cache tier.
+//!
+//! [`MemoCache`] is the tier every server, bench and test uses.
 
 use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
@@ -34,7 +36,7 @@ use php_runtime::value::PhpValue;
 use phpaccel_core::PhpMachine;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Maximum array nesting depth a value may have and still be memoized.
 /// Deeper (or cyclic) values make the site silently non-memoizable at
@@ -210,9 +212,9 @@ pub struct MemoHit {
     pub output: Vec<u8>,
 }
 
-/// A shared memoization tier. `serve::memo::MemoCache` is the production
-/// (sharded, bucket-locked) implementation; [`SimpleMemo`] is the
-/// single-lock reference used by tests and differential harnesses.
+/// A shared memoization tier. [`MemoCache`] is the implementation every
+/// server, bench and test uses; the trait is the seam for wrappers that
+/// observe or forward its calls.
 pub trait MemoTier: Send + Sync {
     /// Looks up `key`, cloning the stored result on a hit.
     fn lookup(&self, key: &str) -> Option<MemoHit>;
@@ -299,100 +301,213 @@ impl MemoHandle {
     }
 }
 
+/// Default shard count — comfortably above typical worker counts so two
+/// workers rarely queue on the same lock.
+pub const DEFAULT_SHARDS: usize = 16;
+
+/// Point-in-time counters for a [`MemoCache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoCacheStats {
+    /// Lookups that found an entry.
+    pub hits: u64,
+    /// Lookups that found nothing.
+    pub misses: u64,
+    /// Entries written.
+    pub stores: u64,
+    /// Entries dropped by dependency invalidation.
+    pub invalidations: u64,
+    /// Shards cleared after a lock-poisoning panic (see
+    /// [`MemoCache`]'s poisoning policy; stays 0 in healthy operation).
+    pub poison_recoveries: u64,
+    /// Entries currently resident across all shards.
+    pub entries: usize,
+}
+
 #[derive(Default)]
-struct SimpleMemoInner {
+struct Shard {
+    /// key → (dependency fingerprint, cached result).
     entries: HashMap<String, (Vec<String>, MemoHit)>,
+    /// dep → keys of resident entries fingerprinted on it (same shard as
+    /// the entry, so invalidation walks shards without cross-locking).
     by_dep: HashMap<String, HashSet<String>>,
 }
 
-/// Reference [`MemoTier`]: one lock, one map. Differential tests run this
-/// against the sharded production tier — both must produce byte-identical
-/// program output, because the tier only ever replays proven-deterministic
-/// results.
-#[derive(Default)]
-pub struct SimpleMemo {
-    inner: Mutex<SimpleMemoInner>,
+/// The shared [`MemoTier`]: an APCu-style in-memory cache shared by every
+/// worker of a pool, sharded by key hash with one lock per shard, so
+/// concurrent workers contend only when their keys collide on a shard —
+/// bucket-level locking, the software analogue of the paper's banked
+/// hash-table storage.
+///
+/// **Poisoning policy:** a worker panicking while it holds a shard lock
+/// (the sandbox catches handler panics *after* any `MemoTier` call inside
+/// the handler unwinds through it) used to leave that shard's mutex
+/// poisoned forever — every later `.lock().unwrap()` by every worker then
+/// panicked, permanently killing lookups on a sixteenth of the key space.
+/// Instead, a poisoned shard is recovered via `into_inner` and **cleared**:
+/// the interrupted operation may have half-applied its entry/dep-index
+/// updates, and dropping the shard's entries is always safe (a memo cache
+/// only ever re-computes), while trusting them is not. Recoveries are
+/// counted in [`MemoCacheStats::poison_recoveries`].
+pub struct MemoCache {
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
     invalidations: AtomicU64,
+    poison_recoveries: AtomicU64,
 }
 
-impl SimpleMemo {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(hits, misses, stores, invalidated entries)` so far.
-    pub fn stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.stores.load(Ordering::Relaxed),
-            self.invalidations.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+impl std::fmt::Debug for MemoCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemoCache")
+            .field("shards", &self.shards.len())
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
-impl MemoTier for SimpleMemo {
-    fn lookup(&self, key: &str) -> Option<MemoHit> {
-        let inner = self.inner.lock().unwrap();
-        match inner.entries.get(key) {
-            Some((_, hit)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+impl Default for MemoCache {
+    fn default() -> Self {
+        Self::new(DEFAULT_SHARDS)
+    }
+}
+
+/// FNV-1a over the key bytes: stable across runs (unlike `HashMap`'s
+/// per-instance seeded hasher), so shard placement — and therefore lock
+/// contention — is reproducible.
+fn shard_hash(key: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in key.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+impl MemoCache {
+    /// Creates a cache with `shards` independently locked buckets
+    /// (minimum 1).
+    pub fn new(shards: usize) -> Self {
+        let shards = shards.max(1);
+        MemoCache {
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            stores: AtomicU64::new(0),
+            invalidations: AtomicU64::new(0),
+            poison_recoveries: AtomicU64::new(0),
+        }
+    }
+
+    fn shard(&self, key: &str) -> &Mutex<Shard> {
+        &self.shards[(shard_hash(key) % self.shards.len() as u64) as usize]
+    }
+
+    /// Locks one shard, recovering from poisoning per the policy in the
+    /// type docs: clear the shard (its state may be half-applied), unpoison
+    /// the mutex so later locks don't re-clear, and count the recovery.
+    fn lock_shard<'a>(&self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
+        match shard.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => {
+                shard.clear_poison();
+                let mut guard = poisoned.into_inner();
+                guard.entries.clear();
+                guard.by_dep.clear();
+                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+                guard
             }
         }
     }
 
+    /// Counter snapshot plus resident-entry count.
+    pub fn stats(&self) -> MemoCacheStats {
+        // Sum entries first: visiting the shards may itself recover a
+        // poisoned lock, and that recovery belongs in this snapshot.
+        let entries = self
+            .shards
+            .iter()
+            .map(|s| self.lock_shard(s).entries.len())
+            .sum();
+        MemoCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            stores: self.stores.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed),
+            poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
+            entries,
+        }
+    }
+
+    /// Drops every entry and zeroes the counters.
+    pub fn clear(&self) {
+        for s in &self.shards {
+            let mut s = self.lock_shard(s);
+            s.entries.clear();
+            s.by_dep.clear();
+        }
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.stores.store(0, Ordering::Relaxed);
+        self.invalidations.store(0, Ordering::Relaxed);
+        self.poison_recoveries.store(0, Ordering::Relaxed);
+    }
+}
+
+impl MemoTier for MemoCache {
+    fn lookup(&self, key: &str) -> Option<MemoHit> {
+        let hit = self
+            .lock_shard(self.shard(key))
+            .entries
+            .get(key)
+            .map(|(_, h)| h.clone());
+        match &hit {
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        hit
+    }
+
     fn store(&self, key: String, deps: Vec<String>, hit: MemoHit) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut shard = self.lock_shard(self.shard(&key));
         for dep in &deps {
-            inner
+            shard
                 .by_dep
                 .entry(dep.clone())
                 .or_default()
                 .insert(key.clone());
         }
-        inner.entries.insert(key, (deps, hit));
+        shard.entries.insert(key, (deps, hit));
+        drop(shard);
         self.stores.fetch_add(1, Ordering::Relaxed);
     }
 
     fn invalidate(&self, dep: &str) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        let Some(keys) = inner.by_dep.remove(dep) else {
-            return 0;
-        };
-        let mut dropped = 0;
-        for key in keys {
-            if let Some((deps, _)) = inner.entries.remove(&key) {
-                dropped += 1;
-                // Unlink the key from its other deps' indexes too.
-                for other in deps {
-                    if other != dep {
-                        if let Some(set) = inner.by_dep.get_mut(&other) {
+        let mut dropped = 0u64;
+        for s in &self.shards {
+            let mut shard = self.lock_shard(s);
+            let Some(keys) = shard.by_dep.remove(dep) else {
+                continue;
+            };
+            for key in keys {
+                if let Some((deps, _)) = shard.entries.remove(&key) {
+                    dropped += 1;
+                    // Unlink the entry from its *other* dependency lists so
+                    // they never accumulate dead keys.
+                    for other in deps.iter().filter(|d| d.as_str() != dep) {
+                        if let Some(set) = shard.by_dep.get_mut(other) {
                             set.remove(&key);
+                            if set.is_empty() {
+                                shard.by_dep.remove(other);
+                            }
                         }
                     }
                 }
             }
         }
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        if dropped > 0 {
+            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        }
         dropped
     }
 }
@@ -463,64 +578,8 @@ mod tests {
     }
 
     #[test]
-    fn simple_memo_hit_miss_and_store() {
-        let tier = Arc::new(SimpleMemo::new());
-        let h = handle(tier.clone());
-        let key = h
-            .build_key("f", &[PhpValue::Int(3)], &[], |_| PhpValue::Null)
-            .unwrap();
-        assert!(tier.lookup(&key).is_none());
-        tier.store(
-            key.clone(),
-            vec![h.dep_key("g")],
-            MemoHit {
-                value: MemoValue::Int(9),
-                output: b"out".to_vec(),
-            },
-        );
-        let hit = tier.lookup(&key).unwrap();
-        assert_eq!(hit.value, MemoValue::Int(9));
-        assert_eq!(hit.output, b"out");
-        assert_eq!(tier.stats(), (1, 1, 1, 0));
-    }
-
-    #[test]
-    fn invalidation_purges_by_fingerprint() {
-        let tier = Arc::new(SimpleMemo::new());
-        let h = handle(tier.clone());
-        let mk = |n: i64| {
-            h.build_key("f", &[PhpValue::Int(n)], &["g".into()], |_| {
-                PhpValue::Int(0)
-            })
-            .unwrap()
-        };
-        for n in 0..3 {
-            tier.store(
-                mk(n),
-                vec![h.dep_key("g")],
-                MemoHit {
-                    value: MemoValue::Int(n),
-                    output: vec![],
-                },
-            );
-        }
-        tier.store(
-            h.build_key("u", &[], &[], |_| PhpValue::Null).unwrap(),
-            vec![h.dep_key("other")],
-            MemoHit {
-                value: MemoValue::Null,
-                output: vec![],
-            },
-        );
-        assert_eq!(tier.len(), 4);
-        assert_eq!(h.invalidate("g"), 3, "only g-dependent entries drop");
-        assert_eq!(tier.len(), 1);
-        assert_eq!(h.invalidate("g"), 0, "idempotent");
-    }
-
-    #[test]
     fn namespaces_do_not_collide() {
-        let tier: Arc<dyn MemoTier> = Arc::new(SimpleMemo::new());
+        let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
         let a = MemoHandle::new(tier.clone(), "script-a");
         let b = MemoHandle::new(tier.clone(), "script-b");
         let ka = a.build_key("f", &[], &[], |_| PhpValue::Null).unwrap();
@@ -541,7 +600,7 @@ mod tests {
 
     #[test]
     fn dep_values_are_part_of_the_key() {
-        let h = handle(Arc::new(SimpleMemo::new()));
+        let h = handle(Arc::new(MemoCache::default()));
         let k1 = h
             .build_key("f", &[], &["g".into()], |_| PhpValue::Int(1))
             .unwrap();
@@ -549,5 +608,127 @@ mod tests {
             .build_key("f", &[], &["g".into()], |_| PhpValue::Int(2))
             .unwrap();
         assert_ne!(k1, k2, "a dep write always changes the key");
+    }
+
+    fn hit(n: i64) -> MemoHit {
+        MemoHit {
+            value: MemoValue::from_php(&PhpValue::Int(n)).unwrap(),
+            output: format!("out{n}").into_bytes(),
+        }
+    }
+
+    #[test]
+    fn store_lookup_and_counters() {
+        let cache = MemoCache::new(4);
+        assert!(cache.lookup("a").is_none());
+        cache.store("a".into(), vec!["d1".into()], hit(1));
+        let got = cache.lookup("a").expect("stored entry");
+        assert_eq!(got.output, b"out1");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.stores, s.entries), (1, 1, 1, 1));
+    }
+
+    #[test]
+    fn invalidation_drops_only_fingerprinted_entries() {
+        let cache = MemoCache::new(4);
+        cache.store("a".into(), vec!["d1".into(), "d2".into()], hit(1));
+        cache.store("b".into(), vec!["d2".into()], hit(2));
+        cache.store("c".into(), vec![], hit(3));
+        assert_eq!(cache.invalidate("d2"), 2, "a and b fingerprint d2");
+        assert!(cache.lookup("a").is_none());
+        assert!(cache.lookup("b").is_none());
+        assert!(cache.lookup("c").is_some(), "no deps, never invalidated");
+        assert_eq!(cache.stats().invalidations, 2);
+        // d1's list must not retain a's dead key.
+        assert_eq!(cache.invalidate("d1"), 0);
+    }
+
+    #[test]
+    fn invalidation_leaves_no_empty_dependency_set() {
+        let cache = MemoCache::new(1);
+        cache.store("a".into(), vec!["d1".into(), "d2".into()], hit(1));
+        assert_eq!(cache.invalidate("d1"), 1);
+        let shard = cache.shards[0].lock().unwrap();
+        assert!(
+            shard.by_dep.is_empty(),
+            "d2's set must go with its last key"
+        );
+    }
+
+    #[test]
+    fn single_shard_still_works() {
+        let cache = MemoCache::new(0); // clamped to 1
+        cache.store("x".into(), vec!["g".into()], hit(9));
+        assert!(cache.lookup("x").is_some());
+        assert_eq!(cache.invalidate("g"), 1);
+        assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn concurrent_workers_share_one_cache() {
+        let cache = Arc::new(MemoCache::new(8));
+        std::thread::scope(|scope| {
+            for w in 0..4 {
+                let cache = Arc::clone(&cache);
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        let key = format!("k{}", i % 10);
+                        if cache.lookup(&key).is_none() {
+                            cache.store(key, vec![format!("dep{w}")], hit(i));
+                        }
+                    }
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 200);
+        assert!(s.entries <= 10, "at most one entry per distinct key");
+        assert!(s.hits > 0, "shared entries must be visible across threads");
+    }
+
+    /// Regression: a panic while a shard lock was held poisoned the mutex,
+    /// and every later `.lock().unwrap()` — from *any* worker — panicked,
+    /// permanently killing that shard. Poisoned shards must instead recover:
+    /// cleared once, counted once, fully usable afterwards.
+    #[test]
+    fn poisoned_shard_recovers_cleared_and_usable() {
+        let cache = Arc::new(MemoCache::new(1)); // one shard: every key hits it
+        cache.store("a".into(), vec!["d".into()], hit(1));
+        assert!(cache.lookup("a").is_some());
+
+        // Poison the only shard: panic while holding its lock.
+        let poisoner = Arc::clone(&cache);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.shards[0].lock().unwrap();
+            panic!("worker died holding the shard lock");
+        })
+        .join();
+        std::panic::set_hook(hook);
+        assert!(cache.shards[0].is_poisoned());
+
+        // First touch recovers: the shard is cleared (half-applied state is
+        // untrustworthy), not wedged.
+        assert!(cache.lookup("a").is_none(), "recovered shard starts empty");
+        assert!(!cache.shards[0].is_poisoned(), "mutex must be unpoisoned");
+
+        // The shard is fully usable again, and the recovery was counted
+        // exactly once — later locks must not re-clear.
+        cache.store("b".into(), vec!["d".into()], hit(2));
+        assert!(cache.lookup("b").is_some());
+        assert_eq!(cache.invalidate("d"), 1);
+        let stats = cache.stats();
+        assert_eq!(stats.poison_recoveries, 1);
+        assert_eq!(stats.entries, 0);
+    }
+
+    #[test]
+    fn clear_resets_everything() {
+        let cache = MemoCache::default();
+        cache.store("a".into(), vec!["d".into()], hit(1));
+        cache.lookup("a");
+        cache.clear();
+        assert_eq!(cache.stats(), MemoCacheStats::default());
     }
 }

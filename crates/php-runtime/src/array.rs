@@ -138,9 +138,6 @@ pub struct PhpArray {
     /// Simulated base address of this map in the heap (used by the hardware
     /// hash table, which keys on `(base_addr, key)`).
     base_addr: u64,
-    /// Set by the hardware hash table when entries were flushed out and the
-    /// software index must be treated as stale (§4.2 "Ensure coherence").
-    stale_index: bool,
 }
 
 impl PhpArray {
@@ -159,7 +156,6 @@ impl PhpArray {
             len: 0,
             next_int_key: 0,
             base_addr: 0,
-            stale_index: false,
         }
     }
 
@@ -200,26 +196,6 @@ impl PhpArray {
     /// Simulated base heap address.
     pub fn base_addr(&self) -> u64 {
         self.base_addr
-    }
-
-    /// Marks the software hash index stale (hardware hash table flushed
-    /// dirty entries without rebuilding the index).
-    pub fn mark_index_stale(&mut self) {
-        self.stale_index = true;
-    }
-
-    /// Whether the software index is stale.
-    pub fn index_stale(&self) -> bool {
-        self.stale_index
-    }
-
-    /// Rebuilds the hash index (the "reconstruction mechanism [...] necessary
-    /// only for correctness" of §4.2). Returns the µop cost of the rebuild.
-    pub fn rebuild_index(&mut self) -> OpCost {
-        let n = self.buckets.len().max(1) as u64;
-        self.rehash(self.index.len());
-        self.stale_index = false;
-        OpCost::mixed(20 + 30 * n)
     }
 
     fn find(&self, key: &ArrayKey) -> (Option<usize>, u32) {
@@ -534,17 +510,6 @@ mod tests {
                 .unwrap()
                 .loose_eq(&PhpValue::from(i)));
         }
-    }
-
-    #[test]
-    fn stale_index_rebuild() {
-        let mut a = PhpArray::from_pairs([("x", PhpValue::from(1i64))]);
-        a.mark_index_stale();
-        assert!(a.index_stale());
-        let cost = a.rebuild_index();
-        assert!(!a.index_stale());
-        assert!(cost.uops > 0);
-        assert!(a.get(&k("x")).is_some());
     }
 
     #[test]

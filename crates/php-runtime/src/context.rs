@@ -9,7 +9,7 @@ use crate::alloc::{Block, SlabAllocator, ARENA_CLASS};
 use crate::array::{ArrayKey, PhpArray, WalkCost};
 use crate::profile::{Category, Leaf, OpCost, Profiler};
 use crate::refcount::RefcountMeter;
-use crate::strfuncs::{StrLib, StrMode};
+use crate::strfuncs::StrLib;
 use crate::string::PhpStr;
 use crate::value::PhpValue;
 use std::cell::{Cell, RefCell};
@@ -20,7 +20,6 @@ pub static ZVAL_TYPE_CHECK: Leaf = Leaf::new("zval_type_check", Category::TypeCh
 pub static ZEND_HASH_DESTROY: Leaf = Leaf::new("zend_hash_destroy", Category::HashMap);
 /// Software hash SET walk.
 pub static ZEND_HASH_UPDATE: Leaf = Leaf::new("zend_hash_update", Category::HashMap);
-static ZEND_HASH_REBUILD: Leaf = Leaf::new("zend_hash_rebuild", Category::HashMap);
 static ZEND_HASH_FIND: Leaf = Leaf::new("zend_hash_find", Category::HashMap);
 static ZEND_HASH_DEL: Leaf = Leaf::new("zend_hash_del", Category::HashMap);
 static ZEND_HASH_FOREACH: Leaf = Leaf::new("zend_hash_foreach", Category::HashMap);
@@ -73,7 +72,6 @@ pub struct RuntimeContext {
     profiler: Profiler,
     allocator: RefCell<SlabAllocator>,
     refcount: RefcountMeter,
-    str_mode: Cell<StrMode>,
     scoped_blocks: RefCell<Vec<Block>>,
     hash_events: RefCell<Vec<HashEvent>>,
     record_hash_events: Cell<bool>,
@@ -90,13 +88,12 @@ impl Default for RuntimeContext {
 }
 
 impl RuntimeContext {
-    /// Creates a fresh context with scalar string routines.
+    /// Creates a fresh context.
     pub fn new() -> Self {
         RuntimeContext {
             profiler: Profiler::new(),
             allocator: RefCell::new(SlabAllocator::new()),
             refcount: RefcountMeter::new(),
-            str_mode: Cell::new(StrMode::Scalar),
             scoped_blocks: RefCell::new(Vec::new()),
             hash_events: RefCell::new(Vec::new()),
             record_hash_events: Cell::new(false),
@@ -167,14 +164,9 @@ impl RuntimeContext {
         f(&mut self.allocator.borrow_mut())
     }
 
-    /// Selects the software string implementation family.
-    pub fn set_str_mode(&self, mode: StrMode) {
-        self.str_mode.set(mode);
-    }
-
-    /// A string-library handle bound to this context's profiler and mode.
+    /// A string-library handle bound to this context's profiler.
     pub fn strlib(&self) -> StrLib<'_> {
-        StrLib::new(&self.profiler, self.str_mode.get())
+        StrLib::new(&self.profiler)
     }
 
     // -- heap ---------------------------------------------------------------
@@ -402,16 +394,6 @@ impl RuntimeContext {
         key: &ArrayKey,
         facts: AccessStatic,
     ) -> Option<PhpValue> {
-        if arr.index_stale() {
-            // §4.2: stale index must be rebuilt before software access.
-            // Caller-side mutation isn't possible through &PhpArray; the
-            // metered path charges the rebuild cost and proceeds on the
-            // ordered table (still correct, linear).
-            self.profiler.record(
-                &ZEND_HASH_REBUILD,
-                OpCost::mixed(20 + 30 * arr.len() as u64),
-            );
-        }
         let (found, wc) = arr.get_with_cost(key);
         self.profiler.record(&ZEND_HASH_FIND, wc.cost);
         self.log_hash(HashOp::Get, arr.base_addr(), Some(key), Some(&wc));
@@ -606,13 +588,5 @@ mod tests {
         assert!(!ctx.consume_fuel(1), "deadline passed");
         ctx.set_uop_deadline(None);
         assert!(ctx.consume_fuel(1), "disarmed");
-    }
-
-    #[test]
-    fn strlib_mode_switch() {
-        let ctx = RuntimeContext::new();
-        assert_eq!(ctx.strlib().mode(), StrMode::Scalar);
-        ctx.set_str_mode(StrMode::Swar);
-        assert_eq!(ctx.strlib().mode(), StrMode::Swar);
     }
 }

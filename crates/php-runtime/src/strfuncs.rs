@@ -5,12 +5,8 @@
 //! and modifying functions to turn large volumes of unstructured textual
 //! data into appropriate HTML format."
 //!
-//! Two software variants are provided per scan-heavy function:
-//!
-//! * **Scalar** — straightforward byte-at-a-time code (the interpreter/VM
-//!   library baseline);
-//! * **SWAR** — SIMD-within-a-register (u64) implementations standing in for
-//!   the paper's "currently optimal software with SSE extensions".
+//! Every function is straightforward byte-at-a-time code, the library
+//! baseline both engines call.
 //!
 //! Every call charges its simulated µop cost to the profiler under a
 //! `php_*` leaf-function name in [`Category::String`].
@@ -43,20 +39,8 @@ static PHP_UCFIRST: Leaf = Leaf::new("php_ucfirst", Category::String);
 static PHP_UCWORDS: Leaf = Leaf::new("php_ucwords", Category::String);
 static PHP_WORDWRAP: Leaf = Leaf::new("php_wordwrap", Category::String);
 
-/// Which software implementation family to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StrMode {
-    /// Byte-at-a-time loops.
-    #[default]
-    Scalar,
-    /// SIMD-within-a-register (8 bytes per step) — the "SSE" baseline.
-    Swar,
-}
-
 /// Per-byte µop cost of scalar scanning loops (load, compare, branch, inc).
 const SCALAR_BYTE_UOPS: f64 = 1.25;
-/// Per-8-byte-word µop cost of SWAR loops.
-const SWAR_WORD_UOPS: f64 = 4.0;
 /// Fixed per-call overhead (arg marshalling, refcounting glue, allocation of
 /// the result handled separately by the allocator).
 const CALL_FIXED_UOPS: u64 = 18;
@@ -66,32 +50,23 @@ const CALL_FIXED_UOPS: u64 = 18;
 #[derive(Debug, Clone, Copy)]
 pub struct StrLib<'p> {
     prof: &'p Profiler,
-    mode: StrMode,
 }
 
-fn scan_cost(leaf: &'static Leaf, bytes: usize, mode: StrMode, prof: &Profiler) {
-    let uops = match mode {
-        StrMode::Scalar => CALL_FIXED_UOPS + (bytes as f64 * SCALAR_BYTE_UOPS) as u64,
-        StrMode::Swar => CALL_FIXED_UOPS + (bytes.div_ceil(8) as f64 * SWAR_WORD_UOPS) as u64,
-    };
+fn scan_cost(leaf: &'static Leaf, bytes: usize, prof: &Profiler) {
+    let uops = CALL_FIXED_UOPS + (bytes as f64 * SCALAR_BYTE_UOPS) as u64;
     prof.record(leaf, OpCost::mixed(uops));
 }
 
 fn copy_cost(leaf: &'static Leaf, bytes: usize, prof: &Profiler) {
-    // Copies move 8B per µop plus loop overhead regardless of mode.
+    // Copies move 8B per µop plus loop overhead.
     let uops = CALL_FIXED_UOPS + bytes.div_ceil(8) as u64 * 2;
     prof.record(leaf, OpCost::mixed(uops));
 }
 
 impl<'p> StrLib<'p> {
     /// Creates a library handle.
-    pub fn new(prof: &'p Profiler, mode: StrMode) -> Self {
-        StrLib { prof, mode }
-    }
-
-    /// The active implementation family.
-    pub fn mode(&self) -> StrMode {
-        self.mode
+    pub fn new(prof: &'p Profiler) -> Self {
+        StrLib { prof }
     }
 
     /// `strlen` — O(1) for counted strings.
@@ -105,22 +80,19 @@ impl<'p> StrLib<'p> {
     pub fn strpos(&self, haystack: &PhpStr, needle: &[u8], offset: usize) -> Option<usize> {
         let h = haystack.as_bytes();
         if needle.is_empty() || offset > h.len() {
-            scan_cost(&PHP_STRPOS, 0, self.mode, self.prof);
+            scan_cost(&PHP_STRPOS, 0, self.prof);
             return None;
         }
-        let result = match self.mode {
-            StrMode::Scalar => scalar_find(&h[offset..], needle),
-            StrMode::Swar => swar_find(&h[offset..], needle),
-        };
+        let result = scalar_find(&h[offset..], needle);
         let scanned = result.map(|r| r + needle.len()).unwrap_or(h.len() - offset);
-        scan_cost(&PHP_STRPOS, scanned, self.mode, self.prof);
+        scan_cost(&PHP_STRPOS, scanned, self.prof);
         result.map(|r| r + offset)
     }
 
     /// `strcmp` — byte-wise comparison result as in C.
     pub fn strcmp(&self, a: &PhpStr, b: &PhpStr) -> std::cmp::Ordering {
         let n = a.len().min(b.len());
-        scan_cost(&PHP_STRCMP, n, self.mode, self.prof);
+        scan_cost(&PHP_STRCMP, n, self.prof);
         a.as_bytes().cmp(b.as_bytes())
     }
 
@@ -152,7 +124,7 @@ impl<'p> StrLib<'p> {
             .map(|i| i + 1)
             .unwrap_or(start);
         let trimmed = (b.len() - (end - start)).max(1);
-        scan_cost(&PHP_TRIM, trimmed + 2, self.mode, self.prof);
+        scan_cost(&PHP_TRIM, trimmed + 2, self.prof);
         PhpStr::from_bytes(b[start..end].to_vec())
     }
 
@@ -161,7 +133,7 @@ impl<'p> StrLib<'p> {
 
     /// `strtolower` — ASCII lowercase.
     pub fn strtolower(&self, s: &PhpStr) -> PhpStr {
-        scan_cost(&PHP_STRTOLOWER, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STRTOLOWER, s.len(), self.prof);
         PhpStr::from_bytes(
             s.as_bytes()
                 .iter()
@@ -172,7 +144,7 @@ impl<'p> StrLib<'p> {
 
     /// `strtoupper` — ASCII uppercase.
     pub fn strtoupper(&self, s: &PhpStr) -> PhpStr {
-        scan_cost(&PHP_STRTOUPPER, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STRTOUPPER, s.len(), self.prof);
         PhpStr::from_bytes(
             s.as_bytes()
                 .iter()
@@ -193,7 +165,7 @@ impl<'p> StrLib<'p> {
 
     /// `ucwords` — uppercase the first letter of each word.
     pub fn ucwords(&self, s: &PhpStr) -> PhpStr {
-        scan_cost(&PHP_UCWORDS, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_UCWORDS, s.len(), self.prof);
         let mut out = s.as_bytes().to_vec();
         let mut at_word_start = true;
         for b in out.iter_mut() {
@@ -209,17 +181,14 @@ impl<'p> StrLib<'p> {
     pub fn str_replace(&self, search: &[u8], replace: &[u8], subject: &PhpStr) -> (PhpStr, usize) {
         let hay = subject.as_bytes();
         if search.is_empty() {
-            scan_cost(&PHP_STR_REPLACE, 0, self.mode, self.prof);
+            scan_cost(&PHP_STR_REPLACE, 0, self.prof);
             return (subject.clone(), 0);
         }
         let mut out = Vec::with_capacity(hay.len());
         let mut count = 0;
         let mut i = 0;
         while i < hay.len() {
-            let found = match self.mode {
-                StrMode::Scalar => scalar_find(&hay[i..], search),
-                StrMode::Swar => swar_find(&hay[i..], search),
-            };
+            let found = scalar_find(&hay[i..], search);
             match found {
                 Some(rel) => {
                     out.extend_from_slice(&hay[i..i + rel]);
@@ -233,7 +202,7 @@ impl<'p> StrLib<'p> {
                 }
             }
         }
-        scan_cost(&PHP_STR_REPLACE, hay.len(), self.mode, self.prof);
+        scan_cost(&PHP_STR_REPLACE, hay.len(), self.prof);
         copy_cost(&PHP_STR_REPLACE, out.len(), self.prof);
         (PhpStr::from_bytes(out), count)
     }
@@ -268,10 +237,7 @@ impl<'p> StrLib<'p> {
         let mut parts = Vec::new();
         let mut i = 0;
         loop {
-            let found = match self.mode {
-                StrMode::Scalar => scalar_find(&b[i..], sep),
-                StrMode::Swar => swar_find(&b[i..], sep),
-            };
+            let found = scalar_find(&b[i..], sep);
             match found {
                 Some(rel) => {
                     parts.push(PhpStr::from_bytes(b[i..i + rel].to_vec()));
@@ -283,13 +249,13 @@ impl<'p> StrLib<'p> {
                 }
             }
         }
-        scan_cost(&PHP_EXPLODE, b.len(), self.mode, self.prof);
+        scan_cost(&PHP_EXPLODE, b.len(), self.prof);
         parts
     }
 
     /// `htmlspecialchars` — encodes `& < > " '`.
     pub fn htmlspecialchars(&self, s: &PhpStr) -> PhpStr {
-        scan_cost(&PHP_HTMLSPECIALCHARS, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_HTMLSPECIALCHARS, s.len(), self.prof);
         let mut out = Vec::with_capacity(s.len());
         for &b in s.as_bytes() {
             match b {
@@ -307,7 +273,7 @@ impl<'p> StrLib<'p> {
 
     /// `nl2br` — inserts `<br />` before newlines.
     pub fn nl2br(&self, s: &PhpStr) -> PhpStr {
-        scan_cost(&PHP_NL2BR, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_NL2BR, s.len(), self.prof);
         let mut out = Vec::with_capacity(s.len());
         let b = s.as_bytes();
         let mut i = 0;
@@ -337,7 +303,7 @@ impl<'p> StrLib<'p> {
 
     /// `addslashes` — backslash-escapes `' " \` and NUL.
     pub fn addslashes(&self, s: &PhpStr) -> PhpStr {
-        scan_cost(&PHP_ADDSLASHES, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_ADDSLASHES, s.len(), self.prof);
         let mut out = Vec::with_capacity(s.len());
         for &b in s.as_bytes() {
             match b {
@@ -378,7 +344,7 @@ impl<'p> StrLib<'p> {
     /// `wordwrap` at `width` with `\n` breaks (break long words disabled,
     /// like PHP's default).
     pub fn wordwrap(&self, s: &PhpStr, width: usize) -> PhpStr {
-        scan_cost(&PHP_WORDWRAP, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_WORDWRAP, s.len(), self.prof);
         let mut out = Vec::with_capacity(s.len());
         let mut line_len = 0usize;
         for word in s.as_bytes().split(|&b| b == b' ') {
@@ -404,7 +370,7 @@ impl<'p> StrLib<'p> {
     /// Panics on a conversion specifier other than `s`, `d`, `f`, `%`, or if
     /// too few arguments are supplied.
     pub fn sprintf(&self, format: &PhpStr, args: &[crate::value::PhpValue]) -> PhpStr {
-        scan_cost(&PHP_SPRINTF, format.len(), self.mode, self.prof);
+        scan_cost(&PHP_SPRINTF, format.len(), self.prof);
         let f = format.as_bytes();
         let mut out = Vec::with_capacity(f.len() * 2);
         let mut ai = 0;
@@ -440,7 +406,7 @@ impl<'p> StrLib<'p> {
     /// `strip_tags` — removes `<...>` spans (no attribute parsing, like
     /// PHP's fast path; unterminated tags are stripped to the end).
     pub fn strip_tags(&self, s: &PhpStr) -> PhpStr {
-        scan_cost(&PHP_STRIP_TAGS, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STRIP_TAGS, s.len(), self.prof);
         let b = s.as_bytes();
         let mut out = Vec::with_capacity(b.len());
         let mut in_tag = false;
@@ -468,7 +434,7 @@ impl<'p> StrLib<'p> {
 
     /// `str_word_count` — counts alphabetic word runs.
     pub fn str_word_count(&self, s: &PhpStr) -> usize {
-        scan_cost(&PHP_STR_WORD_COUNT, s.len(), self.mode, self.prof);
+        scan_cost(&PHP_STR_WORD_COUNT, s.len(), self.prof);
         let mut count = 0;
         let mut in_word = false;
         for &b in s.as_bytes() {
@@ -489,7 +455,7 @@ impl<'p> StrLib<'p> {
             .iter()
             .take_while(|&&b| class.matches(b))
             .count();
-        scan_cost(&PHP_CTYPE_SPAN, n + 1, self.mode, self.prof);
+        scan_cost(&PHP_CTYPE_SPAN, n + 1, self.prof);
         n
     }
 }
@@ -556,87 +522,26 @@ pub fn scalar_find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     None
 }
 
-const LO: u64 = 0x0101_0101_0101_0101;
-const HI: u64 = 0x8080_8080_8080_8080;
-
-/// SWAR "byte == x" detector: returns a word with the high bit set in every
-/// byte lane equal to `x`.
-#[inline]
-fn swar_eq_mask(word: u64, x: u8) -> u64 {
-    let v = word ^ (LO.wrapping_mul(x as u64));
-    v.wrapping_sub(LO) & !v & HI
-}
-
-/// SWAR substring search: scans 8-byte words for first-byte candidates, then
-/// verifies. This is the "SSE baseline" stand-in.
-pub fn swar_find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || needle.len() > haystack.len() {
-        return None;
-    }
-    let first = needle[0];
-    let limit = haystack.len() - needle.len();
-    let mut i = 0;
-    while i + 8 <= haystack.len() {
-        let word = u64::from_le_bytes(haystack[i..i + 8].try_into().unwrap());
-        let mut mask = swar_eq_mask(word, first);
-        while mask != 0 {
-            let lane = (mask.trailing_zeros() / 8) as usize;
-            let pos = i + lane;
-            if pos <= limit && &haystack[pos..pos + needle.len()] == needle {
-                return Some(pos);
-            }
-            mask &= mask - 1;
-        }
-        i += 8;
-    }
-    while i <= limit {
-        if haystack[i] == first && &haystack[i..i + needle.len()] == needle {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::PhpValue;
 
-    fn lib(prof: &Profiler) -> StrLib<'_> {
-        StrLib::new(prof, StrMode::Scalar)
-    }
-
     #[test]
-    fn strpos_both_modes_agree() {
+    fn strpos_finds_offsets() {
         let p = Profiler::new();
+        let l = StrLib::new(&p);
         let hay = PhpStr::from("the quick brown fox jumps over the lazy dog");
-        for mode in [StrMode::Scalar, StrMode::Swar] {
-            let l = StrLib::new(&p, mode);
-            assert_eq!(l.strpos(&hay, b"quick", 0), Some(4));
-            assert_eq!(l.strpos(&hay, b"the", 1), Some(31));
-            assert_eq!(l.strpos(&hay, b"zebra", 0), None);
-            assert_eq!(l.strpos(&hay, b"dog", 0), Some(40));
-        }
-    }
-
-    #[test]
-    fn swar_cheaper_than_scalar() {
-        let p1 = Profiler::new();
-        let p2 = Profiler::new();
-        let hay = PhpStr::from("x".repeat(4096));
-        StrLib::new(&p1, StrMode::Scalar).strpos(&hay, b"yy", 0);
-        StrLib::new(&p2, StrMode::Swar).strpos(&hay, b"yy", 0);
-        assert!(
-            p2.total_uops() < p1.total_uops() / 2,
-            "SWAR should cut scan cost"
-        );
+        assert_eq!(l.strpos(&hay, b"quick", 0), Some(4));
+        assert_eq!(l.strpos(&hay, b"the", 1), Some(31));
+        assert_eq!(l.strpos(&hay, b"zebra", 0), None);
+        assert_eq!(l.strpos(&hay, b"dog", 0), Some(40));
     }
 
     #[test]
     fn substr_negative_indices() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let s = PhpStr::from("abcdef");
         assert_eq!(l.substr(&s, -3, None).to_string_lossy(), "def");
         assert_eq!(l.substr(&s, 1, Some(3)).to_string_lossy(), "bcd");
@@ -647,7 +552,7 @@ mod tests {
     #[test]
     fn trim_strips_both_ends() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let s = PhpStr::from("  \thello \n");
         assert_eq!(l.trim(&s, StrLib::WHITESPACE).to_string_lossy(), "hello");
         let all = PhpStr::from("   ");
@@ -657,7 +562,7 @@ mod tests {
     #[test]
     fn case_functions() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         assert_eq!(
             l.strtolower(&PhpStr::from("AbC9!")).to_string_lossy(),
             "abc9!"
@@ -679,7 +584,7 @@ mod tests {
     #[test]
     fn str_replace_counts() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let (out, n) = l.str_replace(b"o", b"0", &PhpStr::from("foo bool"));
         assert_eq!(out.to_string_lossy(), "f00 b00l");
         assert_eq!(n, 4);
@@ -691,7 +596,7 @@ mod tests {
     #[test]
     fn replace_with_longer_and_shorter() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let (out, _) = l.str_replace(b"a", b"xyz", &PhpStr::from("aba"));
         assert_eq!(out.to_string_lossy(), "xyzbxyz");
         let (out, _) = l.str_replace(b"ab", b"", &PhpStr::from("abab!"));
@@ -701,7 +606,7 @@ mod tests {
     #[test]
     fn implode_explode_roundtrip() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let parts = l.explode(b",", &PhpStr::from("a,b,,c"));
         let strs: Vec<String> = parts.iter().map(|s| s.to_string_lossy()).collect();
         assert_eq!(strs, ["a", "b", "", "c"]);
@@ -711,7 +616,7 @@ mod tests {
     #[test]
     fn htmlspecialchars_encodes() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let out = l.htmlspecialchars(&PhpStr::from(r#"<a href="x">&'b'</a>"#));
         assert_eq!(
             out.to_string_lossy(),
@@ -722,7 +627,7 @@ mod tests {
     #[test]
     fn nl2br_variants() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         assert_eq!(
             l.nl2br(&PhpStr::from("a\nb")).to_string_lossy(),
             "a<br />\nb"
@@ -736,7 +641,7 @@ mod tests {
     #[test]
     fn sprintf_basic() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let out = l.sprintf(
             &PhpStr::from("%s has %d items (%f%%)"),
             &[
@@ -751,7 +656,7 @@ mod tests {
     #[test]
     fn wordwrap_wraps() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         let out = l.wordwrap(&PhpStr::from("aa bb cc dd"), 5);
         assert_eq!(out.to_string_lossy(), "aa bb\ncc dd");
     }
@@ -759,7 +664,7 @@ mod tests {
     #[test]
     fn pad_repeat_rev() {
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         assert_eq!(
             l.str_pad(&PhpStr::from("ab"), 5, b"-=").to_string_lossy(),
             "ab-=-"
@@ -781,31 +686,7 @@ mod tests {
         assert!(is_special_char(b'\n'));
         assert!(!is_special_char(b'Z'));
         let p = Profiler::new();
-        let l = lib(&p);
+        let l = StrLib::new(&p);
         assert_eq!(l.span_class(&PhpStr::from("abc12!x"), CharClass::Alnum), 5);
-    }
-
-    #[test]
-    fn swar_find_matches_scalar_on_random_inputs() {
-        // Deterministic pseudo-random cross-check of the two kernels.
-        let mut seed = 0x12345678u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as u8 % 4 + b'a'
-        };
-        for trial in 0..200 {
-            let hay: Vec<u8> = (0..64 + trial % 64).map(|_| next()).collect();
-            let nlen = 1 + trial % 4;
-            let needle: Vec<u8> = (0..nlen).map(|_| next()).collect();
-            assert_eq!(
-                scalar_find(&hay, &needle),
-                swar_find(&hay, &needle),
-                "hay={:?} needle={:?}",
-                String::from_utf8_lossy(&hay),
-                String::from_utf8_lossy(&needle)
-            );
-        }
     }
 }

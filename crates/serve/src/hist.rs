@@ -12,7 +12,7 @@
 //! exactly `v == 0`), i.e. bucket upper bounds are 0, 1, 3, 7, …, 2³¹−1 and
 //! the last bucket is open-ended. Quantiles are therefore resolved to a
 //! power-of-two upper bound — exact percentiles, where an experiment needs
-//! them, come from its per-request records instead.
+//! them, come from its per-request records through [`percentile`].
 
 /// A mergeable log₂-bucket histogram of `u64` samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -126,9 +126,28 @@ impl Histogram {
     }
 }
 
+/// Exact nearest-rank percentile (`p` ∈ [0, 100]) of an ascending-sorted
+/// slice; 0 when the slice is empty.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let v = [10, 20, 30, 40];
+        assert_eq!(percentile(&v, 0.0), 10, "p0 is the minimum");
+        assert_eq!(percentile(&v, 50.0), 20, "rank ceil(0.5 * 4) = 2");
+        assert_eq!(percentile(&v, 100.0), 40, "p100 is the maximum");
+        assert_eq!(percentile(&[], 50.0), 0);
+    }
 
     #[test]
     fn buckets_cover_the_value_range() {

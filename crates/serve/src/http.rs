@@ -33,7 +33,6 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, 
 use crate::breaker::BreakerConfig;
 use crate::fault::FaultPlan;
 use crate::hist::Histogram;
-use crate::memo::MemoCache;
 use crate::metrics_text::{render_prometheus, MetricsSnapshot};
 use crate::middleware::{
     AccessLog, ErrorPages, IdentityEncoding, Middleware as _, MiddlewareChain, MiddlewareRequest,
@@ -42,7 +41,7 @@ use crate::middleware::{
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::sandbox::SandboxConfig;
 use crate::server::{Scripts, Server, Totals};
-use php_interp::MemoTier;
+use php_interp::{MemoCache, MemoTier};
 use phpaccel_core::{Engine, PhpMachine};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};

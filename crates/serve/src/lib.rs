@@ -25,7 +25,8 @@
 //!   workers, each with a private machine (per-core accelerator state), its
 //!   own fault-plan slice, and its own breakers; pool totals are the
 //!   lossless sum of the workers'.
-//! * **The shared memo cache** ([`memo`]): the sharded, bucket-locked
+//! * **The shared memo cache** ([`MemoCache`], defined in
+//!   [`php_interp::memo`]): the sharded, bucket-locked
 //!   [`php_interp::MemoTier`] pool workers share — call results the effect
 //!   analysis proved cross-request memoizable are computed once and replayed
 //!   on every worker, APCu-style.
@@ -55,7 +56,6 @@ pub mod breaker;
 pub mod fault;
 pub mod hist;
 pub mod http;
-pub mod memo;
 pub mod metrics_text;
 pub mod middleware;
 pub mod outcome;
@@ -71,12 +71,11 @@ pub use admission::{
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use fault::{FaultKind, FaultPlan, PlannedFault};
-pub use hist::Histogram;
+pub use hist::{percentile, Histogram};
 pub use http::{
     parse_request, FrontSnapshot, HttpConfig, HttpLimits, HttpParseError, HttpReport, HttpRequest,
     HttpResponse, HttpServer,
 };
-pub use memo::{MemoCache, MemoCacheStats};
 pub use metrics_text::{parse_prometheus, render_prometheus, MetricsSnapshot};
 pub use middleware::{
     AccessLog, ErrorPages, IdentityEncoding, Middleware, MiddlewareChain, MiddlewareRequest,
@@ -86,6 +85,7 @@ pub use outcome::{classify_panic, RequestOutcome};
 pub use overload::{
     OverloadConfig, OverloadConfigError, OverloadRecord, OverloadReport, OverloadSim, SloWindow,
 };
+pub use php_interp::{MemoCache, MemoCacheStats};
 pub use pool::{PoolConfig, PoolReport, WorkerFailure, WorkerPool};
 pub use sandbox::{run_sandboxed, SandboxConfig};
 pub use server::{Handler, RequestRecord, Scripts, ServeStats, Server, Totals};

@@ -23,8 +23,8 @@
 
 use crate::hist::Histogram;
 use crate::http::FrontSnapshot;
-use crate::memo::MemoCacheStats;
 use crate::server::Totals;
+use php_interp::MemoCacheStats;
 use phpaccel_core::AccelId;
 use std::fmt::Write;
 

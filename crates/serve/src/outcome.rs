@@ -59,17 +59,6 @@ pub fn classify_panic(message: String) -> RequestOutcome {
     }
 }
 
-/// Extracts a human-readable message from a panic payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

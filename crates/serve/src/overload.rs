@@ -155,12 +155,7 @@ impl OverloadReport {
     /// Exact nearest-rank percentile of admitted latency (`p` ∈ [0, 100]);
     /// 0 when nothing was admitted.
     pub fn latency_percentile(&self, p: f64) -> u64 {
-        let v = self.admitted_latencies();
-        if v.is_empty() {
-            return 0;
-        }
-        let rank = ((p / 100.0) * v.len() as f64).ceil().max(1.0) as usize;
-        v[rank.min(v.len()) - 1]
+        crate::hist::percentile(&self.admitted_latencies(), p)
     }
 
     /// Fraction of arrivals shed, in [0, 1].

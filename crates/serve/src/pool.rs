@@ -15,12 +15,13 @@
 
 use crate::breaker::BreakerConfig;
 use crate::fault::FaultPlan;
-use crate::memo::{MemoCache, MemoCacheStats};
-use crate::outcome::{classify_panic, panic_message, RequestOutcome};
+use crate::outcome::{classify_panic, RequestOutcome};
 use crate::sandbox::SandboxConfig;
 use crate::server::{Handler, RequestRecord, Server, Totals};
+use php_interp::{MemoCache, MemoCacheStats};
 use phpaccel_core::PhpMachine;
 use std::sync::Arc;
+use workloads::panic_message;
 
 /// Configuration for one pool run.
 #[derive(Debug, Clone)]

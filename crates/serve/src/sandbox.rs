@@ -8,9 +8,10 @@
 //! are restored with [`PhpMachine::recover_request`] before the outcome is
 //! reported, so the next request starts from a consistent machine.
 
-use crate::outcome::{classify_panic, panic_message, RequestOutcome};
+use crate::outcome::{classify_panic, RequestOutcome};
 use phpaccel_core::PhpMachine;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use workloads::panic_message;
 
 /// Resource budgets for one request. `None` means unmetered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

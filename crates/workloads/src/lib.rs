@@ -37,7 +37,7 @@ pub use arrival::{ArrivalConfig, ArrivalShape};
 pub use corpus::{Corpus, CorpusConfig};
 pub use drupal::Drupal;
 pub use http_client::{read_client_response, ClientResponse, HttpClient};
-pub use loadgen::{LoadGen, RunSummary, ShapedSummary, Workload};
+pub use loadgen::{panic_message, LoadGen, RunSummary, Workload};
 pub use mediawiki::MediaWiki;
 pub use mix::AppKind;
 pub use session::{

@@ -7,7 +7,6 @@
 //! suppressed and are discarded by a [`PhpMachine::reset_metrics`] before
 //! measurement begins.
 
-use crate::arrival::ArrivalConfig;
 use phpaccel_core::PhpMachine;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -73,7 +72,7 @@ pub struct RunSummary {
 }
 
 /// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -126,46 +125,6 @@ impl LoadGen {
             first_error,
         }
     }
-
-    /// Like [`LoadGen::run`], but the measured phase follows a shaped
-    /// arrival schedule ([`ArrivalConfig`]): `arrivals.requests` requests
-    /// replace `self.measured`, each tagged with its simulated-µop arrival
-    /// timestamp. Warmup runs exactly as in `run` (unshaped, preempted at
-    /// the configured cadence) and is excluded from metrics by the same
-    /// boundary [`PhpMachine::reset_metrics`] — the shape redistributes
-    /// arrivals in time but must never leak warmup work into the measured
-    /// µops. Context switches stay request-indexed (a preemption per N
-    /// *served* requests), so metered work is comparable across shapes.
-    pub fn run_shaped(
-        &self,
-        app: &mut dyn Workload,
-        machine: &mut PhpMachine,
-        arrivals: &ArrivalConfig,
-    ) -> ShapedSummary {
-        let times = arrivals.times();
-        let measured = LoadGen {
-            measured: times.len(),
-            ..*self
-        };
-        let summary = measured.run(app, machine);
-        ShapedSummary {
-            summary,
-            shape: arrivals.shape,
-            offered_span_uops: times.last().copied().unwrap_or(0),
-        }
-    }
-}
-
-/// Summary of a shaped run: the usual metrics plus the offered-load span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShapedSummary {
-    /// Metrics of the measured phase (warmup excluded).
-    pub summary: RunSummary,
-    /// The arrival shape that paced the measured phase.
-    pub shape: crate::arrival::ArrivalShape,
-    /// Timestamp of the last arrival in simulated µops: the span the
-    /// measured requests were offered over.
-    pub offered_span_uops: u64,
 }
 
 #[cfg(test)]
@@ -190,38 +149,6 @@ mod tests {
             summary.total_uops < per_request * 7,
             "warmup leaked into metrics"
         );
-
-        // The same exclusion must hold when the measured phase follows any
-        // of the shaped arrival schedules: the shape redistributes arrivals
-        // in simulated time, never the warmup/measured metric boundary.
-        for shape in crate::arrival::ArrivalShape::ALL {
-            let mut app = SpecWeb::new(SpecVariant::Banking);
-            let mut m = PhpMachine::baseline();
-            let arrivals = crate::arrival::ArrivalConfig {
-                shape,
-                requests: 5,
-                mean_gap_uops: 50_000,
-                seed: 11,
-            };
-            let shaped = lg.run_shaped(&mut app, &mut m, &arrivals);
-            assert_eq!(shaped.summary.requests, 5, "{}", shape.name());
-            assert_eq!(shaped.shape, shape);
-            assert!(shaped.offered_span_uops > 0, "{}", shape.name());
-            let per_request = shaped.summary.total_uops / 5;
-            assert!(
-                shaped.summary.total_uops < per_request * 7,
-                "{}: warmup leaked into shaped metrics",
-                shape.name()
-            );
-            // Shaping must not change *what* runs, only when it arrives:
-            // metered work matches the unshaped run exactly.
-            assert_eq!(
-                shaped.summary.total_uops,
-                summary.total_uops,
-                "{}: shaped metered work drifted",
-                shape.name()
-            );
-        }
     }
 
     #[test]

@@ -465,7 +465,7 @@ impl PreparedScript {
 
     /// [`PreparedScript::run`] with an optional shared memo tier attached.
     /// Keys are namespaced by the entry name, so many scripts can share one
-    /// tier (e.g. `serve::MemoCache`, or `php_interp::SimpleMemo` in tests)
+    /// tier (e.g. `php_interp::MemoCache`)
     /// without colliding on same-named functions. Only facts-proven sites
     /// consult the tier, so `with_facts: false` leaves it inert.
     pub fn run_memo(
@@ -814,13 +814,13 @@ mod tests {
     /// warm tier.
     #[test]
     fn memo_tier_replays_byte_identical_output_on_both_engines() {
-        use php_interp::SimpleMemo;
+        use php_interp::MemoCache;
         use std::sync::Arc;
         for entry in ENTRIES {
             let p = prepare(entry);
             let baseline = p.run(&mut PhpMachine::specialized(), true);
             for engine in [Engine::TreeWalk, Engine::Vm] {
-                let tier = Arc::new(SimpleMemo::new());
+                let tier = Arc::new(MemoCache::default());
                 for req in 0..3 {
                     let mut m = PhpMachine::specialized();
                     m.set_engine(engine);
@@ -839,12 +839,12 @@ mod tests {
     /// entry scores hits on both engines and skips the helpers' work.
     #[test]
     fn warm_tier_scores_hits_on_second_request() {
-        use php_interp::SimpleMemo;
+        use php_interp::MemoCache;
         use std::sync::Arc;
         let entry = ENTRIES.iter().find(|e| e.name == "block-cache").unwrap();
         let p = prepare(entry);
         for engine in [Engine::TreeWalk, Engine::Vm] {
-            let tier = Arc::new(SimpleMemo::new());
+            let tier = Arc::new(MemoCache::default());
             let mut m1 = PhpMachine::specialized();
             m1.set_engine(engine);
             p.run_memo(&mut m1, true, Some(tier.clone()));

@@ -10,7 +10,7 @@
 
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
-use php_interp::{parse, Interp, MemoHandle, MemoTier, SimpleMemo};
+use php_interp::{parse, Interp, MemoCache, MemoHandle, MemoTier};
 use phpaccel_core::PhpMachine;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -142,7 +142,7 @@ fn corpus_programs_are_memo_invariant() {
             m_off.end_request();
             let live_off = m_off.ctx().with_allocator(|a| a.live_block_count());
 
-            let tier: Arc<dyn MemoTier> = Arc::new(SimpleMemo::new());
+            let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
             for label in ["cold", "warm"] {
                 let mut m_on = PhpMachine::specialized();
                 if arena {
@@ -294,7 +294,7 @@ proptest! {
         // `Seg::Global` helpers write globals inside callees — exactly the
         // shape the effect analysis must refuse to memoize — so any
         // unsoundness in the purity verdicts shows up as a byte diff here.
-        let tier: Arc<dyn MemoTier> = Arc::new(SimpleMemo::new());
+        let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
         for label in ["cold", "warm"] {
             let (out_memo, live_memo) =
                 run_generated_with(&src, true, false, Some(Arc::clone(&tier)));

@@ -10,7 +10,7 @@
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
 use php_interp::{
-    compile, parse, CompileOptions, Interp, MemoHandle, MemoHit, MemoTier, SimpleMemo, Vm,
+    compile, parse, CompileOptions, Interp, MemoCache, MemoHandle, MemoHit, MemoTier, Vm,
 };
 use phpaccel_core::{Engine, PhpMachine};
 use std::sync::{Arc, Mutex};
@@ -111,7 +111,7 @@ fn dependency_writes_never_replay_stale_values() {
             let (plain, _) = run_once(src, engine, None);
             assert_eq!(plain, expected.as_bytes(), "{name} memo-off ({engine:?})");
 
-            let tier = Arc::new(SimpleMemo::new());
+            let tier = Arc::new(MemoCache::default());
             let (memoized, (hits, misses, stores, invalidations)) =
                 run_once(src, engine, Some(tier));
             assert_eq!(
@@ -137,7 +137,7 @@ fn dependency_writes_never_replay_stale_values() {
 #[test]
 fn warm_tier_hits_are_dependency_faithful_across_requests() {
     for engine in [Engine::TreeWalk, Engine::Vm] {
-        let tier: Arc<SimpleMemo> = Arc::new(SimpleMemo::new());
+        let tier: Arc<MemoCache> = Arc::new(MemoCache::default());
         let mut outputs = Vec::new();
         let mut last = (0, 0, 0, 0);
         for _ in 0..3 {
@@ -166,10 +166,10 @@ fn warm_tier_hits_are_dependency_faithful_across_requests() {
 }
 
 /// A tier that records the dependency name of every `invalidate` call it
-/// receives, over a [`SimpleMemo`] that does the work.
+/// receives, over a [`MemoCache`] that does the work.
 #[derive(Default)]
 struct RecordingTier {
-    inner: SimpleMemo,
+    inner: MemoCache,
     invalidate_calls: Mutex<Vec<String>>,
 }
 

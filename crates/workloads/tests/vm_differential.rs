@@ -17,7 +17,7 @@
 
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
-use php_interp::{compile, parse, CompileOptions, Interp, MemoHandle, MemoTier, SimpleMemo, Vm};
+use php_interp::{compile, parse, CompileOptions, Interp, MemoCache, MemoHandle, MemoTier, Vm};
 use phpaccel_core::{Engine, PhpMachine};
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -143,7 +143,7 @@ fn assert_engines_agree(src: &str) -> Vec<u8> {
     // the tree walker stored (and vice versa) — cross-engine cache
     // compatibility is byte-checked here, not assumed. Facts stay on (memo
     // sites only exist in the facts table).
-    let tier: Arc<dyn MemoTier> = Arc::new(SimpleMemo::new());
+    let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
     for arena in [false, true] {
         let (out_tree, live_tree) =
             run_src_memo(src, Runner::Tree, true, arena, Some(Arc::clone(&tier)));
@@ -235,7 +235,7 @@ fn corpus_programs_are_memo_invariant_across_engines() {
             m_off.end_request();
             let live_off = m_off.ctx().with_allocator(|a| a.live_block_count());
 
-            let tier: Arc<dyn MemoTier> = Arc::new(SimpleMemo::new());
+            let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
             let mut runs: Vec<(String, Vec<u8>, usize)> = Vec::new();
             for pass in ["cold", "warm"] {
                 let mut m = PhpMachine::specialized();

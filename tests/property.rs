@@ -7,7 +7,6 @@ use phpaccel::htable::{GetOutcome, HtConfig, HwHashTable, SetOutcome};
 use phpaccel::regex::Regex;
 use phpaccel::regexaccel::{regexp_shadow, regexp_sieve, replace_padded, HintVector};
 use phpaccel::runtime::array::{ArrayKey, PhpArray};
-use phpaccel::runtime::strfuncs::{scalar_find, swar_find};
 use phpaccel::runtime::value::PhpValue;
 use phpaccel::straccel::StringAccel;
 
@@ -65,18 +64,6 @@ proptest! {
         let got: Vec<(String, i64)> =
             arr.iter().map(|(k, v)| (k.to_string(), v.to_int())).collect();
         prop_assert_eq!(got, model);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SWAR string search ≡ scalar search
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #[test]
-    fn swar_equals_scalar(hay in prop::collection::vec(97u8..103, 0..200),
-                          needle in prop::collection::vec(97u8..103, 1..5)) {
-        prop_assert_eq!(scalar_find(&hay, &needle), swar_find(&hay, &needle));
     }
 }
 
