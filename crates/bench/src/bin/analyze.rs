@@ -10,22 +10,19 @@
 //! opcodes run.
 //!
 //! Usage: `analyze [--corpus APP] [--gate ALLOWLIST]` where APP is one of
-//! the corpus applications (e.g. `wordpress`); default is all of them. For
-//! `wordpress` the full request workload is also driven through the load
-//! generator with analysis enabled, showing the per-request savings.
+//! the corpus applications (e.g. `wordpress`); default is all of them.
 //!
 //! `--gate FILE` turns lints into errors: every lint must be covered by a
 //! substring line in FILE (blank lines and `#` comments ignored), and the
 //! run exits 1 listing any uncovered lint. `scripts/check.sh` uses this to
 //! keep the corpus lint-clean modulo the intentional examples.
 
-use bench::{header, quick_load, serving_machine};
+use bench::{header, serving_machine};
 use php_analysis::report::parse_allowlist;
 use php_interp::{MemoCache, MemoTier, Vm};
 use phpaccel_core::PhpMachine;
 use std::sync::Arc;
 use workloads::php_corpus;
-use workloads::{WordPress, Workload};
 
 /// Loads the gate allowlist through the lint-registry parser: one substring
 /// per line, `#` comments allowed, `[kind]` prefixes validated against
@@ -251,38 +248,5 @@ fn main() {
             }
             std::process::exit(1);
         }
-    }
-
-    if apps.contains(&"wordpress") {
-        println!("\n── wordpress workload (load generator, analysis enabled) ──");
-        let mut app = WordPress::new(0xA11A);
-        app.enable_static_analysis();
-        let mut m = PhpMachine::specialized();
-        let summary = quick_load().run(&mut app, &mut m);
-        let s = m.ctx().profiler().static_savings();
-        let ht = m.core().htable.stats();
-        println!(
-            "  requests={} total-uops={}",
-            summary.requests, summary.total_uops
-        );
-        println!(
-            "  saved:  type-checks={} rc-incs={} rc-decs={} (total {})",
-            s.type_checks_avoided,
-            s.rc_incs_avoided,
-            s.rc_decs_avoided,
-            s.total(),
-        );
-        println!(
-            "  saved:  summaries-applied={} regex-compiles-avoided={} \
-             heap-classes-preseeded={} taint-lints={}",
-            s.summaries_applied,
-            s.regex_compiles_avoided,
-            s.heap_classes_preseeded,
-            s.taint_lints_flagged,
-        );
-        println!(
-            "  htable: hinted-hash-skips={} hinted-append-inserts={}",
-            ht.hinted_hash_skips, ht.hinted_append_inserts
-        );
     }
 }

@@ -2,10 +2,10 @@
 //! capacity, on the deterministic simulated-cores model.
 //!
 //! Sweeps offered load at 0.5×/1×/1.5×/2× of measured capacity at 1/4/8
-//! workers on both engines (tree-walk and compiled VM), driving
-//! session-structured traffic ([`workloads::TrafficPlan`]: zipfian users,
-//! login → browse → write over the corpus) through the bounded admission
-//! queue ([`serve::OverloadSim`]) with a seeded fault plan live. Emits
+//! workers on both engines (the fact-free tree walk and the compiled VM
+//! with facts), driving session-structured traffic
+//! ([`workloads::TrafficPlan`]: zipfian users, login → browse → write over
+//! the corpus) through the bounded admission queue ([`serve::OverloadSim`]) with a seeded fault plan live. Emits
 //! `BENCH_overload.json` and asserts the overload-survival contract:
 //!
 //! * at 0.5× nothing is shed;

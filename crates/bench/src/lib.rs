@@ -37,15 +37,6 @@ pub fn standard_load() -> LoadGen {
     }
 }
 
-/// Quick load for smoke tests.
-pub fn quick_load() -> LoadGen {
-    LoadGen {
-        warmup: 5,
-        measured: 15,
-        context_switch_every: 0,
-    }
-}
-
 /// Runs `kind` on a machine in `mode` with the given load; returns the
 /// machine post-run (metrics cover the measured phase).
 pub fn run_app(
@@ -487,7 +478,12 @@ mod tests {
 
     #[test]
     fn pair_run_produces_comparison() {
-        let cmp = comparison_for(AppKind::WordPress, quick_load(), 7);
+        let quick = LoadGen {
+            warmup: 5,
+            measured: 15,
+            context_switch_every: 0,
+        };
+        let cmp = comparison_for(AppKind::WordPress, quick, 7);
         assert!(cmp.baseline_cycles > 0.0);
         assert!(cmp.normalized_specialized() < 1.0);
     }

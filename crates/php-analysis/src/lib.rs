@@ -2,7 +2,7 @@
 //!
 //! Static data-flow analysis over the mini-PHP AST: the software half of the
 //! paper's specialization story. Where the accelerators (§4) make dynamic
-//! work cheap, this crate *removes* dynamic work the interpreter provably
+//! work cheap, this crate *removes* dynamic work the served engine provably
 //! does not need — the dynamic type checks, refcount traffic, and hash-table
 //! probe stages that §2–3 measure as the dominant overheads of server-side
 //! PHP.
@@ -25,10 +25,11 @@
 //!    ([`commit`]).
 //! 5. Results land in a [`php_interp::AnalysisFacts`] side-table keyed by
 //!    node identity — the AST is never mutated, and a missing entry always
-//!    means "fall back to fully dynamic". The interpreter consults the table
-//!    to skip metered type checks and refcount pairs, pass key-shape hints
-//!    to the hardware hash table, reuse analysis-time-compiled `preg_*`
-//!    patterns, and pre-seed the hardware heap's free lists.
+//!    means "fall back to fully dynamic". [`php_interp::compile()`] is the
+//!    table's one reader: it bakes the facts into the VM's ops, which skip
+//!    metered type checks and refcount pairs, pass key-shape hints to the
+//!    hardware hash table, reuse analysis-time-compiled `preg_*` patterns,
+//!    and pre-seed the hardware heap's free lists.
 //!
 //! ```
 //! use php_analysis::analyze;
@@ -37,7 +38,7 @@
 //! let prog = parse("$n = 1; $m = $n + 2; echo $m;").unwrap();
 //! let analysis = analyze(&prog);
 //! assert!(analysis.report.typed_operands() > 0);
-//! // Attach to an interpreter with `interp.set_facts(analysis.facts.into())`.
+//! // Compile with the facts: `php_interp::compile(&prog, &[], Some(&analysis.facts), opts)`.
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,8 +91,8 @@ impl Default for AnalyzeOptions {
 #[derive(Debug)]
 pub struct Analysis {
     /// The side-table of proven facts, keyed by node identity of the
-    /// analyzed `Program` instance. Attach with
-    /// [`Interp::set_facts`](php_interp::Interp::set_facts).
+    /// analyzed `Program` instance. Consumed by
+    /// [`php_interp::compile()`].
     pub facts: AnalysisFacts,
     /// Per-scope statistics and lint diagnostics.
     pub report: Report,
@@ -110,10 +111,9 @@ pub fn analyze(prog: &Program) -> Analysis {
 /// Like [`analyze`], but function bodies are taken from `shared` (matched by
 /// name) rather than from `prog`'s own definitions.
 ///
-/// The interpreter clones hoisted function definitions into its own table, so
-/// facts keyed on `prog`'s nodes can never match inside function bodies.
-/// Pre-registering the same `Arc<FuncDef>` instances with
-/// [`Interp::predefine_funcs`](php_interp::Interp::predefine_funcs) and
+/// Facts key on node identity, so facts over `prog`'s own definitions can
+/// never match a copy of them. Compiling with the same `Arc<FuncDef>`
+/// instances (the `predefined` argument of [`php_interp::compile()`]) and
 /// analyzing with them here keeps node identities aligned end to end.
 pub fn analyze_with_funcs(prog: &Program, shared: &[Arc<FuncDef>]) -> Analysis {
     analyze_with_options(prog, shared, AnalyzeOptions::default())
@@ -154,12 +154,6 @@ pub fn analyze_with_options(
             region::commit_regions(scope, &regions, i, &view, &mut facts, &mut report.lints);
         scope_report.arena_safe_sites = stats.arena_safe_sites;
         scope_report.cross_request_sites = stats.cross_request_sites;
-        // The function's own symbol table is an allocation site too: its
-        // hash map dies when the frame pops, so it is arena-eligible unless
-        // the scope's lifetimes are unprovable (`extract` poisoning).
-        if !scope.is_main {
-            facts.set_symtab_arena_safe(&scope.name, !regions.cross[i].all);
-        }
         report.scopes.push(scope_report);
     }
     if opts.interprocedural {

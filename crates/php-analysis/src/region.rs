@@ -36,10 +36,9 @@
 //! ([`CallerView::EMPTY`]) makes every argument cross-request, mirroring
 //! the escape analysis' "missing summary ⇒ everything escapes" contract.
 //!
-//! Verdicts land in [`AnalysisFacts`] (per-site arena flags plus
-//! per-function symbol-table verdicts) and each escaping site raises a
-//! `[cross-request-escape]` lint, which `analyze --gate` turns into a CI
-//! failure unless allowlisted.
+//! Verdicts land in [`AnalysisFacts`] as per-site arena flags, and each
+//! escaping site raises a `[cross-request-escape]` lint, which
+//! `analyze --gate` turns into a CI failure unless allowlisted.
 
 use crate::cfg::{item_exprs, walk_exprs, Item, ScopeCfg};
 use crate::knowledge::{consumes_args_transiently, is_builtin};

@@ -2,7 +2,7 @@
 //! [`phpaccel_core::PhpMachine`], so a script's `strtolower` goes through the string
 //! accelerator in specialized mode and the software library otherwise.
 
-use crate::eval::{Interp, RuntimeError};
+use crate::eval::RuntimeError;
 use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
@@ -11,16 +11,16 @@ use regex_engine::Regex;
 use std::sync::Arc;
 
 /// What a builtin needs from the engine running it. Both the tree-walking
-/// [`Interp`] and the compiled VM implement this, so every builtin has
+/// [`Interp`](crate::Interp) and the compiled VM implement this, so every builtin has
 /// exactly one definition and cannot diverge between engines.
 pub trait Host {
     /// The machine all metered work flows through.
     fn machine(&mut self) -> &mut PhpMachine;
     /// Sets a variable in the current scope (`extract`).
     fn set_var(&mut self, name: &str, value: PhpValue);
-    /// The compiled regex for a `preg_*` pattern argument: the shared
-    /// analysis-time-compiled handle when the engine has one for the current
-    /// call site, otherwise a runtime compile through the engine's cache.
+    /// The compiled regex for a `preg_*` pattern argument: on the VM the
+    /// shared analysis-time-compiled handle when the current call site has
+    /// one, otherwise a runtime compile through the engine's cache.
     fn regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError>;
     /// The next value of the engine's pseudo-random stream (`rand`). The
     /// stream is seeded per engine instance, so primary and reference
@@ -110,40 +110,6 @@ pub const NAMES: &[&str] = &[
     "rand",
     "time",
 ];
-
-/// Calls builtin `name` through the tree-walking interpreter. `site` is the
-/// `Expr::Call` node being evaluated, when known — `preg_*` consult it for
-/// analysis-time-compiled patterns.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError`] for unknown builtins or bad arguments.
-pub fn call(
-    interp: &mut Interp<'_>,
-    name: &str,
-    args: Vec<PhpValue>,
-    site: Option<&crate::ast::Expr>,
-) -> Result<PhpValue, RuntimeError> {
-    struct InterpHost<'a, 'm> {
-        interp: &'a mut Interp<'m>,
-        site: Option<&'a crate::ast::Expr>,
-    }
-    impl Host for InterpHost<'_, '_> {
-        fn machine(&mut self) -> &mut PhpMachine {
-            self.interp.machine()
-        }
-        fn set_var(&mut self, name: &str, value: PhpValue) {
-            self.interp.set_var_public(name, value);
-        }
-        fn regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
-            self.interp.regex_for(self.site, pattern)
-        }
-        fn next_rand(&mut self) -> i64 {
-            self.interp.next_rand()
-        }
-    }
-    dispatch(&mut InterpHost { interp, site }, name, args)
-}
 
 /// Calls builtin `name` on any [`Host`] — the single engine-agnostic
 /// implementation of every builtin.

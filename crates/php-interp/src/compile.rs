@@ -1,15 +1,15 @@
 //! Bytecode compilation: lowers a [`Program`] plus optional
 //! [`AnalysisFacts`] into a flat [`CompiledUnit`] of *specialized* opcodes.
 //!
-//! Where the tree-walker consults the facts side-table on every visit, the
-//! compiler folds each verdict into the instruction itself: a `Bin` whose
-//! operand types were proven compiles to an opcode with its skip flags baked
-//! in, an RC-elidable store carries `elide_rc`, a `ConstStr` access site
-//! carries the hash-stage hint, and an arena-safe allocation site carries its
-//! arena flag. At run time the VM never touches the facts table at all — the
-//! unit is self-contained (name/const/regex pools included) and `Send +
-//! Sync`, so one `Arc<CompiledUnit>` serves every worker, the software
-//! analogue of a shared bytecode cache.
+//! The compiler is the facts side-table's one reader, and it folds each
+//! verdict into the instruction itself: a `Bin` whose operand types were
+//! proven compiles to an opcode with its skip flags baked in, an RC-elidable
+//! store carries `elide_rc`, a `ConstStr` access site carries the hash-stage
+//! hint, and an arena-safe allocation site carries its arena flag. At run
+//! time the VM never touches the facts table at all — the unit is
+//! self-contained (name/const/regex pools included) and `Send + Sync`, so
+//! one `Arc<CompiledUnit>` serves every worker, the software analogue of a
+//! shared bytecode cache.
 //!
 //! With [`CompileOptions::fuse`] on, the hot consumers take their leaves
 //! inside the instruction, as Zend's `CONST`/`CV` operands do: a string or
@@ -32,7 +32,6 @@
 
 use crate::ast::{BinOp, Expr, FuncDef, LValue, Program, Stmt};
 use crate::builtins;
-use crate::eval::hint_of;
 use crate::facts::{AnalysisFacts, KeyShape};
 use php_runtime::string::PhpStr;
 use phpaccel_core::KeyShapeHint;
@@ -466,7 +465,7 @@ pub struct CompiledUnit {
     /// Facts were attached at compile time.
     pub specialized: bool,
     /// Facts side-channel: statically known allocation sizes for heap
-    /// free-list pre-seeding (mirrors `Interp::set_facts`).
+    /// free-list pre-seeding.
     pub alloc_size_hints: Vec<usize>,
     /// Facts side-channel: taint lints to book into the savings counters.
     pub taint_lints: u64,
@@ -752,7 +751,7 @@ impl<'f> Compiler<'f> {
                                     value,
                                     key,
                                     elide_rc: elide,
-                                    hint: hint_of(shape),
+                                    hint: shape.into(),
                                 });
                             }
                             None => {
@@ -959,7 +958,7 @@ impl<'f> Compiler<'f> {
                     base,
                     key,
                     elide_rc: elide,
-                    hint: hint_of(shape),
+                    hint: shape.into(),
                 });
             }
             Expr::ArrayLit(items) => {

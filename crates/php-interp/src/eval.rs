@@ -6,11 +6,13 @@
 //! dynamic key names, plus allocator churn for every string produced.
 //! Interpreter dispatch overhead is charged to the `jit_compiled_code`
 //! bucket, standing in for HHVM's translated code.
+//!
+//! The tree walker reads no analysis facts and no memo tier. It is the
+//! fact-free reference the server replays requests on; the compiled VM
+//! ([`crate::compile()`] + [`crate::Vm`]) is the engine that consumes both.
 
 use crate::ast::*;
 use crate::builtins;
-use crate::facts::{AnalysisFacts, KeyShape};
-use crate::memo::{MemoHandle, MemoHit, MemoValue};
 use crate::parser::{parse, ParseError};
 use php_runtime::array::{ArrayKey, PhpArray};
 use php_runtime::string::PhpStr;
@@ -100,22 +102,8 @@ pub struct Interp<'m> {
     regex_cache: HashMap<String, Arc<Regex>>,
     /// Recursion guard.
     depth: usize,
-    /// Static-analysis facts for the program being run (see
-    /// [`crate::facts`]). `None` = fully dynamic execution.
-    facts: Option<Arc<AnalysisFacts>>,
-    /// Shared cross-request memo tier (see [`crate::memo`]). `None` = no
-    /// memoization; proven-memoizable sites just execute.
-    memo: Option<MemoHandle>,
     /// Engine-local `rand` stream state (see [`builtins::RAND_SEED`]).
     rand_state: u64,
-}
-
-pub(crate) fn hint_of(shape: KeyShape) -> KeyShapeHint {
-    match shape {
-        KeyShape::ConstStr => KeyShapeHint::ConstStr,
-        KeyShape::IntAppend => KeyShapeHint::IntAppend,
-        KeyShape::Unknown => KeyShapeHint::Unknown,
-    }
 }
 
 /// µops charged to the JIT bucket per interpreted AST node.
@@ -161,7 +149,7 @@ pub(crate) fn warn_into(out: &mut Vec<u8>, msg: &str) {
 /// operands. One definition shared by the tree-walker and the compiled VM so
 /// PHP's numeric promotion, division-by-zero warnings, and concat allocation
 /// behavior cannot diverge between engines. Operand type checks are the
-/// caller's job (they depend on per-engine fact plumbing).
+/// caller's job (the VM's skip the ones the facts proved).
 pub(crate) fn binop_eval(
     machine: &mut PhpMachine,
     out: &mut Vec<u8>,
@@ -299,52 +287,14 @@ impl<'m> Interp<'m> {
             output: Vec::new(),
             regex_cache: HashMap::new(),
             depth: 0,
-            facts: None,
-            memo: None,
             rand_state: builtins::RAND_SEED,
         }
     }
 
-    /// Attaches static-analysis facts. Facts are keyed by node identity, so
-    /// they only take effect when the exact analyzed [`Program`] instance is
-    /// run; any other program falls back to fully dynamic execution.
-    ///
-    /// Attaching also forwards the analysis' static pre-configuration to the
-    /// machine (heap free-list pre-seeding from known allocation sizes,
-    /// string-engine sieve config preloading when regexes were precompiled)
-    /// and books the taint lints into the savings counters. All of it is
-    /// work-elision only — program output is unchanged.
-    pub fn set_facts(&mut self, facts: Arc<AnalysisFacts>) {
-        self.machine.apply_prebuilt(
-            facts.alloc_size_hints(),
-            facts.precompiled_regex_count() > 0,
-        );
-        self.machine
-            .ctx()
-            .profiler()
-            .note_taint_lints(facts.taint_lint_count() as u64);
-        self.machine
-            .ctx()
-            .profiler()
-            .note_arena_safe_sites(facts.arena_safe_count() as u64);
-        self.facts = Some(facts);
-    }
-
-    /// Attaches a shared memo tier. Only sites the attached facts prove
-    /// memoizable consult it, so without facts this is inert.
-    pub fn set_memo(&mut self, handle: MemoHandle) {
-        self.memo = Some(handle);
-    }
-
-    /// Draws the next value of the engine's deterministic `rand` stream.
-    pub(crate) fn next_rand(&mut self) -> i64 {
-        builtins::rand_step(&mut self.rand_state)
-    }
-
     /// Pre-registers shared function definitions. Hoisting in
     /// [`Interp::run_program`] keeps an already-registered name instead of
-    /// cloning the program's definition, so facts interned over these exact
-    /// instances (via `php-analysis`) stay valid inside function bodies.
+    /// cloning the program's definition, so a program run many times clones
+    /// its functions once, not once per run.
     pub fn predefine_funcs<I: IntoIterator<Item = Arc<FuncDef>>>(&mut self, defs: I) {
         for def in defs {
             self.funcs.insert(def.name.clone(), def);
@@ -383,8 +333,7 @@ impl<'m> Interp<'m> {
     /// Returns [`RuntimeError`] on evaluation failure.
     pub fn run_program(&mut self, prog: &Program) -> Result<(), RuntimeError> {
         // Hoist function definitions. Pre-registered shared instances (see
-        // `predefine_funcs`) win over fresh clones so node-identity facts
-        // keep working inside bodies.
+        // `predefine_funcs`) win over fresh clones.
         for s in &prog.stmts {
             if let Stmt::FuncDef(f) = s {
                 self.funcs
@@ -412,13 +361,7 @@ impl<'m> Interp<'m> {
             return Err(RuntimeError::new("maximum call depth exceeded"));
         }
         self.depth += 1;
-        // The frame's symbol table dies when the scope pops — arena-eligible
-        // when the region analysis cleared the function.
-        let symtab_arena = self
-            .facts
-            .as_ref()
-            .is_some_and(|f| f.symtab_arena_safe(&def.name));
-        let table = self.machine.new_array_static(symtab_arena);
+        let table = self.machine.new_array();
         self.scopes.push(Scope {
             table,
             globals: HashSet::new(),
@@ -454,85 +397,6 @@ impl<'m> Interp<'m> {
         result.map(|()| ret)
     }
 
-    /// Runs one proven-memoizable call through the memo tier: replay on a
-    /// hit (return value + echoed bytes), execute-and-store on a miss. A
-    /// key that fails to build (value too deep) executes normally.
-    fn call_memoized(
-        &mut self,
-        def: &FuncDef,
-        vals: Vec<PhpValue>,
-        site: &crate::facts::MemoSiteFact,
-    ) -> Result<PhpValue, RuntimeError> {
-        let handle = self.memo.clone().expect("checked by caller");
-        // Dependency values are read straight from the global symbol table,
-        // bypassing the (fault-injectable) accelerator path: the key must
-        // reflect architecturally true state.
-        let globals = &self.scopes[0].table;
-        let key = handle.build_key(&site.func, &vals, &site.deps, |dep| {
-            globals
-                .get(&ArrayKey::from(dep))
-                .cloned()
-                .unwrap_or(PhpValue::Null)
-        });
-        let Some(key) = key else {
-            return self.invoke(def, vals);
-        };
-        if let Some(hit) = handle.tier.lookup(&key) {
-            self.machine.ctx().profiler().note_memo_hit();
-            self.output.extend_from_slice(&hit.output);
-            return Ok(hit.value.to_php(self.machine));
-        }
-        self.machine.ctx().profiler().note_memo_miss();
-        let out_mark = self.output.len();
-        // Keep cheap handle clones of the arguments: after the call the key
-        // is rebuilt from them plus fresh dep reads, and the entry is stored
-        // only if nothing shifted. A callee that mutates an argument array —
-        // or a dep's array through an alias — is thereby never cached.
-        let snapshot = vals.clone();
-        let ret = self.invoke(def, vals)?;
-        let stable = {
-            let globals = &self.scopes[0].table;
-            handle
-                .build_key(&site.func, &snapshot, &site.deps, |dep| {
-                    globals
-                        .get(&ArrayKey::from(dep))
-                        .cloned()
-                        .unwrap_or(PhpValue::Null)
-                })
-                .is_some_and(|k| k == key)
-        };
-        if !stable {
-            return Ok(ret);
-        }
-        if let Some(value) = MemoValue::from_php(&ret) {
-            let deps = site.deps.iter().map(|d| handle.dep_key(d)).collect();
-            handle.tier.store(
-                key,
-                deps,
-                MemoHit {
-                    value,
-                    output: self.output[out_mark..].to_vec(),
-                },
-            );
-            self.machine.ctx().profiler().note_memo_store();
-        }
-        Ok(ret)
-    }
-
-    /// Purges memo entries depending on global `name` after a write to it.
-    /// The tier is namespaced per program, so only a name in some memo
-    /// site's fingerprint can match an entry; every other write skips the
-    /// tier.
-    fn memo_invalidate_global(&mut self, name: &str) {
-        let Some(handle) = &self.memo else { return };
-        if self.facts.as_ref().is_some_and(|f| f.is_memo_dep(name)) {
-            let n = handle.invalidate(name);
-            if n > 0 {
-                self.machine.ctx().profiler().note_memo_invalidations(n);
-            }
-        }
-    }
-
     fn scope_index_for(&self, name: &str) -> usize {
         let cur = self.scopes.len() - 1;
         if cur > 0 && self.scopes[cur].globals.contains(name) {
@@ -543,42 +407,16 @@ impl<'m> Interp<'m> {
     }
 
     fn get_var(&mut self, name: &str) -> PhpValue {
-        self.get_var_static(name, AccessStatic::default(), KeyShapeHint::Unknown)
-    }
-
-    fn get_var_static(&mut self, name: &str, st: AccessStatic, hint: KeyShapeHint) -> PhpValue {
         let idx = self.scope_index_for(name);
-        let table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
-        let v = self
-            .machine
-            .array_get_static(&table, &ArrayKey::from(name), st, hint)
-            .unwrap_or(PhpValue::Null);
-        self.scopes[idx].table = table;
-        v
+        self.machine
+            .array_get(&self.scopes[idx].table, &ArrayKey::from(name))
+            .unwrap_or(PhpValue::Null)
     }
 
     fn set_var(&mut self, name: &str, value: PhpValue) {
-        self.set_var_static(name, value, AccessStatic::default(), KeyShapeHint::Unknown);
-    }
-
-    fn set_var_static(
-        &mut self,
-        name: &str,
-        value: PhpValue,
-        st: AccessStatic,
-        hint: KeyShapeHint,
-    ) {
         let idx = self.scope_index_for(name);
-        let mut table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
         self.machine
-            .array_set_static(&mut table, ArrayKey::from(name), value, st, hint);
-        self.scopes[idx].table = table;
-        // A global write drops memo entries fingerprinted on this name.
-        // (Soundness never depends on this — dep *values* are in the key —
-        // but it keeps the shared tier free of dead generations.)
-        if idx == 0 {
-            self.memo_invalidate_global(name);
-        }
+            .array_set(&mut self.scopes[idx].table, ArrayKey::from(name), value);
     }
 
     /// Charges one interpreter step against the armed execution budget.
@@ -600,37 +438,14 @@ impl<'m> Interp<'m> {
             }
             Stmt::Assign { target, value } => {
                 let v = self.expr(value)?;
-                let (elide, shape, site_known) = match &self.facts {
-                    Some(f) => (
-                        f.rc_elide_store(s),
-                        f.key_shape_stmt(s),
-                        f.stmt_id(s).is_some(),
-                    ),
-                    None => (false, KeyShape::Unknown, false),
-                };
-                let st = AccessStatic {
-                    elide_rc: elide,
-                    skip_type_check: false,
-                };
                 match target {
-                    LValue::Var(name) => {
-                        // Symbol-table keys are literal variable names, so a
-                        // known site always carries a constant-key hint.
-                        let hint = if site_known {
-                            KeyShapeHint::ConstStr
-                        } else {
-                            KeyShapeHint::Unknown
-                        };
-                        self.set_var_static(name, v, st, hint);
-                    }
+                    LValue::Var(name) => self.set_var(name, v),
                     LValue::Index { var, key } => {
                         let arr_val = self.get_var(var);
                         let rc = match arr_val {
                             PhpValue::Array(rc) => rc,
                             PhpValue::Null => {
-                                let arena =
-                                    self.facts.as_ref().is_some_and(|f| f.arena_safe_stmt(s));
-                                let a = self.machine.new_array_static(arena);
+                                let a = self.machine.new_array();
                                 let v2 = PhpValue::array(a);
                                 self.set_var(var, v2.clone());
                                 match v2 {
@@ -648,29 +463,11 @@ impl<'m> Interp<'m> {
                         match key {
                             Some(kexpr) => {
                                 let kv = self.expr(kexpr)?;
-                                let k = key_of(&kv);
-                                self.machine.array_set_static(
-                                    &mut rc.borrow_mut(),
-                                    k,
-                                    v,
-                                    st,
-                                    hint_of(shape),
-                                );
+                                self.machine.array_set(&mut rc.borrow_mut(), key_of(&kv), v);
                             }
                             None => {
-                                self.machine.array_push_static(
-                                    &mut rc.borrow_mut(),
-                                    v,
-                                    st,
-                                    shape == KeyShape::IntAppend,
-                                );
+                                self.machine.array_push(&mut rc.borrow_mut(), v);
                             }
-                        }
-                        // An in-place element write mutates the global's
-                        // value without passing through `set_var`: trigger
-                        // the fingerprint invalidation here too.
-                        if self.scope_index_for(var) == 0 {
-                            self.memo_invalidate_global(var);
                         }
                     }
                 }
@@ -681,9 +478,7 @@ impl<'m> Interp<'m> {
                     let v = self.expr(p)?;
                     let s = v.to_php_string();
                     // echo materializes output bytes: allocator churn.
-                    let arena = self.facts.as_ref().is_some_and(|f| f.arena_safe_expr(p));
-                    let tv = self.machine.transient_str_static(s.clone(), arena);
-                    let _ = tv;
+                    self.machine.transient_str(s.clone());
                     self.output.extend_from_slice(s.as_bytes());
                 }
                 Ok(Flow::Normal)
@@ -754,24 +549,11 @@ impl<'m> Interp<'m> {
                     let borrowed = rc.borrow();
                     self.machine.foreach(&borrowed)
                 };
-                let (elide, site_known) = match &self.facts {
-                    Some(f) => (f.rc_elide_store(s), f.stmt_id(s).is_some()),
-                    None => (false, false),
-                };
-                let st = AccessStatic {
-                    elide_rc: elide,
-                    skip_type_check: false,
-                };
-                let hint = if site_known {
-                    KeyShapeHint::ConstStr
-                } else {
-                    KeyShapeHint::Unknown
-                };
                 for (k, v) in pairs {
                     if let Some(kv) = key_var {
-                        self.set_var_static(kv, PhpValue::from(k), st, hint);
+                        self.set_var(kv, PhpValue::from(k));
                     }
-                    self.set_var_static(value_var, v, st, hint);
+                    self.set_var(value_var, v);
                     match self.run_loop_body(body)? {
                         Flow::Break => break,
                         Flow::Return(v) => return Ok(Flow::Return(v)),
@@ -823,38 +605,20 @@ impl<'m> Interp<'m> {
             Expr::Int(i) => Ok(PhpValue::Int(*i)),
             Expr::Float(f) => Ok(PhpValue::Float(*f)),
             Expr::Str(s) => Ok(PhpValue::str(s.as_str())),
-            Expr::Var(name) => {
-                let (elide, site_known) = match &self.facts {
-                    Some(f) => (f.rc_elide_read(e), f.expr_id(e).is_some()),
-                    None => (false, false),
-                };
-                let st = AccessStatic {
-                    elide_rc: elide,
-                    skip_type_check: false,
-                };
-                let hint = if site_known {
-                    KeyShapeHint::ConstStr
-                } else {
-                    KeyShapeHint::Unknown
-                };
-                Ok(self.get_var_static(name, st, hint))
-            }
+            Expr::Var(name) => Ok(self.get_var(name)),
             Expr::Index { base, key } => {
                 let b = self.expr(base)?;
                 let kv = self.expr(key)?;
-                let (elide, shape) = match &self.facts {
-                    Some(f) => (f.rc_elide_read(e), f.key_shape_expr(e)),
-                    None => (false, KeyShape::Unknown),
-                };
-                let st = AccessStatic {
-                    elide_rc: elide,
-                    skip_type_check: false,
-                };
-                index_read(self.machine, b, &kv, st, hint_of(shape))
+                index_read(
+                    self.machine,
+                    b,
+                    &kv,
+                    AccessStatic::default(),
+                    KeyShapeHint::Unknown,
+                )
             }
             Expr::ArrayLit(items) => {
-                let arena = self.facts.as_ref().is_some_and(|f| f.arena_safe_expr(e));
-                let mut a = self.machine.new_array_static(arena);
+                let mut a = self.machine.new_array();
                 for (k, vexpr) in items {
                     let v = self.expr(vexpr)?;
                     match k {
@@ -875,24 +639,9 @@ impl<'m> Interp<'m> {
                     vals.push(self.expr(a)?);
                 }
                 if let Some(def) = self.funcs.get(name).cloned() {
-                    // A summarized site: the analysis kept facts alive across
-                    // this call boundary instead of dropping to ⊤.
-                    if self.facts.as_ref().is_some_and(|f| f.call_summarized(e)) {
-                        self.machine.ctx().profiler().note_summary_applied();
-                    }
-                    // A proven-memoizable site with a tier attached: key on
-                    // (callee, args, read-set values) and replay on a hit.
-                    let site = self
-                        .memo
-                        .is_some()
-                        .then(|| self.facts.as_ref().and_then(|f| f.memo_site(e)).cloned())
-                        .flatten();
-                    if let Some(site) = site {
-                        return self.call_memoized(&def, vals, &site);
-                    }
                     return self.invoke(&def, vals);
                 }
-                builtins::call(self, name, vals, Some(e))
+                builtins::dispatch(self, name, vals)
             }
             Expr::Ternary {
                 cond,
@@ -929,62 +678,32 @@ impl<'m> Interp<'m> {
                 }
                 let l = self.expr(lhs)?;
                 let r = self.expr(rhs)?;
-                // Operand types proven by analysis skip the dynamic check —
-                // the checked-load elision the facts table exists for.
-                let (skip_l, skip_r) = self
-                    .facts
-                    .as_ref()
-                    .map(|f| f.bin_typed(e))
-                    .unwrap_or((false, false));
-                self.machine.ctx().type_check_elidable(&l, skip_l);
-                self.machine.ctx().type_check_elidable(&r, skip_r);
-                // `binop` never sees the AST node, so the concat site's
-                // arena verdict is resolved here and passed down.
-                let arena = self.facts.as_ref().is_some_and(|f| f.arena_safe_expr(e));
-                Ok(self.binop(*op, l, r, arena)?)
+                self.machine.ctx().type_check(&l);
+                self.machine.ctx().type_check(&r);
+                binop_eval(self.machine, &mut self.output, *op, l, r, false)
             }
         }
     }
 
-    fn binop(
-        &mut self,
-        op: BinOp,
-        l: PhpValue,
-        r: PhpValue,
-        arena_safe: bool,
-    ) -> Result<PhpValue, RuntimeError> {
-        binop_eval(self.machine, &mut self.output, op, l, r, arena_safe)
-    }
-
-    /// The compiled regex for a `preg_*` pattern argument: the analysis-time
-    /// handle recorded for this call site when one exists (counted as an
-    /// avoided compile), otherwise a runtime compile through the per-request
-    /// cache.
-    pub(crate) fn regex_for(
-        &mut self,
-        site: Option<&Expr>,
-        pattern: &str,
-    ) -> Result<Arc<Regex>, RuntimeError> {
-        if let (Some(site), Some(f)) = (site, self.facts.as_ref()) {
-            if let Some(re) = f.precompiled_regex(site) {
-                let re = Arc::clone(re);
-                self.machine.ctx().profiler().note_regex_compile_avoided();
-                return Ok(re);
-            }
-        }
-        cached_regex(&mut self.regex_cache, pattern)
-    }
-
-    /// How many runtime regex compiles this interpreter performed (one per
-    /// pattern its cache holds; analysis-precompiled patterns never count).
-    pub fn regex_compile_count(&self) -> u64 {
-        self.regex_cache.len() as u64
-    }
-
-    /// Sets a variable in the current scope (used by builtins like
-    /// `extract`).
+    /// Sets a variable in the current scope (the embedder's request
+    /// variables).
     pub fn set_var_public(&mut self, name: &str, value: PhpValue) {
         self.set_var(name, value);
+    }
+}
+
+impl builtins::Host for Interp<'_> {
+    fn machine(&mut self) -> &mut PhpMachine {
+        self.machine
+    }
+    fn set_var(&mut self, name: &str, value: PhpValue) {
+        Interp::set_var(self, name, value);
+    }
+    fn regex(&mut self, pattern: &str) -> Result<Arc<Regex>, RuntimeError> {
+        cached_regex(&mut self.regex_cache, pattern)
+    }
+    fn next_rand(&mut self) -> i64 {
+        builtins::rand_step(&mut self.rand_state)
     }
 }
 

@@ -1,5 +1,5 @@
 //! `AnalysisFacts` — the side-table through which static analysis feeds the
-//! interpreter and the accelerators.
+//! compiler and, through the compiled VM, the accelerators.
 //!
 //! The `php-analysis` crate lowers a [`Program`](crate::ast::Program) into
 //! CFGs, runs its data-flow analyses, and records what it proved *here*,
@@ -12,18 +12,21 @@
 //! of those `Arc`s to worker threads preserves every node address, so all
 //! workers see the same facts without re-parsing or re-analyzing — the
 //! software analogue of a shared bytecode cache.
-//! A missing entry always means "no facts" — the interpreter falls back to
-//! fully dynamic behaviour, which keeps attachment of stale or foreign facts
-//! harmless for correctness.
+//! [`compile`](crate::compile()) is the table's one reader: it bakes each
+//! fact into the op it lowers, so the VM never consults the table at run
+//! time. A missing entry always means "no facts" — the compiler emits the
+//! fully dynamic op, which keeps stale or foreign facts harmless for
+//! correctness.
 //!
 //! Every fact is *work-elision* metadata: skip a dynamic type check, skip
 //! metering an inc/dec pair on a proven-non-escaping temporary, or let the
 //! hardware hash table skip its hash/probe stage for a proven key shape.
 //! None of them change what a program computes, only what bookkeeping the
-//! runtime performs — interpreter output is byte-identical with facts
-//! attached or not.
+//! runtime performs — program output is byte-identical with facts or
+//! without.
 
 use crate::ast::{Expr, Stmt};
+use phpaccel_core::KeyShapeHint;
 use regex_engine::Regex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -32,8 +35,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// Statically proven shape of a hash-map key at one access site. Mirrors the
-/// hardware hint (`accel_htable::KeyShapeHint`) without depending on it.
+/// Statically proven shape of a hash-map key at one access site. Converts
+/// into the hardware hint the compiled VM passes to the hash table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KeyShape {
     /// Compile-time constant string key (hash foldable at specialization).
@@ -45,8 +48,18 @@ pub enum KeyShape {
     Unknown,
 }
 
+impl From<KeyShape> for KeyShapeHint {
+    fn from(shape: KeyShape) -> Self {
+        match shape {
+            KeyShape::ConstStr => KeyShapeHint::ConstStr,
+            KeyShape::IntAppend => KeyShapeHint::IntAppend,
+            KeyShape::Unknown => KeyShapeHint::Unknown,
+        }
+    }
+}
+
 /// The facts side-table. Built by `php-analysis`, consumed by
-/// [`Interp`](crate::eval::Interp) via `set_facts`.
+/// [`compile`](crate::compile()).
 #[derive(Debug, Default)]
 pub struct AnalysisFacts {
     expr_ids: HashMap<usize, NodeId>,
@@ -63,9 +76,10 @@ pub struct AnalysisFacts {
     /// Key shape proven for `Expr::Index` reads and `Stmt::Assign` writes.
     key_shape: HashMap<NodeId, KeyShape>,
     /// Per-`Expr::Call` node: the regex compiled at analysis time from a
-    /// constant-propagated `preg_*` pattern argument. Both engines share
-    /// this one handle instead of compiling per request, so its lazy DFA
-    /// and first-byte table stay warm across requests and workers.
+    /// constant-propagated `preg_*` pattern argument. Every unit compiled
+    /// from the facts shares this one handle instead of compiling per
+    /// request, so its lazy DFA and first-byte table stay warm across
+    /// requests and workers.
     precompiled_regex: HashMap<NodeId, Arc<Regex>>,
     /// `Expr::Call` nodes of user functions resolved through an
     /// interprocedural summary (counted at runtime as a savings win).
@@ -81,22 +95,15 @@ pub struct AnalysisFacts {
     /// the request: eligible for arena/epoch allocation. Expression and
     /// statement sites share one id space, so one set covers both.
     arena_safe: HashSet<NodeId>,
-    /// Functions whose symbol-table array is provably request-scoped (no
-    /// `extract` poisoning). A missing name means "not proven" — the
-    /// interpreter keeps the free-list path.
-    symtab_arena_safe: HashSet<String>,
     /// `Expr::Call` sites the effect analysis proved memoizable across
     /// requests: the callee is (transitively) write-free and deterministic,
     /// so its result is a pure function of arguments plus the globals in
     /// its read-set. The stored fingerprint drives key construction and
     /// write-triggered invalidation.
     memo_sites: HashMap<NodeId, MemoSiteFact>,
-    /// The union of every memo site's `deps`: the only globals whose writes
-    /// can match a stored fingerprint.
-    memo_deps: HashSet<String>,
 }
 
-/// What the engines need to memoize one proven call site.
+/// What the compiler needs to memoize one proven call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoSiteFact {
     /// Callee name (part of the cache key).
@@ -193,29 +200,18 @@ impl AnalysisFacts {
         self.arena_safe.insert(id);
     }
 
-    /// Records whether `name`'s symbol-table array is arena-safe. Only
-    /// positive verdicts are stored; absence means "use the free list".
-    pub fn set_symtab_arena_safe(&mut self, name: &str, safe: bool) {
-        if safe {
-            self.symtab_arena_safe.insert(name.to_string());
-        }
-    }
-
     /// Marks a call site as memoizable with the given fingerprint.
     pub fn set_memo_site(&mut self, id: NodeId, fact: MemoSiteFact) {
-        self.memo_deps.extend(fact.deps.iter().cloned());
         self.memo_sites.insert(id, fact);
     }
 
-    // -- queries (used by the interpreter) -----------------------------------
+    // -- queries (used by the compiler) --------------------------------------
 
-    /// The id of an expression node, if it belongs to the analyzed program.
-    pub fn expr_id(&self, e: &Expr) -> Option<NodeId> {
+    fn expr_id(&self, e: &Expr) -> Option<NodeId> {
         self.expr_ids.get(&expr_addr(e)).copied()
     }
 
-    /// The id of a statement node, if it belongs to the analyzed program.
-    pub fn stmt_id(&self, s: &Stmt) -> Option<NodeId> {
+    fn stmt_id(&self, s: &Stmt) -> Option<NodeId> {
         self.stmt_ids.get(&stmt_addr(s)).copied()
     }
 
@@ -287,15 +283,10 @@ impl AnalysisFacts {
             .is_some_and(|id| self.arena_safe.contains(&id))
     }
 
-    /// Whether `name`'s symbol-table array is proven arena-safe.
-    pub fn symtab_arena_safe(&self, name: &str) -> bool {
-        self.symtab_arena_safe.contains(name)
-    }
-
-    /// Number of proven arena-safe allocation sites (node sites plus
-    /// symbol-table verdicts), for the savings counters.
+    /// Number of proven arena-safe allocation sites, for the savings
+    /// counters.
     pub fn arena_safe_count(&self) -> usize {
-        self.arena_safe.len() + self.symtab_arena_safe.len()
+        self.arena_safe.len()
     }
 
     /// Number of `preg_*` sites with an analysis-time-compiled pattern.
@@ -307,12 +298,6 @@ impl AnalysisFacts {
     /// memoizable.
     pub fn memo_site(&self, e: &Expr) -> Option<&MemoSiteFact> {
         self.expr_id(e).and_then(|id| self.memo_sites.get(&id))
-    }
-
-    /// Whether some memo site's fingerprint names global `name`, i.e. whether
-    /// a write to it can invalidate anything.
-    pub fn is_memo_dep(&self, name: &str) -> bool {
-        self.memo_deps.contains(name)
     }
 
     /// Number of proven-memoizable call sites.

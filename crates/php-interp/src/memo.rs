@@ -6,8 +6,9 @@
 //! calls no nondeterministic builtin (`rand`, `time`), and hides nothing
 //! behind an unknown call or `extract`. Its observable behaviour is then a
 //! pure function of (callee, argument values, values of the globals in its
-//! read-set, bytes it echoes). Both engines build a **canonical key** from
-//! exactly those inputs and consult a [`MemoTier`]:
+//! read-set, bytes it echoes). The compiled VM (its `MemoEnter` and
+//! `MemoStore` ops) builds a **canonical key** from exactly those inputs
+//! and consults a [`MemoTier`]:
 //!
 //! * **hit** — replay the stored return value (deep-copied back into the
 //!   requesting machine's heap) and append the stored echo bytes, skipping

@@ -285,13 +285,19 @@ impl<'m> Vm<'m> {
         self.tally = OpcodeTally::with_pairs();
     }
 
+    /// How many runtime regex compiles this VM performed (one per pattern
+    /// its cache holds; analysis-precompiled patterns never count).
+    pub fn regex_compile_count(&self) -> u64 {
+        self.regex_cache.len() as u64
+    }
+
     /// Runs the unit's main body.
     ///
-    /// Attaching the unit's facts side-channel mirrors
-    /// [`crate::Interp::set_facts`]: heap free-list pre-seeding, sieve
-    /// preloading, and the taint/arena savings bookkeeping happen before the
-    /// first opcode, and the per-opcode execution counters are flushed into
-    /// the profiler afterwards.
+    /// A unit compiled with facts first applies their static
+    /// pre-configuration: heap free-list pre-seeding, sieve preloading, and
+    /// the taint/arena savings bookkeeping happen before the first opcode.
+    /// The per-opcode execution counters are flushed into the profiler
+    /// afterwards.
     ///
     /// # Errors
     ///

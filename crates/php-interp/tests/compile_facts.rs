@@ -245,22 +245,13 @@ fn arena_safe_indexed_store_site_reaches_autovivification() {
 }
 
 #[test]
-fn compiled_function_frames_are_slots_whatever_the_symtab_verdict() {
+fn compiled_function_frames_are_slots() {
     let program = parse("function f($x) { $y = $x + 1; return $y; } echo f(1);").unwrap();
-    let mut facts = AnalysisFacts::default();
-    facts.set_symtab_arena_safe("f", true);
-
-    let unit = compile(&program, &[], Some(&facts), unfused());
+    let unit = compile(&program, &[], Some(&AnalysisFacts::default()), unfused());
     let f = &unit.funcs[unit.func_index["f"] as usize];
     assert_eq!(f.n_params, 1);
     assert_eq!(f.slots.get("x"), Some(0), "parameters take the first slots");
     assert_eq!(f.slots.get("y"), Some(1));
     assert_eq!(f.slots.len(), 2);
     assert!(unit.main_slots.is_empty(), "main names no variable");
-
-    // The symtab verdict (still consumed by the tree-walker) has nothing to
-    // place in a compiled frame.
-    let generic = compile(&program, &[], Some(&AnalysisFacts::default()), unfused());
-    let g = &generic.funcs[generic.func_index["f"] as usize];
-    assert_eq!(f.code, g.code);
 }

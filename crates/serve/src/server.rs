@@ -147,10 +147,11 @@ impl<F: FnMut(&mut PhpMachine, u64) -> Vec<u8> + ?Sized> Handler for F {
 
 /// Corpus scripts as requests: `pick(req)` names the script request `req`
 /// runs. This is the one place that says how a script runs on each side of
-/// the replay check: the machine under test uses its configured engine with
-/// the proven facts attached and the shared memo tier when there is one;
-/// the reference tree-walks the same source with no facts and no tier, so
-/// replay is a recomputation that shares nothing with the run it checks.
+/// the replay check: the machine under test runs its configured engine with
+/// the proven facts and the shared memo tier when there is one (only the VM
+/// reads either); the reference tree-walks the same source, which never
+/// reads facts or a tier, so replay is a recomputation that shares nothing
+/// with the run it checks.
 pub struct Scripts<P> {
     /// Chooses the script for a request index.
     pub pick: P,

@@ -49,8 +49,9 @@ fn run_pool_with(
     )
 }
 
+/// The pool on the serving engine (the VM with facts), arena off.
 fn run_pool(cache: &Arc<CorpusCache>, workers: usize) -> PoolReport {
-    run_pool_with(cache, workers, Engine::TreeWalk, false)
+    run_pool_with(cache, workers, Engine::Vm, false)
 }
 
 #[test]
@@ -93,8 +94,8 @@ fn pool_results_are_identical_at_any_worker_count() {
     }
 }
 
-/// The same determinism guarantee on the compiled-VM engine, with arena
-/// allocation on and the seeded fault plan live: sharding across 1/2/4/8
+/// The same determinism guarantee with arena allocation on and the seeded
+/// fault plan live: sharding across 1/2/4/8
 /// workers changes nothing, and every successful response replays
 /// byte-identically on the all-software tree-walk reference machine (the
 /// pool's reference machines stay on the default engine, so the replay
@@ -159,65 +160,64 @@ fn vm_pool_results_are_identical_at_any_worker_count() {
 /// splits depend on how workers interleave, but the served *bytes* cannot —
 /// the tier stores only values-in-key-proven results, so a hit replays
 /// exactly what recomputation would produce. Every memo-on response, at any
-/// worker count and on either engine, must equal the memo-off reference
-/// byte-for-byte and replay clean against the all-software reference.
+/// worker count, must equal the memo-off reference byte-for-byte and replay
+/// clean against the all-software reference. The VM is the engine that
+/// consults the tier.
 #[test]
 fn memo_pool_serves_identical_bytes_at_any_worker_count() {
     let cache = Arc::new(CorpusCache::build());
     let reference = run_pool(&cache, 1); // memo-off
 
-    for engine in [Engine::TreeWalk, Engine::Vm] {
-        for workers in [1usize, 4, 8] {
-            let memo = Arc::new(MemoCache::default());
-            let mut cfg = PoolConfig::deterministic(workers, REQUESTS).with_memo(Arc::clone(&memo));
-            cfg.plan = FaultPlan::seeded(SEED, 2, 4, 36);
-            let pool = WorkerPool::new(cfg);
-            let scripts = Arc::clone(&cache);
-            let tier: Arc<dyn MemoTier> = memo;
-            let got = pool.run(
-                move |_| {
-                    let mut m = PhpMachine::specialized();
-                    m.set_engine(engine);
-                    m
-                },
-                move |_w| {
-                    let scripts = Arc::clone(&scripts);
-                    Scripts {
-                        pick: move |req| Arc::clone(scripts.script_for_request(req)),
-                        memo: Some(Arc::clone(&tier)),
-                    }
-                },
-            );
-            let label = format!("{engine:?} x{workers} memo-on");
-            assert_eq!(got.stats.mismatches, 0, "{label}: reference replay");
-            assert_eq!(got.stats.ok, REQUESTS, "{label}: outcomes");
-            assert_eq!(got.records.len(), reference.records.len());
-            for (g, r) in got.records.iter().zip(&reference.records) {
-                assert_eq!(
-                    g.response, r.response,
-                    "{label}: request {} bytes diverged from memo-off",
-                    r.request
-                );
-                assert_eq!(g.outcome, r.outcome, "{label}: request {}", r.request);
-            }
-            // The tier genuinely engaged: proven sites consulted it and the
-            // cache-wide snapshot shows resident entries.
-            assert!(
-                got.stats.memo_hits + got.stats.memo_misses > 0,
-                "{label}: no memoizable site executed"
-            );
-            assert!(got.stats.memo_hits > 0, "{label}: warm tier never replayed");
-            let snapshot = got.memo.expect("configured cache is snapshotted");
-            assert!(snapshot.stores > 0, "{label}: nothing was cached");
-            // The cache's traffic is the workers' traffic: no reference
-            // machine is ever handed the tier, so replay neither scores
-            // hits nor purges what the primaries stored.
+    for workers in [1usize, 4, 8] {
+        let memo = Arc::new(MemoCache::default());
+        let mut cfg = PoolConfig::deterministic(workers, REQUESTS).with_memo(Arc::clone(&memo));
+        cfg.plan = FaultPlan::seeded(SEED, 2, 4, 36);
+        let pool = WorkerPool::new(cfg);
+        let scripts = Arc::clone(&cache);
+        let tier: Arc<dyn MemoTier> = memo;
+        let got = pool.run(
+            move |_| {
+                let mut m = PhpMachine::specialized();
+                m.set_engine(Engine::Vm);
+                m
+            },
+            move |_w| {
+                let scripts = Arc::clone(&scripts);
+                Scripts {
+                    pick: move |req| Arc::clone(scripts.script_for_request(req)),
+                    memo: Some(Arc::clone(&tier)),
+                }
+            },
+        );
+        let label = format!("x{workers} memo-on");
+        assert_eq!(got.stats.mismatches, 0, "{label}: reference replay");
+        assert_eq!(got.stats.ok, REQUESTS, "{label}: outcomes");
+        assert_eq!(got.records.len(), reference.records.len());
+        for (g, r) in got.records.iter().zip(&reference.records) {
             assert_eq!(
-                snapshot.hits + snapshot.misses,
-                got.stats.memo_hits + got.stats.memo_misses,
-                "{label}: a reference machine reached the shared tier"
+                g.response, r.response,
+                "{label}: request {} bytes diverged from memo-off",
+                r.request
             );
+            assert_eq!(g.outcome, r.outcome, "{label}: request {}", r.request);
         }
+        // The tier genuinely engaged: proven sites consulted it and the
+        // cache-wide snapshot shows resident entries.
+        assert!(
+            got.stats.memo_hits + got.stats.memo_misses > 0,
+            "{label}: no memoizable site executed"
+        );
+        assert!(got.stats.memo_hits > 0, "{label}: warm tier never replayed");
+        let snapshot = got.memo.expect("configured cache is snapshotted");
+        assert!(snapshot.stores > 0, "{label}: nothing was cached");
+        // The cache's traffic is the workers' traffic: no reference
+        // machine is ever handed the tier, so replay neither scores
+        // hits nor purges what the primaries stored.
+        assert_eq!(
+            snapshot.hits + snapshot.misses,
+            got.stats.memo_hits + got.stats.memo_misses,
+            "{label}: a reference machine reached the shared tier"
+        );
     }
 }
 

@@ -16,10 +16,6 @@ pub trait Workload {
     fn name(&self) -> &'static str;
     /// Handles one request end-to-end (must call `end_request`).
     fn handle_request(&mut self, m: &mut PhpMachine, req: u64);
-    /// Runs the static analyzer over the application's interpreted PHP
-    /// templates so later requests skip statically provable work (type
-    /// checks, refcount pairs, hash stages). Default: no templates, no-op.
-    fn enable_static_analysis(&mut self) {}
 }
 
 /// Load-generation parameters.

@@ -346,8 +346,9 @@ pub fn bind_request_vars_vm(vm: &mut Vm<'_>) {
 pub struct PreparedScript {
     entry: &'static CorpusEntry,
     program: Arc<Program>,
-    /// Function definitions shared with the interpreter so facts stay valid
-    /// inside bodies (see [`Interp::predefine_funcs`]).
+    /// Function definitions the facts are interned over and the compiler
+    /// compiles, so facts stay valid inside bodies. The tree walk
+    /// pre-registers them too (see [`Interp::predefine_funcs`]).
     shared_funcs: Vec<Arc<FuncDef>>,
     /// Facts proven over `program` and `shared_funcs`.
     pub facts: Arc<AnalysisFacts>,
@@ -455,19 +456,20 @@ impl PreparedScript {
     }
 
     /// Runs the script once on `m` and returns its output, dispatching on
-    /// the machine's configured [`Engine`]: the tree-walker executes the
-    /// cached `Arc<Program>`, the VM the cached (fused) `Arc<CompiledUnit>`.
-    /// `with_facts` selects specialized execution on either engine. Output
-    /// is byte-identical across all four combinations.
+    /// the machine's configured [`Engine`]. The VM executes the cached
+    /// (fused) `Arc<CompiledUnit>`, compiled with the facts when
+    /// `with_facts` is set. The tree walk is the fact-free reference: it
+    /// executes the cached `Arc<Program>` and ignores `with_facts`. Output
+    /// is byte-identical across all of them.
     pub fn run(&self, m: &mut PhpMachine, with_facts: bool) -> Vec<u8> {
         self.run_memo(m, with_facts, None)
     }
 
     /// [`PreparedScript::run`] with an optional shared memo tier attached.
     /// Keys are namespaced by the entry name, so many scripts can share one
-    /// tier (e.g. `php_interp::MemoCache`)
-    /// without colliding on same-named functions. Only facts-proven sites
-    /// consult the tier, so `with_facts: false` leaves it inert.
+    /// tier (e.g. `php_interp::MemoCache`) without colliding on same-named
+    /// functions. Only facts-proven sites on the VM consult the tier, so
+    /// `with_facts: false` leaves it inert, and the tree walk ignores it.
     pub fn run_memo(
         &self,
         m: &mut PhpMachine,
@@ -478,12 +480,6 @@ impl PreparedScript {
             Engine::TreeWalk => {
                 let mut interp = Interp::new(m);
                 interp.predefine_funcs(self.shared_funcs.iter().cloned());
-                if with_facts {
-                    interp.set_facts(self.facts.clone());
-                }
-                if let Some(tier) = memo {
-                    interp.set_memo(MemoHandle::new(tier, self.entry.name));
-                }
                 if self.entry.needs_request_vars {
                     bind_request_vars(&mut interp);
                 }
@@ -553,12 +549,19 @@ mod tests {
         }
     }
 
+    /// A specialized machine on the serving engine.
+    fn vm_machine() -> PhpMachine {
+        let mut m = PhpMachine::specialized();
+        m.set_engine(Engine::Vm);
+        m
+    }
+
     #[test]
     fn outputs_are_byte_identical_with_facts_on_and_off() {
         for entry in ENTRIES {
             let p = prepare(entry);
             let mut off = PhpMachine::specialized();
-            let mut on = PhpMachine::specialized();
+            let mut on = vm_machine();
             let plain = p.run(&mut off, false);
             let specialized = p.run(&mut on, true);
             assert_eq!(
@@ -639,60 +642,52 @@ mod tests {
         assert!(p.report.summarized_calls() > 0);
     }
 
-    /// Acceptance: with facts attached the comment-filter entry performs
+    /// Acceptance: compiled with facts, the comment-filter entry performs
     /// *zero* runtime regex compiles — both `preg_*` sites reuse handles
     /// compiled once at analysis time.
     #[test]
     fn precompiled_patterns_remove_all_runtime_regex_compiles() {
         let entry = ENTRIES.iter().find(|e| e.name == "comment-filter").unwrap();
         let p = prepare(entry);
-
-        let mut m = PhpMachine::specialized();
-        let mut interp = Interp::new(&mut m);
-        interp.predefine_funcs(p.shared_funcs.iter().cloned());
-        interp.run_program(&p.program).unwrap();
+        let compiles = |with_facts: bool| {
+            let mut m = PhpMachine::specialized();
+            let mut vm = Vm::new(&mut m, Arc::clone(p.vm_unit(with_facts, true)));
+            vm.run().unwrap();
+            vm.regex_compile_count()
+        };
         assert!(
-            interp.regex_compile_count() > 0,
+            compiles(false) > 0,
             "fully dynamic mode must compile per request"
         );
-
-        let mut m = PhpMachine::specialized();
-        let mut interp = Interp::new(&mut m);
-        interp.predefine_funcs(p.shared_funcs.iter().cloned());
-        interp.set_facts(p.facts.clone());
-        interp.run_program(&p.program).unwrap();
         assert_eq!(
-            interp.regex_compile_count(),
+            compiles(true),
             0,
             "precompiled handles must cover every preg_* site"
         );
     }
 
-    /// Both engines match on the unit's / the facts' own compiled patterns,
-    /// not on per-call copies: one request leaves those instances' lazy DFAs
+    /// The VM matches on the unit's (the facts') own compiled patterns, not
+    /// on per-call copies: one request leaves those instances' lazy DFAs
     /// materialized, and the next request adds no states to them.
     #[test]
     fn precompiled_patterns_stay_warm_across_requests() {
         let entry = ENTRIES.iter().find(|e| e.name == "comment-filter").unwrap();
-        for engine in [Engine::TreeWalk, Engine::Vm] {
-            let p = prepare(entry);
-            let unit = p.vm_unit(true, true);
-            assert!(unit.regexes.len() >= 2);
-            let states = |unit: &CompiledUnit| -> Vec<usize> {
-                unit.regexes.iter().map(|re| re.fsm_states()).collect()
-            };
-            let cold = states(unit);
-            let mut m = PhpMachine::specialized();
-            m.set_engine(engine);
-            p.run(&mut m, true);
-            let warm = states(unit);
-            assert!(
-                warm.iter().zip(&cold).all(|(w, c)| w > c),
-                "{engine:?}: the shared handles never ran: {cold:?} -> {warm:?}"
-            );
-            p.run(&mut m, true);
-            assert_eq!(states(unit), warm, "{engine:?}: a rerun rebuilt DFA states");
-        }
+        let p = prepare(entry);
+        let unit = p.vm_unit(true, true);
+        assert!(unit.regexes.len() >= 2);
+        let states = |unit: &CompiledUnit| -> Vec<usize> {
+            unit.regexes.iter().map(|re| re.fsm_states()).collect()
+        };
+        let cold = states(unit);
+        let mut m = vm_machine();
+        p.run(&mut m, true);
+        let warm = states(unit);
+        assert!(
+            warm.iter().zip(&cold).all(|(w, c)| w > c),
+            "the shared handles never ran: {cold:?} -> {warm:?}"
+        );
+        p.run(&mut m, true);
+        assert_eq!(states(unit), warm, "a rerun rebuilt DFA states");
     }
 
     /// Every one of the interprocedural savings counters fires somewhere in
@@ -705,7 +700,7 @@ mod tests {
         let mut taint = 0u64;
         for entry in ENTRIES {
             let p = prepare(entry);
-            let mut m = PhpMachine::specialized();
+            let mut m = vm_machine();
             p.run(&mut m, true);
             let s = m.ctx().profiler().static_savings();
             summaries += s.summaries_applied;
@@ -737,9 +732,10 @@ mod tests {
     }
 
     /// Tentpole invariant: one shared cache, many threads, byte-identical
-    /// output. Each thread runs every cached script (facts attached) on its
-    /// own machine and must reproduce the single-threaded reference exactly —
-    /// proving the facts stay identity-stable under `Arc` sharing.
+    /// output. Each thread runs every cached script on the VM with facts on
+    /// its own machine and must reproduce the single-threaded fact-free
+    /// reference exactly — proving the facts stay identity-stable under
+    /// `Arc` sharing.
     #[test]
     fn shared_cache_is_byte_identical_across_threads() {
         let cache = std::sync::Arc::new(CorpusCache::build());
@@ -761,7 +757,7 @@ mod tests {
                         .scripts()
                         .iter()
                         .map(|p| {
-                            let out = p.run(&mut PhpMachine::specialized(), true);
+                            let out = p.run(&mut vm_machine(), true);
                             // Facts resolved, not just tolerated: the regex
                             // sites this entry precompiled must be visible
                             // through the shared Arc on this thread too.
@@ -810,54 +806,44 @@ mod tests {
     }
 
     /// Acceptance: a shared memo tier never changes a single output byte —
-    /// every corpus entry, both engines, repeated requests against the same
+    /// every corpus entry, on the VM, repeated requests against the same
     /// warm tier.
     #[test]
-    fn memo_tier_replays_byte_identical_output_on_both_engines() {
+    fn memo_tier_replays_byte_identical_output() {
         use php_interp::MemoCache;
-        use std::sync::Arc;
         for entry in ENTRIES {
             let p = prepare(entry);
-            let baseline = p.run(&mut PhpMachine::specialized(), true);
-            for engine in [Engine::TreeWalk, Engine::Vm] {
-                let tier = Arc::new(MemoCache::default());
-                for req in 0..3 {
-                    let mut m = PhpMachine::specialized();
-                    m.set_engine(engine);
-                    let out = p.run_memo(&mut m, true, Some(tier.clone()));
-                    assert_eq!(
-                        out, baseline,
-                        "{}/{} request {req} diverged with memo on ({engine:?})",
-                        entry.app, entry.name
-                    );
-                }
+            let reference = p.run(&mut PhpMachine::specialized(), false);
+            let tier = Arc::new(MemoCache::default());
+            for req in 0..3 {
+                let out = p.run_memo(&mut vm_machine(), true, Some(tier.clone()));
+                assert_eq!(
+                    out, reference,
+                    "{}/{} request {req} diverged with memo on",
+                    entry.app, entry.name
+                );
             }
         }
     }
 
     /// The warm tier actually replays: the second request of the render-cache
-    /// entry scores hits on both engines and skips the helpers' work.
+    /// entry scores hits on the VM and skips the helpers' work.
     #[test]
     fn warm_tier_scores_hits_on_second_request() {
         use php_interp::MemoCache;
-        use std::sync::Arc;
         let entry = ENTRIES.iter().find(|e| e.name == "block-cache").unwrap();
         let p = prepare(entry);
-        for engine in [Engine::TreeWalk, Engine::Vm] {
-            let tier = Arc::new(MemoCache::default());
-            let mut m1 = PhpMachine::specialized();
-            m1.set_engine(engine);
-            p.run_memo(&mut m1, true, Some(tier.clone()));
-            let s1 = m1.ctx().profiler().static_savings();
-            assert_eq!(s1.memo_hits, 0, "cold tier cannot hit ({engine:?})");
-            assert!(s1.memo_stores > 0, "cold run must populate ({engine:?})");
+        let tier = Arc::new(MemoCache::default());
+        let mut m1 = vm_machine();
+        p.run_memo(&mut m1, true, Some(tier.clone()));
+        let s1 = m1.ctx().profiler().static_savings();
+        assert_eq!(s1.memo_hits, 0, "cold tier cannot hit");
+        assert!(s1.memo_stores > 0, "cold run must populate");
 
-            let mut m2 = PhpMachine::specialized();
-            m2.set_engine(engine);
-            p.run_memo(&mut m2, true, Some(tier.clone()));
-            let s2 = m2.ctx().profiler().static_savings();
-            assert!(s2.memo_hits > 0, "warm tier must replay ({engine:?})");
-        }
+        let mut m2 = vm_machine();
+        p.run_memo(&mut m2, true, Some(tier.clone()));
+        let s2 = m2.ctx().profiler().static_savings();
+        assert!(s2.memo_hits > 0, "warm tier must replay");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::corpus::{Corpus, CorpusConfig};
 use crate::loadgen::Workload;
 use crate::vmtail::VmTail;
 use php_interp::ast::{FuncDef, Stmt};
-use php_interp::{parse, AnalysisFacts, Interp, Program};
+use php_interp::{parse, Interp, Program};
 use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
@@ -34,14 +34,9 @@ pub struct WordPress {
     author_re: Regex,
     template: Program,
     /// The template's function definitions as shared instances. Every
-    /// request pre-registers these with the interpreter, so facts interned
-    /// over them stay valid inside function bodies (the interpreter would
-    /// otherwise hoist private clones whose nodes have fresh addresses).
+    /// request pre-registers these with the interpreter, which would
+    /// otherwise hoist a private clone of each per request.
     shared_funcs: Vec<Arc<FuncDef>>,
-    /// Facts proven over `template` and `shared_funcs` by
-    /// [`Workload::enable_static_analysis`]; keyed by node identity, so they
-    /// are valid only for those instances.
-    facts: Option<Arc<AnalysisFacts>>,
     tail: VmTail,
     requests_handled: u64,
 }
@@ -119,7 +114,6 @@ impl WordPress {
             author_re,
             template,
             shared_funcs,
-            facts: None,
             tail: VmTail {
                 scale: 155,
                 refcount_ops: 1500,
@@ -133,11 +127,6 @@ impl WordPress {
 impl Workload for WordPress {
     fn name(&self) -> &'static str {
         "wordpress"
-    }
-
-    fn enable_static_analysis(&mut self) {
-        let analysis = php_analysis::analyze_with_funcs(&self.template, &self.shared_funcs);
-        self.facts = Some(Arc::new(analysis.facts));
     }
 
     fn handle_request(&mut self, m: &mut PhpMachine, req: u64) {
@@ -225,9 +214,6 @@ impl Workload for WordPress {
         {
             let mut interp = Interp::new(m);
             interp.predefine_funcs(self.shared_funcs.iter().cloned());
-            if let Some(facts) = &self.facts {
-                interp.set_facts(facts.clone());
-            }
             interp.set_var_public("title", PhpValue::str(post.title.clone()));
             interp.set_var_public("tags", PhpValue::array_from(tags_arr));
             interp.set_var_public("meta", PhpValue::array_from(meta_view));
@@ -334,77 +320,6 @@ mod tests {
         assert!(spec.core().htable.stats().hit_rate() > 0.5);
         assert!(spec.core().regex_stats.bytes_skipped_sift > 0);
         assert!(spec.core().reuse.stats().lookups > 0);
-    }
-
-    /// Renders one request's template directly, with or without facts.
-    fn render_template_once(analyzed: bool, mode_spec: bool) -> (Vec<u8>, u64, u64) {
-        let mut app = WordPress::new(11);
-        if analyzed {
-            app.enable_static_analysis();
-        }
-        let mut m = if mode_spec {
-            PhpMachine::specialized()
-        } else {
-            PhpMachine::baseline()
-        };
-        let mut interp = Interp::new(&mut m);
-        interp.predefine_funcs(app.shared_funcs.iter().cloned());
-        if let Some(f) = &app.facts {
-            interp.set_facts(f.clone());
-        }
-        interp.set_var_public("title", PhpValue::from("A 'Title' & more"));
-        let mut tags = interp.machine().new_array();
-        for t in ["  News ", "PHP"] {
-            let v = PhpValue::from(t);
-            interp.machine().array_push(&mut tags, v);
-        }
-        interp.set_var_public("tags", PhpValue::array(tags));
-        let mut meta = interp.machine().new_array();
-        interp
-            .machine()
-            .array_set(&mut meta, ArrayKey::from("views"), PhpValue::from(3i64));
-        interp.set_var_public("meta", PhpValue::array(meta));
-        interp.run_program(&app.template).expect("template runs");
-        let out = interp.take_output();
-        let savings = m.ctx().profiler().static_savings();
-        (
-            out,
-            savings.type_checks_avoided,
-            savings.rc_incs_avoided + savings.rc_decs_avoided,
-        )
-    }
-
-    #[test]
-    fn analysis_preserves_template_output_exactly() {
-        for spec in [false, true] {
-            let (plain, tc0, rc0) = render_template_once(false, spec);
-            let (analyzed, tc1, rc1) = render_template_once(true, spec);
-            assert_eq!(
-                plain, analyzed,
-                "output must be byte-identical (spec={spec})"
-            );
-            assert_eq!((tc0, rc0), (0, 0), "no savings without facts");
-            assert!(tc1 > 0, "analysis must avoid some type checks");
-            assert!(rc1 > 0, "analysis must elide some refcount traffic");
-        }
-    }
-
-    #[test]
-    fn enable_static_analysis_accumulates_savings_across_requests() {
-        let mut app = WordPress::new(5);
-        app.enable_static_analysis();
-        let mut m = PhpMachine::specialized();
-        for r in 0..3 {
-            app.handle_request(&mut m, r);
-        }
-        let s = m.ctx().profiler().static_savings();
-        assert!(s.type_checks_avoided > 0);
-        assert!(s.rc_incs_avoided > 0);
-        assert!(s.rc_decs_avoided > 0);
-        // The proven const-string / append key shapes reach the hardware
-        // hash table as hints.
-        let ht = m.core().htable.stats();
-        assert!(ht.hinted_hash_skips > 0, "{ht:?}");
     }
 
     #[test]

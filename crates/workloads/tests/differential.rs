@@ -1,28 +1,46 @@
 //! Differential soundness harness for the static analyses.
 //!
 //! The facts table is only allowed to remove *metered* work — type checks,
-//! refcount traffic, hash-table probe stages, regex compiles. Attaching it
-//! must never change what a script prints or how many heap blocks survive
-//! the request. This harness runs every corpus program, plus a family of
-//! generated call-heavy programs, both fully dynamic and with facts
-//! attached, and demands byte-identical output and identical live-block
-//! counts.
+//! refcount traffic, hash-table probe stages, regex compiles. Compiling
+//! with it must never change what a script prints or how many heap blocks
+//! survive the request. This harness runs a family of generated call-heavy
+//! programs on the serving engine (the fused VM) with facts, with the arena
+//! and with a warm memo tier, and holds every run to the fact-free tree
+//! walk's bytes and end-of-request live-block count. The corpus programs
+//! get the same sweep in `vm_differential.rs`.
 
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
-use php_interp::{parse, Interp, MemoCache, MemoHandle, MemoTier};
+use php_interp::{compile, parse, CompileOptions, Interp, MemoCache, MemoHandle, MemoTier, Vm};
 use phpaccel_core::PhpMachine;
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use workloads::php_corpus;
 
-/// Runs `src` on a fresh specialized machine, returning the output bytes and
-/// the *end-of-request* live-block count (after the request boundary, so an
-/// arena epoch has been reclaimed). Mirrors `php_corpus::prepare`: function
-/// bodies are shared between the analysis and the interpreter so facts stay
-/// valid inside them.
-fn run_generated_with(
+/// The fact-free tree walk of `src` on a fresh specialized machine: the
+/// output bytes and the *end-of-request* live-block count.
+fn run_reference(src: &str) -> (Vec<u8>, usize) {
+    let program =
+        parse(src).unwrap_or_else(|e| panic!("generated program fails to parse: {e:?}\n{src}"));
+    let mut m = PhpMachine::specialized();
+    let out = {
+        let mut interp = Interp::new(&mut m);
+        interp
+            .run_program(&program)
+            .unwrap_or_else(|e| panic!("generated program fails: {e:?}\n{src}"));
+        interp.take_output()
+    };
+    m.end_request();
+    let live = m.ctx().with_allocator(|a| a.live_block_count());
+    (out, live)
+}
+
+/// Runs `src` on the fused VM on a fresh specialized machine, returning the
+/// output bytes and the *end-of-request* live-block count (after the request
+/// boundary, so an arena epoch has been reclaimed). Mirrors
+/// `php_corpus::prepare`: function bodies are shared between the analysis
+/// and the compiler so facts stay valid inside them.
+fn run_vm(
     src: &str,
     with_facts: bool,
     arena: bool,
@@ -39,132 +57,28 @@ fn run_generated_with(
         })
         .collect();
     let analysis = analyze_with_funcs(&program, &shared);
-    let facts = Arc::new(analysis.facts);
+    let unit = Arc::new(compile(
+        &program,
+        &shared,
+        with_facts.then_some(&analysis.facts),
+        CompileOptions { fuse: true },
+    ));
     let mut m = PhpMachine::specialized();
     if arena {
         m.ctx().set_arena_enabled(true);
     }
     let out = {
-        let mut interp = Interp::new(&mut m);
-        interp.predefine_funcs(shared.iter().cloned());
-        if with_facts {
-            interp.set_facts(facts);
-        }
+        let mut vm = Vm::new(&mut m, unit);
         if let Some(t) = memo {
-            interp.set_memo(MemoHandle::new(t, "diff-test"));
+            vm.set_memo(MemoHandle::new(t, "diff-test"));
         }
-        interp
-            .run_program(&program)
-            .unwrap_or_else(|e| panic!("generated program fails: {e:?}\n{src}"));
-        interp.take_output()
+        vm.run()
+            .unwrap_or_else(|e| panic!("generated program fails on vm: {e:?}\n{src}"));
+        vm.take_output()
     };
     m.end_request();
     let live = m.ctx().with_allocator(|a| a.live_block_count());
     (out, live)
-}
-
-fn run_generated(src: &str, with_facts: bool) -> (Vec<u8>, usize) {
-    run_generated_with(src, with_facts, false, None)
-}
-
-#[test]
-fn corpus_programs_are_facts_invariant() {
-    for entry in php_corpus::ENTRIES {
-        let p = php_corpus::prepare(entry);
-        let mut m_dyn = PhpMachine::specialized();
-        let out_dyn = p.run(&mut m_dyn, false);
-        let mut m_facts = PhpMachine::specialized();
-        let out_facts = p.run(&mut m_facts, true);
-        assert_eq!(
-            out_dyn, out_facts,
-            "{}/{}: facts changed the output",
-            entry.app, entry.name
-        );
-        let live_dyn = m_dyn.ctx().with_allocator(|a| a.live_block_count());
-        let live_facts = m_facts.ctx().with_allocator(|a| a.live_block_count());
-        assert_eq!(
-            live_dyn, live_facts,
-            "{}/{}: facts changed the live-block count",
-            entry.app, entry.name
-        );
-    }
-}
-
-/// Arena/epoch mode is a pure allocation-policy change: with the same facts
-/// attached, routing region-proven sites through the bump arena must not
-/// change a byte of output, and after the request-boundary epoch reset both
-/// machines must hold the same number of live blocks (escaping allocations
-/// only — the arena's were reclaimed in O(1), the free lists' one by one).
-#[test]
-fn corpus_programs_are_arena_invariant() {
-    for entry in php_corpus::ENTRIES {
-        let p = php_corpus::prepare(entry);
-
-        let mut m_off = PhpMachine::specialized();
-        let out_off = p.run(&mut m_off, true);
-        m_off.end_request();
-
-        let mut m_on = PhpMachine::specialized();
-        m_on.ctx().set_arena_enabled(true);
-        let out_on = p.run(&mut m_on, true);
-        m_on.end_request();
-
-        assert_eq!(
-            out_off, out_on,
-            "{}/{}: arena mode changed the output",
-            entry.app, entry.name
-        );
-        let live_off = m_off.ctx().with_allocator(|a| a.live_block_count());
-        let live_on = m_on.ctx().with_allocator(|a| a.live_block_count());
-        assert_eq!(
-            live_off, live_on,
-            "{}/{}: arena mode changed the end-of-request live-block count",
-            entry.app, entry.name
-        );
-    }
-}
-
-/// Memo mode is a pure evaluation shortcut: with a warm cross-request tier
-/// attached (second run against the same cache, so hits actually replay),
-/// every corpus program must print the same bytes and leave the same number
-/// of live blocks after the request boundary as the memo-off run — with and
-/// without the arena underneath.
-#[test]
-fn corpus_programs_are_memo_invariant() {
-    for entry in php_corpus::ENTRIES {
-        let p = php_corpus::prepare(entry);
-        for arena in [false, true] {
-            let mut m_off = PhpMachine::specialized();
-            if arena {
-                m_off.ctx().set_arena_enabled(true);
-            }
-            let out_off = p.run(&mut m_off, true);
-            m_off.end_request();
-            let live_off = m_off.ctx().with_allocator(|a| a.live_block_count());
-
-            let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
-            for label in ["cold", "warm"] {
-                let mut m_on = PhpMachine::specialized();
-                if arena {
-                    m_on.ctx().set_arena_enabled(true);
-                }
-                let out_on = p.run_memo(&mut m_on, true, Some(Arc::clone(&tier)));
-                m_on.end_request();
-                let live_on = m_on.ctx().with_allocator(|a| a.live_block_count());
-                assert_eq!(
-                    out_off, out_on,
-                    "{}/{} (arena={arena}, {label}): memo changed the output",
-                    entry.app, entry.name
-                );
-                assert_eq!(
-                    live_off, live_on,
-                    "{}/{} (arena={arena}, {label}): memo changed the \
-                     end-of-request live-block count",
-                    entry.app, entry.name
-                );
-            }
-        }
-    }
 }
 
 // -- generated call-heavy programs -------------------------------------------
@@ -275,16 +189,24 @@ proptest! {
         segs in prop::collection::vec(seg_strategy(), 1..6),
     ) {
         let src = render(&segs);
-        let (out_dyn, live_dyn) = run_generated(&src, false);
-        let (out_facts, live_facts) = run_generated(&src, true);
-        prop_assert_eq!(&out_dyn, &out_facts, "facts changed the output of:\n{}", src);
-        prop_assert_eq!(live_dyn, live_facts, "facts changed live blocks of:\n{}", src);
+        let (out_ref, live_ref) = run_reference(&src);
+        for with_facts in [false, true] {
+            let (out, live) = run_vm(&src, with_facts, false, None);
+            prop_assert_eq!(
+                &out_ref, &out,
+                "vm (facts={}) changed the output of:\n{}", with_facts, src
+            );
+            prop_assert_eq!(
+                live_ref, live,
+                "vm (facts={}) changed live blocks of:\n{}", with_facts, src
+            );
+        }
 
         // Same facts, arena mode on: the allocation policy must be invisible.
-        let (out_arena, live_arena) = run_generated_with(&src, true, true, None);
-        prop_assert_eq!(&out_dyn, &out_arena, "arena mode changed the output of:\n{}", src);
+        let (out_arena, live_arena) = run_vm(&src, true, true, None);
+        prop_assert_eq!(&out_ref, &out_arena, "arena mode changed the output of:\n{}", src);
         prop_assert_eq!(
-            live_dyn, live_arena,
+            live_ref, live_arena,
             "arena mode changed end-of-request live blocks of:\n{}", src
         );
 
@@ -296,24 +218,23 @@ proptest! {
         // unsoundness in the purity verdicts shows up as a byte diff here.
         let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
         for label in ["cold", "warm"] {
-            let (out_memo, live_memo) =
-                run_generated_with(&src, true, false, Some(Arc::clone(&tier)));
+            let (out_memo, live_memo) = run_vm(&src, true, false, Some(Arc::clone(&tier)));
             prop_assert_eq!(
-                &out_dyn, &out_memo,
+                &out_ref, &out_memo,
                 "memo ({}) changed the output of:\n{}", label, src
             );
             prop_assert_eq!(
-                live_dyn, live_memo,
+                live_ref, live_memo,
                 "memo ({}) changed end-of-request live blocks of:\n{}", label, src
             );
         }
-        let (out_am, live_am) = run_generated_with(&src, true, true, Some(tier));
+        let (out_am, live_am) = run_vm(&src, true, true, Some(tier));
         prop_assert_eq!(
-            &out_dyn, &out_am,
+            &out_ref, &out_am,
             "memo x arena changed the output of:\n{}", src
         );
         prop_assert_eq!(
-            live_dyn, live_am,
+            live_ref, live_am,
             "memo x arena changed end-of-request live blocks of:\n{}", src
         );
     }

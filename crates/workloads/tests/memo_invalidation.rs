@@ -4,25 +4,20 @@
 //! replay is impossible by construction — these tests pin that down by
 //! writing to a dependency between two calls of a memoized function (a
 //! direct global rebind, and an indexed write through the global's array)
-//! and checking the second call observes the new value, on both engines,
-//! with the write-triggered invalidation counters actually firing.
+//! and checking the second call observes the new value on the compiled VM,
+//! the engine that consumes the memo tier, with the write-triggered
+//! invalidation counters actually firing.
 
 use php_analysis::analyze_with_funcs;
 use php_interp::ast::{FuncDef, Stmt};
-use php_interp::{
-    compile, parse, CompileOptions, Interp, MemoCache, MemoHandle, MemoHit, MemoTier, Vm,
-};
-use phpaccel_core::{Engine, PhpMachine};
+use php_interp::{compile, parse, CompileOptions, MemoCache, MemoHandle, MemoHit, MemoTier, Vm};
+use phpaccel_core::PhpMachine;
 use std::sync::{Arc, Mutex};
 
-/// Runs `src` once on a fresh machine with facts attached and the given
-/// memo tier (if any); returns the output bytes and the machine's memo
-/// counters `(hits, misses, stores, invalidations)`.
-fn run_once(
-    src: &str,
-    engine: Engine,
-    tier: Option<Arc<dyn MemoTier>>,
-) -> (Vec<u8>, (u64, u64, u64, u64)) {
+/// Runs `src` once on the VM on a fresh machine, compiled with facts and
+/// with the given memo tier (if any); returns the output bytes and the
+/// machine's memo counters `(hits, misses, stores, invalidations)`.
+fn run_once(src: &str, tier: Option<Arc<dyn MemoTier>>) -> (Vec<u8>, (u64, u64, u64, u64)) {
     let program = parse(src).expect("test source parses");
     let shared: Vec<Arc<FuncDef>> = program
         .stmts
@@ -33,35 +28,19 @@ fn run_once(
         })
         .collect();
     let analysis = analyze_with_funcs(&program, &shared);
-    let facts = Arc::new(analysis.facts);
+    let unit = Arc::new(compile(
+        &program,
+        &shared,
+        Some(&analysis.facts),
+        CompileOptions { fuse: true },
+    ));
     let mut m = PhpMachine::specialized();
-    m.set_engine(engine);
-    let out = match engine {
-        Engine::TreeWalk => {
-            let mut interp = Interp::new(&mut m);
-            interp.predefine_funcs(shared.iter().cloned());
-            interp.set_facts(facts.clone());
-            if let Some(t) = tier {
-                interp.set_memo(MemoHandle::new(t, "inval-test"));
-            }
-            interp.run_program(&program).expect("test source runs");
-            interp.take_output()
-        }
-        Engine::Vm => {
-            let unit = Arc::new(compile(
-                &program,
-                &shared,
-                Some(&facts),
-                CompileOptions { fuse: true },
-            ));
-            let mut vm = Vm::new(&mut m, unit);
-            if let Some(t) = tier {
-                vm.set_memo(MemoHandle::new(t, "inval-test"));
-            }
-            vm.run().expect("test source runs on vm");
-            vm.take_output()
-        }
-    };
+    let mut vm = Vm::new(&mut m, unit);
+    if let Some(t) = tier {
+        vm.set_memo(MemoHandle::new(t, "inval-test"));
+    }
+    vm.run().expect("test source runs on vm");
+    let out = vm.take_output();
     let s = m.ctx().profiler().static_savings();
     (
         out,
@@ -103,30 +82,27 @@ echo mode_line('m');
 
 #[test]
 fn dependency_writes_never_replay_stale_values() {
-    for engine in [Engine::TreeWalk, Engine::Vm] {
-        for (name, src, expected) in [
-            ("direct-rebind", DIRECT_REBIND, "a:Aa:B"),
-            ("indexed-write", INDEXED_WRITE, "m=fastm=slow"),
-        ] {
-            let (plain, _) = run_once(src, engine, None);
-            assert_eq!(plain, expected.as_bytes(), "{name} memo-off ({engine:?})");
+    for (name, src, expected) in [
+        ("direct-rebind", DIRECT_REBIND, "a:Aa:B"),
+        ("indexed-write", INDEXED_WRITE, "m=fastm=slow"),
+    ] {
+        let (plain, _) = run_once(src, None);
+        assert_eq!(plain, expected.as_bytes(), "{name} memo-off");
 
-            let tier = Arc::new(MemoCache::default());
-            let (memoized, (hits, misses, stores, invalidations)) =
-                run_once(src, engine, Some(tier));
-            assert_eq!(
-                memoized, plain,
-                "{name} ({engine:?}): a dependency write must flow into the \
-                 next call, not be shadowed by a stale memo entry"
-            );
-            assert_eq!(hits, 0, "{name} ({engine:?}): both keys are distinct");
-            assert!(misses >= 2 && stores >= 1, "{name} ({engine:?})");
-            assert!(
-                invalidations >= 1,
-                "{name} ({engine:?}): the write must purge the fingerprinted \
-                 entry, got hits={hits} misses={misses} stores={stores}"
-            );
-        }
+        let tier = Arc::new(MemoCache::default());
+        let (memoized, (hits, misses, stores, invalidations)) = run_once(src, Some(tier));
+        assert_eq!(
+            memoized, plain,
+            "{name}: a dependency write must flow into the next call, not be \
+             shadowed by a stale memo entry"
+        );
+        assert_eq!(hits, 0, "{name}: both keys are distinct");
+        assert!(misses >= 2 && stores >= 1, "{name}");
+        assert!(
+            invalidations >= 1,
+            "{name}: the write must purge the fingerprinted entry, got \
+             hits={hits} misses={misses} stores={stores}"
+        );
     }
 }
 
@@ -136,33 +112,24 @@ fn dependency_writes_never_replay_stale_values() {
 /// the counters to prove it.
 #[test]
 fn warm_tier_hits_are_dependency_faithful_across_requests() {
-    for engine in [Engine::TreeWalk, Engine::Vm] {
-        let tier: Arc<MemoCache> = Arc::new(MemoCache::default());
-        let mut outputs = Vec::new();
-        let mut last = (0, 0, 0, 0);
-        for _ in 0..3 {
-            let (out, counters) = run_once(
-                DIRECT_REBIND,
-                engine,
-                Some(tier.clone() as Arc<dyn MemoTier>),
-            );
-            outputs.push(out);
-            last = counters;
-        }
-        assert!(
-            outputs.iter().all(|o| o == &outputs[0]),
-            "requests must be reproducible ({engine:?})"
-        );
-        // Every request rebinds $cfg twice, so entries fingerprinted on it
-        // are purged each request: the warm tier keeps serving misses, and
-        // the per-request invalidation counter stays live.
-        let (hits, _misses, _stores, invalidations) = last;
-        assert_eq!(
-            hits, 0,
-            "rewritten deps must not accumulate hits ({engine:?})"
-        );
-        assert!(invalidations >= 1, "({engine:?})");
+    let tier: Arc<MemoCache> = Arc::new(MemoCache::default());
+    let mut outputs = Vec::new();
+    let mut last = (0, 0, 0, 0);
+    for _ in 0..3 {
+        let (out, counters) = run_once(DIRECT_REBIND, Some(tier.clone() as Arc<dyn MemoTier>));
+        outputs.push(out);
+        last = counters;
     }
+    assert!(
+        outputs.iter().all(|o| o == &outputs[0]),
+        "requests must be reproducible"
+    );
+    // Every request rebinds $cfg twice, so entries fingerprinted on it are
+    // purged each request: the warm tier keeps serving misses, and the
+    // per-request invalidation counter stays live.
+    let (hits, _misses, _stores, invalidations) = last;
+    assert_eq!(hits, 0, "rewritten deps must not accumulate hits");
+    assert!(invalidations >= 1);
 }
 
 /// A tier that records the dependency name of every `invalidate` call it
@@ -221,36 +188,29 @@ foreach (array(array('m' => 'C')) as $cfg) { echo render('a'); }
 
 /// The tier is namespaced per script, so only a write to a name in some memo
 /// site's `deps` can match an entry: every other main-scope write must not
-/// reach `MemoTier::invalidate` at all, on either engine.
+/// reach `MemoTier::invalidate` at all.
 #[test]
 fn the_tier_is_asked_to_invalidate_only_for_dependency_writes() {
-    for engine in [Engine::TreeWalk, Engine::Vm] {
-        let tier = Arc::new(RecordingTier::default());
-        let (out, (hits, _, stores, _)) =
-            run_once(NO_DEPS, engine, Some(tier.clone() as Arc<dyn MemoTier>));
-        assert_eq!(out, b"9029", "({engine:?})");
-        assert!(stores >= 1 && hits >= 1, "square must be a memo site");
-        assert_eq!(
-            *tier.invalidate_calls.lock().unwrap(),
-            Vec::<String>::new(),
-            "no memo site has a dependency, so no write can invalidate ({engine:?})"
-        );
+    let tier = Arc::new(RecordingTier::default());
+    let (out, (hits, _, stores, _)) = run_once(NO_DEPS, Some(tier.clone() as Arc<dyn MemoTier>));
+    assert_eq!(out, b"9029");
+    assert!(stores >= 1 && hits >= 1, "square must be a memo site");
+    assert_eq!(
+        *tier.invalidate_calls.lock().unwrap(),
+        Vec::<String>::new(),
+        "no memo site has a dependency, so no write can invalidate"
+    );
 
-        let tier = Arc::new(RecordingTier::default());
-        let (out, (_, _, stores, invalidations)) = run_once(
-            MIXED_WRITES,
-            engine,
-            Some(tier.clone() as Arc<dyn MemoTier>),
-        );
-        assert_eq!(out, b"a:Aa:Ba:C", "({engine:?})");
-        assert!(stores >= 2 && invalidations >= 2, "({engine:?})");
-        // One call per write of `$cfg` (rebind, element write, foreach
-        // bind), none for `$other` or `$log`.
-        let dep = MemoHandle::new(tier.clone() as Arc<dyn MemoTier>, "inval-test").dep_key("cfg");
-        assert_eq!(
-            *tier.invalidate_calls.lock().unwrap(),
-            vec![dep.clone(), dep.clone(), dep],
-            "({engine:?})"
-        );
-    }
+    let tier = Arc::new(RecordingTier::default());
+    let (out, (_, _, stores, invalidations)) =
+        run_once(MIXED_WRITES, Some(tier.clone() as Arc<dyn MemoTier>));
+    assert_eq!(out, b"a:Aa:Ba:C");
+    assert!(stores >= 2 && invalidations >= 2);
+    // One call per write of `$cfg` (rebind, element write, foreach bind),
+    // none for `$other` or `$log`.
+    let dep = MemoHandle::new(tier.clone() as Arc<dyn MemoTier>, "inval-test").dep_key("cfg");
+    assert_eq!(
+        *tier.invalidate_calls.lock().unwrap(),
+        vec![dep.clone(), dep.clone(), dep]
+    );
 }

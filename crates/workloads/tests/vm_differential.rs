@@ -1,13 +1,15 @@
 //! Cross-engine differential harness: the compiled opcode VM must be
-//! observationally identical to the tree-walking evaluator.
+//! observationally identical to the fact-free tree walk, the reference the
+//! server replays every request on.
 //!
 //! The VM is only allowed to remove *metered* work — dispatch overhead,
 //! transient intermediates, fact-checked guards. It must never change what
 //! a script prints, which error it raises, or how many heap blocks survive
 //! the request boundary. This harness runs every corpus program and a
-//! family of generated programs through the tree walker and through the VM
-//! (fusion on and off × facts on and off × arena on and off) and demands
-//! byte-identical output plus identical end-of-request live-block counts.
+//! family of generated programs once through the fact-free tree walk and
+//! through the VM (fusion on and off × facts on and off × arena on and off
+//! × memo tier on and off) and holds every VM run to the tree walk's bytes
+//! and end-of-request live-block count.
 //!
 //! The pinned tests at the bottom each encode an evaluation-order,
 //! short-circuit or variable-scope rule (the VM keeps variables in
@@ -24,40 +26,56 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use workloads::php_corpus;
 
-/// Which execution engine to run a generated source through.
+/// How the VM runs a source: the cached-unit variant and what is attached.
 #[derive(Debug, Clone, Copy)]
-enum Runner {
-    Tree,
-    Vm { fused: bool },
-}
-
-/// Runs `src` on a fresh specialized machine under `runner`, returning the
-/// output bytes and the end-of-request live-block count. Mirrors
-/// `php_corpus::prepare`: function bodies are shared between the analysis
-/// and the engines so facts keyed on node identity stay valid inside them.
-fn run_src_on(src: &str, runner: Runner, with_facts: bool, arena: bool) -> (Vec<u8>, usize) {
-    run_src_memo(src, runner, with_facts, arena, None)
-}
-
-fn run_src_memo(
-    src: &str,
-    runner: Runner,
+struct VmRun {
+    fused: bool,
     with_facts: bool,
     arena: bool,
-    memo: Option<Arc<dyn MemoTier>>,
-) -> (Vec<u8>, usize) {
-    let (result, live) = try_run_src(src, runner, with_facts, arena, memo);
-    let out = result.unwrap_or_else(|e| panic!("{runner:?} fails: {e}\n{src}"));
-    (out, live)
 }
 
-/// [`run_src_memo`] for programs that may fail: the error message in place
-/// of the output. The request boundary is crossed either way.
-fn try_run_src(
+/// Every VM variant: fusion × facts × arena.
+fn vm_variants() -> impl Iterator<Item = VmRun> {
+    [false, true].into_iter().flat_map(|fused| {
+        [false, true].into_iter().flat_map(move |with_facts| {
+            [false, true].map(move |arena| VmRun {
+                fused,
+                with_facts,
+                arena,
+            })
+        })
+    })
+}
+
+/// The end-of-request live-block count: crosses the request boundary (so an
+/// arena epoch is reclaimed) and counts what survives.
+fn live_after_request(m: &mut PhpMachine) -> usize {
+    m.end_request();
+    m.ctx().with_allocator(|a| a.live_block_count())
+}
+
+/// The fact-free tree walk of `src` on a fresh specialized machine: its
+/// output, or the error message in its place, and the end-of-request
+/// live-block count.
+fn try_run_tree(src: &str) -> (Result<Vec<u8>, String>, usize) {
+    let program =
+        parse(src).unwrap_or_else(|e| panic!("generated program fails to parse: {e:?}\n{src}"));
+    let mut m = PhpMachine::specialized();
+    let out = {
+        let mut interp = Interp::new(&mut m);
+        let r = interp.run_program(&program);
+        r.map(|()| interp.take_output()).map_err(|e| e.message)
+    };
+    (out, live_after_request(&mut m))
+}
+
+/// Runs `src` on the VM on a fresh specialized machine as `run` says, with
+/// `memo` attached when given. Mirrors `php_corpus::prepare`: function
+/// bodies are shared between the analysis and the compiler so facts keyed
+/// on node identity stay valid inside them.
+fn try_run_vm(
     src: &str,
-    runner: Runner,
-    with_facts: bool,
-    arena: bool,
+    run: VmRun,
     memo: Option<Arc<dyn MemoTier>>,
 ) -> (Result<Vec<u8>, String>, usize) {
     let program =
@@ -71,101 +89,54 @@ fn try_run_src(
         })
         .collect();
     let analysis = analyze_with_funcs(&program, &shared);
-    let facts = Arc::new(analysis.facts);
+    let unit = Arc::new(compile(
+        &program,
+        &shared,
+        run.with_facts.then_some(&analysis.facts),
+        CompileOptions { fuse: run.fused },
+    ));
     let mut m = PhpMachine::specialized();
-    if arena {
+    if run.arena {
         m.ctx().set_arena_enabled(true);
     }
-    let out = match runner {
-        Runner::Tree => {
-            let mut interp = Interp::new(&mut m);
-            interp.predefine_funcs(shared.iter().cloned());
-            if with_facts {
-                interp.set_facts(Arc::clone(&facts));
-            }
-            if let Some(t) = memo {
-                interp.set_memo(MemoHandle::new(t, "vm-diff"));
-            }
-            let r = interp.run_program(&program);
-            r.map(|()| interp.take_output()).map_err(|e| e.message)
+    let out = {
+        let mut vm = Vm::new(&mut m, unit);
+        if let Some(t) = memo {
+            vm.set_memo(MemoHandle::new(t, "vm-diff"));
         }
-        Runner::Vm { fused } => {
-            let unit = Arc::new(compile(
-                &program,
-                &shared,
-                with_facts.then_some(&*facts),
-                CompileOptions { fuse: fused },
-            ));
-            let mut vm = Vm::new(&mut m, unit);
-            if let Some(t) = memo {
-                vm.set_memo(MemoHandle::new(t, "vm-diff"));
-            }
-            let r = vm.run();
-            r.map(|()| vm.take_output()).map_err(|e| e.message)
-        }
+        let r = vm.run();
+        r.map(|()| vm.take_output()).map_err(|e| e.message)
     };
-    m.end_request();
-    let live = m.ctx().with_allocator(|a| a.live_block_count());
-    (out, live)
+    (out, live_after_request(&mut m))
 }
 
-/// Runs `src` through the tree walker and both VM variants across the full
-/// facts × arena matrix, asserting byte-identical output and identical
-/// end-of-request live blocks everywhere. Returns the (unique) output.
+/// Runs `src` once through the fact-free tree walk and through every VM
+/// variant, with and without a memo tier, asserting byte-identical output
+/// and identical end-of-request live blocks everywhere. Returns the
+/// (unique) output.
 fn assert_engines_agree(src: &str) -> Vec<u8> {
-    let (reference, _) = run_src_on(src, Runner::Tree, false, false);
-    for with_facts in [false, true] {
-        for arena in [false, true] {
-            let (out_tree, live_tree) = run_src_on(src, Runner::Tree, with_facts, arena);
-            assert_eq!(
-                out_tree, reference,
-                "tree walk (facts={with_facts}, arena={arena}) diverged from itself:\n{src}"
-            );
-            for fused in [false, true] {
-                let (out_vm, live_vm) = run_src_on(src, Runner::Vm { fused }, with_facts, arena);
-                assert_eq!(
-                    out_vm,
-                    out_tree,
-                    "vm (fused={fused}, facts={with_facts}, arena={arena}) changed the output of:\n{src}\n\
-                     tree: {:?}\nvm:   {:?}",
-                    String::from_utf8_lossy(&out_tree),
-                    String::from_utf8_lossy(&out_vm),
-                );
-                assert_eq!(
-                    live_vm, live_tree,
-                    "vm (fused={fused}, facts={with_facts}, arena={arena}) changed live blocks of:\n{src}"
-                );
-            }
-        }
-    }
-
-    // Memo axis: one tier shared across engines, so the VM replays entries
-    // the tree walker stored (and vice versa) — cross-engine cache
-    // compatibility is byte-checked here, not assumed. Facts stay on (memo
-    // sites only exist in the facts table).
+    let (reference, live_ref) = try_run_tree(src);
+    let reference = reference.unwrap_or_else(|e| panic!("tree walk fails: {e}\n{src}"));
+    // Memo axis: one tier across every facts run, so all but the first
+    // replay entries an earlier variant stored. Memo sites only exist in
+    // facts-compiled units, so the tier is inert without facts.
     let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
-    for arena in [false, true] {
-        let (out_tree, live_tree) =
-            run_src_memo(src, Runner::Tree, true, arena, Some(Arc::clone(&tier)));
-        assert_eq!(
-            out_tree, reference,
-            "tree walk (memo, arena={arena}) changed the output of:\n{src}"
-        );
-        for fused in [false, true] {
-            let (out_vm, live_vm) = run_src_memo(
-                src,
-                Runner::Vm { fused },
-                true,
-                arena,
-                Some(Arc::clone(&tier)),
+    for run in vm_variants() {
+        for memo in [None, Some(Arc::clone(&tier))] {
+            let label = format!("{run:?}, memo={}", memo.is_some());
+            let (out, live) = try_run_vm(src, run, memo);
+            let out = out.unwrap_or_else(|e| panic!("vm ({label}) fails: {e}\n{src}"));
+            assert_eq!(
+                out,
+                reference,
+                "vm ({label}) changed the output of:\n{src}\n\
+                 tree: {:?}\nvm:   {:?}",
+                String::from_utf8_lossy(&reference),
+                String::from_utf8_lossy(&out),
             );
             assert_eq!(
-                out_vm, reference,
-                "vm (memo, fused={fused}, arena={arena}) changed the output of:\n{src}"
-            );
-            assert_eq!(
-                live_vm, live_tree,
-                "vm (memo, fused={fused}, arena={arena}) changed live blocks of:\n{src}"
+                live, live_ref,
+                "vm ({label}) changed live blocks of:\n{src}"
             );
         }
     }
@@ -174,99 +145,63 @@ fn assert_engines_agree(src: &str) -> Vec<u8> {
 
 // -- corpus ------------------------------------------------------------------
 
-/// Every corpus program, tree walk vs VM, across facts × fusion × arena.
-/// This is the acceptance gate for the compile pass: the prepared script
-/// caches all four `CompiledUnit` variants, and each must reproduce the
-/// tree walker's bytes and leave the allocator in the same state.
+/// Every corpus program, fact-free tree walk vs VM across facts × fusion ×
+/// arena. This is the acceptance gate for the compile pass: the prepared
+/// script caches all four `CompiledUnit` variants, and each must reproduce
+/// the reference's bytes and leave the allocator in the same state.
 #[test]
 fn corpus_programs_are_engine_invariant() {
     for entry in php_corpus::ENTRIES {
         let p = php_corpus::prepare(entry);
-        for with_facts in [false, true] {
-            for arena in [false, true] {
-                let mut m_tree = PhpMachine::specialized();
-                if arena {
-                    m_tree.ctx().set_arena_enabled(true);
-                }
-                let out_tree = p.run(&mut m_tree, with_facts);
-                m_tree.end_request();
-                let live_tree = m_tree.ctx().with_allocator(|a| a.live_block_count());
-
-                for fused in [false, true] {
-                    let mut m_vm = PhpMachine::specialized();
-                    if arena {
-                        m_vm.ctx().set_arena_enabled(true);
-                    }
-                    let out_vm = p.run_vm(&mut m_vm, with_facts, fused);
-                    m_vm.end_request();
-                    let live_vm = m_vm.ctx().with_allocator(|a| a.live_block_count());
-                    assert_eq!(
-                        out_vm, out_tree,
-                        "{}/{} (facts={with_facts}, fused={fused}, arena={arena}): \
-                         vm changed the output",
-                        entry.app, entry.name
-                    );
-                    assert_eq!(
-                        live_vm, live_tree,
-                        "{}/{} (facts={with_facts}, fused={fused}, arena={arena}): \
-                         vm changed the end-of-request live-block count",
-                        entry.app, entry.name
-                    );
-                }
-            }
+        let mut m_tree = PhpMachine::specialized();
+        let out_tree = p.run(&mut m_tree, false);
+        let live_tree = live_after_request(&mut m_tree);
+        for run in vm_variants() {
+            let mut m_vm = PhpMachine::specialized();
+            m_vm.ctx().set_arena_enabled(run.arena);
+            let out_vm = p.run_vm(&mut m_vm, run.with_facts, run.fused);
+            let live_vm = live_after_request(&mut m_vm);
+            assert_eq!(
+                out_vm, out_tree,
+                "{}/{} ({run:?}): vm changed the output",
+                entry.app, entry.name
+            );
+            assert_eq!(
+                live_vm, live_tree,
+                "{}/{} ({run:?}): vm changed the end-of-request live-block count",
+                entry.app, entry.name
+            );
         }
     }
 }
 
-/// Corpus programs with the cross-request memo tier attached: one warm tier
-/// per entry is shared between the tree walker and both VM variants, across
-/// the arena axis, and every run must reproduce the memo-off tree walker's
-/// bytes and end-of-request live-block count.
+/// Corpus programs with the cross-request memo tier attached: a cold and a
+/// warm run against one tier per entry and VM variant, across the arena
+/// axis, must each reproduce the fact-free tree walk's bytes and
+/// end-of-request live-block count.
 #[test]
-fn corpus_programs_are_memo_invariant_across_engines() {
+fn corpus_programs_are_memo_invariant() {
     for entry in php_corpus::ENTRIES {
         let p = php_corpus::prepare(entry);
-        for arena in [false, true] {
-            let mut m_off = PhpMachine::specialized();
-            if arena {
-                m_off.ctx().set_arena_enabled(true);
-            }
-            let out_off = p.run(&mut m_off, true);
-            m_off.end_request();
-            let live_off = m_off.ctx().with_allocator(|a| a.live_block_count());
-
+        let mut m_ref = PhpMachine::specialized();
+        let out_ref = p.run(&mut m_ref, false);
+        let live_ref = live_after_request(&mut m_ref);
+        for run in vm_variants().filter(|r| r.with_facts) {
             let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
-            let mut runs: Vec<(String, Vec<u8>, usize)> = Vec::new();
             for pass in ["cold", "warm"] {
                 let mut m = PhpMachine::specialized();
-                if arena {
-                    m.ctx().set_arena_enabled(true);
-                }
-                let out = p.run_memo(&mut m, true, Some(Arc::clone(&tier)));
-                m.end_request();
-                let live = m.ctx().with_allocator(|a| a.live_block_count());
-                runs.push((format!("tree/{pass}"), out, live));
-            }
-            for fused in [false, true] {
-                let mut m = PhpMachine::specialized();
-                if arena {
-                    m.ctx().set_arena_enabled(true);
-                }
-                let out = p.run_vm_memo(&mut m, true, fused, Some(Arc::clone(&tier)));
-                m.end_request();
-                let live = m.ctx().with_allocator(|a| a.live_block_count());
-                runs.push((format!("vm/fused={fused}"), out, live));
-            }
-            for (label, out, live) in &runs {
+                m.ctx().set_arena_enabled(run.arena);
+                let out = p.run_vm_memo(&mut m, true, run.fused, Some(Arc::clone(&tier)));
+                let live = live_after_request(&mut m);
                 assert_eq!(
-                    out, &out_off,
-                    "{}/{} (arena={arena}, {label}): memo changed the output",
+                    out, out_ref,
+                    "{}/{} ({run:?}, {pass}): memo changed the output",
                     entry.app, entry.name
                 );
                 assert_eq!(
-                    live, &live_off,
-                    "{}/{} (arena={arena}, {label}): memo changed the \
-                     end-of-request live-block count",
+                    live, live_ref,
+                    "{}/{} ({run:?}, {pass}): memo changed the end-of-request \
+                     live-block count",
                     entry.app, entry.name
                 );
             }
@@ -486,7 +421,8 @@ proptest! {
         segs in prop::collection::vec(seg_strategy(), 1..6),
     ) {
         let src = render(&segs);
-        // assert_engines_agree covers the full facts × fusion × arena matrix.
+        // assert_engines_agree covers the full fusion × facts × arena × memo
+        // matrix.
         assert_engines_agree(&src);
     }
 }
@@ -683,14 +619,12 @@ fn pinned_recursion_gives_each_activation_its_own_frame() {
 #[test]
 fn pinned_call_depth_error_unwinds_every_frame() {
     let src = "function f($n) { $a = array($n); return f($n + 1); } echo 'in'; f(0); echo 'out';";
-    let (tree, live_tree) = try_run_src(src, Runner::Tree, true, false, None);
+    let (tree, live_tree) = try_run_tree(src);
     assert_eq!(tree, Err("maximum call depth exceeded".to_string()));
-    for fused in [false, true] {
-        for with_facts in [false, true] {
-            let (vm, live_vm) = try_run_src(src, Runner::Vm { fused }, with_facts, false, None);
-            assert_eq!(vm, tree, "fused={fused} facts={with_facts}");
-            assert_eq!(live_vm, live_tree, "fused={fused} facts={with_facts}");
-        }
+    for run in vm_variants().filter(|r| !r.arena) {
+        let (vm, live_vm) = try_run_vm(src, run, None);
+        assert_eq!(vm, tree, "{run:?}");
+        assert_eq!(live_vm, live_tree, "{run:?}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full workloads through the runtime,
 //! interpreter, accelerators, and accounting.
 
-use phpaccel::core::{compare, ExecMode, MachineConfig, PhpMachine};
+use phpaccel::core::{compare, Engine, ExecMode, MachineConfig, PhpMachine};
 use phpaccel::interp::Interp;
 use phpaccel::runtime::array::ArrayKey;
 use phpaccel::runtime::value::PhpValue;
@@ -209,6 +209,7 @@ fn static_analysis_preserves_corpus_outputs_exactly() {
         for mode in [ExecMode::Baseline, ExecMode::Specialized] {
             let mut off = PhpMachine::new(mode, MachineConfig::default());
             let mut on = PhpMachine::new(mode, MachineConfig::default());
+            on.set_engine(Engine::Vm);
             let plain = prepared.run(&mut off, false);
             let specialized = prepared.run(&mut on, true);
             assert_eq!(
@@ -223,14 +224,28 @@ fn static_analysis_preserves_corpus_outputs_exactly() {
 
 #[test]
 fn static_analysis_saves_work_on_the_wordpress_workload() {
-    use phpaccel::workloads::{WordPress, Workload};
-    let mut on_app = WordPress::new(21);
-    on_app.enable_static_analysis();
-    let mut off_app = WordPress::new(21);
-    let mut on = PhpMachine::specialized();
-    let mut off = PhpMachine::specialized();
-    small_load().run(&mut on_app, &mut on);
-    small_load().run(&mut off_app, &mut off);
+    use phpaccel::workloads::php_corpus;
+    // The WordPress scripts of the corpus, three requests each, on the
+    // serving engine: compiled with the facts against compiled without.
+    let scripts: Vec<_> = php_corpus::for_app("wordpress")
+        .into_iter()
+        .map(php_corpus::prepare)
+        .collect();
+    let run = |with_facts: bool| {
+        let mut m = PhpMachine::specialized();
+        m.set_engine(Engine::Vm);
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            for p in &scripts {
+                out.extend(p.run(&mut m, with_facts));
+                m.end_request();
+            }
+        }
+        (out, m)
+    };
+    let (bytes_on, on) = run(true);
+    let (bytes_off, off) = run(false);
+    assert_eq!(bytes_on, bytes_off, "facts must not change a byte");
 
     let s = on.ctx().profiler().static_savings();
     assert!(s.type_checks_avoided > 0, "no type checks avoided");
