@@ -11,8 +11,8 @@ use regex_engine::Regex;
 use std::sync::Arc;
 
 /// What a builtin needs from the engine running it. Both the tree-walking
-/// [`Interp`](crate::Interp) and the compiled VM implement this, so every builtin has
-/// exactly one definition and cannot diverge between engines.
+/// [`Interp`](crate::Interp) and the compiled VM implement this, so every
+/// builtin has exactly one definition and cannot diverge between engines.
 pub trait Host {
     /// The machine all metered work flows through.
     fn machine(&mut self) -> &mut PhpMachine;

@@ -231,8 +231,8 @@ fn static_analysis_saves_work_on_the_wordpress_workload() {
         .into_iter()
         .map(php_corpus::prepare)
         .collect();
-    let run = |with_facts: bool| {
-        let mut m = PhpMachine::specialized();
+    let run = |mode: ExecMode, with_facts: bool| {
+        let mut m = PhpMachine::new(mode, MachineConfig::default());
         m.set_engine(Engine::Vm);
         let mut out = Vec::new();
         for _ in 0..3 {
@@ -243,28 +243,44 @@ fn static_analysis_saves_work_on_the_wordpress_workload() {
         }
         (out, m)
     };
-    let (bytes_on, on) = run(true);
-    let (bytes_off, off) = run(false);
-    assert_eq!(bytes_on, bytes_off, "facts must not change a byte");
+    for mode in [ExecMode::Baseline, ExecMode::Specialized] {
+        let (bytes_on, on) = run(mode, true);
+        let (bytes_off, off) = run(mode, false);
+        assert_eq!(
+            bytes_on, bytes_off,
+            "facts must not change a byte ({mode:?})"
+        );
 
-    let s = on.ctx().profiler().static_savings();
-    assert!(s.type_checks_avoided > 0, "no type checks avoided");
-    assert!(s.rc_incs_avoided > 0, "no refcount increments elided");
-    assert!(s.rc_decs_avoided > 0, "no refcount decrements elided");
-    assert!(
-        on.core().htable.stats().hinted_hash_skips > 0,
-        "no hinted probes"
-    );
-    assert_eq!(off.ctx().profiler().static_savings().total(), 0);
-    // Analysis only ever removes metered work.
-    let (u_on, u_off) = (
-        on.ctx().profiler().total_uops(),
-        off.ctx().profiler().total_uops(),
-    );
-    assert!(
-        u_on < u_off,
-        "analysis must shrink the µop stream: {u_on} vs {u_off}"
-    );
+        let s = on.ctx().profiler().static_savings();
+        assert!(
+            s.type_checks_avoided > 0,
+            "no type checks avoided ({mode:?})"
+        );
+        assert!(
+            s.rc_incs_avoided > 0,
+            "no refcount increments elided ({mode:?})"
+        );
+        assert!(
+            s.rc_decs_avoided > 0,
+            "no refcount decrements elided ({mode:?})"
+        );
+        if mode == ExecMode::Specialized {
+            assert!(
+                on.core().htable.stats().hinted_hash_skips > 0,
+                "no hinted probes"
+            );
+        }
+        assert_eq!(off.ctx().profiler().static_savings().total(), 0);
+        // Analysis only ever removes metered work.
+        let (u_on, u_off) = (
+            on.ctx().profiler().total_uops(),
+            off.ctx().profiler().total_uops(),
+        );
+        assert!(
+            u_on < u_off,
+            "analysis must shrink the µop stream ({mode:?}): {u_on} vs {u_off}"
+        );
+    }
 }
 
 #[test]
