@@ -32,7 +32,7 @@ use serve::{
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::php_corpus::CorpusCache;
+use workloads::php_corpus::{self, CorpusCache};
 use workloads::{ArrivalConfig, ArrivalShape, SessionConfig, TrafficPlan};
 
 /// Worker counts the bench sweeps.
@@ -42,8 +42,10 @@ const LOAD_FACTORS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
 /// Arrivals per run (full mode / --smoke).
 const FULL_REQUESTS: usize = 240;
 const SMOKE_REQUESTS: usize = 60;
-/// Warmup requests before the measured schedule (stats reset after).
-const WARMUP: usize = 6;
+/// Warmup requests before the measured schedule (stats reset after): one
+/// cycle of the corpus, so no script's first-touch run lands in the
+/// measured stream or in the controller's service envelope.
+const WARMUP: usize = php_corpus::ENTRIES.len();
 /// Seed for arrivals, sessions, and the fault plan.
 const SEED: u64 = 20_170_613;
 
@@ -89,8 +91,10 @@ fn session_handler(cache: &Arc<CorpusCache>, plan: &TrafficPlan) -> impl Handler
     }
 }
 
-/// Measured capacity of one engine: steady-state (mean, max) service µops
-/// per request over session-weighted traffic, warm requests only.
+/// Measured capacity of one engine, after the warmup cycle: the mean
+/// service µops per request over session-weighted traffic, and the max over
+/// that traffic and one more corpus cycle, so the envelope covers every
+/// script the traffic can serve and not only those it drew.
 fn calibrate(cache: &Arc<CorpusCache>, engine: Engine) -> (u64, u64) {
     let plan = traffic(ArrivalShape::Steady, 3 * cache.len(), 1, cache.len());
     let mut server = Server::worker(
@@ -102,13 +106,17 @@ fn calibrate(cache: &Arc<CorpusCache>, engine: Engine) -> (u64, u64) {
         false,
     );
     let mut h = session_handler(cache, &plan);
-    let skip = cache.len() as u64; // one cold corpus cycle
+    let end = (WARMUP + plan.len()) as u64;
     let (mut total, mut max, mut n) = (0u64, 0u64, 0u64);
-    for i in 0..(WARMUP as u64 + plan.len() as u64) {
+    // Past the plan the handler cycles the corpus again.
+    for i in 0..end + cache.len() as u64 {
         let (_, s) = server.step(i, &mut h, true);
-        if i >= skip {
+        if i < WARMUP as u64 {
+            continue;
+        }
+        max = max.max(s);
+        if i < end {
             total += s;
-            max = max.max(s);
             n += 1;
         }
     }

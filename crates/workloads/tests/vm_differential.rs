@@ -3,13 +3,16 @@
 //! server replays every request on.
 //!
 //! The VM is only allowed to remove *metered* work — dispatch overhead,
-//! transient intermediates, fact-checked guards. It must never change what
+//! transient intermediates, and the type checks, refcount traffic, probe
+//! stages and regex compiles its facts elide. It must never change what
 //! a script prints, which error it raises, or how many heap blocks survive
-//! the request boundary. This harness runs every corpus program and a
-//! family of generated programs once through the fact-free tree walk and
-//! through the VM (fusion on and off × facts on and off × arena on and off
-//! × memo tier on and off) and holds every VM run to the tree walk's bytes
-//! and end-of-request live-block count.
+//! the request boundary. This harness runs every corpus program and two
+//! families of generated programs (one aimed at evaluation order, one at
+//! the call-heavy shapes the interprocedural analyses reason about) once
+//! through the fact-free tree walk and through the VM (fusion on and off ×
+//! facts on and off × arena on and off × memo tier on and off) and holds
+//! every VM run to the tree walk's bytes and end-of-request live-block
+//! count.
 //!
 //! The pinned tests at the bottom each encode an evaluation-order,
 //! short-circuit or variable-scope rule (the VM keeps variables in
@@ -235,7 +238,7 @@ fn engine_dispatch_on_machine_is_transparent() {
 // -- generated programs ------------------------------------------------------
 //
 // Each segment contributes one helper function `segN(..)` plus main-scope
-// statements exercising it. Unlike the facts-differential generator (which
+// statements exercising it. Unlike the call-heavy generator below (which
 // targets the interprocedural analyses), these segments target the VM
 // codegen paths where evaluation order is easiest to get wrong: operand
 // order around side-effecting calls, short-circuit evaluation, loop
@@ -424,6 +427,122 @@ proptest! {
         // assert_engines_agree covers the full fusion × facts × arena × memo
         // matrix.
         assert_engines_agree(&src);
+    }
+}
+
+// -- generated call-heavy programs -------------------------------------------
+//
+// Each segment contributes one helper function `segN($x)` plus the main-scope
+// statements that exercise it. Segments cover the interprocedural features
+// the facts are derived from: constant arithmetic across a call, string
+// returns feeding concats, constant `preg_*` patterns returned from helpers,
+// global writes inside callees, self-recursion (an SCC in the call graph),
+// and chains calling the previous segment's helper.
+
+#[derive(Debug, Clone)]
+enum CallSeg {
+    /// `segN($x) = $x * k + c`, called with literal `a`.
+    Arith { k: i64, c: i64, a: i64 },
+    /// `segN($x) = lit . $x . '!'`, called with a literal string.
+    Concat { lit: String, arg: String },
+    /// `segN()` returns a constant pattern; main feeds it to `preg_match`.
+    Pattern { pat: &'static str, subject: String },
+    /// `segN($x)` writes a global the caller also reads.
+    Global { v: i64 },
+    /// Self-recursive countdown — a non-trivial SCC for the summary pass.
+    Recur { n: i64, base: i64 },
+    /// Calls the previous segment's helper twice and concatenates.
+    Chain { a: i64 },
+}
+
+fn call_seg_strategy() -> impl Strategy<Value = CallSeg> {
+    prop_oneof![
+        (1i64..9, 0i64..50, 0i64..60).prop_map(|(k, c, a)| CallSeg::Arith { k, c, a }),
+        ("[a-z]{0,6}", "[a-z0-9]{0,8}").prop_map(|(lit, arg)| CallSeg::Concat { lit, arg }),
+        (
+            prop::sample::select(vec!["[a-z]+", "[0-9]+", "wp", "ab"]),
+            "[a-z ]{0,16}"
+        )
+            .prop_map(|(pat, subject)| CallSeg::Pattern { pat, subject }),
+        (0i64..40).prop_map(|v| CallSeg::Global { v }),
+        (0i64..6, 0i64..10).prop_map(|(n, base)| CallSeg::Recur { n, base }),
+        (0i64..20).prop_map(|a| CallSeg::Chain { a }),
+    ]
+}
+
+/// Renders the segments into one mini-PHP source: all helper functions first,
+/// then the main-scope driver, then a foreach epilogue re-calling `seg0` so
+/// every program ends with a loop full of calls.
+fn render_calls(segs: &[CallSeg]) -> String {
+    let mut funcs = String::new();
+    let mut main = String::new();
+    for (i, seg) in segs.iter().enumerate() {
+        match seg {
+            CallSeg::Arith { k, c, a } => {
+                let _ = writeln!(funcs, "function seg{i}($x) {{ return $x * {k} + {c}; }}");
+                let _ = writeln!(main, "$r{i} = seg{i}({a}); echo 'a{i}:', $r{i}, ';';");
+            }
+            CallSeg::Concat { lit, arg } => {
+                let _ = writeln!(
+                    funcs,
+                    "function seg{i}($x) {{ return '{lit}' . $x . '!'; }}"
+                );
+                let _ = writeln!(main, "$s{i} = seg{i}('{arg}'); echo $s{i}, ';';");
+            }
+            CallSeg::Pattern { pat, subject } => {
+                let _ = writeln!(funcs, "function seg{i}($x) {{ return '/{pat}/'; }}");
+                let _ = writeln!(
+                    main,
+                    "$m{i} = preg_match(seg{i}(0), '{subject}'); echo 'm{i}:', $m{i}, ';';"
+                );
+            }
+            CallSeg::Global { v } => {
+                let _ = writeln!(
+                    funcs,
+                    "function seg{i}($x) {{ global $gv{i}; $gv{i} = $x + 1; return $gv{i}; }}"
+                );
+                let _ = writeln!(
+                    main,
+                    "$gv{i} = 5; $t{i} = seg{i}({v}); echo $t{i}, ':', $gv{i}, ';';"
+                );
+            }
+            CallSeg::Recur { n, base } => {
+                let _ = writeln!(
+                    funcs,
+                    "function seg{i}($x) {{ return $x ? seg{i}($x - 1) : {base}; }}"
+                );
+                let _ = writeln!(main, "echo 'r{i}:', seg{i}({n}), ';';");
+            }
+            CallSeg::Chain { a } => {
+                if i == 0 {
+                    let _ = writeln!(funcs, "function seg{i}($x) {{ return $x + 1; }}");
+                } else {
+                    let j = i - 1;
+                    let _ = writeln!(
+                        funcs,
+                        "function seg{i}($x) {{ return seg{j}($x) . '|' . seg{j}($x); }}"
+                    );
+                }
+                let _ = writeln!(main, "echo 'c{i}:', seg{i}({a}), ';';");
+            }
+        }
+    }
+    main.push_str("foreach (array(1, 2, 3) as $it) { echo seg0($it), ','; }\n");
+    format!("{funcs}{main}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn generated_call_heavy_programs_are_facts_invariant(
+        segs in prop::collection::vec(call_seg_strategy(), 1..6),
+    ) {
+        // The memo tier is shared across the facts variants, so every run
+        // after the first replays what an earlier one stored. The
+        // `CallSeg::Global` helpers write globals inside callees — exactly
+        // the shape the effect analysis must refuse to memoize — so any
+        // unsoundness in the purity verdicts shows up as a byte diff.
+        assert_engines_agree(&render_calls(&segs));
     }
 }
 
