@@ -556,7 +556,9 @@ impl HwHashTable {
 
     /// Full hardware invalidation (the sandbox recovery path): drops every
     /// entry and the whole RTT without write-back — the software maps are
-    /// the ground truth, so nothing is lost. Clears any latent corruption.
+    /// the ground truth, so nothing is lost. The scrub checks parity on what
+    /// it drops, so latent corruption (an entry or back-pointer buffer no
+    /// request read again) is detected here rather than lost, then cleared.
     /// Returns the number of live entries dropped. Costs the entries made
     /// valid since the last call, not the table size: only those can be
     /// valid now.
@@ -576,6 +578,7 @@ impl HwHashTable {
         }
         self.touched.clear();
         self.rtt.clear();
+        self.stats.faults_detected += (self.corrupt_entries.len() + self.corrupt_rtt.len()) as u64;
         self.corrupt_entries.clear();
         self.corrupt_rtt.clear();
         n
@@ -886,13 +889,15 @@ mod tests {
         t.inject_entry_fault(0);
         t.inject_rtt_fault(0);
         assert_eq!(t.invalidate_all(), 2);
+        // The scrub's parity check finds both latent faults as it drops them.
+        assert_eq!(t.stats().faults_detected, 2);
         assert_eq!(t.occupancy(), 0);
         assert_eq!(t.get(0x100, b"a"), GetOutcome::Miss);
         assert_eq!(t.get(0x200, b"b"), GetOutcome::Miss);
         // No latent corruption to detect after the wipe.
         t.set(0x100, b"a", 1);
         assert_eq!(t.get(0x100, b"a"), GetOutcome::Hit { value_ptr: 1 });
-        assert_eq!(t.stats().faults_detected, 0);
+        assert_eq!(t.stats().faults_detected, 2);
     }
 
     #[test]

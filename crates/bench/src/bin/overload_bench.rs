@@ -21,7 +21,9 @@
 //! clock. The queue is advanced by the Lindley recurrence on that clock,
 //! so every run replays exactly.
 //!
-//! Usage: `overload_bench [--smoke] [--out PATH]`
+//! Usage: `overload_bench [--out PATH]`. There is no `--smoke` mode: the
+//! full sweep takes about 0.2 s, and a shorter schedule has too few excess
+//! arrivals at 2× for the shed-early gate at 8 workers.
 
 use bench::{uops_to_us, Bench, Json, CLOCK_GHZ};
 use phpaccel_core::{Engine, PhpMachine};
@@ -39,9 +41,8 @@ use workloads::{ArrivalConfig, ArrivalShape, SessionConfig, TrafficPlan};
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
 /// Offered-load factors relative to measured capacity.
 const LOAD_FACTORS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
-/// Arrivals per run (full mode / --smoke).
-const FULL_REQUESTS: usize = 240;
-const SMOKE_REQUESTS: usize = 60;
+/// Arrivals per run.
+const REQUESTS: usize = 240;
 /// Warmup requests before the measured schedule (stats reset after): one
 /// cycle of the corpus, so no script's first-touch run lands in the
 /// measured stream or in the controller's service envelope.
@@ -199,9 +200,10 @@ fn run(
 
 fn main() -> ExitCode {
     let bench = Bench::from_env("overload");
-    let smoke = bench.smoke;
-    let requests = if smoke { SMOKE_REQUESTS } else { FULL_REQUESTS };
-    let loads: &[f64] = if smoke { &[2.0] } else { &LOAD_FACTORS };
+    if bench.smoke {
+        eprintln!("overload_bench: no --smoke mode; the full sweep takes about 0.2 s");
+        return ExitCode::from(2);
+    }
 
     println!("overload_bench: building the shared compile cache...");
     let cache = Arc::new(CorpusCache::build());
@@ -216,7 +218,7 @@ fn main() -> ExitCode {
             uops_to_us((4 * mean).max(2 * smax))
         );
         for &workers in &WORKER_COUNTS {
-            for &load in loads {
+            for &load in &LOAD_FACTORS {
                 let r = run(
                     &cache,
                     name,
@@ -224,7 +226,7 @@ fn main() -> ExitCode {
                     workers,
                     load,
                     ArrivalShape::Steady,
-                    requests,
+                    REQUESTS,
                     mean,
                     smax,
                 );
@@ -240,31 +242,29 @@ fn main() -> ExitCode {
                 );
                 results.push(r);
             }
-            if !smoke {
-                // One flash-crowd row per engine/worker count at 1× mean
-                // load: the spike alone must force (bounded) shedding.
-                let r = run(
-                    &cache,
-                    name,
-                    engine,
-                    workers,
-                    1.0,
-                    ArrivalShape::FlashCrowd,
-                    requests,
-                    mean,
-                    smax,
-                );
-                println!(
-                    "  {name} {workers}w 1.0x flash-crowd: {} shed, min window attainment {:.3}",
-                    r.report.stats.shed,
-                    r.report
-                        .windows
-                        .iter()
-                        .map(|w| w.attainment())
-                        .fold(f64::INFINITY, f64::min)
-                );
-                results.push(r);
-            }
+            // One flash-crowd row per engine/worker count at 1× mean
+            // load: the spike alone must force (bounded) shedding.
+            let r = run(
+                &cache,
+                name,
+                engine,
+                workers,
+                1.0,
+                ArrivalShape::FlashCrowd,
+                REQUESTS,
+                mean,
+                smax,
+            );
+            println!(
+                "  {name} {workers}w 1.0x flash-crowd: {} shed, min window attainment {:.3}",
+                r.report.stats.shed,
+                r.report
+                    .windows
+                    .iter()
+                    .map(|w| w.attainment())
+                    .fold(f64::INFINITY, f64::min)
+            );
+            results.push(r);
         }
     }
 
@@ -390,7 +390,7 @@ fn main() -> ExitCode {
         vec![
             ("clock_ghz", Json::Fixed(CLOCK_GHZ, 1)),
             ("corpus_scripts", cache.len().into()),
-            ("requests_per_run", requests.into()),
+            ("requests_per_run", REQUESTS.into()),
             ("warmup", WARMUP.into()),
             (
                 "worker_counts",

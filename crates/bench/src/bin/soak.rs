@@ -18,8 +18,10 @@
 //! (default 1: the same `Server` sequence, the whole plan in one shard) —
 //! each worker gets a private machine, its slice of the (N×-denser) fault
 //! plan, and its own breakers — and the pass criteria are asserted on the
-//! merged pool totals. Machines are *not* reset between requests: faults
-//! must land in live accelerator state. Response bodies are dropped from
+//! merged pool totals. Machines are *not* reset between requests: they
+//! serve warm, and only an abnormal exit, a detected fault, a breaker
+//! transition or a modelled context switch flushes accelerator state, so
+//! faults land in live state. Response bodies are dropped from
 //! the per-request records (`keep_bodies = false`) so long soaks run in
 //! bounded memory; outcomes, byte-identity replay, and fault deltas are
 //! computed before the drop.

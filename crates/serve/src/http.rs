@@ -19,11 +19,16 @@
 //! deterministic pool drives: a worker owns a private [`PhpMachine`]
 //! wrapped in a `Server`, pulls each request's due faults from one shared
 //! global [`FaultPlan`], and serves corpus scripts through the full
-//! sandbox/fault/breaker/memo pipeline. With `reset_between_requests` every
-//! response is machine-history-independent, so the bytes served over a
+//! sandbox/fault/breaker/memo pipeline. Workers serve warm by default:
+//! accelerator state outlives the request, and only a fault, an abnormal
+//! exit or a modelled context switch flushes it (see [`Server::step`]).
+//! Response bytes never depend on that state — the software structures are
+//! the ground truth, which replay checks — so the bytes served over a
 //! socket are byte-identical to driving the `Server` directly on the same
-//! request indices — the end-to-end test's invariant, and the reason HTTP
-//! never becomes a second execution path.
+//! request indices, whichever worker serves them. That is the end-to-end
+//! test's invariant, and the reason HTTP never becomes a second execution
+//! path. Simulated µops and fault detections do depend on machine history,
+//! so they match a direct run only request for request on one worker.
 //!
 //! Internal endpoints: `GET /health` (liveness) and `GET /metrics`
 //! (Prometheus text format, schema in [`crate::metrics_text`]). Application
@@ -39,8 +44,9 @@ use crate::middleware::{
     RateLimit,
 };
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
+use crate::pool::WorkerFailure;
 use crate::sandbox::SandboxConfig;
-use crate::server::{Scripts, Server, Totals};
+use crate::server::{Scripts, Server, Totals, WorkerAccel};
 use php_interp::{MemoCache, MemoTier};
 use phpaccel_core::{Engine, PhpMachine};
 use std::collections::VecDeque;
@@ -502,10 +508,11 @@ pub struct HttpConfig {
     /// Replay each successful request on a per-worker all-software
     /// reference and count byte mismatches.
     pub reference: bool,
-    /// Restore machines to a pristine request boundary after every request.
-    /// Required for byte-identity with a directly-driven [`Server`]: a
-    /// connection is served by whichever worker accepted it, so responses
-    /// must not depend on machine history.
+    /// Restore machines to a pristine request boundary after every request
+    /// (see [`Server::step`]). Off by default: workers serve warm. Bytes are
+    /// the same either way; turn it on to make per-request µops independent
+    /// of which worker served what before, as a comparison against another
+    /// scheduler request for request needs.
     pub reset_between_requests: bool,
     /// Arena/epoch allocation on worker machines.
     pub arena: bool,
@@ -526,9 +533,8 @@ pub struct HttpConfig {
 }
 
 impl HttpConfig {
-    /// A loopback configuration with `workers` workers, reference replay
-    /// and reset-between-requests on, and no faults, admission, or rate
-    /// limiting.
+    /// A loopback configuration with `workers` warm workers, reference
+    /// replay on, and no faults, admission, or rate limiting.
     pub fn loopback(workers: usize) -> Self {
         HttpConfig {
             addr: "127.0.0.1:0".into(),
@@ -538,7 +544,7 @@ impl HttpConfig {
             sandbox: SandboxConfig::unlimited(),
             plan: FaultPlan::default(),
             reference: true,
-            reset_between_requests: true,
+            reset_between_requests: false,
             arena: false,
             memo: None,
             limits: HttpLimits::default(),
@@ -678,6 +684,10 @@ pub struct HttpReport {
     pub snapshot: MetricsSnapshot,
     /// The last [`AccessLog::CAPACITY`] access-log lines, oldest first.
     pub access_log: Vec<String>,
+    /// Workers whose threads panicked instead of returning, in worker
+    /// order (empty on a healthy run). Their last published totals are
+    /// still in `snapshot`.
+    pub failed_workers: Vec<WorkerFailure>,
 }
 
 impl std::ops::Deref for HttpReport {
@@ -744,6 +754,7 @@ impl HttpServer {
                     Mutex::new(Totals {
                         breaker_states: vec![[0; 4]],
                         worker_uops: vec![0],
+                        worker_accel: vec![WorkerAccel::default()],
                         ..Totals::default()
                     })
                 })
@@ -793,12 +804,16 @@ impl HttpServer {
         // the shared listener readable for good: every worker's `poll`
         // returns and sees the flag.
         let _ = TcpStream::connect(self.addr());
-        for h in self.workers {
-            let _ = h.join();
-        }
+        let failed_workers = self
+            .workers
+            .into_iter()
+            .enumerate()
+            .filter_map(|(w, h)| Some(WorkerFailure::from_panic(w, h.join().err()?.as_ref())))
+            .collect();
         HttpReport {
             snapshot: self.state.metrics_snapshot(),
             access_log: self.state.access_log.lines(),
+            failed_workers,
         }
     }
 }
@@ -1313,6 +1328,29 @@ mod tests {
         assert!(String::from_utf8(closed)
             .unwrap()
             .contains("connection: close"));
+    }
+
+    /// A worker thread that dies is reported at shutdown, classified like
+    /// a pool's, instead of being discarded with its join result.
+    #[test]
+    fn shutdown_reports_a_worker_thread_that_panicked() {
+        let corpus = Arc::new(workloads::php_corpus::CorpusCache::build());
+        let mut server = HttpServer::start(HttpConfig::loopback(1), corpus).expect("bind");
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        server
+            .workers
+            .push(std::thread::spawn(|| panic!("worker loop died")));
+        let report = server.shutdown();
+        std::panic::set_hook(hook);
+        assert_eq!(report.failed_workers.len(), 1);
+        let failure = &report.failed_workers[0];
+        assert_eq!(failure.worker, 1);
+        assert!(failure.message.contains("worker loop died"));
+        assert!(matches!(
+            failure.outcome,
+            crate::outcome::RequestOutcome::Panicked { .. }
+        ));
     }
 
     #[test]

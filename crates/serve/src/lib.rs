@@ -88,4 +88,6 @@ pub use overload::{
 pub use php_interp::{MemoCache, MemoCacheStats};
 pub use pool::{PoolConfig, PoolReport, WorkerFailure, WorkerPool};
 pub use sandbox::{run_sandboxed, SandboxConfig};
-pub use server::{Handler, RequestRecord, Scripts, ServeStats, Server, Totals};
+pub use server::{
+    Handler, RequestRecord, Scripts, ServeStats, Server, Totals, WorkerAccel, CONTEXT_SWITCH_EVERY,
+};

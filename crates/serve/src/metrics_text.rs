@@ -11,7 +11,7 @@
 //! | `phpaccel_requests_total`, `_requests_ok_total`, `_timeouts_total`, `_ooms_total`, `_panics_total`, `_shed_total`, `_replay_mismatches_total` | counter | — |
 //! | `phpaccel_degraded_requests_total`, `_faults_injected_total`, `_faults_detected_total`, `_breaker_trips_total`, `_breaker_recoveries_total` | counter | `domain` |
 //! | `phpaccel_breaker_state` (0 closed / 1 half-open / 2 open) | gauge | `domain`, `worker` |
-//! | `phpaccel_worker_uops_total` | counter | `worker` |
+//! | `phpaccel_worker_uops_total`, `phpaccel_worker_{heap_mallocs,heap_hits,htable_gets,htable_hits,context_switches}_total` | counter | `worker` |
 //! | `phpaccel_live_blocks` | gauge | — |
 //! | `phpaccel_memo_{hits,misses,stores,invalidations}_total`, `phpaccel_memo_entries` | counter / gauge | — |
 //! | `phpaccel_static_savings_total` | counter | `kind` |
@@ -72,6 +72,14 @@ fn per_domain(out: &mut String, name: &str, help: &str, kind: &str, values: &[u6
             id.name(),
             values[id.index()]
         );
+    }
+}
+
+fn per_worker(out: &mut String, name: &str, help: &str, values: impl Iterator<Item = u64>) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} counter");
+    for (w, value) in values.enumerate() {
+        let _ = writeln!(out, "{name}{{worker=\"{w}\"}} {value}");
     }
 }
 
@@ -197,14 +205,43 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         }
     }
 
-    let _ = writeln!(
-        out,
-        "# HELP phpaccel_worker_uops_total Metered simulated µops per worker."
+    per_worker(
+        &mut out,
+        "phpaccel_worker_uops_total",
+        "Metered simulated µops per worker.",
+        snap.worker_uops.iter().copied(),
     );
-    let _ = writeln!(out, "# TYPE phpaccel_worker_uops_total counter");
-    for (w, uops) in snap.worker_uops.iter().enumerate() {
-        let _ = writeln!(out, "phpaccel_worker_uops_total{{worker=\"{w}\"}} {uops}");
-    }
+    let accel = &snap.worker_accel;
+    per_worker(
+        &mut out,
+        "phpaccel_worker_heap_mallocs_total",
+        "Hardware heap-manager mallocs per worker.",
+        accel.iter().map(|a| a.heap_mallocs),
+    );
+    per_worker(
+        &mut out,
+        "phpaccel_worker_heap_hits_total",
+        "Mallocs served from a hardware free list per worker.",
+        accel.iter().map(|a| a.heap_hits),
+    );
+    per_worker(
+        &mut out,
+        "phpaccel_worker_htable_gets_total",
+        "Hardware hash-table gets per worker.",
+        accel.iter().map(|a| a.htable_gets),
+    );
+    per_worker(
+        &mut out,
+        "phpaccel_worker_htable_hits_total",
+        "Hardware hash-table get hits per worker.",
+        accel.iter().map(|a| a.htable_hits),
+    );
+    per_worker(
+        &mut out,
+        "phpaccel_worker_context_switches_total",
+        "Modelled OS context switches per worker.",
+        accel.iter().map(|a| a.context_switches),
+    );
     gauge(
         &mut out,
         "phpaccel_live_blocks",
@@ -393,7 +430,7 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<(String, f64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServeStats;
+    use crate::server::{ServeStats, WorkerAccel};
 
     fn snapshot() -> MetricsSnapshot {
         let mut stats = ServeStats {
@@ -423,6 +460,16 @@ mod tests {
                 recoveries: [1, 0, 0, 0],
                 breaker_states: vec![[0, 0, 0, 0], [2, 0, 1, 0]],
                 worker_uops: vec![123, 456],
+                worker_accel: vec![
+                    WorkerAccel::default(),
+                    WorkerAccel {
+                        heap_mallocs: 40,
+                        heap_hits: 37,
+                        htable_gets: 20,
+                        htable_hits: 18,
+                        context_switches: 3,
+                    },
+                ],
                 ..Totals::default()
             },
             memo: Some(MemoCacheStats {
@@ -470,6 +517,18 @@ mod tests {
             2.0
         );
         assert_eq!(get("phpaccel_worker_uops_total{worker=\"0\"}"), 123.0);
+        assert_eq!(get("phpaccel_worker_heap_mallocs_total{worker=\"0\"}"), 0.0);
+        assert_eq!(
+            get("phpaccel_worker_heap_mallocs_total{worker=\"1\"}"),
+            40.0
+        );
+        assert_eq!(get("phpaccel_worker_heap_hits_total{worker=\"1\"}"), 37.0);
+        assert_eq!(get("phpaccel_worker_htable_gets_total{worker=\"1\"}"), 20.0);
+        assert_eq!(get("phpaccel_worker_htable_hits_total{worker=\"1\"}"), 18.0);
+        assert_eq!(
+            get("phpaccel_worker_context_switches_total{worker=\"1\"}"),
+            3.0
+        );
         assert_eq!(get("phpaccel_memo_entries"), 2.0);
         assert_eq!(get("phpaccel_http_parse_errors_total"), 1.0);
         // Histogram: cumulative buckets end at +Inf == count.

@@ -51,7 +51,9 @@ pub struct OverloadConfig {
     pub slo_windows: usize,
     /// Restore the machine (and reference) to a pristine request boundary
     /// after every admitted request, as the pool's deterministic mode does.
-    /// Soaks turn this off so faults land in live state.
+    /// On by default: the admission envelope only grows, so a cold or
+    /// faulted outlier would stay in it. Soaks turn this off so faults land
+    /// in live state; the run then serves warm (see [`Server::step`]).
     pub reset_between_requests: bool,
 }
 

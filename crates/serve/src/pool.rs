@@ -44,7 +44,8 @@ pub struct PoolConfig {
     /// after every request. This makes each request's result independent of
     /// machine history, so responses and per-request counters are identical
     /// at any worker count — the mode the determinism tests and the bench
-    /// run in. Soaks leave it off so faults land in live state.
+    /// run in. Off, the workers serve warm (see [`Server::step`]); soaks
+    /// leave it off so faults land in live state.
     pub reset_between_requests: bool,
     /// Retain response bytes in the per-request records.
     pub keep_bodies: bool,
@@ -113,6 +114,19 @@ pub struct WorkerFailure {
     pub outcome: RequestOutcome,
     /// The raw panic message.
     pub message: String,
+}
+
+impl WorkerFailure {
+    /// Classifies the panic payload that worker `worker`'s thread `join`
+    /// returned.
+    pub(crate) fn from_panic(worker: usize, payload: &(dyn std::any::Any + Send)) -> Self {
+        let message = panic_message(payload);
+        WorkerFailure {
+            worker,
+            outcome: classify_panic(message.clone()),
+            message,
+        }
+    }
 }
 
 /// The merged result of a pool run: the workers' summed [`Totals`] (which
@@ -214,12 +228,7 @@ impl WorkerPool {
                         served.extend(worker_served);
                     }
                     Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        failed_workers.push(WorkerFailure {
-                            worker: w,
-                            outcome: classify_panic(message.clone()),
-                            message,
-                        });
+                        failed_workers.push(WorkerFailure::from_panic(w, payload.as_ref()))
                     }
                 }
             }

@@ -9,7 +9,7 @@
 //! degradation guarantee made measurable.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan, PlannedFault};
 use crate::hist::Histogram;
 use crate::outcome::RequestOutcome;
 use crate::sandbox::{run_sandboxed, SandboxConfig};
@@ -24,6 +24,13 @@ use workloads::php_corpus::PreparedScript;
 /// any real request trips it, high enough that the sandbox's own bookkeeping
 /// does not.
 const OOM_CLAMP_BYTES: u64 = 512;
+
+/// Requests between two modelled OS context switches on one machine when a
+/// run serves warm: the load generator's cadence (`LoadGen`'s
+/// `context_switch_every`). The paper's heap manager writes back only on
+/// overflow or a context switch (§4.6), so this is when a warm machine's
+/// free lists drain.
+pub const CONTEXT_SWITCH_EVERY: u64 = 50;
 
 /// Aggregate serving statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -192,9 +199,29 @@ pub struct Totals {
     pub breaker_states: Vec<[u8; 4]>,
     /// Total metered µops per worker.
     pub worker_uops: Vec<u64>,
+    /// Accelerator traffic per worker: how warm each machine runs.
+    pub worker_accel: Vec<WorkerAccel>,
     /// Live allocator blocks across the machines (leak check — 0 once
     /// every request ended or recovered).
     pub live_blocks: usize,
+}
+
+/// One worker machine's accelerator counters, read off its heap manager,
+/// hash table and core. On a warm run the hit rates show the state that
+/// outlives a request; on a resetting run every request starts cold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerAccel {
+    /// `hmmalloc` calls.
+    pub heap_mallocs: u64,
+    /// `hmmalloc` calls served from a hardware free list.
+    pub heap_hits: u64,
+    /// Hash-table `get`s.
+    pub htable_gets: u64,
+    /// Hash-table `get`s that hit in the table.
+    pub htable_hits: u64,
+    /// Modelled OS context switches (`hmflush` plus string-config
+    /// save/restore).
+    pub context_switches: u64,
 }
 
 impl Totals {
@@ -211,6 +238,7 @@ impl Totals {
         }
         self.breaker_states.extend_from_slice(&other.breaker_states);
         self.worker_uops.extend_from_slice(&other.worker_uops);
+        self.worker_accel.extend_from_slice(&other.worker_accel);
         self.live_blocks += other.live_blocks;
     }
 
@@ -249,9 +277,16 @@ pub struct Server {
     reference: Option<PhpMachine>,
     breakers: [CircuitBreaker; 4],
     plan: FaultPlan,
+    /// Due faults that found nothing to corrupt (an empty table, drained
+    /// free lists): each waits for the first request that leaves live
+    /// state to land in.
+    pending_faults: Vec<PlannedFault>,
     sandbox: SandboxConfig,
     stats: ServeStats,
     keep_bodies: bool,
+    /// Requests served warm (without a reset), for the context-switch
+    /// cadence.
+    warm_served: u64,
 }
 
 impl Server {
@@ -262,9 +297,11 @@ impl Server {
             reference: None,
             breakers: std::array::from_fn(|_| CircuitBreaker::new(breaker_cfg)),
             plan: FaultPlan::default(),
+            pending_faults: Vec::new(),
             sandbox,
             stats: ServeStats::default(),
             keep_bodies: true,
+            warm_served: 0,
         }
     }
 
@@ -362,13 +399,31 @@ impl Server {
             detected: self.machine.detected_fault_counts(),
             trips: self.breakers.each_ref().map(|b| b.trips),
             recoveries: self.breakers.each_ref().map(|b| b.recoveries),
-            breaker_states: vec![self.breakers.each_ref().map(|b| match b.state() {
-                BreakerState::Closed => 0,
-                BreakerState::HalfOpen => 1,
-                BreakerState::Open { .. } => 2,
-            })],
+            breaker_states: vec![self.breaker_codes()],
             worker_uops: vec![profiler.total_uops()],
+            worker_accel: vec![self.accel_counters()],
             live_blocks: self.machine.ctx().with_allocator(|a| a.live_block_count()),
+        }
+    }
+
+    /// Each breaker's state: 0 closed, 1 half-open, 2 open.
+    fn breaker_codes(&self) -> [u8; 4] {
+        self.breakers.each_ref().map(|b| match b.state() {
+            BreakerState::Closed => 0,
+            BreakerState::HalfOpen => 1,
+            BreakerState::Open { .. } => 2,
+        })
+    }
+
+    fn accel_counters(&self) -> WorkerAccel {
+        let core = self.machine.core();
+        let (heap, htable) = (core.heap.stats(), core.htable.stats());
+        WorkerAccel {
+            heap_mallocs: heap.mallocs,
+            heap_hits: heap.malloc_hits,
+            htable_gets: htable.gets,
+            htable_hits: htable.get_hits,
+            context_switches: core.context_switches,
         }
     }
 
@@ -380,6 +435,8 @@ impl Server {
         self.stats = ServeStats::default();
     }
 
+    /// Injects one fault into live accelerator state; `false` when the
+    /// targeted structure holds nothing to corrupt.
     fn inject(&mut self, kind: FaultKind) -> bool {
         let core = self.machine.core_mut();
         match kind {
@@ -401,23 +458,49 @@ impl Server {
 
     /// The per-request step every scheduler drives: serves request `req`
     /// (see [`Server::serve_indexed`]), measures its service time as the
-    /// machine profiler's µop delta, and — when the run resets between
-    /// requests — restores the request boundary. The µops travel beside the
-    /// record, not inside it: records compare equal across worker counts
-    /// where a specialized machine's per-request µops legitimately differ.
+    /// machine profiler's µop delta, and closes the request boundary.
+    ///
+    /// With `reset_between_requests` every request ends in
+    /// [`Server::recover_between_requests`], so each one starts on a cold,
+    /// pristine machine whatever served before it. Without it the run
+    /// serves warm: accelerator state outlives the request, as in the
+    /// paper. Every request still ends (scoped frees, arena epoch reset),
+    /// but recovery runs only after an abnormal exit, a detected fault or a
+    /// breaker transition, and the machine takes a modelled context switch
+    /// every [`CONTEXT_SWITCH_EVERY`] warm requests.
+    ///
+    /// The µops travel beside the record, not inside it: records compare
+    /// equal across worker counts where a specialized machine's
+    /// per-request µops legitimately differ. They cover the request alone,
+    /// not the boundary work after it.
     pub fn step<H: Handler + ?Sized>(
         &mut self,
         req: u64,
         handler: &mut H,
         reset_between_requests: bool,
     ) -> (RequestRecord, u64) {
+        let breakers_before = self.breaker_codes();
         let before = self.machine.ctx().profiler().total_uops();
         let record = self.execute(req, handler);
         // Saturating: a handler may reset the machine's metrics mid-request.
         let after = self.machine.ctx().profiler().total_uops();
         let service_uops = after.saturating_sub(before);
-        if reset_between_requests {
+        let faulted = !record.outcome.is_ok()
+            || record.fault_delta != [0; 4]
+            || self.breaker_codes() != breakers_before;
+        if reset_between_requests || faulted {
             self.recover_between_requests();
+        } else {
+            self.machine.end_request();
+            if let Some(r) = self.reference.as_mut() {
+                r.end_request();
+            }
+        }
+        if !reset_between_requests {
+            self.warm_served += 1;
+            if self.warm_served.is_multiple_of(CONTEXT_SWITCH_EVERY) {
+                self.machine.context_switch();
+            }
         }
         (record, service_uops)
     }
@@ -440,11 +523,15 @@ impl Server {
 
     fn execute<H: Handler + ?Sized>(&mut self, req: u64, handler: &mut H) -> RequestRecord {
         let mut force_oom = false;
-        for fault in self.plan.take_due(req) {
+        let mut due = std::mem::take(&mut self.pending_faults);
+        due.extend(self.plan.take_due(req));
+        for fault in due {
             if fault.kind == FaultKind::AllocatorOom {
                 force_oom = true;
             }
-            self.inject(fault.kind);
+            if !self.inject(fault.kind) {
+                self.pending_faults.push(fault);
+            }
         }
 
         let mut degraded = [false; 4];
@@ -549,9 +636,11 @@ impl Server {
     }
 
     /// Restores the machine — and the reference, if one is attached — to a
-    /// pristine request boundary. The pool's deterministic mode calls this
-    /// between requests so every request observes identical machine history
-    /// regardless of which worker serves it. Statistics are kept.
+    /// pristine request boundary ([`PhpMachine::recover_request`]). A
+    /// resetting run calls this between all requests, so every request
+    /// observes identical machine history regardless of which worker serves
+    /// it; a warm run only after a request that faulted. Statistics are
+    /// kept.
     pub fn recover_between_requests(&mut self) {
         self.machine.recover_request();
         if let Some(r) = self.reference.as_mut() {
@@ -563,7 +652,6 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::PlannedFault;
     use php_runtime::{ArrayKey, PhpValue};
 
     /// Serves requests `0..n` without resetting between them.

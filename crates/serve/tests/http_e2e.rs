@@ -5,14 +5,17 @@
 //! direct [`Server`] with the same fault seeds — on both engines. The
 //! front end adds sockets, parsing, middleware and worker threads, but the
 //! execution seam ([`Server::step`]) is shared, so nothing about the bytes
-//! may change. The rest checks the workers' readiness loop: partial and
+//! may change. Both sides serve warm, so the counters that depend on
+//! machine history (µops, fault detections, accelerator hits) are checked
+//! only for `/metrics` agreeing with the shutdown report, not against the
+//! direct run. The rest checks the workers' readiness loop: partial and
 //! pipelined input, many connections per worker, and the request deadline.
 
-use phpaccel_core::{Engine, PhpMachine};
+use phpaccel_core::{AccelId, Engine, PhpMachine};
 use serve::http::blocking_get;
 use serve::{
-    parse_prometheus, AdmissionConfig, BreakerConfig, FaultPlan, HttpConfig, HttpServer,
-    SandboxConfig, Server,
+    parse_prometheus, AdmissionConfig, BreakerConfig, FaultPlan, HttpConfig, HttpReport,
+    HttpServer, SandboxConfig, Scripts, Server,
 };
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -29,11 +32,11 @@ fn corpus() -> Arc<CorpusCache> {
     Arc::new(CorpusCache::build())
 }
 
-/// Serves requests `0..N` through a direct `Server` (reference replay +
-/// reset between requests), returning `(status, body)` per request plus
-/// the final `(ok, mismatches)` counters.
+/// Serves requests `0..N` through a direct `Server` with reference replay,
+/// stepped warm as an HTTP worker steps, returning `(status, body)` per
+/// request plus the final `(ok, mismatches)` counters.
 fn direct_run(
-    corpus: &CorpusCache,
+    corpus: &Arc<CorpusCache>,
     engine: Engine,
     plan: FaultPlan,
 ) -> (Vec<(u16, Vec<u8>)>, u64, u64) {
@@ -46,12 +49,14 @@ fn direct_run(
     )
     .with_fault_plan(plan)
     .with_reference(PhpMachine::baseline());
+    let mut handler = Scripts {
+        pick: |i| Arc::clone(corpus.script_for_request(i)),
+        memo: None,
+    };
     let mut out = Vec::new();
     for i in 0..N {
-        let script = Arc::clone(corpus.script_for_request(i));
-        let record = server.serve_indexed(i, &mut |m, _req| script.run_memo(m, true, None));
+        let (record, _) = server.step(i, &mut handler, false);
         out.push((record.outcome.status_code(), record.response));
-        server.recover_between_requests();
     }
     (out, server.stats().ok, server.stats().mismatches)
 }
@@ -116,6 +121,8 @@ fn assert_http_matches_direct(engine: Engine, workers: usize, plan: FaultPlan) {
     // The shutdown report must reconcile with both the metrics and the
     // direct run.
     let report = server.shutdown();
+    assert!(report.failed_workers.is_empty());
+    assert_metrics_equal_report(&parsed, &report);
     assert_eq!(report.stats.requests, N);
     assert_eq!(report.stats.ok, direct_ok);
     assert_eq!(report.stats.mismatches, direct_mismatches);
@@ -123,6 +130,48 @@ fn assert_http_matches_direct(engine: Engine, workers: usize, plan: FaultPlan) {
     assert_eq!(
         report.access_log.len() as u64,
         N + report.front.metrics_requests
+    );
+}
+
+/// Every worker-side counter `/metrics` exports equals the shutdown
+/// report's: per-domain fault counters and per-worker µops, accelerator
+/// traffic and context switches. Worker totals do not move once the last
+/// request is published, so a scrape taken after it must agree exactly.
+fn assert_metrics_equal_report(parsed: &[(String, f64)], report: &HttpReport) {
+    for id in AccelId::ALL {
+        let (i, d) = (id.index(), id.name());
+        for (name, want) in [
+            ("phpaccel_faults_injected_total", report.injected[i]),
+            ("phpaccel_faults_detected_total", report.detected[i]),
+            ("phpaccel_breaker_trips_total", report.trips[i]),
+        ] {
+            let got = sample(parsed, &format!("{name}{{domain=\"{d}\"}}"));
+            assert_eq!(got, want as f64, "{name} {d}");
+        }
+    }
+    assert_eq!(report.worker_accel.len(), report.worker_uops.len());
+    for (w, accel) in report.worker_accel.iter().enumerate() {
+        let worker = |name: &str| sample(parsed, &format!("{name}{{worker=\"{w}\"}}"));
+        assert_eq!(
+            worker("phpaccel_worker_uops_total"),
+            report.worker_uops[w] as f64
+        );
+        for (name, want) in [
+            ("phpaccel_worker_heap_mallocs_total", accel.heap_mallocs),
+            ("phpaccel_worker_heap_hits_total", accel.heap_hits),
+            ("phpaccel_worker_htable_gets_total", accel.htable_gets),
+            ("phpaccel_worker_htable_hits_total", accel.htable_hits),
+            (
+                "phpaccel_worker_context_switches_total",
+                accel.context_switches,
+            ),
+        ] {
+            assert_eq!(worker(name), want as f64, "{name} worker {w}");
+        }
+    }
+    assert_eq!(
+        sample(parsed, "phpaccel_live_blocks"),
+        report.live_blocks as f64
     );
 }
 
@@ -149,9 +198,8 @@ fn http_matches_direct_serving_with_faults_vm() {
     assert_http_matches_direct(Engine::Vm, 1, FaultPlan::seeded(FAULT_SEED, 2, 4, N));
 }
 
-/// Two workers, no faults: with reset-between-requests the responses are
-/// machine-history-independent, so dynamic worker assignment must not
-/// change a single byte either.
+/// Two warm workers, no faults: responses never depend on machine history,
+/// so dynamic worker assignment must not change a single byte either.
 #[test]
 fn http_matches_direct_serving_two_workers_treewalk() {
     assert_http_matches_direct(Engine::TreeWalk, 2, FaultPlan::default());

@@ -105,6 +105,9 @@ fn through_overload(cache: &Arc<CorpusCache>) -> Run {
 fn through_http(cache: &Arc<CorpusCache>) -> Run {
     let mut cfg = HttpConfig::loopback(1);
     cfg.arena = true;
+    // The loopback default serves warm; this comparison is µop for µop
+    // against two resetting schedulers, so it resets too.
+    cfg.reset_between_requests = true;
     let server = HttpServer::start(cfg, Arc::clone(cache)).expect("bind http front end");
     let addr = server.addr();
 

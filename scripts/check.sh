@@ -72,9 +72,8 @@ cargo build --release -q -p bench --bin serve_bench --bin alloc_bench \
 for b in serve alloc vm memo; do
   "./target/release/${b}_bench" --smoke --out "target/BENCH_${b}_smoke.json"
 done
-# The full overload sweep (every load factor, 240 arrivals a run, well under
-# a second): its half-load and flash-crowd gates only exist there, and a
-# 60-arrival smoke is too short for the shed-early gate at 8 workers.
+# The overload sweep has no smoke mode: the full run (every load factor,
+# 240 arrivals a run) takes well under a second and applies every gate.
 ./target/release/overload_bench --out target/BENCH_overload_full.json
 
 echo "== http front-end smoke (release) =="
