@@ -171,19 +171,18 @@ impl Rtt {
         }
     }
 
-    /// Handles a `Free` of map `base`: returns the hash-table entry indices
-    /// to invalidate and drops the RTT entry.
-    pub fn free_map(&mut self, base: u64) -> Vec<u32> {
-        match self.entries.remove(&base) {
-            None => Vec::new(),
-            Some(e) => e
-                .slots
-                .into_iter()
-                .filter_map(|s| match s {
-                    Slot::Live { idx, .. } => Some(idx),
-                    _ => None,
-                })
-                .collect(),
+    /// Handles a `Free` of map `base`: calls `on_live` with each hash-table
+    /// entry index to invalidate and drops the RTT entry, keeping its
+    /// buffer for the next map tracked.
+    pub fn free_map(&mut self, base: u64, mut on_live: impl FnMut(u32)) {
+        if let Some(mut e) = self.entries.remove(&base) {
+            for slot in &e.slots {
+                if let Slot::Live { idx, .. } = *slot {
+                    on_live(idx);
+                }
+            }
+            e.slots.fill(Slot::Empty);
+            self.spare.push(e.slots);
         }
     }
 
@@ -259,11 +258,12 @@ mod tests {
         let _ = rtt.record_insert(0x20, 4);
         let _ = rtt.record_insert(0x20, 6);
         rtt.invalidate_backpointer(0x20, 4);
-        let mut idxs = rtt.free_map(0x20);
-        idxs.sort_unstable();
+        let mut idxs = Vec::new();
+        rtt.free_map(0x20, |idx| idxs.push(idx));
         assert_eq!(idxs, vec![6]);
         assert!(!rtt.tracks(0x20));
-        assert!(rtt.free_map(0x20).is_empty());
+        rtt.free_map(0x20, |idx| idxs.push(idx));
+        assert_eq!(idxs, vec![6]);
     }
 
     #[test]

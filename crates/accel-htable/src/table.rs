@@ -391,18 +391,19 @@ impl HwHashTable {
             // Back pointers are untrusted: fall back to a full-table scan
             // to invalidate the dying map's entries.
             self.stats.faults_detected += 1;
-            let _ = self.rtt.free_map(base);
+            self.rtt.free_map(base, |_| {});
             let n = self.scan_invalidate(base);
             self.stats.freed_entries += n as u64;
             return n;
         }
-        let idxs = self.rtt.free_map(base);
-        let n = idxs.len();
-        for idx in idxs {
-            take_fault(&mut self.corrupt_entries, &(idx as usize));
-            self.entries[idx as usize].valid = false;
-            self.entries[idx as usize].dirty = false;
-        }
+        let mut n = 0;
+        let (entries, corrupt) = (&mut self.entries, &mut self.corrupt_entries);
+        self.rtt.free_map(base, |idx| {
+            take_fault(corrupt, &(idx as usize));
+            entries[idx as usize].valid = false;
+            entries[idx as usize].dirty = false;
+            n += 1;
+        });
         self.stats.freed_entries += n as u64;
         n
     }
@@ -415,7 +416,7 @@ impl HwHashTable {
             // The circular buffer is untrusted: invalidate the map's entries
             // by scan and tell software to iterate the memory map instead.
             self.stats.faults_detected += 1;
-            let _ = self.rtt.free_map(base);
+            self.rtt.free_map(base, |_| {});
             self.scan_invalidate(base);
             return ForeachOutcome {
                 live_pairs: Vec::new(),
@@ -488,18 +489,22 @@ impl HwHashTable {
     }
 
     fn flush_map_entries(&mut self, base: u64) -> Vec<Entry> {
-        let idxs = self.rtt.free_map(base);
         let mut dirty = Vec::new();
-        for idx in idxs {
-            take_fault(&mut self.corrupt_entries, &(idx as usize));
-            let e = &mut self.entries[idx as usize];
+        let (entries, corrupt, stats) = (
+            &mut self.entries,
+            &mut self.corrupt_entries,
+            &mut self.stats,
+        );
+        self.rtt.free_map(base, |idx| {
+            take_fault(corrupt, &(idx as usize));
+            let e = &mut entries[idx as usize];
             if e.dirty {
                 dirty.push(*e);
-                self.stats.writebacks += 1;
+                stats.writebacks += 1;
             }
             e.valid = false;
             e.dirty = false;
-        }
+        });
         dirty
     }
 

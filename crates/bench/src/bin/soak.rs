@@ -148,7 +148,10 @@ impl<P: FnMut(u64) -> Arc<PreparedScript>> SoakApp<P> {
 
         // Hash-table traffic against the persistent map.
         let mkey = m as *const PhpMachine as usize;
-        let arr = self.arrays.entry(mkey).or_insert_with(|| m.new_array());
+        let arr = self
+            .arrays
+            .entry(mkey)
+            .or_insert_with(|| m.new_persistent_array());
         for k in 0..6u64 {
             m.array_set(
                 arr,

@@ -97,6 +97,10 @@ const DISPATCH_UOPS: u64 = 2;
 /// Software cost of writing one dirty hash-table entry back to its map.
 const DIRTY_WRITEBACK_UOPS: u64 = 30;
 
+/// Where persistent maps' descriptors live: above every address the
+/// request heap hands out.
+const PERSISTENT_MAP_BASE: u64 = 1 << 48;
+
 /// The four accelerators plus bookkeeping.
 #[derive(Debug)]
 pub struct SpecializedCore {
@@ -187,6 +191,12 @@ pub struct PhpMachine {
     mode: ExecMode,
     engine: Engine,
     scoped: Vec<MBlock>,
+    /// Base addresses of the maps created this request and not yet freed:
+    /// they die at [`PhpMachine::end_request`].
+    live_maps: Vec<u64>,
+    /// Persistent maps created so far (see
+    /// [`PhpMachine::new_persistent_array`]).
+    persistent_maps: u64,
     /// Per-domain enable mask — a tripped circuit breaker clears an entry,
     /// degrading that domain to its software path.
     accel_enabled: [bool; 4],
@@ -204,6 +214,8 @@ impl PhpMachine {
             mode,
             engine: Engine::default(),
             scoped: Vec::new(),
+            live_maps: Vec::new(),
+            persistent_maps: 0,
             accel_enabled: [true; 4],
             pending_hv_flip: None,
         }
@@ -317,9 +329,12 @@ impl PhpMachine {
     /// Afterwards the software structures are exactly what a never-
     /// accelerated machine would hold.
     pub fn recover_request(&mut self) {
+        // The table is invalidated below, which drops the dying maps'
+        // entries with everything else: no per-map free.
+        self.live_maps.clear();
         // Scoped frees first so hardware-freed segments are on the free
         // lists when the flush drains them.
-        self.end_request();
+        self.release_scoped();
         if self.is_specialized() {
             self.ctx.with_allocator(|a| {
                 let prof = self.ctx.profiler();
@@ -372,8 +387,21 @@ impl PhpMachine {
 
     // -- request lifecycle ----------------------------------------------------
 
-    /// Ends a simulated request: frees request-scoped blocks.
+    /// Ends a simulated request. Every map created during it dies: the hash
+    /// table frees its entries (`hashtable_free`, charged as
+    /// [`PhpMachine::array_free`] charges it), so a later map at a reused
+    /// address cannot hit them. Then the request-scoped blocks are freed.
     pub fn end_request(&mut self) {
+        for i in 0..self.live_maps.len() {
+            self.core.htable.free(self.live_maps[i]);
+            self.dispatch(&HASHTABLE_FREE);
+        }
+        self.live_maps.clear();
+        self.release_scoped();
+    }
+
+    /// Frees request-scoped blocks and resets the arena epoch.
+    fn release_scoped(&mut self) {
         let blocks: Vec<MBlock> = std::mem::take(&mut self.scoped);
         for b in blocks {
             self.free(b);
@@ -508,6 +536,20 @@ impl PhpMachine {
         let mut a = PhpArray::new();
         let addr = self.alloc_scoped_static(64, arena_safe);
         a.set_base_addr(addr);
+        if self.use_accel(AccelId::Htable) {
+            self.live_maps.push(addr);
+        }
+        a
+    }
+
+    /// Creates a map that outlives the request, like PHP's persistent
+    /// (`pemalloc`) tables. Its descriptor lives outside the request heap,
+    /// at an address no heap block takes, so nothing frees it and
+    /// [`PhpMachine::end_request`] leaves its hash-table entries in place.
+    pub fn new_persistent_array(&mut self) -> PhpArray {
+        let mut a = PhpArray::new();
+        a.set_base_addr(PERSISTENT_MAP_BASE + self.persistent_maps * 64);
+        self.persistent_maps += 1;
         a
     }
 
@@ -677,7 +719,11 @@ impl PhpMachine {
     /// Whole-map free.
     pub fn array_free(&mut self, arr: &PhpArray) {
         if self.use_accel(AccelId::Htable) {
-            self.core.htable.free(arr.base_addr());
+            let base = arr.base_addr();
+            if let Some(i) = self.live_maps.iter().rposition(|&b| b == base) {
+                self.live_maps.swap_remove(i);
+            }
+            self.core.htable.free(base);
             self.dispatch(&HASHTABLE_FREE);
             // Software still frees the map structure itself.
             self.ctx
@@ -1243,6 +1289,42 @@ mod tests {
         spec.end_request();
         let live = spec.ctx().with_allocator(|a| a.live_block_count());
         assert_eq!(live, 0);
+    }
+
+    #[test]
+    fn a_map_dies_with_its_request() {
+        let key = ArrayKey::from("k");
+        for arena in [false, true] {
+            let mut spec = PhpMachine::specialized();
+            spec.ctx().set_arena_enabled(arena);
+            let mut a = spec.new_array_static(arena);
+            spec.array_set(&mut a, key.clone(), PhpValue::from(1i64));
+            spec.end_request();
+            assert_eq!(spec.core().htable.occupancy(), 0, "arena {arena}");
+            // The next request's map gets the dead map's address back, from
+            // the free list or the reset arena epoch.
+            let b = spec.new_array_static(arena);
+            assert_eq!(b.base_addr(), a.base_addr(), "arena {arena}");
+            assert!(spec.array_get(&b, &key).is_none());
+            let stats = spec.core().htable.stats();
+            assert_eq!((stats.gets, stats.get_hits), (1, 0), "arena {arena}");
+        }
+    }
+
+    #[test]
+    fn a_persistent_map_outlives_the_request() {
+        let key = ArrayKey::from("k");
+        let mut spec = PhpMachine::specialized();
+        let mut a = spec.new_persistent_array();
+        spec.array_set(&mut a, key.clone(), PhpValue::from(1i64));
+        spec.end_request();
+        assert_eq!(spec.ctx().with_allocator(|al| al.live_block_count()), 0);
+        assert!(matches!(spec.array_get(&a, &key), Some(PhpValue::Int(1))));
+        assert_eq!(spec.core().htable.stats().get_hits, 1);
+        // A second one takes its own address, apart from every heap block.
+        let b = spec.new_persistent_array();
+        assert_ne!(b.base_addr(), a.base_addr());
+        assert_ne!(spec.new_array().base_addr(), a.base_addr());
     }
 
     #[test]

@@ -464,10 +464,13 @@ impl Server {
     /// [`Server::recover_between_requests`], so each one starts on a cold,
     /// pristine machine whatever served before it. Without it the run
     /// serves warm: accelerator state outlives the request, as in the
-    /// paper. Every request still ends (scoped frees, arena epoch reset),
-    /// but recovery runs only after an abnormal exit, a detected fault or a
-    /// breaker transition, and the machine takes a modelled context switch
-    /// every [`CONTEXT_SWITCH_EVERY`] warm requests.
+    /// paper. Every request still ends (its maps' hash-table entries freed,
+    /// scoped frees, arena epoch reset), but recovery runs only after an
+    /// abnormal exit, a detected fault or a breaker transition, and the
+    /// machine takes a modelled context switch every
+    /// [`CONTEXT_SWITCH_EVERY`] warm requests. Faults the boundary work
+    /// detects (including the recovery scrub's) are fed to the breakers as
+    /// faults of request `req`, and a warm machine recovers after them.
     ///
     /// The µops travel beside the record, not inside it: records compare
     /// equal across worker counts where a specialized machine's
@@ -488,7 +491,9 @@ impl Server {
         let faulted = !record.outcome.is_ok()
             || record.fault_delta != [0; 4]
             || self.breaker_codes() != breakers_before;
-        if reset_between_requests || faulted {
+        let boundary_before = self.machine.detected_fault_counts();
+        let recovered = reset_between_requests || faulted;
+        if recovered {
             self.recover_between_requests();
         } else {
             self.machine.end_request();
@@ -501,6 +506,19 @@ impl Server {
             if self.warm_served.is_multiple_of(CONTEXT_SWITCH_EVERY) {
                 self.machine.context_switch();
             }
+        }
+        // The boundary work checks state too: a map freed through a corrupt
+        // RTT entry, a flush over a poisoned free list, the recovery scrub.
+        // What it detects is this request's fault: a warm machine recovers,
+        // and the breakers count it.
+        if !recovered && self.machine.detected_fault_counts() != boundary_before {
+            self.recover_between_requests();
+        }
+        let boundary_after = self.machine.detected_fault_counts();
+        for id in AccelId::ALL {
+            let i = id.index();
+            let detected = boundary_after[i].saturating_sub(boundary_before[i]);
+            self.breakers[i].record_faults(req, detected);
         }
         (record, service_uops)
     }
@@ -668,7 +686,7 @@ mod tests {
         move |m: &mut PhpMachine, req: u64| {
             let arr = arrays
                 .entry(m as *const PhpMachine as usize)
-                .or_insert_with(|| m.new_array());
+                .or_insert_with(|| m.new_persistent_array());
             for k in 0..4u64 {
                 m.array_set(
                     arr,

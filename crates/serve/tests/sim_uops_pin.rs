@@ -26,7 +26,7 @@
 //! through `Server::step(.., false)`, the warm path an HTTP worker takes:
 //! accelerator state outlives the request, every request ends
 //! (`end_request`), and a modelled context switch runs every 50 requests.
-//! 343 903 → 271 679 µops; by category, event by event:
+//! 343 903 → 268 519 µops; by category, event by event:
 //!
 //! - `heap` 180 306 → 102 274 (−78 032). The free lists stay stocked, so
 //!   `hmmalloc` hits 455 times in 500 instead of 275: the software refills
@@ -35,14 +35,14 @@
 //!   switches instead of after all 1 200 requests, 19 950 → 1 314 µops
 //!   (−18 636). The arena's bump, logical-free and epoch-reset charges are
 //!   the same 92 384 µops either way.
-//! - `hash-map` 9 400 → 15 160 (+5 760). A reset invalidates the table, so
-//!   every one of the 3 400 sets inserts into an invalid slot (3 400
-//!   `evict_invalid`) and nothing is ever written back. Warm, 3 056 sets hit
-//!   an entry already in the table and 344 insert; 192 of those inserts
-//!   evict a dirty entry an earlier request's map left behind, and each
-//!   such eviction writes the pair back to the software map
-//!   (`ht_dirty_writeback`, 30 µops): 192 × 30 = 5 760. Sets, gets and
-//!   `foreach` charge the same per call warm or cold.
+//! - `hash-map` 9 400 → 12 000 (+2 600). A map dies with its request warm
+//!   or cold, so no request finds an earlier one's pairs in the table: the
+//!   3 400 sets all insert into an invalid slot and none updates, the 600
+//!   gets all hit, and sets, gets and `foreach` charge the same per call
+//!   either way. Only the death differs. A reset invalidates the whole
+//!   table at no charge; a warm request ends by freeing the entries of each
+//!   of its maps still live through the RTT (`hashtable_free`, 2 µops),
+//!   1 300 maps over the run: 1 300 × 2 = 2 600.
 //! - `string` 32 507 → 32 555 (+48): each of the 24 context switches
 //!   reloads the string accelerator's config (`strreadconfig`, 2 µops).
 //! - Every other category is unchanged: the engine executes the same ops,
@@ -72,11 +72,11 @@ const PINNED_BY_CATEGORY: [(&str, u64); 8] = [
 ];
 
 /// `total_uops` after the same sequence served warm.
-const PINNED_WARM_SIM_UOPS: u64 = 271_679;
+const PINNED_WARM_SIM_UOPS: u64 = 268_519;
 
 /// The warm total by category, in `Category::ALL` order.
 const PINNED_WARM_BY_CATEGORY: [(&str, u64); 8] = [
-    ("hash-map", 15_160),
+    ("hash-map", 12_000),
     ("heap", 102_274),
     ("string", 32_555),
     ("regex", 783),

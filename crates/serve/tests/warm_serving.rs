@@ -4,7 +4,8 @@
 //! reset) and keeps accelerator state across requests; it recovers the
 //! machine only after an abnormal exit, a detected fault or a breaker
 //! transition. These tests hold the two halves of that: a long warm run
-//! leaks nothing, and a fault is recovered on the request that detects it.
+//! leaks nothing, and a fault is recovered on the request that detects it,
+//! also when the boundary work detects it.
 
 use phpaccel_core::{AccelId, Engine, PhpMachine};
 use serve::{
@@ -83,9 +84,10 @@ fn a_long_warm_run_leaks_nothing_and_resets_the_epoch_per_request() {
     }
 }
 
-/// A clean warm request leaves the hash table populated; the request on
-/// which a seeded fault is detected ends in `recover_request`, which
-/// flushes the free lists and invalidates the table.
+/// A clean warm request keeps its free lists stocked and leaves nothing in
+/// the hash table (its maps died with it); the request on which a seeded
+/// fault is detected ends in `recover_request`, which flushes the free
+/// lists and invalidates the table.
 #[test]
 fn a_detected_fault_recovers_the_machine_on_the_request_that_detects_it() {
     const FAULTY: u64 = 5;
@@ -105,8 +107,12 @@ fn a_detected_fault_recovers_the_machine_on_the_request_that_detects_it() {
         let core = server.machine().core();
         if req < FAULTY {
             assert_eq!(record.fault_delta, [0; 4], "request {req}");
-            assert!(core.htable.occupancy() > 0, "request {req}: state kept");
+            assert_eq!(core.htable.occupancy(), 0, "request {req}: maps freed");
             assert_eq!(core.heap.stats().flushes, flushes, "request {req}");
+            assert!(
+                core.heap.occupancy().iter().sum::<usize>() > 0,
+                "request {req}"
+            );
         } else {
             assert!(record.fault_delta[AccelId::Str.index()] > 0, "detected");
             assert_eq!(core.htable.occupancy(), 0, "table invalidated");
@@ -114,4 +120,56 @@ fn a_detected_fault_recovers_the_machine_on_the_request_that_detects_it() {
         }
     }
     assert_eq!(server.stats().mismatches, 0);
+}
+
+/// A fault the request itself never meets, found by the work after it: a
+/// poisoned free-list node that the request does not pop is caught by the
+/// `hmflush` of the context switch at its boundary. The breaker counts it
+/// against that request, and the machine recovers before the next one.
+#[test]
+fn a_fault_detected_at_the_boundary_reaches_the_breaker_and_recovers() {
+    let last = CONTEXT_SWITCH_EVERY - 1;
+    let breakers = BreakerConfig {
+        fault_threshold: 1,
+        window: 100,
+        base_backoff: 10,
+        max_backoff: 10,
+    };
+    let mut server = Server::new(
+        PhpMachine::specialized(),
+        breakers,
+        SandboxConfig::unlimited(),
+    )
+    .with_fault_plan(FaultPlan::new(vec![PlannedFault {
+        at_request: last,
+        kind: FaultKind::HeapFreelist { nth: 0 },
+    }]));
+    // Every request but the last churns scoped blocks, stocking the free
+    // lists; the last touches no heap at all.
+    let mut handler = |m: &mut PhpMachine, req: u64| {
+        if req < last {
+            for i in 0..4 {
+                m.alloc_scoped(32 + 16 * i);
+            }
+        }
+        req.to_le_bytes().to_vec()
+    };
+    for req in 0..=last {
+        let flushes = server.machine().core().heap.stats().flushes;
+        let (record, _) = server.step(req, &mut handler, false);
+        assert!(record.outcome.is_ok(), "request {req}");
+        assert_eq!(record.fault_delta, [0; 4], "request {req}");
+        let heap = server.machine().core().heap.stats();
+        let breaker = server.breaker(AccelId::Heap);
+        if req < last {
+            assert_eq!(heap.flushes, flushes, "request {req}");
+            assert_eq!(breaker.trips, 0, "request {req}");
+        } else {
+            assert_eq!((heap.faults_injected, heap.faults_detected), (1, 1));
+            assert_eq!(breaker.trips, 1, "the boundary detection trips it");
+            // The context switch's flush, then the recovery's.
+            assert_eq!(heap.flushes, flushes + 2);
+        }
+    }
+    assert_eq!(server.machine().core().context_switches, 1);
 }
