@@ -212,46 +212,6 @@ impl HwHeapManager {
         }
     }
 
-    /// Pre-seeds the hardware free lists from statically known allocation
-    /// sizes: static analysis reports the byte sizes of allocation sites it
-    /// proved constant, and this carves matching blocks from the software
-    /// allocator *before* the first request so the first `hmmalloc` of each
-    /// predicted class hits in hardware instead of missing to the software
-    /// refill path. Seeded blocks enter the free-list inventory exactly like
-    /// prefetched ones — they are not live allocations and are handed back
-    /// by `hmflush` like any other node. Classes that already hold inventory
-    /// are skipped, so re-attaching the same facts on every request is a
-    /// no-op after the first call. Returns the number of distinct size
-    /// classes seeded.
-    pub fn preseed(&mut self, sizes: &[usize], alloc: &mut SlabAllocator, prof: &Profiler) -> u64 {
-        let mut want = [0usize; HW_CLASS_COUNT];
-        for &size in sizes {
-            if let Some(class) = SizeClassTable::classify(size) {
-                want[class] += 1;
-            }
-        }
-        let mut classes = 0u64;
-        for (class, &n) in want.iter().enumerate() {
-            if n == 0 || !self.lists[class].is_empty() {
-                continue;
-            }
-            let mut pushed = false;
-            for _ in 0..n.min(self.lists[class].capacity()) {
-                let addr = alloc.carve_for_hardware(sw_class_for(class), prof);
-                if self.lists[class].push_tail(addr) {
-                    pushed = true;
-                } else {
-                    alloc.return_segment(sw_class_for(class), addr);
-                    break;
-                }
-            }
-            if pushed {
-                classes += 1;
-            }
-        }
-        classes
-    }
-
     /// `hmmalloc size` — returns a block of at most 128 bytes, or signals
     /// the software path.
     pub fn hmmalloc(

@@ -210,12 +210,13 @@ impl ContentReuseTable {
         }
     }
 
-    /// Flushes all entries for `asid` (process teardown).
+    /// Flushes all entries for `asid` (process teardown). The parity check
+    /// runs on each dropped entry, so a corrupt one counts as detected.
     pub fn flush_asid(&mut self, asid: u32) {
         for (i, e) in self.entries.iter_mut().enumerate() {
             if e.as_ref().is_some_and(|e| e.asid == asid) {
                 *e = None;
-                self.corrupt[i] = false;
+                self.stats.faults_detected += u64::from(std::mem::take(&mut self.corrupt[i]));
             }
         }
     }
@@ -240,14 +241,15 @@ impl ContentReuseTable {
         true
     }
 
-    /// Full reset (the sandbox recovery path): drops every entry and any
-    /// latent corruption. Statistics stay.
+    /// Full reset (the sandbox recovery path): drops every entry. The scrub's
+    /// parity check finds any latent corruption as it drops it, and counts
+    /// it as detected. Statistics stay.
     pub fn clear(&mut self) {
         for e in self.entries.iter_mut() {
             *e = None;
         }
         for c in self.corrupt.iter_mut() {
-            *c = false;
+            self.stats.faults_detected += u64::from(std::mem::take(c));
         }
     }
 }
@@ -458,8 +460,10 @@ mod tests {
         t.inject_entry_fault(0);
         t.clear();
         assert_eq!(t.occupancy(), 0);
+        // The scrub finds the latent fault as it drops it, and only once.
+        assert_eq!(t.stats().faults_detected, 1);
         let _ = t.regexlookup(1, 0, b"abc");
-        assert_eq!(t.stats().faults_detected, 0);
+        assert_eq!(t.stats().faults_detected, 1);
     }
 
     #[test]
@@ -474,7 +478,14 @@ mod tests {
         let mut t = ContentReuseTable::default();
         let _ = t.regexlookup(1, 7, b"x");
         let _ = t.regexlookup(2, 8, b"y");
+        t.inject_entry_fault(0);
+        t.inject_entry_fault(1);
         t.flush_asid(7);
         assert_eq!(t.occupancy(), 1);
+        // Only the flushed process's corrupt entry is found; the other stays
+        // latent until its own lookup.
+        assert_eq!(t.stats().faults_detected, 1);
+        let _ = t.regexlookup(2, 8, b"y");
+        assert_eq!(t.stats().faults_detected, 2);
     }
 }

@@ -418,28 +418,13 @@ impl StringAccel {
         Ok((stop.unwrap_or(subject.len()), cost))
     }
 
-    /// Loads the matrix configuration the hint-vector sift runs with.
-    fn load_sift_config(&mut self) {
-        self.load(SIFT_ROWS.iter().copied())
-            .expect("sift config fits");
-    }
-
-    /// Pre-loads (and saves) the sift matrix configuration ahead of the
-    /// first request. Static analysis calls this when it proved the
-    /// workload runs regexps: the hint-vector sieve then finds its config
-    /// already resident instead of paying the load on the first subject,
-    /// and the first post-context-switch `strreadconfig` is a no-op.
-    pub fn preload_sift_config(&mut self) {
-        self.load_sift_config();
-        self.saved = self.loaded.clone();
-    }
-
     /// Hint-vector sift (§4.5 support): marks each `segment_size`-byte
     /// segment that contains at least one *special* character (outside
     /// `[A-Za-z0-9_.,-]` + space). This is the sieve's extra work.
     pub fn sift_special(&mut self, subject: &[u8], segment_size: usize) -> (Vec<bool>, AccelCost) {
         assert!(segment_size > 0);
-        self.load_sift_config();
+        self.load(SIFT_ROWS.iter().copied())
+            .expect("sift config fits");
         let nseg = subject.len().div_ceil(segment_size);
         let mut hints = vec![false; nseg];
         let (_, cost) = self.scan_blocks(subject, 0, |bm, blen, base| {

@@ -18,7 +18,7 @@
 //! keep the corpus lint-clean modulo the intentional examples.
 
 use bench::{header, serving_machine};
-use php_analysis::report::parse_allowlist;
+use php_analysis::report::{parse_allowlist, LintKind};
 use php_interp::{MemoCache, MemoTier, Vm};
 use phpaccel_core::PhpMachine;
 use std::sync::Arc;
@@ -173,12 +173,15 @@ fn main() {
                 ht.hinted_append_inserts,
             );
             println!(
-                "  saved:  summaries-applied={} regex-compiles-avoided={} \
-                 heap-classes-preseeded={} taint-lints={}",
+                "  saved:  summaries-applied={} regex-compiles-avoided={} taint-lints={}",
                 s.summaries_applied,
                 s.regex_compiles_avoided,
-                s.heap_classes_preseeded,
-                s.taint_lints_flagged,
+                prepared
+                    .report
+                    .lints
+                    .iter()
+                    .filter(|l| l.kind == LintKind::TaintedSink)
+                    .count(),
             );
 
             // Memoization demo: two requests against one cross-request

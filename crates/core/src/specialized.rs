@@ -363,28 +363,6 @@ impl PhpMachine {
         self.core.regex_stats = RegexAccelStats::default();
     }
 
-    /// Applies analysis-time pre-configuration ahead of the first request:
-    /// pre-seeds the hardware heap free lists from statically known
-    /// allocation sizes, and pre-loads the string-accelerator sift config
-    /// when the analysis pre-compiled regexps (the hint-vector sieve will
-    /// run). Called when analysis facts are attached; a no-op in baseline
-    /// mode, for disabled domains, and on repeat attachment (the heap skips
-    /// already-stocked classes, the sift config load is idempotent).
-    pub fn apply_prebuilt(&mut self, alloc_sizes: &[usize], has_precompiled_regex: bool) {
-        if self.use_accel(AccelId::Heap) && !alloc_sizes.is_empty() {
-            let classes = self.ctx.with_allocator(|a| {
-                let prof = self.ctx.profiler();
-                self.core.heap.preseed(alloc_sizes, a, prof)
-            });
-            if classes > 0 {
-                self.ctx.profiler().note_heap_classes_preseeded(classes);
-            }
-        }
-        if self.use_accel(AccelId::Str) && has_precompiled_regex {
-            self.core.straccel.preload_sift_config();
-        }
-    }
-
     // -- request lifecycle ----------------------------------------------------
 
     /// Ends a simulated request. Every map created during it dies: the hash

@@ -17,13 +17,6 @@ use php_interp::{strip_delimiters, AnalysisFacts, KeyShape};
 use regex_engine::Regex;
 use std::collections::BTreeSet;
 
-/// Bytes a transient string of `len` content bytes occupies on the heap
-/// (mirrors `PhpStr::heap_size`: header + payload).
-const STR_HEADER_BYTES: usize = 16;
-
-/// Bytes `PhpMachine::new_array` allocates for an array shell.
-const ARRAY_SHELL_BYTES: usize = 64;
-
 /// Statically evaluates the truthiness of a constant expression.
 fn const_truth(e: &Expr) -> Option<bool> {
     match e {
@@ -109,7 +102,7 @@ impl Committer<'_, '_> {
                         self.report.rc_elided_reads += 1;
                     }
                 }
-                Expr::Bin { op, lhs, rhs } => {
+                Expr::Bin { lhs, rhs, .. } => {
                     self.report.bin_ops += 1;
                     self.report.operand_slots += 2;
                     let (lt, rt) = (ty_of(lhs, env, &self.view), ty_of(rhs, env, &self.view));
@@ -119,17 +112,6 @@ impl Committer<'_, '_> {
                         let id = self.facts.intern_expr(e);
                         self.facts.set_bin_typed(id, lk, rk);
                     }
-                    // A constant-folded concatenation still allocates its
-                    // transient result at runtime — but with a statically
-                    // known size, which feeds heap free-list pre-seeding.
-                    if *op == BinOp::Concat {
-                        if let Some(ConstVal::Str(s)) = const_of(e, env, &self.view) {
-                            self.facts.add_alloc_size_hint(STR_HEADER_BYTES + s.len());
-                        }
-                    }
-                }
-                Expr::ArrayLit(_) => {
-                    self.facts.add_alloc_size_hint(ARRAY_SHELL_BYTES);
                 }
                 Expr::Call { name, args } => {
                     if is_builtin(name) {

@@ -28,8 +28,8 @@
 //!    means "fall back to fully dynamic". [`php_interp::compile()`] is the
 //!    table's one reader: it bakes the facts into the VM's ops, which skip
 //!    metered type checks and refcount pairs, pass key-shape hints to the
-//!    hardware hash table, reuse analysis-time-compiled `preg_*` patterns,
-//!    and pre-seed the hardware heap's free lists.
+//!    hardware hash table, and reuse analysis-time-compiled `preg_*`
+//!    patterns.
 //!
 //! ```
 //! use php_analysis::analyze;
@@ -157,8 +157,7 @@ pub fn analyze_with_options(
         report.scopes.push(scope_report);
     }
     if opts.interprocedural {
-        let n = taint::taint_lints(&scopes, &cg, &view, &mut report.lints);
-        facts.set_taint_lint_count(n);
+        taint::taint_lints(&scopes, &cg, &view, &mut report.lints);
     }
     if let Some(sums) = &sums {
         // Effect/purity pass: prove cross-request memoizable call sites and

@@ -95,7 +95,7 @@ impl RegionInfo {
     /// callee and answer `false`. Builtins never retain values across
     /// requests in this runtime (the regex cache clones pattern bytes
     /// rather than keeping the value); argument-returning builtins are
-    /// handled by [`value_sources`] instead.
+    /// handled by `value_sources` instead.
     pub fn arg_crosses_request(&self, view: &CallerView<'_>, name: &str, i: usize) -> bool {
         match view.summary(name) {
             Some(s) if !s.opaque_effects => self

@@ -350,13 +350,13 @@ fn describe(e: &Expr, env: &TaintEnv) -> String {
 
 /// Runs the whole-program taint analysis and appends one
 /// [`LintKind::TaintedSink`] lint per sink reached by unsanitized request
-/// input. Returns the number of lints emitted.
+/// input.
 pub fn taint_lints(
     scopes: &[ScopeCfg<'_>],
     _cg: &CallGraph,
     view: &CallerView<'_>,
     lints: &mut Vec<Lint>,
-) -> usize {
+) {
     use crate::cfg::{item_exprs, walk_exprs};
     // Seed parameter/return maps so growth is observable.
     let mut st = TaintState::default();
@@ -370,7 +370,6 @@ pub fn taint_lints(
     while propagate(scopes, &mut st, view) {}
 
     // Final replay: report sinks. One lint per sinking statement.
-    let mut count = 0;
     for scope in scopes {
         let sol = solve_scope(scope, &st, view);
         for (b, block) in scope.cfg.blocks.iter().enumerate() {
@@ -388,7 +387,6 @@ pub fn taint_lints(
                                 &scope.name,
                                 format!("request input reaches echo sink{}", describe(p, &env)),
                             );
-                            count += 1;
                         }
                     }
                     Item::Stmt(Stmt::Assign {
@@ -400,7 +398,6 @@ pub fn taint_lints(
                             &scope.name,
                             format!("request input used as hash-table key{}", describe(k, &env)),
                         );
-                        count += 1;
                     }
                     _ => {}
                 }
@@ -431,13 +428,11 @@ pub fn taint_lints(
                 }
                 for m in site_lints {
                     sink_lint(lints, &scope.name, m);
-                    count += 1;
                 }
                 apply_bindings(item, &mut env, &st);
             }
         }
     }
-    count
 }
 
 #[cfg(test)]

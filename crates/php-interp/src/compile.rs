@@ -464,16 +464,6 @@ pub struct CompiledUnit {
     pub msgs: Vec<String>,
     /// Facts were attached at compile time.
     pub specialized: bool,
-    /// Facts side-channel: statically known allocation sizes for heap
-    /// free-list pre-seeding.
-    pub alloc_size_hints: Vec<usize>,
-    /// Facts side-channel: taint lints to book into the savings counters.
-    pub taint_lints: u64,
-    /// Facts side-channel: proven arena-safe allocation sites.
-    pub arena_safe_sites: u64,
-    /// Facts side-channel: whether any regex was precompiled (preloads the
-    /// string-engine sieve config).
-    pub has_precompiled_regex: bool,
     /// Facts side-channel: memoizable call sites, indexed by
     /// [`Op::MemoEnter`]/[`Op::MemoStore`]'s `site` operand.
     pub memo_sites: Vec<MemoSiteInfo>,
@@ -518,12 +508,6 @@ pub fn compile(
         main_slots: SlotMap::default(),
     };
     collect_nested_defs(&prog.stmts, true, &mut c.nested_defs);
-    if let Some(f) = facts {
-        c.unit.alloc_size_hints = f.alloc_size_hints().to_vec();
-        c.unit.taint_lints = f.taint_lint_count() as u64;
-        c.unit.arena_safe_sites = f.arena_safe_count() as u64;
-        c.unit.has_precompiled_regex = f.precompiled_regex_count() > 0;
-    }
 
     // Phase 1: establish the hoisted bindings. Pre-registered instances win
     // (last registration, like repeated `predefine_funcs` inserts); among

@@ -84,12 +84,6 @@ pub struct AnalysisFacts {
     /// `Expr::Call` nodes of user functions resolved through an
     /// interprocedural summary (counted at runtime as a savings win).
     call_summarized: HashSet<NodeId>,
-    /// Byte sizes of statically known allocation sites (constant-string
-    /// transients, fresh arrays): fed to the hardware heap's free-list
-    /// pre-seeding when the facts are attached.
-    alloc_size_hints: Vec<usize>,
-    /// Number of tainted-sink lints the analysis raised for this program.
-    taint_lint_count: usize,
     /// Allocation sites (echo materializations, concat transients, array
     /// literals, autovivified arrays) the region analysis proved die with
     /// the request: eligible for arena/epoch allocation. Expression and
@@ -184,16 +178,6 @@ impl AnalysisFacts {
         self.call_summarized.insert(id);
     }
 
-    /// Records one statically known allocation size (bytes).
-    pub fn add_alloc_size_hint(&mut self, size: usize) {
-        self.alloc_size_hints.push(size);
-    }
-
-    /// Records how many tainted-sink lints the analysis raised.
-    pub fn set_taint_lint_count(&mut self, n: usize) {
-        self.taint_lint_count = n;
-    }
-
     /// Marks an allocation site (expression or statement id) as arena-safe:
     /// the region analysis proved the allocation never outlives the request.
     pub fn mark_arena_safe(&mut self, id: NodeId) {
@@ -260,16 +244,6 @@ impl AnalysisFacts {
             .is_some_and(|id| self.call_summarized.contains(&id))
     }
 
-    /// Statically known allocation sizes (bytes), for heap pre-seeding.
-    pub fn alloc_size_hints(&self) -> &[usize] {
-        &self.alloc_size_hints
-    }
-
-    /// Number of tainted-sink lints the analysis raised.
-    pub fn taint_lint_count(&self) -> usize {
-        self.taint_lint_count
-    }
-
     /// Whether an expression's allocation site is proven arena-safe.
     pub fn arena_safe_expr(&self, e: &Expr) -> bool {
         self.expr_id(e)
@@ -283,8 +257,7 @@ impl AnalysisFacts {
             .is_some_and(|id| self.arena_safe.contains(&id))
     }
 
-    /// Number of proven arena-safe allocation sites, for the savings
-    /// counters.
+    /// Number of proven arena-safe allocation sites.
     pub fn arena_safe_count(&self) -> usize {
         self.arena_safe.len()
     }

@@ -74,7 +74,7 @@ pub enum MemoArrayKey {
 
 impl MemoValue {
     /// Deep-copies a runtime value into the owned form. `None` when the
-    /// value nests deeper than [`MAX_VALUE_DEPTH`] (covers cyclic arrays).
+    /// value nests deeper than `MAX_VALUE_DEPTH` (covers cyclic arrays).
     pub fn from_php(v: &PhpValue) -> Option<MemoValue> {
         Self::from_php_at(v, 0)
     }

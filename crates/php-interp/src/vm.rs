@@ -291,13 +291,8 @@ impl<'m> Vm<'m> {
         self.regex_cache.len() as u64
     }
 
-    /// Runs the unit's main body.
-    ///
-    /// A unit compiled with facts first applies their static
-    /// pre-configuration: heap free-list pre-seeding, sieve preloading, and
-    /// the taint/arena savings bookkeeping happen before the first opcode.
-    /// The per-opcode execution counters are flushed into the profiler
-    /// afterwards.
+    /// Runs the unit's main body, then flushes the per-opcode execution
+    /// counters into the profiler.
     ///
     /// # Errors
     ///
@@ -305,18 +300,6 @@ impl<'m> Vm<'m> {
     /// tree-walker would for the same program.
     pub fn run(&mut self) -> Result<(), RuntimeError> {
         let unit = Arc::clone(&self.unit);
-        if unit.specialized {
-            self.machine
-                .apply_prebuilt(&unit.alloc_size_hints, unit.has_precompiled_regex);
-            self.machine
-                .ctx()
-                .profiler()
-                .note_taint_lints(unit.taint_lints);
-            self.machine
-                .ctx()
-                .profiler()
-                .note_arena_safe_sites(unit.arena_safe_sites);
-        }
         let result = self.run_chunk(&unit.main).map(|_| ());
         // Main never unwinds its stacks on error; clear them so a reused VM
         // (not a pattern today, but cheap insurance) starts clean.

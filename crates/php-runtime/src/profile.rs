@@ -185,14 +185,6 @@ pub struct StaticSavings {
     /// `preg_*` compiles skipped because the analysis compiled the constant
     /// pattern ahead of time.
     pub regex_compiles_avoided: u64,
-    /// Hardware heap size classes whose free lists were pre-seeded from
-    /// statically known allocation sizes.
-    pub heap_classes_preseeded: u64,
-    /// Tainted-sink lints the attached analysis raised for the program.
-    pub taint_lints_flagged: u64,
-    /// Allocation sites the region analysis proved arena-safe (die at
-    /// request end; served by the bump arena instead of free lists).
-    pub arena_safe_sites: u64,
     /// Bytes reclaimed wholesale by O(1) arena epoch resets instead of
     /// per-block free-list teardown.
     pub arena_bytes_reclaimed: u64,
@@ -233,9 +225,6 @@ impl StaticSavings {
         self.rc_decs_avoided += other.rc_decs_avoided;
         self.summaries_applied += other.summaries_applied;
         self.regex_compiles_avoided += other.regex_compiles_avoided;
-        self.heap_classes_preseeded += other.heap_classes_preseeded;
-        self.taint_lints_flagged += other.taint_lints_flagged;
-        self.arena_safe_sites += other.arena_safe_sites;
         self.arena_bytes_reclaimed += other.arena_bytes_reclaimed;
         self.teardown_uops_saved += other.teardown_uops_saved;
         self.vm_ops_executed += other.vm_ops_executed;
@@ -589,21 +578,6 @@ impl Profiler {
     /// Notes a regex compile skipped thanks to analysis-time compilation.
     pub fn note_regex_compile_avoided(&self) {
         self.savings.borrow_mut().regex_compiles_avoided += 1;
-    }
-
-    /// Notes `n` heap size classes pre-seeded from static allocation sizes.
-    pub fn note_heap_classes_preseeded(&self, n: u64) {
-        self.savings.borrow_mut().heap_classes_preseeded += n;
-    }
-
-    /// Notes `n` tainted-sink lints flagged by the attached analysis.
-    pub fn note_taint_lints(&self, n: u64) {
-        self.savings.borrow_mut().taint_lints_flagged += n;
-    }
-
-    /// Notes `n` allocation sites the region analysis proved arena-safe.
-    pub fn note_arena_safe_sites(&self, n: u64) {
-        self.savings.borrow_mut().arena_safe_sites += n;
     }
 
     /// Notes one arena epoch reset: `bytes` reclaimed in O(1) and the

@@ -283,15 +283,12 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     }
 
     let sv = &snap.savings;
-    let kinds: [(&str, u64); 17] = [
+    let kinds: [(&str, u64); 14] = [
         ("type_checks_avoided", sv.type_checks_avoided),
         ("rc_incs_avoided", sv.rc_incs_avoided),
         ("rc_decs_avoided", sv.rc_decs_avoided),
         ("summaries_applied", sv.summaries_applied),
         ("regex_compiles_avoided", sv.regex_compiles_avoided),
-        ("heap_classes_preseeded", sv.heap_classes_preseeded),
-        ("taint_lints_flagged", sv.taint_lints_flagged),
-        ("arena_safe_sites", sv.arena_safe_sites),
         ("arena_bytes_reclaimed", sv.arena_bytes_reclaimed),
         ("teardown_uops_saved", sv.teardown_uops_saved),
         ("vm_ops_executed", sv.vm_ops_executed),

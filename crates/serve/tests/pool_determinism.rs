@@ -124,19 +124,10 @@ fn vm_pool_results_are_identical_at_any_worker_count() {
     for workers in [2usize, 4, 8] {
         let got = run_pool_with(&cache, workers, Engine::Vm, true);
         assert_eq!(got.stats, reference.stats, "vm {workers} workers: stats");
-        // `heap_classes_preseeded` is the one machine-count-dependent
-        // counter: preseeding skips size classes that still hold free-list
-        // inventory, and inventory history differs per machine under arena
-        // mode (the tree-walk engine drifts identically, so it is excluded
-        // here rather than papered over in the engine). Everything else —
-        // including the VM's own op/fusion/transient counters — must merge
-        // to the same totals at any worker count.
-        let mut got_savings = got.savings;
-        let mut ref_savings = reference.savings;
-        got_savings.heap_classes_preseeded = 0;
-        ref_savings.heap_classes_preseeded = 0;
+        // Every savings counter — the VM's own op/fusion/transient counters
+        // included — must merge to the same totals at any worker count.
         assert_eq!(
-            got_savings, ref_savings,
+            got.savings, reference.savings,
             "vm {workers} workers: merged StaticSavings"
         );
         assert_eq!(

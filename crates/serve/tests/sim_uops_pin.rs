@@ -6,9 +6,9 @@
 //! serves it and compares the profiler's total, and its split over the
 //! paper's activity categories, with pinned values.
 //!
-//! The pin has moved twice since the dense ledger (PR 13, 488 012), each
-//! time for a change to the modelled machine, not to the instrument — the
-//! only kind of change allowed to move it:
+//! The pin has moved three times since the dense ledger (PR 13, 488 012),
+//! each time for a change to the modelled machine, not to the instrument —
+//! the only kind of change allowed to move it:
 //!
 //! - PR 16 put the VM's variables in compile-time frame slots, so a variable
 //!   access stopped metering a hash probe and a call stopped allocating a
@@ -20,20 +20,28 @@
 //!   type check and refcount increment, so only `jit-code` falls, by one µop
 //!   per op no longer executed: 357 358 → 343 903, every other category
 //!   unchanged.
+//! - Nothing runs before a request's first op: the heap free lists are no
+//!   longer pre-seeded from the analysis's allocation-size hints before
+//!   every VM run. On a machine reset after every request the seeded blocks
+//!   went unused, since the arena serves the arena-safe sites: `hmmalloc`
+//!   hits 275 times in 500 with or without them. The preseed's carves
+//!   (`slab_malloc` 1 025 calls and 65 972 µops → 225 and 16 372) and their
+//!   hand-back at the reset (`hmflush` 19 950 → 17 550 µops) go:
+//!   343 903 → 291 903, only `heap` moves (180 306 → 128 306).
 //!
 //! That sequence resets the machine after every request, as the in-process
 //! benchmark still serves. A second pin drives the same 1 200 requests
 //! through `Server::step(.., false)`, the warm path an HTTP worker takes:
 //! accelerator state outlives the request, every request ends
 //! (`end_request`), and a modelled context switch runs every 50 requests.
-//! 343 903 → 268 519 µops; by category, event by event:
+//! 291 903 → 268 419 µops; by category, event by event:
 //!
-//! - `heap` 180 306 → 102 274 (−78 032). The free lists stay stocked, so
-//!   `hmmalloc` hits 455 times in 500 instead of 275: the software refills
-//!   behind the misses (`slab_malloc`) fall from 1 025 calls and 65 972 µops
-//!   to 67 calls and 6 576 (−59 396), and `hmflush` runs at the 24 context
-//!   switches instead of after all 1 200 requests, 19 950 → 1 314 µops
-//!   (−18 636). The arena's bump, logical-free and epoch-reset charges are
+//! - `heap` 128 306 → 102 174 (−26 132). The free lists stay stocked, so
+//!   `hmmalloc` hits 435 times in 500 instead of 275: the software refills
+//!   behind the misses (`slab_malloc`) fall from 225 calls and 16 372 µops
+//!   to 65 calls and 6 452 (−9 920), and `hmflush` runs at the 24 context
+//!   switches instead of after all 1 200 requests, 17 550 → 1 338 µops
+//!   (−16 212). The arena's bump, logical-free and epoch-reset charges are
 //!   the same 92 384 µops either way.
 //! - `hash-map` 9 400 → 12 000 (+2 600). A map dies with its request warm
 //!   or cold, so no request finds an earlier one's pairs in the table: the
@@ -56,13 +64,14 @@ use std::sync::Arc;
 use workloads::php_corpus::CorpusCache;
 
 /// `total_uops` after the sequence below.
-const PINNED_SIM_UOPS: u64 = 343_903;
+const PINNED_SIM_UOPS: u64 = 291_903;
 
 /// The same total by category, in `Category::ALL` order. Before operands
-/// moved into the instruction `jit-code` read 56 657.
+/// moved into the instruction `jit-code` read 56 657; before preseeding
+/// went, `heap` read 180 306.
 const PINNED_BY_CATEGORY: [(&str, u64); 8] = [
     ("hash-map", 9_400),
-    ("heap", 180_306),
+    ("heap", 128_306),
     ("string", 32_507),
     ("regex", 783),
     ("type-check", 53_451),
@@ -72,12 +81,14 @@ const PINNED_BY_CATEGORY: [(&str, u64); 8] = [
 ];
 
 /// `total_uops` after the same sequence served warm.
-const PINNED_WARM_SIM_UOPS: u64 = 268_519;
+const PINNED_WARM_SIM_UOPS: u64 = 268_419;
 
-/// The warm total by category, in `Category::ALL` order.
+/// The warm total by category, in `Category::ALL` order. With preseeding,
+/// `heap` read 102 274 (`hmmalloc` hit 455 times in 500) and the total
+/// 268 519: warm, the preseed bought 20 hits for 100 µops.
 const PINNED_WARM_BY_CATEGORY: [(&str, u64); 8] = [
     ("hash-map", 12_000),
-    ("heap", 102_274),
+    ("heap", 102_174),
     ("string", 32_555),
     ("regex", 783),
     ("type-check", 53_451),

@@ -696,8 +696,6 @@ mod tests {
     fn interprocedural_savings_counters_all_fire() {
         let mut summaries = 0u64;
         let mut regex_avoided = 0u64;
-        let mut preseeded = 0u64;
-        let mut taint = 0u64;
         for entry in ENTRIES {
             let p = prepare(entry);
             let mut m = vm_machine();
@@ -705,13 +703,9 @@ mod tests {
             let s = m.ctx().profiler().static_savings();
             summaries += s.summaries_applied;
             regex_avoided += s.regex_compiles_avoided;
-            preseeded += s.heap_classes_preseeded;
-            taint += s.taint_lints_flagged;
         }
         assert!(summaries > 0, "no summarized call executed");
         assert!(regex_avoided > 0, "no precompiled regex was reused");
-        assert!(preseeded > 0, "no heap size class was preseeded");
-        assert!(taint > 0, "no taint lint reached the profiler");
     }
 
     /// The search-echo entry exists to keep the taint lint (and its
@@ -728,7 +722,9 @@ mod tests {
             "{:?}",
             p.report.lints
         );
-        assert_eq!(p.facts.taint_lint_count(), 1, "the sanitized echo is clean");
+        let lints = &p.report.lints;
+        let tainted = lints.iter().filter(|l| l.kind == LintKind::TaintedSink);
+        assert_eq!(tainted.count(), 1, "the sanitized echo is clean");
     }
 
     /// Tentpole invariant: one shared cache, many threads, byte-identical
