@@ -319,14 +319,19 @@ impl HwHeapManager {
         flushed
     }
 
-    /// Fault-injection hook: poisons the `nth` resident free-list node
-    /// (across all classes, newest first). The parity check catches it when
-    /// the node is next popped or flushed. Returns `false` when every
-    /// hardware free list is empty.
+    /// Fault-injection hook: poisons the `nth` resident free-list node not
+    /// already poisoned (across all classes, newest first). The parity
+    /// check catches it when the node is next popped or flushed. Returns
+    /// `false`, and counts nothing, when no resident node is left to
+    /// poison: every hardware free list is empty or already poisoned.
     pub fn inject_freelist_fault(&mut self, nth: usize) -> bool {
         let mut nodes = Vec::new();
         for list in &self.lists {
-            nodes.extend(list.snapshot());
+            nodes.extend(
+                list.snapshot()
+                    .into_iter()
+                    .filter(|addr| !self.poisoned.contains(addr)),
+            );
         }
         if nodes.is_empty() {
             return false;
@@ -535,6 +540,20 @@ mod tests {
         let (mut hm, _, _) = setup();
         assert!(!hm.inject_freelist_fault(0));
         assert_eq!(hm.stats().faults_injected, 0);
+    }
+
+    #[test]
+    fn inject_skips_a_node_already_poisoned() {
+        let (mut hm, mut alloc, prof) = setup();
+        let a = hm.hmmalloc(32, &mut alloc, &prof).addr().unwrap();
+        hm.hmfree(a, 32, &mut alloc, &prof);
+        assert!(hm.inject_freelist_fault(0));
+        // The one resident node is poisoned: nothing is left to corrupt,
+        // so the second fault is not counted (the server keeps it pending).
+        assert!(!hm.inject_freelist_fault(1));
+        assert_eq!(hm.stats().faults_injected, 1);
+        let _ = hm.hmflush(&mut alloc, &prof);
+        assert_eq!(hm.stats().faults_detected, 1);
     }
 
     #[test]

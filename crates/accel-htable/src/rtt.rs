@@ -49,17 +49,13 @@ impl RttEntry {
     }
 }
 
-/// What `foreach` can replay from hardware.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What `foreach` can replay from hardware, besides the live entries that
+/// [`Rtt::replay_order`] writes into its caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderReplay {
-    /// Hash-table entry indices in insertion order (live entries only).
-    pub live_in_order: Vec<u32>,
     /// Number of pairs whose entries were evicted (must be fetched from the
     /// software map, but their *positions* in the order are known).
     pub evicted: usize,
-    /// Insertion sequence numbers for the live entries (parallel to
-    /// `live_in_order`).
-    pub live_seqs: Vec<u64>,
     /// `true` when the circular buffer wrapped and hardware can no longer
     /// guarantee the order — software must iterate the memory map instead.
     pub order_lost: bool,
@@ -186,33 +182,30 @@ impl Rtt {
         }
     }
 
-    /// Replays insertion order for a `foreach` of map `base`.
-    pub fn replay_order(&self, base: u64) -> OrderReplay {
-        match self.entries.get(&base) {
-            None => OrderReplay {
-                live_in_order: Vec::new(),
+    /// Replays insertion order for a `foreach` of map `base`: refills
+    /// `live` with the `(insertion sequence number, hash-table entry index)`
+    /// of each live entry, in insertion order. `live` is the caller's
+    /// buffer, so a replay allocates nothing once it has grown.
+    pub fn replay_order(&self, base: u64, live: &mut Vec<(u64, u32)>) -> OrderReplay {
+        live.clear();
+        let Some(e) = self.entries.get(&base) else {
+            return OrderReplay {
                 evicted: 0,
-                live_seqs: Vec::new(),
                 order_lost: false,
-            },
-            Some(e) => {
-                let mut live: Vec<(u64, u32)> = Vec::new();
-                let mut evicted = 0;
-                for slot in &e.slots {
-                    match *slot {
-                        Slot::Live { idx, seq } => live.push((seq, idx)),
-                        Slot::Evicted { .. } => evicted += 1,
-                        Slot::Empty => {}
-                    }
-                }
-                live.sort_unstable();
-                OrderReplay {
-                    live_in_order: live.iter().map(|&(_, i)| i).collect(),
-                    live_seqs: live.iter().map(|&(s, _)| s).collect(),
-                    evicted,
-                    order_lost: e.order_lost,
-                }
+            };
+        };
+        let mut evicted = 0;
+        for slot in &e.slots {
+            match *slot {
+                Slot::Live { idx, seq } => live.push((seq, idx)),
+                Slot::Evicted { .. } => evicted += 1,
+                Slot::Empty => {}
             }
+        }
+        live.sort_unstable();
+        OrderReplay {
+            evicted,
+            order_lost: e.order_lost,
         }
     }
 }
@@ -221,14 +214,24 @@ impl Rtt {
 mod tests {
     use super::*;
 
+    /// [`Rtt::replay_order`] with its live entries split into entry indices
+    /// and sequence numbers.
+    fn replay(rtt: &Rtt, base: u64) -> (Vec<u32>, Vec<u64>, OrderReplay) {
+        let mut live = Vec::new();
+        let r = rtt.replay_order(base, &mut live);
+        let idxs = live.iter().map(|&(_, idx)| idx).collect();
+        let seqs = live.iter().map(|&(seq, _)| seq).collect();
+        (idxs, seqs, r)
+    }
+
     #[test]
     fn insert_and_replay_order() {
         let mut rtt = Rtt::new(8, 16);
         assert!(rtt.record_insert(0x10, 5).is_none());
         assert!(rtt.record_insert(0x10, 9).is_none());
         assert!(rtt.record_insert(0x10, 2).is_none());
-        let r = rtt.replay_order(0x10);
-        assert_eq!(r.live_in_order, vec![5, 9, 2]);
+        let (idxs, _, r) = replay(&rtt, 0x10);
+        assert_eq!(idxs, vec![5, 9, 2]);
         assert_eq!(r.evicted, 0);
         assert!(!r.order_lost);
     }
@@ -240,16 +243,16 @@ mod tests {
         let _ = rtt.record_insert(0x10, 2);
         let _ = rtt.record_insert(0x10, 3);
         rtt.invalidate_backpointer(0x10, 2);
-        let r = rtt.replay_order(0x10);
-        assert_eq!(r.live_in_order, vec![1, 3]);
+        let (idxs, _, r) = replay(&rtt, 0x10);
+        assert_eq!(idxs, vec![1, 3]);
         assert_eq!(r.evicted, 1);
         // Re-insertion after eviction goes to the end of the order —
         // "the RTT can still guarantee the required insertion order
         // invariant" because the pair gets a fresh sequence number.
         let _ = rtt.record_insert(0x10, 7);
-        let r = rtt.replay_order(0x10);
-        assert_eq!(r.live_in_order, vec![1, 3, 7]);
-        assert_eq!(*r.live_seqs.last().unwrap(), 3);
+        let (idxs, seqs, _) = replay(&rtt, 0x10);
+        assert_eq!(idxs, vec![1, 3, 7]);
+        assert_eq!(*seqs.last().unwrap(), 3);
     }
 
     #[test]
@@ -272,9 +275,9 @@ mod tests {
         for i in 0..4 {
             let _ = rtt.record_insert(0x30, i);
         }
-        assert!(!rtt.replay_order(0x30).order_lost);
+        assert!(!replay(&rtt, 0x30).2.order_lost);
         let _ = rtt.record_insert(0x30, 99);
-        assert!(rtt.replay_order(0x30).order_lost);
+        assert!(replay(&rtt, 0x30).2.order_lost);
     }
 
     #[test]
@@ -316,8 +319,8 @@ mod tests {
         // A recycled buffer starts empty: order intact, sequence from zero.
         let _ = rtt.record_insert(0x10, 7);
         assert_eq!(rtt.spare.len(), 1);
-        let r = rtt.replay_order(0x10);
-        assert_eq!((r.live_in_order, r.live_seqs), (vec![7], vec![0]));
+        let (idxs, seqs, r) = replay(&rtt, 0x10);
+        assert_eq!((idxs, seqs), (vec![7], vec![0]));
         assert!(!r.order_lost);
     }
 
@@ -327,7 +330,7 @@ mod tests {
         let _ = rtt.record_insert(0xA, 1);
         let _ = rtt.record_insert(0xB, 2);
         rtt.invalidate_backpointer(0xA, 1);
-        assert_eq!(rtt.replay_order(0xB).live_in_order, vec![2]);
-        assert_eq!(rtt.replay_order(0xA).evicted, 1);
+        assert_eq!(replay(&rtt, 0xB).0, vec![2]);
+        assert_eq!(replay(&rtt, 0xA).2.evicted, 1);
     }
 }

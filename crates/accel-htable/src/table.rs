@@ -100,8 +100,8 @@ pub enum SetOutcome {
 /// Result of a `foreach` request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForeachOutcome {
-    /// `(key bytes, value_ptr)` pairs held in hardware, in insertion order.
-    pub live_pairs: Vec<(Vec<u8>, u64)>,
+    /// `(key, value_ptr)` pairs held in hardware, in insertion order.
+    pub live_pairs: Vec<(SmallKey, u64)>,
     /// Pairs whose entries were evicted — present in memory, order known.
     pub evicted_pairs: usize,
     /// Dirty pairs written back to memory so software iteration sees them.
@@ -129,6 +129,9 @@ pub struct HwHashTable {
     /// `touch_overflow` is set and it sweeps the whole table instead.
     touched: Vec<u32>,
     touch_overflow: bool,
+    /// [`Rtt::replay_order`]'s output buffer, kept so that a `foreach`
+    /// allocates only its outcome's pairs.
+    replay: Vec<(u64, u32)>,
 }
 
 /// Clears `key`'s fault mark and returns whether it was set: the parity
@@ -167,6 +170,7 @@ impl HwHashTable {
             corrupt_rtt: HashSet::new(),
             touched: Vec::new(),
             touch_overflow: false,
+            replay: Vec::new(),
         }
     }
 
@@ -425,15 +429,14 @@ impl HwHashTable {
                 order_lost: true,
             };
         }
+        let mut live = std::mem::take(&mut self.replay);
         let OrderReplay {
-            live_in_order,
             evicted,
             mut order_lost,
-            ..
-        } = self.rtt.replay_order(base);
-        let mut live_pairs = Vec::with_capacity(live_in_order.len());
+        } = self.rtt.replay_order(base, &mut live);
+        let mut live_pairs = Vec::with_capacity(live.len());
         let mut written_back = 0;
-        for idx in live_in_order {
+        for &(_, idx) in &live {
             if take_fault(&mut self.corrupt_entries, &(idx as usize)) {
                 // Parity mismatch mid-replay: drop the entry and force the
                 // software iteration path for this foreach.
@@ -449,8 +452,9 @@ impl HwHashTable {
                 e.dirty = false;
                 written_back += 1;
             }
-            live_pairs.push((e.key.as_bytes().to_vec(), e.value_ptr));
+            live_pairs.push((e.key, e.value_ptr));
         }
+        self.replay = live;
         self.stats.writebacks += written_back as u64;
         self.stats.accel_cycles += HASH_CYCLES + live_pairs.len() as u64;
         ForeachOutcome {
@@ -681,7 +685,7 @@ mod tests {
         t.set(0x400, b"second", 2);
         t.set(0x400, b"third", 3);
         let out = t.foreach(0x400);
-        let keys: Vec<&[u8]> = out.live_pairs.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = out.live_pairs.iter().map(|(k, _)| k.as_bytes()).collect();
         assert_eq!(keys, [b"first".as_slice(), b"second", b"third"]);
         assert_eq!(out.written_back, 3);
         assert!(!out.order_lost);

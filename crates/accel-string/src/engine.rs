@@ -109,9 +109,16 @@ impl StringAccel {
 
     /// Fault-injection hook: flips bits in the matrix configuration
     /// registers. The parity check catches it before the next operation.
-    pub fn inject_config_fault(&mut self) {
+    /// Returns `false`, and counts nothing, when a fault is already latent:
+    /// the registers hold one parity flag, so a second fault would be
+    /// counted but never detected.
+    pub fn inject_config_fault(&mut self) -> bool {
+        if self.faulted {
+            return false;
+        }
         self.faulted = true;
         self.stats.faults_injected += 1;
+        true
     }
 
     /// Register parity checkpoint, consulted before dispatching an
@@ -131,11 +138,14 @@ impl StringAccel {
     }
 
     /// Full state reset (the sandbox recovery path): drops both
-    /// configuration registers and any latent fault. Statistics stay.
+    /// configuration registers and any latent fault, which counts as
+    /// detected — the scrub found it. Other statistics stay.
     pub fn reset_state(&mut self) {
         self.loaded = None;
         self.saved = None;
-        self.faulted = false;
+        if std::mem::take(&mut self.faulted) {
+            self.stats.faults_detected += 1;
+        }
     }
 
     /// Loads `rows` into the matrix for the next scan. The row table is
@@ -482,7 +492,7 @@ mod tests {
         let mut a = accel();
         let _ = a.find(b"subject text", b"tex", 0).unwrap();
         assert!(a.configured());
-        a.inject_config_fault();
+        assert!(a.inject_config_fault());
         assert_eq!(a.stats().faults_injected, 1);
         // The parity checkpoint catches the fault exactly once and drops
         // the untrusted registers.
@@ -501,10 +511,38 @@ mod tests {
         let mut a = accel();
         let _ = a.find(b"abc", b"b", 0).unwrap();
         a.strwriteconfig();
-        a.inject_config_fault();
+        assert!(a.inject_config_fault());
         a.reset_state();
         assert!(!a.configured());
         assert!(!a.config_fault_detected());
+    }
+
+    #[test]
+    fn a_second_fault_on_a_latent_one_is_refused() {
+        let mut a = accel();
+        assert!(a.inject_config_fault());
+        assert!(!a.inject_config_fault());
+        assert_eq!(a.stats().faults_injected, 1);
+        assert!(a.config_fault_detected());
+        assert_eq!(a.stats().faults_detected, 1);
+        // Once detected, the registers can be faulted again.
+        assert!(a.inject_config_fault());
+        assert_eq!(a.stats().faults_injected, 2);
+    }
+
+    #[test]
+    fn reset_state_counts_a_latent_fault_as_detected() {
+        let mut a = accel();
+        a.reset_state();
+        assert_eq!(a.stats().faults_detected, 0);
+        assert!(a.inject_config_fault());
+        a.reset_state();
+        assert_eq!(a.stats().faults_detected, 1);
+        assert_eq!(a.stats().fallbacks, 0);
+        // The fault is gone: nothing is left to detect or count again.
+        a.reset_state();
+        assert!(!a.config_fault_detected());
+        assert_eq!(a.stats().faults_detected, 1);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! allocation and deallocation requests retrieve at most 128 bytes";
 //! (b)/(c) per-slab live memory stays flat over time for the four smallest
 //! 32-byte bands — strong memory reuse.
+//!
+//! The live-memory timeline is a measurement instrument: this binary is the
+//! only place that turns it on, sampling every 64 allocation events.
 
-use bench::{header, row, run_app, standard_load};
-use phpaccel_core::{ExecMode, MachineConfig};
+use bench::{header, row, run_app, run_app_on, standard_load};
+use phpaccel_core::{ExecMode, MachineConfig, PhpMachine};
 use workloads::AppKind;
 
 fn main() {
@@ -38,13 +41,10 @@ fn main() {
     }
     println!("\n(b)/(c) live bytes per 32-byte band over time (WordPress, MediaWiki):");
     for kind in [AppKind::WordPress, AppKind::MediaWiki] {
-        let m = run_app(
-            kind,
-            ExecMode::Baseline,
-            MachineConfig::default(),
-            standard_load(),
-            0xF08,
-        );
+        // The timeline is off on every other machine: turn it on here.
+        let m = PhpMachine::new(ExecMode::Baseline, MachineConfig::default());
+        m.ctx().with_allocator(|a| a.set_timeline_interval(64));
+        let m = run_app_on(kind, m, standard_load(), 0xF08);
         let samples = m.ctx().with_allocator(|a| a.timeline().to_vec());
         println!(
             "{} ({} samples; showing every ~10th):",

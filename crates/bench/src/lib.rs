@@ -46,13 +46,19 @@ pub fn run_app(
     lg: LoadGen,
     seed: u64,
 ) -> PhpMachine {
+    run_app_on(kind, PhpMachine::new(mode, cfg), lg, seed)
+}
+
+/// [`run_app`] on a machine the caller built, for a run that first
+/// attaches an instrument such as the allocator's live-memory timeline.
+pub fn run_app_on(kind: AppKind, mut machine: PhpMachine, lg: LoadGen, seed: u64) -> PhpMachine {
     let mut app = kind.build(seed);
-    let mut machine = PhpMachine::new(mode, cfg);
     let summary = lg.run(app.as_mut(), &mut machine);
     if summary.failed_requests > 0 {
         println!(
-            "!! {} ({mode:?}): {} of {} requests failed — first error: {}",
+            "!! {} ({:?}): {} of {} requests failed — first error: {}",
             kind.label(),
+            machine.mode(),
             summary.failed_requests,
             summary.requests,
             summary.first_error.as_deref().unwrap_or("<none>")

@@ -33,4 +33,6 @@ pub use accel_htable::KeyShapeHint;
 pub use account::{compare, cycles_of, Comparison, Ledger};
 pub use config::{MachineConfig, PriorsConfig};
 pub use priors::{PriorOpt, PriorsOutcome};
-pub use specialized::{key_bytes, AccelId, Engine, ExecMode, MBlock, PhpMachine, SpecializedCore};
+pub use specialized::{
+    key_bytes, AccelId, Engine, ExecMode, KeyBytes, MBlock, PhpMachine, SpecializedCore,
+};

@@ -150,17 +150,37 @@ pub struct MBlock {
     sw_block: Option<php_runtime::alloc::Block>,
 }
 
+/// An [`ArrayKey`]'s hardware key bytes, built without a host allocation:
+/// a string key's own bytes, or an int key's 9 bytes on the stack.
+#[derive(Debug, Clone, Copy)]
+pub enum KeyBytes<'a> {
+    /// A string key's bytes, borrowed.
+    Str(&'a [u8]),
+    /// The 0xFF tag, then the integer in little-endian order.
+    Int([u8; 9]),
+}
+
+impl std::ops::Deref for KeyBytes<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            KeyBytes::Str(bytes) => bytes,
+            KeyBytes::Int(bytes) => bytes,
+        }
+    }
+}
+
 /// Encodes an [`ArrayKey`] as hardware key bytes (int keys get a 0xFF-tag
 /// prefix so they cannot collide with string keys).
-pub fn key_bytes(key: &ArrayKey) -> Vec<u8> {
+pub fn key_bytes(key: &ArrayKey) -> KeyBytes<'_> {
     match key {
         ArrayKey::Int(i) => {
-            let mut v = Vec::with_capacity(9);
-            v.push(0xFF);
-            v.extend_from_slice(&i.to_le_bytes());
-            v
+            let mut bytes = [0xFF; 9];
+            bytes[1..].copy_from_slice(&i.to_le_bytes());
+            KeyBytes::Int(bytes)
         }
-        ArrayKey::Str(s) => s.as_bytes().to_vec(),
+        ArrayKey::Str(s) => KeyBytes::Str(s.as_bytes()),
     }
 }
 
@@ -600,8 +620,14 @@ impl PhpMachine {
         hint: KeyShapeHint,
     ) {
         if self.use_accel(AccelId::Htable) {
-            let kb = key_bytes(&key);
             let base = arr.base_addr();
+            // The table model charges nothing, so it reads the key before
+            // the software map takes it; every charge keeps its order.
+            let kb = key_bytes(&key);
+            let outcome = self
+                .core
+                .htable
+                .set_hinted(base, &kb, value_token(base, &kb), hint);
             self.ctx.refcount_on_copy_elidable(&value, facts.elide_rc);
             // Ground truth stays in the software map (write-back happens
             // lazily in hardware; the model keeps contents exact).
@@ -609,11 +635,7 @@ impl PhpMachine {
             if let Some(old) = old {
                 self.ctx.refcount_on_drop_elidable(&old, facts.elide_rc);
             }
-            match self
-                .core
-                .htable
-                .set_hinted(base, &kb, value_token(base, &kb), hint)
-            {
+            match outcome {
                 SetOutcome::Updated => self.dispatch(&HASHTABLESET),
                 SetOutcome::Inserted { eviction } => {
                     self.dispatch(&HASHTABLESET);

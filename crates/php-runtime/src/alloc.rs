@@ -9,7 +9,9 @@
 //! charges micro-op costs to the profiler (§5.2: malloc ≈ 69 µops, free ≈ 37
 //! µops on average, assuming cache hits). It also collects the statistics the
 //! paper's Figure 8 is built from: the allocation-size CDF and the per-slab
-//! live-memory timeline.
+//! live-memory timeline. The timeline is off unless a caller turns it on
+//! ([`SlabAllocator::set_timeline_interval`]), so a serving machine's host
+//! memory does not grow with the requests it serves.
 
 use crate::addr::{AddrMap, AddrSet};
 use crate::profile::{Category, Leaf, OpCost, Profiler};
@@ -262,6 +264,8 @@ pub struct SlabAllocator {
     next_addr: u64,
     stats: AllocStats,
     timeline: Vec<TimelineSample>,
+    /// Allocation events between timeline samples; 0 means the timeline is
+    /// off (see [`SlabAllocator::set_timeline_interval`]).
     timeline_interval: u64,
     tick: u64,
     total_live: u64,
@@ -318,7 +322,7 @@ impl SlabAllocator {
                 ..Default::default()
             },
             timeline: Vec::new(),
-            timeline_interval: 64,
+            timeline_interval: 0,
             tick: 0,
             total_live: 0,
             memory_limit: None,
@@ -366,8 +370,10 @@ impl SlabAllocator {
         }
     }
 
-    /// Sets how often (in allocation events) the live-memory timeline is
-    /// sampled. Default: every 64 events.
+    /// Turns the live-memory timeline on, sampling it every `every`
+    /// allocation events. It is off by default: the timeline is a
+    /// measurement instrument (Figure 8), and a sample kept per 64 events
+    /// would grow a serving machine's host memory with every request.
     pub fn set_timeline_interval(&mut self, every: u64) {
         self.timeline_interval = every.max(1);
     }
@@ -427,9 +433,7 @@ impl SlabAllocator {
             }
         };
         self.stats.peak_live = self.stats.peak_live.max(self.total_live);
-        if self.tick.is_multiple_of(self.timeline_interval) {
-            self.sample_timeline();
-        }
+        self.sample_if_due();
         block
     }
 
@@ -509,9 +513,7 @@ impl SlabAllocator {
         self.arena.live_by_class[ci] += rounded;
         self.total_live += rounded;
         self.stats.peak_live = self.stats.peak_live.max(self.total_live);
-        if self.tick.is_multiple_of(self.timeline_interval) {
-            self.sample_timeline();
-        }
+        self.sample_if_due();
         Block {
             addr,
             size,
@@ -555,9 +557,7 @@ impl SlabAllocator {
         self.arena.block_count -= 1;
         self.arena.live_by_class[ci] -= rounded;
         self.total_live -= rounded;
-        if self.tick.is_multiple_of(self.timeline_interval) {
-            self.sample_timeline();
-        }
+        self.sample_if_due();
     }
 
     /// Ends the current arena epoch in O(1): every arena block still live is
@@ -595,9 +595,7 @@ impl SlabAllocator {
         }
         self.arena.epoch += 1;
         self.arena.freed.clear();
-        if self.tick.is_multiple_of(self.timeline_interval) {
-            self.sample_timeline();
-        }
+        self.sample_if_due();
         ArenaEpochReport {
             blocks_reclaimed: blocks,
             bytes_reclaimed: bytes,
@@ -652,9 +650,7 @@ impl SlabAllocator {
             self.classes[ci].live -= self.classes[ci].size as u64;
             self.total_live -= self.classes[ci].size as u64;
         }
-        if self.tick.is_multiple_of(self.timeline_interval) {
-            self.sample_timeline();
-        }
+        self.sample_if_due();
     }
 
     /// Pops a free segment of class `ci` *without* charging the malloc cost
@@ -694,9 +690,7 @@ impl SlabAllocator {
         self.total_live += self.classes[ci].size as u64;
         self.stats.peak_live = self.stats.peak_live.max(self.total_live);
         self.live_blocks.insert(addr, (ci, size));
-        if self.tick.is_multiple_of(self.timeline_interval) {
-            self.sample_timeline();
-        }
+        self.sample_if_due();
     }
 
     /// Unregisters a hardware-served free.
@@ -708,7 +702,13 @@ impl SlabAllocator {
             }
         }
         self.tick += 1;
-        if self.tick.is_multiple_of(self.timeline_interval) {
+        self.sample_if_due();
+    }
+
+    /// Takes a timeline sample when the timeline is on and this event is
+    /// due.
+    fn sample_if_due(&mut self) {
+        if self.timeline_interval != 0 && self.tick.is_multiple_of(self.timeline_interval) {
             self.sample_timeline();
         }
     }
@@ -749,7 +749,8 @@ impl SlabAllocator {
         &self.stats
     }
 
-    /// The live-memory timeline (Figure 8b/8c).
+    /// The live-memory timeline (Figure 8b/8c); empty unless
+    /// [`SlabAllocator::set_timeline_interval`] turned it on.
     pub fn timeline(&self) -> &[TimelineSample] {
         &self.timeline
     }
@@ -894,6 +895,23 @@ mod tests {
         // Live memory for the 32B class stays bounded (strong reuse ⇒ flat).
         let max_live = tl.iter().map(|s| s.live_small[1]).max().unwrap();
         assert!(max_live <= 4 * 32);
+    }
+
+    #[test]
+    fn timeline_is_off_until_an_interval_is_set() {
+        let mut a = SlabAllocator::new();
+        let p = prof();
+        for _ in 0..500 {
+            let b = a.malloc(32, &p);
+            a.free(b, &p);
+        }
+        assert!(a.timeline().is_empty());
+        a.set_timeline_interval(64);
+        for _ in 0..64 {
+            let b = a.malloc(32, &p);
+            a.free(b, &p);
+        }
+        assert_eq!(a.timeline().len(), 2);
     }
 
     #[test]

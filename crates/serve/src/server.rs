@@ -436,17 +436,15 @@ impl Server {
     }
 
     /// Injects one fault into live accelerator state; `false` when the
-    /// targeted structure holds nothing to corrupt.
+    /// targeted structure holds nothing left to corrupt (empty, or every
+    /// target already carries a latent fault).
     fn inject(&mut self, kind: FaultKind) -> bool {
         let core = self.machine.core_mut();
         match kind {
             FaultKind::HtableEntry { nth } => core.htable.inject_entry_fault(nth),
             FaultKind::HtableRtt { nth } => core.htable.inject_rtt_fault(nth),
             FaultKind::HeapFreelist { nth } => core.heap.inject_freelist_fault(nth),
-            FaultKind::StringConfig => {
-                core.straccel.inject_config_fault();
-                true
-            }
+            FaultKind::StringConfig => core.straccel.inject_config_fault(),
             FaultKind::RegexReuse { nth } => core.reuse.inject_entry_fault(nth),
             FaultKind::RegexHvFlip { bit } => {
                 self.machine.arm_hv_flip(bit);

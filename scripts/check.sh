@@ -77,6 +77,16 @@ done
 # 240 arrivals a run) takes well under a second and applies every gate.
 ./target/release/overload_bench --out target/BENCH_overload_full.json
 
+echo "== Figure 8 live-memory timeline (release) =="
+# The allocator's timeline is off unless a caller turns it on, and
+# fig08_memusage is the one caller that does. Both of its timelines must
+# hold samples, or the opt-in no longer reaches the allocator.
+cargo run --release -q -p bench --bin fig08_memusage >target/fig08.out
+if grep -q '(0 samples' target/fig08.out || [ "$(grep -c ' samples; ' target/fig08.out)" -ne 2 ]; then
+  echo "fig08_memusage: a live-memory timeline is empty or missing" >&2
+  exit 1
+fi
+
 echo "== http front-end smoke (release) =="
 cargo build --release -q -p bench --bin serve_http
 scripts/http_smoke.sh target/release/serve_http
