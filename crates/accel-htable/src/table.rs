@@ -527,16 +527,18 @@ impl HwHashTable {
         n
     }
 
-    /// Fault-injection hook: flips bits in the `nth` valid entry's value
-    /// pointer, as a particle strike would. The corruption is caught by the
-    /// parity check on the entry's next access. Returns `false` when the
-    /// table holds no valid entry to corrupt.
+    /// Fault-injection hook: flips bits in the value pointer of the `nth`
+    /// valid entry not already corrupt, as a particle strike would. The
+    /// corruption is caught by the parity check on the entry's next access.
+    /// Returns `false`, and counts nothing, when no valid entry is left to
+    /// corrupt: a second strike on a corrupt entry would flip its bits back
+    /// and could never be detected.
     pub fn inject_entry_fault(&mut self, nth: usize) -> bool {
         let victims: Vec<usize> = self
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.valid)
+            .filter(|(i, e)| e.valid && !self.corrupt_entries.contains(i))
             .map(|(i, _)| i)
             .collect();
         if victims.is_empty() {
@@ -550,11 +552,13 @@ impl HwHashTable {
     }
 
     /// Fault-injection hook: marks the RTT back-pointer buffer of the `nth`
-    /// tracked map as corrupt. Detected on the map's next `foreach`/`Free`,
-    /// which then falls back to a full-table scan. Returns `false` when the
-    /// RTT tracks no map.
+    /// tracked map not already corrupt as corrupt. Detected on the map's
+    /// next `foreach`/`Free`, which then falls back to a full-table scan.
+    /// Returns `false`, and counts nothing, when every tracked map's buffer
+    /// is already corrupt or the RTT tracks no map.
     pub fn inject_rtt_fault(&mut self, nth: usize) -> bool {
-        let bases = self.rtt.tracked_bases();
+        let mut bases = self.rtt.tracked_bases();
+        bases.retain(|b| !self.corrupt_rtt.contains(b));
         if bases.is_empty() {
             return false;
         }
@@ -863,6 +867,30 @@ mod tests {
         assert_eq!(t.set(0x100, b"k", 9), SetOutcome::Updated);
         assert_eq!(t.stats().faults_detected, 1);
         assert_eq!(t.get(0x100, b"k"), GetOutcome::Hit { value_ptr: 9 });
+    }
+
+    #[test]
+    fn inject_skips_an_entry_already_corrupt() {
+        let mut t = table();
+        t.set(0x100, b"k", 7);
+        assert!(t.inject_entry_fault(0));
+        // The one valid entry is corrupt: nothing is left to corrupt, so the
+        // second fault is not counted (the server keeps it pending).
+        assert!(!t.inject_entry_fault(0));
+        assert_eq!(t.stats().faults_injected, 1);
+        assert_eq!(t.get(0x100, b"k"), GetOutcome::Miss);
+        assert_eq!(t.stats().faults_detected, 1);
+    }
+
+    #[test]
+    fn inject_skips_an_rtt_buffer_already_corrupt() {
+        let mut t = table();
+        t.set(0x100, b"a", 1);
+        assert!(t.inject_rtt_fault(0));
+        assert!(!t.inject_rtt_fault(0));
+        assert_eq!(t.stats().faults_injected, 1);
+        assert!(t.foreach(0x100).order_lost);
+        assert_eq!(t.stats().faults_detected, 1);
     }
 
     #[test]

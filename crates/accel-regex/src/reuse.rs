@@ -221,16 +221,17 @@ impl ContentReuseTable {
         }
     }
 
-    /// Fault-injection hook: corrupts the `nth` occupied slot. The parity
-    /// check catches it on that slot's next lookup, which then behaves as an
-    /// invalid-miss (software traverses normally). Returns `false` when the
-    /// table is empty.
+    /// Fault-injection hook: corrupts the `nth` occupied slot not already
+    /// corrupt. The parity check catches it on that slot's next lookup,
+    /// which then behaves as an invalid-miss (software traverses normally).
+    /// Returns `false`, and counts nothing, when no occupied slot is left to
+    /// corrupt.
     pub fn inject_entry_fault(&mut self, nth: usize) -> bool {
         let occupied: Vec<usize> = self
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.is_some())
+            .filter(|&(i, e)| e.is_some() && !self.corrupt[i])
             .map(|(i, _)| i)
             .collect();
         if occupied.is_empty() {
@@ -471,6 +472,19 @@ mod tests {
         let mut t = ContentReuseTable::default();
         assert!(!t.inject_entry_fault(0));
         assert_eq!(t.stats().faults_injected, 0);
+    }
+
+    #[test]
+    fn inject_skips_a_slot_already_corrupt() {
+        let mut t = ContentReuseTable::default();
+        let _ = t.regexlookup(1, 0, b"abc");
+        assert!(t.inject_entry_fault(0));
+        // The one occupied slot is corrupt: nothing is left to corrupt, so
+        // the second fault is not counted (the server keeps it pending).
+        assert!(!t.inject_entry_fault(0));
+        assert_eq!(t.stats().faults_injected, 1);
+        assert_eq!(t.regexlookup(1, 0, b"abc"), LookupOutcome::InvalidMiss);
+        assert_eq!(t.stats().faults_detected, 1);
     }
 
     #[test]

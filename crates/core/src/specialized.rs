@@ -398,12 +398,15 @@ impl PhpMachine {
         self.release_scoped();
     }
 
-    /// Frees request-scoped blocks and resets the arena epoch.
+    /// Frees request-scoped blocks and resets the arena epoch. The list's
+    /// buffer is put back empty for the next request; a panic mid-drain
+    /// loses the list, so no block is ever freed twice.
     fn release_scoped(&mut self) {
-        let blocks: Vec<MBlock> = std::mem::take(&mut self.scoped);
-        for b in blocks {
+        let mut blocks = std::mem::take(&mut self.scoped);
+        for b in blocks.drain(..) {
             self.free(b);
         }
+        self.scoped = blocks;
         self.ctx.end_request();
     }
 

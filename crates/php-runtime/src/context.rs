@@ -229,13 +229,16 @@ impl RuntimeContext {
     /// Frees all request-scoped blocks (end of a simulated request), then
     /// resets the arena epoch: every arena block still live is reclaimed in
     /// one constant-cost operation, and the saved teardown work is booked
-    /// into the static-savings counters.
+    /// into the static-savings counters. The list's buffer is put back empty
+    /// for the next request; a panic mid-drain loses the list, so no block is
+    /// ever freed twice.
     pub fn end_request(&self) {
-        let blocks: Vec<Block> = std::mem::take(&mut *self.scoped_blocks.borrow_mut());
+        let mut blocks = std::mem::take(&mut *self.scoped_blocks.borrow_mut());
         let mut alloc = self.allocator.borrow_mut();
-        for b in blocks {
+        for b in blocks.drain(..) {
             alloc.free(b, &self.profiler);
         }
+        *self.scoped_blocks.borrow_mut() = blocks;
         let report = alloc.reset_arena_epoch(&self.profiler);
         if report.blocks_reclaimed > 0 {
             self.profiler

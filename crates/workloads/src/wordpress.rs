@@ -4,13 +4,13 @@
 //! `extract`s with dynamic keys, heavy small-object churn while assembling
 //! HTML tags, `wptexturize`-style consecutive regexps over the same content
 //! (Figure 11), author-URL parsing with near-identical content (Figure 13),
-//! and a mini-PHP page template interpreted per request.
+//! and a mini-PHP page template, compiled once and run on the VM per request.
 
 use crate::corpus::{Corpus, CorpusConfig};
 use crate::loadgen::Workload;
+use crate::php_corpus;
 use crate::vmtail::VmTail;
-use php_interp::ast::{FuncDef, Stmt};
-use php_interp::{parse, Interp, Program};
+use php_interp::{CompiledUnit, Vm};
 use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
@@ -32,11 +32,9 @@ pub struct WordPress {
     posts: Vec<Post>,
     texturize_rules: Vec<(Regex, Vec<u8>)>,
     author_re: Regex,
-    template: Program,
-    /// The template's function definitions as shared instances. Every
-    /// request pre-registers these with the interpreter, which would
-    /// otherwise hoist a private clone of each per request.
-    shared_funcs: Vec<Arc<FuncDef>>,
+    /// [`TEMPLATE`] compiled with its facts and fused: the unit the corpus
+    /// serves as its `page-template` entry.
+    template: Arc<CompiledUnit>,
     tail: VmTail,
     requests_handled: u64,
 }
@@ -44,7 +42,7 @@ pub struct WordPress {
 /// Number of posts in the synthetic database.
 const POST_COUNT: usize = 40;
 
-/// The page template (mini-PHP), interpreted on every request.
+/// The page template (mini-PHP), executed on every request.
 pub const TEMPLATE: &str = r#"
 function render_header($title) {
     return '<header><h1>' . htmlspecialchars($title) . '</h1></header>';
@@ -98,22 +96,17 @@ impl WordPress {
             (Regex::new("<br>").unwrap(), b"<br/>".to_vec()),
         ];
         let author_re = Regex::new("https://localhost/\\?author=[a-z]+").unwrap();
-        let template = parse(TEMPLATE).expect("template parses");
-        let shared_funcs = template
-            .stmts
+        let template = php_corpus::ENTRIES
             .iter()
-            .filter_map(|s| match s {
-                Stmt::FuncDef(f) => Some(Arc::new(f.clone())),
-                _ => None,
-            })
-            .collect();
+            .find(|e| e.source == TEMPLATE)
+            .map(|e| Arc::clone(php_corpus::prepare(e).vm_unit(true, true)))
+            .expect("the corpus holds the page template");
         WordPress {
             corpus,
             posts,
             texturize_rules,
             author_re,
             template,
-            shared_funcs,
             tail: VmTail {
                 scale: 155,
                 refcount_ops: 1500,
@@ -121,6 +114,20 @@ impl WordPress {
             },
             requests_handled: 0,
         }
+    }
+}
+
+impl WordPress {
+    /// Binds post `idx`'s title, tags and meta into the template's slots
+    /// and runs the unit on the VM. Returns the rendered page.
+    fn render_template(&self, m: &mut PhpMachine, idx: usize) -> Vec<u8> {
+        let vars = template_vars(m, &self.posts[idx], idx);
+        let mut vm = Vm::new(m, Arc::clone(&self.template));
+        for (name, v) in vars {
+            vm.set_var_public(name, v);
+        }
+        vm.run().expect("template runs");
+        vm.take_output()
     }
 }
 
@@ -193,33 +200,8 @@ impl Workload for WordPress {
             m.texturize(&excerpt, &self.texturize_rules)
         };
 
-        // 4. Interpreted page template: header, tags, meta spans.
-        let mut tags_arr = m.new_array();
-        let tag_values: Vec<PhpValue> =
-            post.tags.iter().map(|t| PhpValue::str(t.clone())).collect();
-        for t in tag_values {
-            m.array_push(&mut tags_arr, t);
-        }
-        let mut meta_view = m.new_array();
-        m.array_set(
-            &mut meta_view,
-            ArrayKey::from("views"),
-            PhpValue::from(idx as i64 * 7),
-        );
-        m.array_set(
-            &mut meta_view,
-            ArrayKey::from("likes"),
-            PhpValue::from(idx as i64),
-        );
-        {
-            let mut interp = Interp::new(m);
-            interp.predefine_funcs(self.shared_funcs.iter().cloned());
-            interp.set_var_public("title", PhpValue::str(post.title.clone()));
-            interp.set_var_public("tags", PhpValue::array_from(tags_arr));
-            interp.set_var_public("meta", PhpValue::array_from(meta_view));
-            interp.run_program(&self.template).expect("template runs");
-            let _page = interp.take_output();
-        }
+        // 4. Page template on the VM: header, tags, meta spans.
+        let _page = self.render_template(m, idx);
 
         // 5. Comments: normalize, escape, line-break — each comment churns
         //    several short-lived strings (the paper's HTML-tag pattern).
@@ -269,21 +251,72 @@ impl Workload for WordPress {
     }
 }
 
-/// Helper: PhpValue::Array from a PhpArray (readability shim).
-trait ArrayFrom {
-    fn array_from(a: php_runtime::array::PhpArray) -> PhpValue;
-}
-
-impl ArrayFrom for PhpValue {
-    fn array_from(a: php_runtime::array::PhpArray) -> PhpValue {
-        PhpValue::array(a)
+/// The page template's request variables for post `idx`: its title, its
+/// tags as a list, and a two-entry meta map.
+fn template_vars(m: &mut PhpMachine, post: &Post, idx: usize) -> [(&'static str, PhpValue); 3] {
+    let mut tags = m.new_array();
+    for t in &post.tags {
+        m.array_push(&mut tags, PhpValue::str(t.clone()));
     }
+    let mut meta = m.new_array();
+    m.array_set(
+        &mut meta,
+        ArrayKey::from("views"),
+        PhpValue::from(idx as i64 * 7),
+    );
+    m.array_set(
+        &mut meta,
+        ArrayKey::from("likes"),
+        PhpValue::from(idx as i64),
+    );
+    [
+        ("title", PhpValue::str(post.title.clone())),
+        ("tags", PhpValue::array(tags)),
+        ("meta", PhpValue::array(meta)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use php_interp::{parse, Interp};
     use php_runtime::Category;
+
+    /// The served unit (facts, fusion, VM) on a warm specialized machine
+    /// prints what a fact-free tree walk of the same source prints on the
+    /// baseline machine, for every post of four databases.
+    #[test]
+    fn template_on_the_vm_matches_the_tree_walk() {
+        let program = parse(TEMPLATE).expect("template parses");
+        for seed in 1..=4 {
+            let mut app = WordPress::new(seed);
+            let mut spec = PhpMachine::specialized();
+            let mut base = PhpMachine::baseline();
+            for r in 0..100 {
+                app.handle_request(&mut spec, r);
+            }
+            for (idx, post) in app.posts.iter().enumerate() {
+                let served = app.render_template(&mut spec, idx);
+                spec.end_request();
+
+                let vars = template_vars(&mut base, post, idx);
+                let mut interp = Interp::new(&mut base);
+                for (name, v) in vars {
+                    interp.set_var_public(name, v);
+                }
+                interp.run_program(&program).expect("template walks");
+                let walked = interp.take_output();
+                base.end_request();
+
+                assert!(!served.is_empty(), "seed {seed} post {idx}: no output");
+                assert_eq!(
+                    String::from_utf8_lossy(&served),
+                    String::from_utf8_lossy(&walked),
+                    "seed {seed} post {idx}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn request_exercises_all_categories() {

@@ -87,6 +87,16 @@ if grep -q '(0 samples' target/fig08.out || [ "$(grep -c ' samples; ' target/fig
   exit 1
 fi
 
+echo "== Figure 14 qualitative claim (release) =="
+# The paper finds Drupal the application the accelerators help least.
+# fig14_exectime prints that check; a change to the modelled machine or to
+# an application's driver can flip it, and no pin reads the line.
+cargo run --release -q -p bench --bin fig14_exectime >target/fig14.out
+if ! grep -q '^check: Drupal benefits least: true' target/fig14.out; then
+  echo "fig14_exectime: Drupal no longer benefits least" >&2
+  exit 1
+fi
+
 echo "== http front-end smoke (release) =="
 cargo build --release -q -p bench --bin serve_http
 scripts/http_smoke.sh target/release/serve_http
