@@ -115,9 +115,7 @@ impl WordPress {
             requests_handled: 0,
         }
     }
-}
 
-impl WordPress {
     /// Binds post `idx`'s title, tags and meta into the template's slots
     /// and runs the unit on the VM. Returns the rendered page.
     fn render_template(&self, m: &mut PhpMachine, idx: usize) -> Vec<u8> {
