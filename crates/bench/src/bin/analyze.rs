@@ -19,7 +19,7 @@
 
 use bench::{header, serving_machine};
 use php_analysis::report::{parse_allowlist, LintKind};
-use php_interp::{MemoCache, MemoTier, Vm};
+use php_interp::{MemoCache, MemoTier};
 use phpaccel_core::PhpMachine;
 use std::sync::Arc;
 use workloads::php_corpus;
@@ -139,11 +139,8 @@ fn main() {
             let plain = prepared.run(&mut off, false);
             let mut on = serving_machine();
             let tally = {
-                let mut vm = Vm::new(&mut on, Arc::clone(prepared.vm_unit(true, true)));
+                let mut vm = prepared.vm(&mut on, prepared.unit(), None);
                 vm.count_pairs();
-                if entry.needs_request_vars {
-                    php_corpus::bind_request_vars_vm(&mut vm);
-                }
                 if let Err(e) = vm.run() {
                     eprintln!("FAIL: {}/{} vm run errored: {e:?}", entry.app, entry.name);
                     std::process::exit(1);

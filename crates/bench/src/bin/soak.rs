@@ -294,15 +294,16 @@ fn check_totals(totals: &Totals, memo: Option<MemoCacheStats>) -> Vec<String> {
     let stats = &totals.stats;
     let mut failures = Vec::new();
     println!(
-        "{:8} {:>8} {:>8} {:>6} {:>10} {:>9}",
-        "domain", "injected", "detected", "trips", "recoveries", "degraded"
+        "{:8} {:>8} {:>7} {:>8} {:>6} {:>10} {:>9}",
+        "domain", "injected", "pending", "detected", "trips", "recoveries", "degraded"
     );
     for id in AccelId::ALL {
         let i = id.index();
         println!(
-            "{:8} {:>8} {:>8} {:>6} {:>10} {:>9}",
+            "{:8} {:>8} {:>7} {:>8} {:>6} {:>10} {:>9}",
             id.name(),
             totals.injected[i],
+            totals.pending[i],
             totals.detected[i],
             totals.trips[i],
             totals.recoveries[i],

@@ -7,8 +7,9 @@
 //! superinstruction fusion
 //! disabled (plain opcode dispatch), and once on the full VM (fused
 //! echo/concat/index superinstructions). All three run the same shared
-//! `Arc`-held compile cache — the VM engines share one `CompiledUnit` per
-//! script across every worker.
+//! `Arc`-held compile cache: the fused VM runs each script's serving
+//! `CompiledUnit`, and the unfused VM a unit per script compiled once
+//! without fusion, each shared across every worker.
 //!
 //! The run fails (exit 1) on any of [`bench::Sweep`]'s gates (the three
 //! engines byte-identical request for request, each pool-deterministic,
@@ -29,12 +30,13 @@
 //! Usage: `vm_bench [--smoke] [--out PATH]`
 
 use bench::{zipf_schedule, Bench, Json, Sweep};
+use php_interp::CompiledUnit;
 use phpaccel_core::{Engine, PhpMachine};
-use serve::{Handler, PoolConfig, Scripts, WorkerPool};
+use serve::{Handler, PoolConfig, WorkerPool};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::php_corpus::{CorpusCache, PreparedScript};
+use workloads::php_corpus::CorpusCache;
 
 /// Requests per run (full mode / --smoke).
 const FULL_REQUESTS: u64 = 400;
@@ -79,33 +81,55 @@ impl Mode {
         }
         m
     }
+}
 
-    /// Runs one script with facts on. `run` dispatches on the machine's
-    /// engine and the fused unit is the production path; the unfused leg
-    /// calls the engine entry point directly to isolate fusion. The tree
-    /// walk ignores the facts.
-    fn serve(self, script: &PreparedScript, m: &mut PhpMachine) -> Vec<u8> {
-        match self {
-            Mode::Tree | Mode::VmFused => script.run(m, true),
-            Mode::VmUnfused => script.run_vm(m, true, false),
+/// The corpus under test: the shared compile cache, plus each script's
+/// unit compiled with the facts and without fusion, in corpus order.
+struct Corpus {
+    cache: CorpusCache,
+    unfused: Vec<Arc<CompiledUnit>>,
+}
+
+impl Corpus {
+    fn build() -> Corpus {
+        let cache = CorpusCache::build();
+        let unfused = cache
+            .scripts()
+            .iter()
+            .map(|p| Arc::new(p.compile(true, false)))
+            .collect();
+        Corpus { cache, unfused }
+    }
+
+    /// Runs corpus script `script` on `mode` with facts on. `run`
+    /// dispatches on the machine's engine and the serving unit is the
+    /// production path; the unfused leg runs its own unit to isolate
+    /// fusion. The tree walk ignores the facts.
+    fn serve(&self, mode: Mode, script: usize, m: &mut PhpMachine) -> Vec<u8> {
+        let p = &self.cache.scripts()[script];
+        match mode {
+            Mode::Tree | Mode::VmFused => p.run(m, true),
+            Mode::VmUnfused => p.run_unit(m, &self.unfused[script], None),
         }
     }
 }
 
-/// One worker's requests on `mode`: the machine under test runs the mode's
-/// engine entry point, the reference replays as [`Scripts`] always does.
-struct ModeScripts<P> {
+/// One worker's requests on `mode`: request `req` runs script
+/// `schedule[req]`, the machine under test on the mode's engine, the
+/// reference as [`serve::Scripts`] replays it.
+struct ModeScripts<'a> {
     mode: Mode,
-    scripts: Scripts<P>,
+    corpus: &'a Corpus,
+    schedule: &'a [usize],
 }
 
-impl<P: FnMut(u64) -> Arc<PreparedScript>> Handler for ModeScripts<P> {
+impl Handler for ModeScripts<'_> {
     fn primary(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
-        self.mode.serve(&(self.scripts.pick)(req), m)
+        self.corpus.serve(self.mode, self.schedule[req as usize], m)
     }
 
     fn reference(&mut self, m: &mut PhpMachine, req: u64) -> Vec<u8> {
-        self.scripts.reference(m, req)
+        self.corpus.cache.scripts()[self.schedule[req as usize]].run(m, false)
     }
 }
 
@@ -115,11 +139,11 @@ impl<P: FnMut(u64) -> Arc<PreparedScript>> Handler for ModeScripts<P> {
 /// pass. Pass k of every engine runs before pass k+1 of any, so a slow
 /// phase of the host lands on all three. µops are the last pass's; the host
 /// time is the median pass's.
-fn per_request_costs(cache: &CorpusCache, schedule: &[usize], passes: usize) -> Vec<(f64, f64)> {
+fn per_request_costs(corpus: &Corpus, schedule: &[usize], passes: usize) -> Vec<(f64, f64)> {
     let pass = |m: &mut PhpMachine, mode: Mode| {
         let start = Instant::now();
         for &script in schedule {
-            std::hint::black_box(mode.serve(&cache.scripts()[script], m));
+            std::hint::black_box(corpus.serve(mode, script, m));
             m.recover_request();
         }
         start.elapsed().as_nanos() as f64 / schedule.len() as f64
@@ -157,22 +181,22 @@ fn main() -> ExitCode {
     let requests = bench.full_or_smoke(FULL_REQUESTS, SMOKE_REQUESTS);
 
     println!("vm_bench: building the shared compile cache...");
-    let cache = CorpusCache::build();
-    let schedule = zipf_schedule(requests, cache.len());
+    let corpus = Corpus::build();
+    let schedule = zipf_schedule(requests, corpus.cache.len());
     println!(
         "vm_bench: {} corpus scripts, {} zipfian requests per run",
-        cache.len(),
+        corpus.cache.len(),
         requests
     );
 
-    let pick = |req: u64| Arc::clone(&cache.scripts()[schedule[req as usize]]);
     let mut sweep = Sweep::run(requests, &MODES.map(Mode::label), |workers, leg| {
         let mode = MODES[leg];
         WorkerPool::new(PoolConfig::deterministic(workers, requests)).run(
             |_| mode.machine(),
             |_| ModeScripts {
                 mode,
-                scripts: Scripts { pick, memo: None },
+                corpus: &corpus,
+                schedule: &schedule,
             },
         )
     });
@@ -232,7 +256,7 @@ fn main() -> ExitCode {
     }
 
     let passes = bench.full_or_smoke(FULL_WALL_PASSES, SMOKE_WALL_PASSES);
-    let engines = per_request_costs(&cache, &schedule, passes);
+    let engines = per_request_costs(&corpus, &schedule, passes);
     let mut engines_json = Vec::new();
     for (mode, &(uops, wall_ns)) in MODES.iter().zip(&engines) {
         println!(
@@ -265,7 +289,7 @@ fn main() -> ExitCode {
         "fact-specialized opcode VM with superinstruction fusion vs tree-walking evaluation; \
          one Arc-shared CompiledUnit per script across all workers",
         vec![
-            ("corpus_scripts", cache.len().into()),
+            ("corpus_scripts", corpus.cache.len().into()),
             ("requests_per_run", requests.into()),
             ("request_mix", "zipfian".into()),
             ("mismatches", sweep.mismatches.into()),

@@ -222,6 +222,9 @@ pub struct PhpMachine {
     accel_enabled: [bool; 4],
     /// HV bit flip armed for the next texturize sieve (fault injection).
     pending_hv_flip: Option<usize>,
+    /// Armed flips dropped before a sieve consumed them: by a recovery, or
+    /// by a newer flip armed over them.
+    hv_flips_discarded: u64,
 }
 
 impl PhpMachine {
@@ -238,6 +241,7 @@ impl PhpMachine {
             persistent_maps: 0,
             accel_enabled: [true; 4],
             pending_hv_flip: None,
+            hv_flips_discarded: 0,
         }
     }
 
@@ -319,7 +323,13 @@ impl PhpMachine {
     /// Arms a hint-vector bit flip to be injected into the next texturize
     /// sieve output (fault injection).
     pub fn arm_hv_flip(&mut self, bit: usize) {
-        self.pending_hv_flip = Some(bit);
+        self.hv_flips_discarded += self.pending_hv_flip.replace(bit).is_some() as u64;
+    }
+
+    /// Armed hint-vector flips no sieve has consumed: the one still armed,
+    /// plus every one dropped unapplied (those never land).
+    pub fn unlanded_hv_flips(&self) -> u64 {
+        self.hv_flips_discarded + self.pending_hv_flip.is_some() as u64
     }
 
     /// Detected faults per domain, in [`AccelId::index`] order.
@@ -364,7 +374,7 @@ impl PhpMachine {
             self.core.straccel.reset_state();
             self.core.reuse.clear();
         }
-        self.pending_hv_flip = None;
+        self.hv_flips_discarded += self.pending_hv_flip.take().is_some() as u64;
     }
 
     fn dispatch(&self, leaf: &'static Leaf) {
@@ -1434,10 +1444,25 @@ mod tests {
         let expect = clean.texturize(&content, &rules);
         let mut faulty = PhpMachine::specialized();
         faulty.arm_hv_flip(3);
+        assert_eq!(faulty.unlanded_hv_flips(), 1);
         let got = faulty.texturize(&content, &rules);
         assert_eq!(expect.as_bytes(), got.as_bytes());
         assert_eq!(faulty.injected_fault_counts()[AccelId::Regex.index()], 1);
         assert_eq!(faulty.detected_fault_counts()[AccelId::Regex.index()], 1);
+        assert_eq!(faulty.unlanded_hv_flips(), 0, "the sieve consumed it");
+    }
+
+    /// A flip that no sieve consumes never lands, and stays counted: one
+    /// a recovery drops, one a newer flip replaces, and the one armed.
+    #[test]
+    fn unconsumed_hv_flips_stay_counted() {
+        let mut m = PhpMachine::specialized();
+        m.arm_hv_flip(1);
+        m.recover_request();
+        m.arm_hv_flip(2);
+        m.arm_hv_flip(3);
+        assert_eq!(m.unlanded_hv_flips(), 3);
+        assert_eq!(m.injected_fault_counts()[AccelId::Regex.index()], 0);
     }
 
     #[test]

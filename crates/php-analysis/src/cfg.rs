@@ -334,9 +334,7 @@ mod tests {
 
     fn scopes(src: &str) -> Vec<(String, usize)> {
         let prog = parse(src).unwrap();
-        let lowered = lower_program(&prog);
-        // Leak so the borrow can outlive — tests only need counts.
-        lowered
+        lower_program(&prog)
             .iter()
             .map(|s| (s.name.clone(), s.cfg.blocks.len()))
             .collect()

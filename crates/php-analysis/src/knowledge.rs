@@ -93,7 +93,7 @@ pub fn consumes_args_transiently(name: &str) -> bool {
 }
 
 /// Variable names the hosting server binds from the incoming request before
-/// the script runs (see `workloads::php_corpus::bind_request_vars` and PHP's
+/// the script runs (see `workloads::php_corpus::PreparedScript::run` and PHP's
 /// superglobals). Reads of these in `<main>` are the taint *sources* of the
 /// Yama-style taint analysis ([`crate::taint`]).
 pub const REQUEST_SOURCES: &[&str] = &[

@@ -9,7 +9,7 @@
 //!        ▼
 //!   N php-worker threads, each a poll(2) loop over its own sockets:
 //!     read → buffer → parse_request (incomplete waits, pipelined in order)
-//!       → middleware chain  (rate limit → access log → error pages → encoding)
+//!       → middleware chain  (access log → error pages → encoding)
 //!       → admission control (depth: parsed, not yet served; 503)
 //!       → Server::step      (faults → breakers → sandbox → memo → replay)
 //!       → publish totals → buffered write (POLLOUT while the socket is full)
@@ -19,7 +19,7 @@
 //! deterministic pool drives: a worker owns a private [`PhpMachine`]
 //! wrapped in a `Server`, pulls each request's due faults from one shared
 //! global [`FaultPlan`], and serves corpus scripts through the full
-//! sandbox/fault/breaker/memo pipeline. Workers serve warm by default:
+//! sandbox/fault/breaker/memo pipeline. Workers serve warm:
 //! accelerator state outlives the request, and only a fault, an abnormal
 //! exit or a modelled context switch flushes it (see [`Server::step`]).
 //! Response bytes never depend on that state — the software structures are
@@ -41,7 +41,6 @@ use crate::hist::Histogram;
 use crate::metrics_text::{render_prometheus, MetricsSnapshot};
 use crate::middleware::{
     AccessLog, ErrorPages, IdentityEncoding, Middleware as _, MiddlewareChain, MiddlewareRequest,
-    RateLimit,
 };
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::pool::WorkerFailure;
@@ -488,9 +487,13 @@ const CONN_DEADLINE: Duration = Duration::from_secs(5);
 /// Bytes one `read` takes off a socket.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Front-end configuration. The request step reuses the same knobs as
-/// [`crate::pool::PoolConfig`], so a loopback run is directly comparable to
-/// a pool run.
+/// Open connections over all workers; beyond it a new connection gets an
+/// immediate 503 and is closed.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Front-end configuration: what a caller chooses. Every worker serves warm
+/// through [`Server::step`] with [`BreakerConfig::default`] breakers, an
+/// unlimited sandbox and [`HttpLimits::default`] on the parser.
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port.
@@ -499,58 +502,34 @@ pub struct HttpConfig {
     pub workers: usize,
     /// Execution engine on every worker machine.
     pub engine: Engine,
-    /// Breaker configuration for every worker's four breakers.
-    pub breaker_cfg: BreakerConfig,
-    /// Per-request sandbox limits.
-    pub sandbox: SandboxConfig,
     /// Global fault plan; workers pull each request's due faults from it.
     pub plan: FaultPlan,
     /// Replay each successful request on a per-worker all-software
     /// reference and count byte mismatches.
     pub reference: bool,
-    /// Restore machines to a pristine request boundary after every request
-    /// (see [`Server::step`]). Off by default: workers serve warm. Bytes are
-    /// the same either way; turn it on to make per-request µops independent
-    /// of which worker served what before, as a comparison against another
-    /// scheduler request for request needs.
-    pub reset_between_requests: bool,
     /// Arena/epoch allocation on worker machines.
     pub arena: bool,
     /// Shared cross-request memo tier.
     pub memo: Option<Arc<MemoCache>>,
-    /// Parser limits.
-    pub limits: HttpLimits,
     /// Deadline-aware admission control; `None` admits everything.
     pub admission: Option<AdmissionConfig>,
-    /// Token-bucket rate limiting `(capacity, refill_per_sec)`; `None`
-    /// disables the stage.
-    pub rate_limit: Option<(u64, f64)>,
-    /// Maximum concurrent connections; beyond it new connections get an
-    /// immediate 503 and close.
-    pub max_connections: usize,
     /// Maximum requests served per keep-alive connection.
     pub max_keep_alive_requests: usize,
 }
 
 impl HttpConfig {
     /// A loopback configuration with `workers` warm workers, reference
-    /// replay on, and no faults, admission, or rate limiting.
+    /// replay on, and no faults or admission control.
     pub fn loopback(workers: usize) -> Self {
         HttpConfig {
             addr: "127.0.0.1:0".into(),
             workers,
             engine: Engine::Vm,
-            breaker_cfg: BreakerConfig::default(),
-            sandbox: SandboxConfig::unlimited(),
             plan: FaultPlan::default(),
             reference: true,
-            reset_between_requests: false,
             arena: false,
             memo: None,
-            limits: HttpLimits::default(),
             admission: None,
-            rate_limit: None,
-            max_connections: 256,
             max_keep_alive_requests: 10_000,
         }
     }
@@ -562,7 +541,8 @@ impl HttpConfig {
 pub struct FrontSnapshot {
     /// Connections accepted.
     pub connections: u64,
-    /// Connections refused because `max_connections` was reached.
+    /// Connections refused because the open-connection cap (256) was
+    /// reached.
     pub connections_refused: u64,
     /// Requests parsed successfully.
     pub http_requests: u64,
@@ -572,8 +552,6 @@ pub struct FrontSnapshot {
     pub not_found: u64,
     /// Non-GET requests refused with 405.
     pub method_not_allowed: u64,
-    /// Requests refused with 429 by the rate limiter.
-    pub rate_limited: u64,
     /// Arrivals shed by admission control (predicted deadline miss).
     pub shed_over_budget: u64,
     /// Arrivals shed because admission's queue bound was reached.
@@ -622,15 +600,10 @@ struct FrontState {
     shed_depth: Mutex<Histogram>,
     chain: MiddlewareChain,
     access_log: Arc<AccessLog>,
-    rate_limit: Option<Arc<RateLimit>>,
     memo: Option<Arc<MemoCache>>,
-    /// [`HttpConfig::reset_between_requests`].
-    reset: bool,
     shutdown: AtomicBool,
     /// Open connections over all workers.
     conn_count: AtomicUsize,
-    limits: HttpLimits,
-    max_connections: usize,
     max_keep_alive_requests: usize,
 }
 
@@ -649,7 +622,6 @@ impl FrontState {
             parse_errors: load(&self.front.parse_errors),
             not_found: load(&self.front.not_found),
             method_not_allowed: load(&self.front.method_not_allowed),
-            rate_limited: self.rate_limit.as_ref().map_or(0, |r| r.limited()),
             shed_over_budget: load(&self.front.shed_over_budget),
             shed_queue_full: load(&self.front.shed_queue_full),
             health_requests: load(&self.front.health_requests),
@@ -726,14 +698,7 @@ impl HttpServer {
         listener.set_nonblocking(true)?;
 
         let access_log = Arc::new(AccessLog::new());
-        let rate_limit = cfg
-            .rate_limit
-            .map(|(cap, refill)| Arc::new(RateLimit::new(cap, refill)));
-        let mut chain = MiddlewareChain::new();
-        if let Some(rl) = &rate_limit {
-            chain = chain.with(Arc::clone(rl));
-        }
-        chain = chain
+        let chain = MiddlewareChain::new()
             .with(Arc::clone(&access_log))
             .with(ErrorPages)
             .with(IdentityEncoding);
@@ -763,13 +728,9 @@ impl HttpServer {
             shed_depth: Mutex::new(Histogram::new()),
             chain,
             access_log,
-            rate_limit,
             memo: cfg.memo.clone(),
-            reset: cfg.reset_between_requests,
             shutdown: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
-            limits: cfg.limits,
-            max_connections: cfg.max_connections.max(1),
             max_keep_alive_requests: cfg.max_keep_alive_requests.max(1),
         });
 
@@ -880,7 +841,7 @@ impl Conn {
         let mut at = 0;
         loop {
             let mut rest = Cursor::new(&self.input[at..]);
-            let parsed = match parse_request(&mut rest, &state.limits) {
+            let parsed = match parse_request(&mut rest, &HttpLimits::default()) {
                 Err(HttpParseError::Eof | HttpParseError::UnexpectedEof) if !eof => break,
                 parsed => parsed,
             };
@@ -928,8 +889,8 @@ impl<'a> Worker<'a> {
         let (arena, reference) = (cfg.arena, cfg.reference);
         let server = Server::worker(
             machine,
-            cfg.breaker_cfg,
-            cfg.sandbox,
+            BreakerConfig::default(),
+            SandboxConfig::unlimited(),
             arena,
             reference,
             true,
@@ -991,15 +952,15 @@ impl<'a> Worker<'a> {
     }
 
     /// Takes one pending connection off the shared listener, unless another
-    /// worker was first, shutdown has begun, or `max_connections` are open
-    /// (answered 503 and closed).
+    /// worker was first, shutdown has begun, or [`MAX_CONNECTIONS`] are
+    /// open (answered 503 and closed).
     fn accept(&self, now: Instant) -> Option<Conn> {
         let state = self.state;
         if state.shutdown.load(Ordering::SeqCst) {
             return None;
         }
         let (stream, _) = state.listener.accept().ok()?;
-        if state.conn_count.load(Ordering::SeqCst) >= state.max_connections {
+        if state.conn_count.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             state
                 .front
                 .connections_refused
@@ -1159,7 +1120,7 @@ impl<'a> Worker<'a> {
             pick: |_req| Arc::clone(&script),
             memo: state.memo.clone().map(|m| m as Arc<dyn MemoTier>),
         };
-        let (record, service_uops) = self.server.step(req, &mut handler, state.reset);
+        let (record, service_uops) = self.server.step(req, &mut handler, false);
         // Queue wait has no simulated-µop value on the wall-clock HTTP
         // path, so only arrival depth and service latency are recorded
         // (`queue_wait` stays empty; the overload simulator owns it).

@@ -79,7 +79,6 @@ pub use http::{
 pub use metrics_text::{parse_prometheus, render_prometheus, MetricsSnapshot};
 pub use middleware::{
     AccessLog, ErrorPages, IdentityEncoding, Middleware, MiddlewareChain, MiddlewareRequest,
-    RateLimit,
 };
 pub use outcome::{classify_panic, RequestOutcome};
 pub use overload::{

@@ -369,12 +369,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     );
     counter(
         &mut out,
-        "phpaccel_http_rate_limited_total",
-        "Requests refused by the token bucket (429).",
-        f.rate_limited,
-    );
-    counter(
-        &mut out,
         "phpaccel_http_shed_over_budget_total",
         "Arrivals shed for predicted deadline misses (503).",
         f.shed_over_budget,

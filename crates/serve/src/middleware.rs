@@ -1,27 +1,25 @@
 //! Composable HTTP middleware.
 //!
 //! The front end wraps its router in a [`MiddlewareChain`] with onion
-//! semantics, modeled on the `tokio_php` exemplar's stack (rate limiting →
-//! access log → error pages → compression): every stage's [`Middleware::before`]
-//! runs outside-in and may short-circuit with its own response (the inner
+//! semantics, modeled on the `tokio_php` exemplar's stack (access log →
+//! error pages → compression): every stage's [`Middleware::before`] runs
+//! outside-in and may short-circuit with its own response (the inner
 //! handler and the stages further in never run); [`Middleware::after`] then
 //! runs inside-out over whichever response was produced, but only on the
 //! stages whose `before` actually ran. A stage therefore always sees `after`
 //! for exactly the requests it saw `before` — the contract that lets the
-//! rate limiter count, the access log record, and the error-page stage
-//! decorate without coordinating with each other.
+//! access log record and the error-page stage decorate without
+//! coordinating with each other.
 //!
 //! All stages are `Send + Sync` and interior-mutable, because worker
 //! threads call the chain concurrently.
 
 use crate::http::HttpResponse;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-/// The request view middleware stages operate on: enough to route, log, and
-/// rate-limit, without exposing the connection.
+/// The request view middleware stages operate on: enough to route and log,
+/// without exposing the connection.
 #[derive(Debug, Clone)]
 pub struct MiddlewareRequest<'a> {
     /// Request method (`GET`, `POST`, …).
@@ -113,71 +111,8 @@ impl MiddlewareChain {
     }
 }
 
-/// Token-bucket rate limiter (stage: outermost). A bucket of `capacity`
-/// tokens refills continuously at `refill_per_sec`; each request spends one
-/// token, and an empty bucket answers 429 with a `Retry-After` hint.
-/// `refill_per_sec == 0` never refills — tests use that for determinism.
-#[derive(Debug)]
-pub struct RateLimit {
-    capacity: f64,
-    refill_per_sec: f64,
-    bucket: Mutex<(f64, Instant)>,
-    limited: AtomicU64,
-}
-
-impl RateLimit {
-    /// A full bucket of `capacity` tokens refilling at `refill_per_sec`.
-    pub fn new(capacity: u64, refill_per_sec: f64) -> Self {
-        RateLimit {
-            capacity: capacity as f64,
-            refill_per_sec: refill_per_sec.max(0.0),
-            bucket: Mutex::new((capacity as f64, Instant::now())),
-            limited: AtomicU64::new(0),
-        }
-    }
-
-    /// Requests refused with 429 so far.
-    pub fn limited(&self) -> u64 {
-        self.limited.load(Ordering::Relaxed)
-    }
-
-    /// Seconds until one token exists again (the `Retry-After` hint).
-    fn retry_after_secs(&self, tokens: f64) -> u64 {
-        if self.refill_per_sec <= 0.0 {
-            return 1;
-        }
-        ((1.0 - tokens).max(0.0) / self.refill_per_sec)
-            .ceil()
-            .max(1.0) as u64
-    }
-}
-
-impl Middleware for RateLimit {
-    fn name(&self) -> &'static str {
-        "rate-limit"
-    }
-
-    fn before(&self, _req: &MiddlewareRequest<'_>) -> Option<HttpResponse> {
-        let mut bucket = self.bucket.lock().unwrap_or_else(|e| e.into_inner());
-        let (ref mut tokens, ref mut last) = *bucket;
-        let now = Instant::now();
-        *tokens = (*tokens + now.duration_since(*last).as_secs_f64() * self.refill_per_sec)
-            .min(self.capacity);
-        *last = now;
-        if *tokens >= 1.0 {
-            *tokens -= 1.0;
-            None
-        } else {
-            let retry = self.retry_after_secs(*tokens);
-            drop(bucket);
-            self.limited.fetch_add(1, Ordering::Relaxed);
-            Some(HttpResponse::new(429).with_header("retry-after", &retry.to_string()))
-        }
-    }
-}
-
 /// Access log: records one `method target status bytes` line per request
-/// after the response is final (so short-circuited 429s are logged too),
+/// after the response is final (so short-circuited responses are logged too),
 /// keeping the last [`AccessLog::CAPACITY`] lines.
 #[derive(Debug, Default)]
 pub struct AccessLog {
@@ -363,27 +298,18 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_spends_tokens_then_answers_429() {
-        // refill 0: the bucket never recovers, so the outcome is exact.
-        let limiter = RateLimit::new(2, 0.0);
-        let chain = MiddlewareChain::new().with(Arc::new(limiter));
-        let serve = || HttpResponse::text(200, "ok");
-        assert_eq!(chain.handle(&req("GET", "/a"), serve).status, 200);
-        assert_eq!(chain.handle(&req("GET", "/a"), serve).status, 200);
-        let third = chain.handle(&req("GET", "/a"), serve);
-        assert_eq!(third.status, 429);
-        assert!(third.header("retry-after").is_some());
-    }
-
-    #[test]
     fn access_log_records_final_status_including_short_circuits() {
         let log = Arc::new(AccessLog::new());
-        let chain = MiddlewareChain::new()
-            .with(Arc::clone(&log))
-            .with(Arc::new(RateLimit::new(1, 0.0)));
+        let refuser = Tracer {
+            name: "refuser",
+            log: Arc::new(Mutex::new(Vec::new())),
+            short_circuit: true,
+        };
+        let serving = MiddlewareChain::new().with(Arc::clone(&log));
+        let refusing = MiddlewareChain::new().with(Arc::clone(&log)).with(refuser);
         let serve = || HttpResponse::text(200, "body!");
-        chain.handle(&req("GET", "/run/x"), serve);
-        chain.handle(&req("GET", "/run/x"), serve); // rate-limited
+        serving.handle(&req("GET", "/run/x"), serve);
+        refusing.handle(&req("GET", "/run/x"), serve); // short-circuited
         let lines = log.lines();
         assert_eq!(lines[0], "GET /run/x 200 5");
         assert!(lines[1].starts_with("GET /run/x 429"));

@@ -191,6 +191,11 @@ pub struct Totals {
     pub injected: [u64; 4],
     /// Detected-fault counters per accelerator domain.
     pub detected: [u64; 4],
+    /// Due faults per domain that have not landed: those that found
+    /// nothing to corrupt yet and wait for live state, and hint-vector
+    /// flips no sieve consumed (see [`PhpMachine::unlanded_hv_flips`]).
+    /// Every due fault is either injected or pending.
+    pub pending: [u64; 4],
     /// Breaker trips per domain.
     pub trips: [u64; 4],
     /// Breaker recoveries per domain.
@@ -233,6 +238,7 @@ impl Totals {
         for i in 0..4 {
             self.injected[i] += other.injected[i];
             self.detected[i] += other.detected[i];
+            self.pending[i] += other.pending[i];
             self.trips[i] += other.trips[i];
             self.recoveries[i] += other.recoveries[i];
         }
@@ -392,11 +398,17 @@ impl Server {
         stats.memo_misses = savings.memo_misses;
         stats.memo_stores = savings.memo_stores;
         stats.memo_invalidations = savings.memo_invalidations;
+        let mut pending = [0; 4];
+        for id in self.pending_faults.iter().filter_map(|f| f.kind.domain()) {
+            pending[id.index()] += 1;
+        }
+        pending[AccelId::Regex.index()] += self.machine.unlanded_hv_flips();
         Totals {
             stats,
             savings,
             injected: self.machine.injected_fault_counts(),
             detected: self.machine.detected_fault_counts(),
+            pending,
             trips: self.breakers.each_ref().map(|b| b.trips),
             recoveries: self.breakers.each_ref().map(|b| b.recoveries),
             breaker_states: vec![self.breaker_codes()],
@@ -1043,5 +1055,40 @@ mod tests {
         let b = server.breaker(AccelId::Str);
         assert!(b.trips >= 1);
         assert_eq!(b.state(), BreakerState::Closed, "should have recovered");
+    }
+
+    /// A due fault whose structure holds nothing to corrupt waits, and the
+    /// totals report it as pending rather than losing it: until a request
+    /// fills the hash table, planned = injected + pending.
+    #[test]
+    fn fault_on_an_empty_structure_is_reported_pending() {
+        let plan = FaultPlan::new(vec![PlannedFault {
+            at_request: 0,
+            kind: FaultKind::HtableEntry { nth: 0 },
+        }]);
+        let mut server = Server::new(
+            PhpMachine::specialized(),
+            breaker_cfg(),
+            SandboxConfig::unlimited(),
+        )
+        .with_fault_plan(plan);
+        let ht = AccelId::Htable.index();
+        serve_many(&mut server, 3, &mut |_: &mut PhpMachine, _| b"ok".to_vec());
+        let totals = server.totals();
+        assert_eq!((totals.injected[ht], totals.pending[ht]), (0, 1));
+        assert_eq!(totals.pending.iter().sum::<u64>(), 1);
+
+        let mut merged = totals.clone();
+        merged.merge(&totals);
+        assert_eq!(merged.pending[ht], 2, "merge sums pending faults");
+
+        // Faults land before a request runs: the first request to start
+        // with an entry in the table takes it.
+        let mut handler = htable_handler();
+        for req in 3..5 {
+            server.step(req, &mut handler, false);
+        }
+        let totals = server.totals();
+        assert_eq!((totals.injected[ht], totals.pending[ht]), (1, 0));
     }
 }

@@ -212,13 +212,10 @@ fn http_matches_direct_serving_two_workers_vm() {
 
 /// The operational endpoints and error paths around the hot path.
 #[test]
-fn health_errors_and_rate_limiting() {
+fn health_and_errors() {
     let corpus = corpus();
-    let mut cfg = HttpConfig::loopback(1);
-    // A two-token bucket that never refills: deterministic 429 on the
-    // third request.
-    cfg.rate_limit = Some((2, 0.0));
-    let server = HttpServer::start(cfg, Arc::clone(&corpus)).expect("bind http front end");
+    let server = HttpServer::start(HttpConfig::loopback(1), Arc::clone(&corpus))
+        .expect("bind http front end");
     let addr = server.addr();
 
     let (status, body) = blocking_get(addr, "/health").expect("GET /health");
@@ -229,12 +226,7 @@ fn health_errors_and_rate_limiting() {
     // ErrorPages filled the body.
     assert!(!body.is_empty());
 
-    // Third request: out of tokens.
-    let (status, _) = blocking_get(addr, "/health").expect("GET rate-limited");
-    assert_eq!(status, 429);
-
     let report = server.shutdown();
-    assert_eq!(report.front.rate_limited, 1);
     assert_eq!(report.front.health_requests, 1);
     assert_eq!(report.front.not_found, 1);
 

@@ -258,7 +258,7 @@ fn shared_regex_handles_keep_the_pool_deterministic() {
         .iter()
         .position(|s| s.entry().name == "comment-filter")
         .expect("comment-filter is in the corpus");
-    let regexes = &cache.scripts()[comment_filter].vm_unit(true, true).regexes;
+    let regexes = &cache.scripts()[comment_filter].unit().regexes;
     assert!(regexes.len() >= 2);
 
     let run = |workers: usize, machine: fn() -> PhpMachine| {

@@ -4,23 +4,25 @@
 //! the simulated clock, the HTTP edge hands jobs to whichever worker is free
 //! — but each of them serves a request through [`Server::step`] on a
 //! [`Server::worker`] and reports [`serve::Totals`]. So the same fault-free
-//! stream (VM engine, arena on, reset between requests, reference replay on,
-//! no memo tier) through one worker of each must produce the same bytes and
-//! the same service µops request for request, and the same totals.
+//! stream (VM engine, arena on, served warm as HTTP serves, reference replay
+//! on, no memo tier) through one worker of each must produce the same bytes
+//! and the same service µops request for request, and the same totals.
 
 use phpaccel_core::{Engine, PhpMachine};
 use serve::http::blocking_get;
 use serve::{
     parse_prometheus, render_prometheus, AdmissionConfig, AdmissionController, BreakerConfig,
     HttpConfig, HttpServer, OverloadConfig, OverloadSim, PoolConfig, SandboxConfig, Scripts,
-    Server, Totals, WorkerPool,
+    Server, Totals, WorkerPool, CONTEXT_SWITCH_EVERY,
 };
 use std::sync::Arc;
 use workloads::php_corpus::{CorpusCache, PreparedScript};
 use workloads::HttpClient;
 
-/// Four cycles through the corpus.
-const N: u64 = 48;
+/// Five cycles through the corpus: past the first modelled context switch
+/// ([`CONTEXT_SWITCH_EVERY`] warm requests), so the warm machines
+/// must agree on it too.
+const N: u64 = 60;
 
 fn vm_machine() -> PhpMachine {
     let mut m = PhpMachine::specialized();
@@ -44,6 +46,8 @@ struct Run {
     /// `(requests, ok, mismatches)`.
     counts: (u64, u64, u64),
     worker_uops: Vec<u64>,
+    /// Modelled context switches the worker's machine took.
+    context_switches: u64,
     live_blocks: usize,
 }
 
@@ -55,13 +59,15 @@ impl Run {
             service_uops,
             counts: (s.requests, s.ok, s.mismatches),
             worker_uops: totals.worker_uops.clone(),
+            context_switches: totals.worker_accel.iter().map(|a| a.context_switches).sum(),
             live_blocks: totals.live_blocks,
         }
     }
 }
 
 fn through_pool(cache: &Arc<CorpusCache>) -> Run {
-    let cfg = PoolConfig::deterministic(1, N).with_arena(true);
+    let mut cfg = PoolConfig::deterministic(1, N).with_arena(true);
+    cfg.reset_between_requests = false;
     let report = WorkerPool::new(cfg).run(|_| vm_machine(), |_| round_robin(cache));
     assert!(report.failed_workers.is_empty());
     let bodies = report.records.iter().map(|r| r.response.clone()).collect();
@@ -89,7 +95,7 @@ fn through_overload(cache: &Arc<CorpusCache>) -> Run {
         workers: 1,
         warmup: 0,
         slo_windows: 1,
-        reset_between_requests: true,
+        reset_between_requests: false,
     };
     let mut sim = OverloadSim::new(cfg, server, controller).expect("valid overload config");
     let arrivals: Vec<u64> = (0..N).map(|i| i * 2_000_000_000).collect();
@@ -105,9 +111,6 @@ fn through_overload(cache: &Arc<CorpusCache>) -> Run {
 fn through_http(cache: &Arc<CorpusCache>) -> Run {
     let mut cfg = HttpConfig::loopback(1);
     cfg.arena = true;
-    // The loopback default serves warm; this comparison is µop for µop
-    // against two resetting schedulers, so it resets too.
-    cfg.reset_between_requests = true;
     let server = HttpServer::start(cfg, Arc::clone(cache)).expect("bind http front end");
     let addr = server.addr();
 
@@ -152,6 +155,7 @@ fn pool_overload_and_http_agree_request_for_request() {
     let pool = through_pool(&cache);
     assert_eq!(pool.counts, (N, N, 0));
     assert_eq!(pool.live_blocks, 0);
+    assert_eq!(pool.context_switches, N / CONTEXT_SWITCH_EVERY);
     assert!(pool.service_uops.iter().all(|&u| u > 0));
 
     let overload = through_overload(&cache);

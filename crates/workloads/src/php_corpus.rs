@@ -13,7 +13,7 @@ use php_interp::{
 use php_runtime::array::ArrayKey;
 use php_runtime::value::PhpValue;
 use phpaccel_core::{Engine, PhpMachine};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One mini-PHP script in the corpus.
 #[derive(Debug)]
@@ -25,7 +25,7 @@ pub struct CorpusEntry {
     /// The mini-PHP source.
     pub source: &'static str,
     /// Whether the script reads the request variables `$title`, `$tags`,
-    /// `$meta` from the environment ([`bind_request_vars`] provides them).
+    /// `$meta` from the environment ([`PreparedScript::run`] binds them).
     pub needs_request_vars: bool,
 }
 
@@ -299,10 +299,10 @@ pub fn apps() -> Vec<&'static str> {
     out
 }
 
-/// Builds the request-variable sample values (`$title`, `$tags`, `$meta`)
-/// on `m` — shared by both engines so the allocations they charge are
-/// identical.
-fn request_var_values(m: &mut PhpMachine) -> Vec<(&'static str, PhpValue)> {
+/// The request variables the WordPress page template reads (`$title`,
+/// `$tags`, `$meta`), at fixed sample values built on `m`: both engines
+/// bind these, so the allocations they charge are identical.
+fn request_vars(m: &mut PhpMachine) -> Vec<(&'static str, PhpValue)> {
     let title = PhpValue::from("Corpus & 'Sample' Title");
     let mut tags = m.new_array();
     for t in ["  News ", "PHP", " Perf"] {
@@ -319,29 +319,14 @@ fn request_var_values(m: &mut PhpMachine) -> Vec<(&'static str, PhpValue)> {
     ]
 }
 
-/// Binds the request variables the WordPress page template reads
-/// (`$title`, `$tags`, `$meta`) to fixed sample values.
-pub fn bind_request_vars(interp: &mut Interp<'_>) {
-    for (name, v) in request_var_values(interp.machine()) {
-        interp.set_var_public(name, v);
-    }
-}
-
-/// [`bind_request_vars`] for the compiled-VM engine.
-pub fn bind_request_vars_vm(vm: &mut Vm<'_>) {
-    for (name, v) in request_var_values(vm.machine()) {
-        vm.set_var_public(name, v);
-    }
-}
-
-/// A parsed and analyzed corpus script, ready to run with or without its
-/// proven facts attached.
+/// A parsed and analyzed corpus script, compiled once for serving.
 ///
-/// Both the program and its facts live behind `Arc`s, so a `PreparedScript`
-/// (itself usually `Arc`-wrapped via [`CorpusCache`]) can be shared across
-/// worker threads: the facts key on node addresses inside the program's
-/// statement buffer, and that buffer is never moved or cloned once prepared,
-/// so every worker resolves the same facts for the same sites.
+/// The program, its facts and its compiled unit live behind `Arc`s, so a
+/// `PreparedScript` (itself usually `Arc`-wrapped via [`CorpusCache`]) can
+/// be shared across worker threads: the facts key on node addresses inside
+/// the program's statement buffer, and that buffer is never moved or cloned
+/// once prepared, so every worker resolves the same facts for the same
+/// sites.
 #[derive(Debug)]
 pub struct PreparedScript {
     entry: &'static CorpusEntry,
@@ -354,16 +339,12 @@ pub struct PreparedScript {
     pub facts: Arc<AnalysisFacts>,
     /// Per-scope statistics and lints.
     pub report: php_analysis::Report,
-    /// Compiled bytecode per (facts on/off, fusion on/off) combination,
-    /// indexed `[with_facts as usize][fused as usize]`. Only facts+fusion
-    /// serves, so only that unit is built up front; the other three exist
-    /// for ablations and differential tests and compile on first use.
-    /// Shared `Arc`s: workers on the VM engine execute cached bytecode the
-    /// same way tree-walking workers execute the cached `Arc<Program>`.
-    vm_units: [[OnceLock<Arc<CompiledUnit>>; 2]; 2],
+    /// The serving unit: compiled with the facts, fused. Every worker on
+    /// the VM executes this one shared bytecode.
+    unit: Arc<CompiledUnit>,
 }
 
-/// Parses and analyzes one corpus entry.
+/// Parses, analyzes and compiles one corpus entry.
 pub fn prepare(entry: &'static CorpusEntry) -> PreparedScript {
     let program = parse(entry.source).unwrap_or_else(|e| {
         panic!(
@@ -380,19 +361,20 @@ pub fn prepare(entry: &'static CorpusEntry) -> PreparedScript {
         })
         .collect();
     let analysis = php_analysis::analyze_with_funcs(&program, &shared_funcs);
+    let facts = Arc::new(analysis.facts);
+    let serving = CompileOptions { fuse: true };
+    let unit = php_interp::compile(&program, &shared_funcs, Some(&facts), serving);
     // Wrapping after analysis is sound: the move relocates only the `Program`
     // struct itself, while the statement nodes the facts point at live in its
     // heap-allocated `stmts` buffer, whose address is stable.
-    let prepared = PreparedScript {
+    PreparedScript {
         entry,
         program: Arc::new(program),
         shared_funcs,
-        facts: Arc::new(analysis.facts),
+        facts,
         report: analysis.report,
-        vm_units: Default::default(),
-    };
-    prepared.vm_unit(true, true);
-    prepared
+        unit: Arc::new(unit),
+    }
 }
 
 /// Shared compile cache: every corpus entry parsed and analyzed exactly once,
@@ -443,24 +425,31 @@ impl PreparedScript {
         self.entry
     }
 
-    /// The cached bytecode for one (facts, fusion) combination.
-    pub fn vm_unit(&self, with_facts: bool, fused: bool) -> &Arc<CompiledUnit> {
-        self.vm_units[with_facts as usize][fused as usize].get_or_init(|| {
-            Arc::new(php_interp::compile(
-                &self.program,
-                &self.shared_funcs,
-                with_facts.then_some(&*self.facts),
-                CompileOptions { fuse: fused },
-            ))
-        })
+    /// The serving unit: compiled with the facts and fused.
+    pub fn unit(&self) -> &Arc<CompiledUnit> {
+        &self.unit
+    }
+
+    /// Compiles another variant of the script, with or without the facts
+    /// and fusion. Nothing caches it: ablations and differential tests
+    /// compile the variant they compare once and run it through
+    /// [`PreparedScript::run_unit`].
+    pub fn compile(&self, with_facts: bool, fused: bool) -> CompiledUnit {
+        php_interp::compile(
+            &self.program,
+            &self.shared_funcs,
+            with_facts.then_some(&*self.facts),
+            CompileOptions { fuse: fused },
+        )
     }
 
     /// Runs the script once on `m` and returns its output, dispatching on
-    /// the machine's configured [`Engine`]. The VM executes the cached
-    /// (fused) `Arc<CompiledUnit>`, compiled with the facts when
-    /// `with_facts` is set. The tree walk is the fact-free reference: it
-    /// executes the cached `Arc<Program>` and ignores `with_facts`. Output
-    /// is byte-identical across all of them.
+    /// the machine's configured [`Engine`]. The VM executes the serving
+    /// unit when `with_facts` is set; without it, it compiles a fact-free
+    /// fused unit for this one call, which only tests ask for. The tree
+    /// walk is the fact-free reference: it executes the cached
+    /// `Arc<Program>` and ignores `with_facts`. Output is byte-identical
+    /// across all of them.
     pub fn run(&self, m: &mut PhpMachine, with_facts: bool) -> Vec<u8> {
         self.run_memo(m, with_facts, None)
     }
@@ -481,7 +470,9 @@ impl PreparedScript {
                 let mut interp = Interp::new(m);
                 interp.predefine_funcs(self.shared_funcs.iter().cloned());
                 if self.entry.needs_request_vars {
-                    bind_request_vars(&mut interp);
+                    for (name, v) in request_vars(interp.machine()) {
+                        interp.set_var_public(name, v);
+                    }
                 }
                 interp.run_program(&self.program).unwrap_or_else(|e| {
                     panic!(
@@ -491,34 +482,21 @@ impl PreparedScript {
                 });
                 interp.take_output()
             }
-            Engine::Vm => self.run_vm_memo(m, with_facts, true, memo),
+            Engine::Vm if with_facts => self.run_unit(m, &self.unit, memo),
+            Engine::Vm => self.run_unit(m, &Arc::new(self.compile(false, true)), memo),
         }
     }
 
-    /// Runs the script once on the compiled-VM engine with an explicit
-    /// fusion choice (the benchmark measures fused vs unfused).
-    pub fn run_vm(&self, m: &mut PhpMachine, with_facts: bool, fused: bool) -> Vec<u8> {
-        self.run_vm_memo(m, with_facts, fused, None)
-    }
-
-    /// [`PreparedScript::run_vm`] with an optional shared memo tier. The
-    /// `MemoEnter`/`MemoStore` opcodes exist only in facts-compiled units,
-    /// so without facts the tier is inert on this engine too.
-    pub fn run_vm_memo(
+    /// Runs `unit` (the serving unit or a variant from
+    /// [`PreparedScript::compile`]) once on the VM, whatever the machine's
+    /// engine, and returns its output. See [`PreparedScript::vm`].
+    pub fn run_unit(
         &self,
         m: &mut PhpMachine,
-        with_facts: bool,
-        fused: bool,
+        unit: &Arc<CompiledUnit>,
         memo: Option<Arc<dyn MemoTier>>,
     ) -> Vec<u8> {
-        let unit = Arc::clone(self.vm_unit(with_facts, fused));
-        let mut vm = Vm::new(m, unit);
-        if let Some(tier) = memo {
-            vm.set_memo(MemoHandle::new(tier, self.entry.name));
-        }
-        if self.entry.needs_request_vars {
-            bind_request_vars_vm(&mut vm);
-        }
+        let mut vm = self.vm(m, unit, memo);
         vm.run().unwrap_or_else(|e| {
             panic!(
                 "corpus script {}/{} fails on vm: {e:?}",
@@ -526,6 +504,28 @@ impl PreparedScript {
             )
         });
         vm.take_output()
+    }
+
+    /// A VM on `m` ready to run `unit` as this script: the memo tier
+    /// attached, then the request variables bound. The
+    /// `MemoEnter`/`MemoStore` opcodes exist only in facts-compiled units,
+    /// so without facts the tier is inert.
+    pub fn vm<'m>(
+        &self,
+        m: &'m mut PhpMachine,
+        unit: &Arc<CompiledUnit>,
+        memo: Option<Arc<dyn MemoTier>>,
+    ) -> Vm<'m> {
+        let mut vm = Vm::new(m, Arc::clone(unit));
+        if let Some(tier) = memo {
+            vm.set_memo(MemoHandle::new(tier, self.entry.name));
+        }
+        if self.entry.needs_request_vars {
+            for (name, v) in request_vars(vm.machine()) {
+                vm.set_var_public(name, v);
+            }
+        }
+        vm
     }
 }
 
@@ -651,7 +651,7 @@ mod tests {
         let p = prepare(entry);
         let compiles = |with_facts: bool| {
             let mut m = PhpMachine::specialized();
-            let mut vm = Vm::new(&mut m, Arc::clone(p.vm_unit(with_facts, true)));
+            let mut vm = Vm::new(&mut m, Arc::new(p.compile(with_facts, true)));
             vm.run().unwrap();
             vm.regex_compile_count()
         };
@@ -673,7 +673,7 @@ mod tests {
     fn precompiled_patterns_stay_warm_across_requests() {
         let entry = ENTRIES.iter().find(|e| e.name == "comment-filter").unwrap();
         let p = prepare(entry);
-        let unit = p.vm_unit(true, true);
+        let unit = p.unit();
         assert!(unit.regexes.len() >= 2);
         let states = |unit: &CompiledUnit| -> Vec<usize> {
             unit.regexes.iter().map(|re| re.fsm_states()).collect()

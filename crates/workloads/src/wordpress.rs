@@ -99,7 +99,7 @@ impl WordPress {
         let template = php_corpus::ENTRIES
             .iter()
             .find(|e| e.source == TEMPLATE)
-            .map(|e| Arc::clone(php_corpus::prepare(e).vm_unit(true, true)))
+            .map(|e| Arc::clone(php_corpus::prepare(e).unit()))
             .expect("the corpus holds the page template");
         WordPress {
             corpus,

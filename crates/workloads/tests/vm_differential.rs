@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use workloads::php_corpus;
 
-/// How the VM runs a source: the cached-unit variant and what is attached.
+/// How the VM runs a source: the compiled-unit variant and what is attached.
 #[derive(Debug, Clone, Copy)]
 struct VmRun {
     fused: bool,
@@ -149,8 +149,8 @@ fn assert_engines_agree(src: &str) -> Vec<u8> {
 // -- corpus ------------------------------------------------------------------
 
 /// Every corpus program, fact-free tree walk vs VM across facts × fusion ×
-/// arena. This is the acceptance gate for the compile pass: the prepared
-/// script caches all four `CompiledUnit` variants, and each must reproduce
+/// arena. This is the acceptance gate for the compile pass: each of the
+/// four `CompiledUnit` variants the prepared script compiles must reproduce
 /// the reference's bytes and leave the allocator in the same state.
 #[test]
 fn corpus_programs_are_engine_invariant() {
@@ -162,7 +162,8 @@ fn corpus_programs_are_engine_invariant() {
         for run in vm_variants() {
             let mut m_vm = PhpMachine::specialized();
             m_vm.ctx().set_arena_enabled(run.arena);
-            let out_vm = p.run_vm(&mut m_vm, run.with_facts, run.fused);
+            let unit = Arc::new(p.compile(run.with_facts, run.fused));
+            let out_vm = p.run_unit(&mut m_vm, &unit, None);
             let live_vm = live_after_request(&mut m_vm);
             assert_eq!(
                 out_vm, out_tree,
@@ -190,11 +191,12 @@ fn corpus_programs_are_memo_invariant() {
         let out_ref = p.run(&mut m_ref, false);
         let live_ref = live_after_request(&mut m_ref);
         for run in vm_variants().filter(|r| r.with_facts) {
+            let unit = Arc::new(p.compile(true, run.fused));
             let tier: Arc<dyn MemoTier> = Arc::new(MemoCache::default());
             for pass in ["cold", "warm"] {
                 let mut m = PhpMachine::specialized();
                 m.ctx().set_arena_enabled(run.arena);
-                let out = p.run_vm_memo(&mut m, true, run.fused, Some(Arc::clone(&tier)));
+                let out = p.run_unit(&mut m, &unit, Some(Arc::clone(&tier)));
                 let live = live_after_request(&mut m);
                 assert_eq!(
                     out, out_ref,

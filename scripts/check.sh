@@ -7,6 +7,21 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== uncalled public surface =="
+# Every `pub fn` under crates/*/src must be named somewhere besides its own
+# definition (in crates, src, tests, examples or benchmark/src). A name
+# printed here has no caller: delete it rather than keep it. Two types that
+# share a method name hide each other, so the scan can miss, never misfire.
+uncalled=$(for n in $(grep -rhoP 'pub(\([a-z]+\))? fn \K\w+' crates/*/src | sort -u); do
+  if [ "$(grep -rwo --include='*.rs' "$n" crates src tests examples benchmark/src | wc -l)" -le 1 ]; then
+    echo "$n"
+  fi
+done)
+if [ -n "$uncalled" ]; then
+  echo "pub fn with no caller:" $uncalled >&2
+  exit 1
+fi
+
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
