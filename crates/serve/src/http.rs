@@ -541,8 +541,7 @@ impl HttpConfig {
 pub struct FrontSnapshot {
     /// Connections accepted.
     pub connections: u64,
-    /// Connections refused because the open-connection cap (256) was
-    /// reached.
+    /// Connections refused at the open-connection cap.
     pub connections_refused: u64,
     /// Requests parsed successfully.
     pub http_requests: u64,
